@@ -179,7 +179,6 @@ def _conway_candidates(p: int, m: int) -> Iterator[Poly]:
     (a_{m-1}, ..., a_0) where a_i = (-1)^(m-i) c_i mod p; candidates are
     enumerated in ascending lexicographic word order.
     """
-    words = [()]  # build words most-significant first
     for word_code in range(p ** m):
         digits = []
         c = word_code
@@ -195,7 +194,6 @@ def _conway_candidates(p: int, m: int) -> Iterator[Poly]:
             sign = -1 if ((m - i) % 2) else 1
             coeffs[i] = (sign * ai) % p
         yield tuple(coeffs) + (1,)
-    del words
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,12 @@ degree d-1.  Row-reducing the coefficient matrix J_d with a recorded
 transform T_d (so that M_d = T_d * J_d exactly, with unit pivots) yields both
 the reduction machinery and, through the non-pivot columns, the basis V.
 
+Each relation row has at most as many nonzero entries as its generator has
+terms, so rows are kept sparse ({column: entry}) throughout: build_jacobian
+builds every row of J_d once, directly as the sparse row that the in-place
+elimination turns into a row of M_d, and T_d starts as the sparse identity.
+J_d itself is not kept; row_meta says how to rebuild any of its rows.
+
 Three modes share this machinery:
 
 * toric: no restrictions; generators indexed 0..n with index 0 the w-scaling
@@ -26,8 +32,8 @@ Three modes share this machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cone_algebra import ConeElement, ConeMonomial, monomial_basis, term_order_key
 from .errors import InvalidInput, NondegeneracyFailure
@@ -35,6 +41,9 @@ from .padic import RingContext, RingElement
 from .polytope import LatticePolytope, lattice_points
 
 MODES = ("toric", "affine", "projective")
+
+# A sparse matrix row or vector: index -> nonzero ring element.
+SparseRow = Dict[int, RingElement]
 
 
 @dataclass
@@ -165,40 +174,40 @@ def lift_input(ring: RingContext, terms: Sequence[Tuple[Sequence[int], Sequence[
 class DegreeEchelon:
     """Relation matrix of one weight degree with its recorded row reduction.
 
-    M = T * J exactly over R; pivots are (row of M, column) pairs with unit
-    (normalized to 1) pivot entries and zeros elsewhere in pivot columns.
+    Rows are sparse: M[i] maps a column index to a nonzero entry, T[i] maps an
+    original relation row (an index into row_meta) to a nonzero entry.
+    M = T * J exactly over R, where J is the relation matrix whose row i is
+    the product described by row_meta[i]; J itself is not kept.  pivots are
+    (row of M, column) pairs with unit (normalized to 1) pivot entries and no
+    other nonzero entry in a pivot column; pivot_rows maps a pivot column to
+    its row.
     """
 
     degree: int
     columns: List[ConeMonomial]
     col_index: Dict[ConeMonomial, int]
     row_meta: List[Tuple[int, ConeMonomial]]  # (generator index, cofactor monomial)
-    J: List[List[RingElement]]
-    M: List[List[RingElement]]
-    T: List[List[RingElement]]
+    M: List[SparseRow]
+    T: List[SparseRow]
     pivots: List[Tuple[int, int]]
-    nonpivot_columns: List[int] = field(default_factory=list)
+    pivot_rows: Dict[int, int]
 
-    def solve(self, ring: RingContext, xi: List[RingElement]
-              ) -> Tuple[List[RingElement], List[RingElement]]:
-        """Split xi = eta.J + v with v supported on the non-pivot columns.
+    def solve(self, ring: RingContext, xi: SparseRow
+              ) -> Tuple[SparseRow, SparseRow]:
+        """Split the sparse vector xi = eta.J + v with v on the non-pivot columns.
 
-        Returns (eta over the original rows, v over the columns).
+        Returns (eta over the original rows, v over the columns), both sparse.
+        M is fully reduced, so subtracting a pivot row never changes another
+        pivot column: only the pivot entries of xi itself select rows, and
+        only the nonzero entries of those rows are touched.
         """
-        v = list(xi)
-        nrows = len(self.row_meta)
-        eta = [ring.zero] * nrows
-        for r, j in self.pivots:
-            c = v[j]
-            if ring.is_zero(c):
-                continue
-            mrow, trow = self.M[r], self.T[r]
-            for k in range(len(v)):
-                if not ring.is_zero(mrow[k]):
-                    v[k] = ring.sub(v[k], ring.mul(c, mrow[k]))
-            for k in range(nrows):
-                if not ring.is_zero(trow[k]):
-                    eta[k] = ring.add(eta[k], ring.mul(c, trow[k]))
+        v = dict(xi)
+        eta: SparseRow = {}
+        for j, c in xi.items():
+            r = self.pivot_rows.get(j)
+            if r is not None:
+                _combine(ring, ring.sub, v, c, self.M[r])
+                _combine(ring, ring.add, eta, c, self.T[r])
         return eta, v
 
 
@@ -226,27 +235,48 @@ class MonomialBasis:
         return [m for m in self.V if m[0] == d]
 
 
-def _row_reduce(ring: RingContext, rows: List[List[RingElement]],
-                ncols: int, degree: int
-                ) -> Tuple[List[List[RingElement]], List[Tuple[int, int]]]:
+def _combine(ring: RingContext,
+             op: Callable[[RingElement, RingElement], RingElement],
+             dst: SparseRow, c: RingElement, src: SparseRow) -> None:
+    """dst[k] = op(dst[k], c * src[k]) for every k in src, in place.
+
+    op is ring.add or ring.sub.  Ring elements are canonical residues, so an
+    entry is zero exactly when it equals ring.zero; such entries are dropped.
+    """
+    zero, mul = ring.zero, ring.mul
+    for k, b in src.items():
+        x = op(dst.get(k, zero), mul(c, b))
+        if x != zero:
+            dst[k] = x
+        else:
+            dst.pop(k, None)
+
+
+def _row_reduce(ring: RingContext, rows: List[SparseRow], ncols: int,
+                degree: int) -> Tuple[List[SparseRow], List[Tuple[int, int]]]:
     """In-place reduced row echelon form with unit pivots; returns (T, pivots).
+
+    rows are sparse ({column: nonzero entry}); T starts as the identity and
+    records the same row operations, so its rows are sparse over the original
+    rows.  Entries that cancel are dropped.
 
     R is local: a column whose remaining entries are nonzero but all divisible
     by p admits no unit pivot, which is exactly the degeneracy signal.
     """
+    mul = ring.mul
     nrows = len(rows)
-    T = [[ring.one if i == j else ring.zero for j in range(nrows)]
-         for i in range(nrows)]
+    T: List[SparseRow] = [{i: ring.one} for i in range(nrows)]
     pivots: List[Tuple[int, int]] = []
     r = 0
     # Scan columns from the largest monomial down so that the free (non-pivot)
     # columns, which become the quotient basis, are the smallest monomials.
+    # The first unit entry at or below row r is the pivot.
     for j in range(ncols - 1, -1, -1):
         unit_row = None
         saw_nonzero = False
         for i in range(r, nrows):
-            e = rows[i][j]
-            if not ring.is_zero(e):
+            e = rows[i].get(j)
+            if e is not None:
                 saw_nonzero = True
                 if ring.is_unit(e):
                     unit_row = i
@@ -262,17 +292,15 @@ def _row_reduce(ring: RingContext, rows: List[List[RingElement]],
         rows[r], rows[unit_row] = rows[unit_row], rows[r]
         T[r], T[unit_row] = T[unit_row], T[r]
         inv = ring.inv(rows[r][j])
-        rows[r] = [ring.mul(inv, e) for e in rows[r]]
-        T[r] = [ring.mul(inv, e) for e in T[r]]
-        prow, ptrow = rows[r], T[r]
+        prow = rows[r] = {k: mul(inv, e) for k, e in rows[r].items()}
+        ptrow = T[r] = {k: mul(inv, e) for k, e in T[r].items()}
         for i in range(nrows):
             if i == r:
                 continue
-            c = rows[i][j]
-            if ring.is_zero(c):
-                continue
-            rows[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(rows[i], prow)]
-            T[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(T[i], ptrow)]
+            c = rows[i].get(j)
+            if c is not None:
+                _combine(ring, ring.sub, rows[i], c, prow)
+                _combine(ring, ring.sub, T[i], c, ptrow)
         pivots.append((r, j))
         r += 1
     return T, pivots
@@ -300,31 +328,30 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope
         columns = lifted.column_monomials(poly, d)
         col_index = {m: k for k, m in enumerate(columns)}
         row_meta: List[Tuple[int, ConeMonomial]] = []
-        J: List[List[RingElement]] = []
+        M: List[SparseRow] = []
         for gi in lifted.generator_indices:
             for m in lifted.cofactor_monomials(poly, d - 1, gi):
-                product = gens[gi].mul_monomial(m)
-                row = [ring.zero] * len(columns)
-                for mono, c in product:
-                    if mono not in col_index:
+                row: SparseRow = {}
+                for mono, c in gens[gi].mul_monomial(m):
+                    j = col_index.get(mono)
+                    if j is None:
                         raise NondegeneracyFailure(
                             f"relation row {m} * generator {gi} leaves the "
                             f"restricted monomial span in degree {d}")
-                    row[col_index[mono]] = c
+                    row[j] = c
                 row_meta.append((gi, m))
-                J.append(row)
-        M = [list(row) for row in J]
+                M.append(row)
         T, pivots = _row_reduce(ring, M, len(columns), d)
-        pivot_cols = {j for _, j in pivots}
-        nonpivot = [j for j in range(len(columns)) if j not in pivot_cols]
+        pivot_rows = {j: r for r, j in pivots}
+        nonpivot = [j for j in range(len(columns)) if j not in pivot_rows]
         if d == top and nonpivot:
             raise NondegeneracyFailure(
                 f"top-degree relation matrix (degree {d}) is not of full "
                 f"column rank: {len(nonpivot)} monomial(s) remain unreduced; "
                 "the input is degenerate")
         ech = DegreeEchelon(degree=d, columns=columns, col_index=col_index,
-                            row_meta=row_meta, J=J, M=M, T=T, pivots=pivots,
-                            nonpivot_columns=nonpivot)
+                            row_meta=row_meta, M=M, T=T, pivots=pivots,
+                            pivot_rows=pivot_rows)
         by_degree[d] = ech
         if d <= top - 1:
             V.extend(columns[j] for j in nonpivot)

@@ -11,6 +11,7 @@ smallest root of its defining polynomial found by exhaustive search.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -125,13 +126,17 @@ class ExtensionField:
 
 
 _field_cache: Dict[Tuple[int, int], ExtensionField] = {}
+_field_cache_lock = threading.Lock()
 
 
 def get_field(p: int, d: int) -> ExtensionField:
+    """The shared F_{p^d}; built once per (p, d), also under concurrent calls."""
     key = (p, d)
-    if key not in _field_cache:
-        _field_cache[key] = ExtensionField(p, d)
-    return _field_cache[key]
+    with _field_cache_lock:
+        field = _field_cache.get(key)
+        if field is None:
+            field = _field_cache[key] = ExtensionField(p, d)
+        return field
 
 
 def embed_coefficients(field: ExtensionField, p: int, a: int,

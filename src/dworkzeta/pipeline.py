@@ -5,11 +5,13 @@ Order of operations: validate -> (optional confinement, toric only) -> hull
 ring at N_work = N + a + 1 -> quotient basis -> Frobenius expansion and
 reduction per basis monomial -> matrix assembly and charpoly -> centered
 lift with Weil filter -> mode assembly.  On InsufficientPrecision the whole
-computation reruns at N + 2, at most twice.
+computation reruns at N + 2, at most twice.  The precision choice and every
+retry are logged at debug level on the "dworkzeta" logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,6 +44,8 @@ from .zeta import (
 )
 
 Term = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+log = logging.getLogger("dworkzeta")
 
 
 @dataclass
@@ -163,22 +167,24 @@ def compute_zeta(prob: Problem, emit_matrix: bool = False,
         if prob.precision < 1:
             raise InvalidInput("precision must be >= 1")
         N = prob.precision
+        log.debug("precision: N = %d (override)", N)
     else:
         v = structural_rank(prob)
         N = precision_bound(v, prob.p ** prob.a,
                             _lift_weight(prob.mode, prob.n), prob.p,
                             crude=prob.crude)
-    last: Optional[InsufficientPrecision] = None
+        log.debug("precision: v = %d -> N = %d", v, N)
     for attempt in range(max_retries + 1):
         try:
             result = _run_at(prob, N, emit_matrix)
             result.confined_terms = confined_terms
             return result
         except InsufficientPrecision as exc:
-            last = exc
+            if attempt == max_retries:
+                raise
+            log.debug("precision retry: N = %d -> N = %d: %s", N, N + 2, exc)
             N += 2
-    assert last is not None
-    raise last
+    raise AssertionError("unreachable: the retry loop returns or raises")
 
 
 def verify_against_oracle(prob: Problem, zf: ZetaFunction, r_max: int) -> List[int]:

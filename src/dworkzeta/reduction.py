@@ -11,11 +11,19 @@ High degrees (>= top) are cleared by factoring the current leading slice as
 m * (degree-top monomials) and rewriting through the full-column-rank
 top-degree matrix; then a single sweep from degree top-1 down to 1 splits each
 slice into its residual on V plus relation rows pushed one degree lower.
+
+The element being reduced is a dict of nonzero terms.  Its leading monomial
+comes from a heap with lazy deletion: a monomial is pushed when it enters the
+dict, and stale entries are dropped when they surface.  Slices are passed to
+DegreeEchelon.solve as sparse vectors, and only the nonzero entries of the
+returned eta and v are walked.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import heapq
+import operator
+from typing import Callable, List, Optional, Tuple
 
 from .cone_algebra import ConeElement, ConeMonomial, term_order_key
 from .errors import DecompositionError, NonTermination, PrecisionOrLogicError
@@ -48,20 +56,43 @@ def reduce(G: ConeElement, ech: EchelonData, basis: MonomialBasis,
     lifted = ech.lifted
     top = ech.top
     top_ech = ech.by_degree[top]
-    work = G.copy()
+    zero, add = ring.zero, ring.add
+    terms = dict(G.terms)
     basis_index = {m: i for i, m in enumerate(basis.V)}
-    out = [ring.zero] * basis.v
+    out = [zero] * basis.v
+
+    # Max-heap of the monomials of terms, keyed by the negated term order.
+    # A monomial is pushed when it enters terms; entries whose monomial has
+    # left terms since are skipped when they reach the top (lazy deletion).
+    heap = [(_neg_key(m), m) for m in terms]
+    heapq.heapify(heap)
+
+    def leading() -> Optional[ConeMonomial]:
+        while heap:
+            m = heap[0][1]
+            if m in terms:
+                return m
+            heapq.heappop(heap)
+        return None
+
+    def accumulate(m: ConeMonomial, c: RingElement) -> None:
+        old = terms.get(m)
+        total = c if old is None else add(old, c)
+        if total == zero:
+            terms.pop(m, None)
+            return
+        if old is None:
+            heapq.heappush(heap, (_neg_key(m), m))
+        terms[m] = total
 
     # High-degree loop: strictly decreasing leading monomial.
     guard = 0
     # Each iteration strictly lowers the leading monomial, so the iteration
     # count is at most the number of cone monomials up to the starting degree.
-    d0 = max((m[0] for m in work.terms), default=0)
+    d0 = max((m[0] for m in terms), default=0)
     max_iterations = ech.poly.nvol * (d0 + 2) ** (lifted.n_eff + 1) + d0 + 16
-    while not work.is_zero():
-        lm = work.leading_monomial()
-        if lm[0] < top:
-            break
+    lm = leading()
+    while lm is not None and lm[0] >= top:
         guard += 1
         if guard > max_iterations:
             raise NonTermination(
@@ -72,72 +103,69 @@ def reduce(G: ConeElement, ech: EchelonData, basis: MonomialBasis,
                 f"no top-degree divisor monomial for {lm}: the cone "
                 "decomposition has no factor available")
         k = lm[0] - top
-        m_mu = tuple(a - b for a, b in zip(lm[1], m0[1]))
-        # Gather the slice of work lying in m * (top-degree columns).
-        xi = [ring.zero] * len(top_ech.columns)
+        m_mu = tuple(map(operator.sub, lm[1], m0[1]))
+        # Move the slice of terms lying in m * (top-degree columns) into xi.
+        xi = {}
         for j, (_dc, muc) in enumerate(top_ech.columns):
-            t = (lm[0], tuple(a + b for a, b in zip(m_mu, muc)))
-            c = work.terms.get(t)
+            c = terms.pop((lm[0], tuple(map(operator.add, m_mu, muc))), None)
             if c is not None:
                 xi[j] = c
-                work.add_term(t, ring.neg(c))
         eta, v = top_ech.solve(ring, xi)
-        if any(not ring.is_zero(c) for c in v):
+        if v:
             raise PrecisionOrLogicError(
                 "top-degree solve left a nonzero residual despite full rank")
         # Replace by -sum_i x_i d(m * eta_i)/dx_i, one degree lower.
-        for r, (gi, mr) in enumerate(top_ech.row_meta):
-            er = eta[r]
-            if ring.is_zero(er):
-                continue
-            mono = (k + mr[0], tuple(a + b for a, b in zip(m_mu, mr[1])))
+        for r, er in eta.items():
+            gi, mr = top_ech.row_meta[r]
+            mono = (k + mr[0], tuple(map(operator.add, m_mu, mr[1])))
             mult = lifted.var_exponent(gi, mono)
             if mult:
-                work.add_term(mono, ring.smul(-mult, er))
-        if not work.is_zero():
-            new_lm = work.leading_monomial()
-            if term_order_key(new_lm) >= term_order_key(lm):
-                raise NonTermination(
-                    f"leading monomial failed to decrease: {lm} -> {new_lm}")
+                accumulate(mono, ring.smul(-mult, er))
+        new_lm = leading()
+        if new_lm is not None and term_order_key(new_lm) >= term_order_key(lm):
+            raise NonTermination(
+                f"leading monomial failed to decrease: {lm} -> {new_lm}")
+        lm = new_lm
 
     # Low-degree sweep.
     for d in range(top - 1, 0, -1):
         de = ech.by_degree[d]
-        xi = [ring.zero] * len(de.columns)
-        slice_monos = [m for m in work.terms if m[0] == d]
-        for m in slice_monos:
+        xi = {}
+        for m in [m for m in terms if m[0] == d]:
             j = de.col_index.get(m)
             if j is None:
                 raise PrecisionOrLogicError(
                     f"monomial {m} violates the mode restriction during reduction")
-            xi[j] = work.terms[m]
-            work.add_term(m, ring.neg(work.terms[m]))
-        if all(ring.is_zero(c) for c in xi):
+            xi[j] = terms.pop(m)
+        if not xi:
             continue
         eta, v = de.solve(ring, xi)
-        for j, c in enumerate(v):
-            if not ring.is_zero(c):
-                mono = de.columns[j]
-                idx = basis_index.get(mono)
-                if idx is None:
-                    raise PrecisionOrLogicError(
-                        f"residual on non-basis monomial {mono} in degree {d}")
-                out[idx] = ring.add(out[idx], c)
-        for r, (gi, mr) in enumerate(de.row_meta):
-            er = eta[r]
-            if ring.is_zero(er):
-                continue
+        for j, c in v.items():
+            mono = de.columns[j]
+            idx = basis_index.get(mono)
+            if idx is None:
+                raise PrecisionOrLogicError(
+                    f"residual on non-basis monomial {mono} in degree {d}")
+            out[idx] = add(out[idx], c)
+        for r, er in eta.items():
+            gi, mr = de.row_meta[r]
             mult = lifted.var_exponent(gi, mr)
             if mult:
-                work.add_term(mr, ring.smul(-mult, er))
+                accumulate(mr, ring.smul(-mult, er))
 
     # Degree 0: only the unit monomial can remain (toric mode).
-    for m, c in list(work.terms.items()):
+    for m, c in terms.items():
         if m[0] != 0:
             raise PrecisionOrLogicError(f"unreduced monomial {m} after the sweep")
         idx = basis_index.get(m)
         if idx is None:
             raise PrecisionOrLogicError(
                 f"degree-0 residual {m} lies outside the basis")
-        out[idx] = ring.add(out[idx], c)
+        out[idx] = add(out[idx], c)
     return out
+
+
+def _neg_key(m: ConeMonomial) -> Tuple[int, ...]:
+    """Heap key: the term order reversed, so the heap's minimum is the leading
+    monomial."""
+    return (-m[0],) + tuple(-c for c in m[1])

@@ -10,7 +10,7 @@ criterion.
 7  precision stability: N and N+2 give the same ZetaFunction
 8  operator relations reduce to zero for 200 random sparse elements/fixture
 9  polytope suite: enumeration vs box filter, HNF identities, confinement
-10 non-gating runtime benchmark vs p, recorded in reports/
+10 non-gating runtime benchmark vs p, written to a temporary report
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -357,7 +356,7 @@ def test_criterion_09_polytope_suite():
 # --- criterion 10 ------------------------------------------------------------
 
 
-def test_criterion_10_runtime_benchmark_report():
+def test_criterion_10_runtime_benchmark_report(tmp_path):
     rows = []
     for p in (3, 5, 7, 11, 13):
         # smallest constant c making x + y + 1/(xy) + c nondegenerate at p
@@ -375,9 +374,9 @@ def test_criterion_10_runtime_benchmark_report():
             break
         else:
             pytest.fail(f"no nondegenerate constant for p = {p}")
-    report = Path(__file__).resolve().parent.parent / "reports"
-    report.mkdir(exist_ok=True)
-    out = report / "benchmark_runtime.md"
+    # The report goes to tmp_path so that running the suite leaves the
+    # tracked reports/ untouched.
+    out = tmp_path / "benchmark_runtime.md"
     lines = [
         "# Runtime vs characteristic (non-gating benchmark)",
         "",

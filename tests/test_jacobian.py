@@ -1,4 +1,5 @@
-"""Jacobian-module tests: lifting, echelon identities, and basis extraction
+"""Jacobian-module tests: lifting, echelon identities (the sparse echelon
+against a dense reference too), and basis extraction
 on elliptic, Fermat-like, and projective fixtures."""
 
 from __future__ import annotations
@@ -113,56 +114,155 @@ def test_degenerate_input_detected():
         build(R, terms, "toric")
 
 
+def relation_rows(lifted, de):
+    """The relation matrix J of one degree, rebuilt from row_meta: row i is
+    generator(gi) * m as a sparse {column: entry} row."""
+    return [{de.col_index[mono]: c
+             for mono, c in lifted.generator(gi).mul_monomial(m)}
+            for gi, m in de.row_meta]
+
+
+def densify(R, row, n):
+    """A sparse row as a dense list; an absent entry counts as zero."""
+    return [row.get(k, R.zero) for k in range(n)]
+
+
+def dense_row_reduce(ring, rows, ncols, degree):
+    """Dense reference for _row_reduce: the same pivot rule on dense rows.
+
+    Returns (T, pivots) and reduces rows in place.
+    """
+    nrows = len(rows)
+    T = [[ring.one if i == j else ring.zero for j in range(nrows)]
+         for i in range(nrows)]
+    pivots = []
+    r = 0
+    for j in range(ncols - 1, -1, -1):
+        unit_row = None
+        saw_nonzero = False
+        for i in range(r, nrows):
+            e = rows[i][j]
+            if not ring.is_zero(e):
+                saw_nonzero = True
+                if ring.is_unit(e):
+                    unit_row = i
+                    break
+        if unit_row is None:
+            if saw_nonzero:
+                raise NondegeneracyFailure(
+                    f"degree {degree}, column {j}: no unit pivot")
+            continue
+        rows[r], rows[unit_row] = rows[unit_row], rows[r]
+        T[r], T[unit_row] = T[unit_row], T[r]
+        inv = ring.inv(rows[r][j])
+        rows[r] = [ring.mul(inv, e) for e in rows[r]]
+        T[r] = [ring.mul(inv, e) for e in T[r]]
+        prow, ptrow = rows[r], T[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            c = rows[i][j]
+            if ring.is_zero(c):
+                continue
+            rows[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(rows[i], prow)]
+            T[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(T[i], ptrow)]
+        pivots.append((r, j))
+        r += 1
+    return T, pivots
+
+
 def test_echelon_identities():
     R = ring(7, 1, 4)
     for mode in ("toric", "affine"):
         # 4a^3 + 27b^2 = 59 is a unit mod 7, so the curve is nonsingular
-        _, _, (ech, basis) = build(R, elliptic_terms(7, 2, 1), mode)
+        lifted, _, (ech, basis) = build(R, elliptic_terms(7, 2, 1), mode)
         for d, de in ech.by_degree.items():
             nrows, ncols = len(de.row_meta), len(de.columns)
-            assert len(de.J) == len(de.M) == len(de.T) == nrows
+            J = [densify(R, row, ncols) for row in relation_rows(lifted, de)]
+            assert len(de.M) == len(de.T) == nrows
+            # sparse rows hold only nonzero entries, in range
+            for rows, width in ((de.M, ncols), (de.T, nrows)):
+                for row in rows:
+                    assert all(0 <= k < width and not R.is_zero(c)
+                               for k, c in row.items())
+            M = [densify(R, row, ncols) for row in de.M]
+            T = [densify(R, row, nrows) for row in de.T]
             # M = T*J exactly over R
             for i in range(nrows):
                 for j in range(ncols):
                     acc = R.zero
                     for k in range(nrows):
-                        acc = R.add(acc, R.mul(de.T[i][k], de.J[k][j]))
-                    assert acc == de.M[i][j]
+                        acc = R.add(acc, R.mul(T[i][k], J[k][j]))
+                    assert acc == M[i][j]
             # unit pivots normalized to 1, zero elsewhere in pivot columns
+            assert de.pivot_rows == {j: r for r, j in de.pivots}
             for r, j in de.pivots:
-                assert de.M[r][j] == R.one
+                assert M[r][j] == R.one
                 for i in range(nrows):
                     if i != r:
-                        assert R.is_zero(de.M[i][j])
+                        assert R.is_zero(M[i][j])
 
 
 def test_solve_splits_vector():
     R = ring(7, 1, 4)
-    _, _, (ech, basis) = build(R, elliptic_terms(7, 1, 3), "toric")
+    lifted, _, (ech, basis) = build(R, elliptic_terms(7, 1, 3), "toric")
     rng = random.Random(4)
     for d in range(1, ech.top + 1):
         de = ech.by_degree[d]
-        xi = [R.from_int(rng.randrange(R.modulus)) for _ in de.columns]
-        eta, v = de.solve(R, xi)
-        # v is supported on the non-pivot columns
-        for r, j in de.pivots:
-            assert R.is_zero(v[j])
-        # xi = eta*J + v
-        for j in range(len(de.columns)):
-            acc = v[j]
-            for k in range(len(de.row_meta)):
-                acc = R.add(acc, R.mul(eta[k], de.J[k][j]))
-            assert acc == xi[j]
-        if d == ech.top:
-            assert all(R.is_zero(c) for c in v)
+        ncols = len(de.columns)
+        J = [densify(R, row, ncols) for row in relation_rows(lifted, de)]
+        dense_xi = {j: R.from_int(rng.randrange(R.modulus))
+                    for j in range(ncols)}
+        sparse_xi = {j: R.from_int(rng.randrange(1, R.modulus))
+                     for j in rng.sample(range(ncols), min(3, ncols))}
+        for xi in (dense_xi, sparse_xi):
+            eta, v = de.solve(R, xi)
+            assert all(not R.is_zero(c) for c in eta.values())
+            assert all(not R.is_zero(c) for c in v.values())
+            # v is supported on the non-pivot columns
+            for r, j in de.pivots:
+                assert j not in v
+            # xi = eta*J + v
+            for j in range(ncols):
+                acc = v.get(j, R.zero)
+                for k, e in eta.items():
+                    acc = R.add(acc, R.mul(e, J[k][j]))
+                assert acc == xi.get(j, R.zero)
+            if d == ech.top:
+                assert v == {}
 
 
 def test_nonpivot_columns_independent_of_row_order():
     R = ring(7, 1, 4)
-    _, _, (ech, basis) = build(R, elliptic_terms(7, 3, 2), "toric")
+    lifted, _, (ech, basis) = build(R, elliptic_terms(7, 3, 2), "toric")
     rng = random.Random(8)
     for d, de in ech.by_degree.items():
-        rows = [list(r) for r in de.J]
+        rows = relation_rows(lifted, de)
         rng.shuffle(rows)
         _, pivots = _row_reduce(R, rows, len(de.columns), d)
         assert {j for _, j in pivots} == {j for _, j in de.pivots}
+
+
+@pytest.mark.parametrize("p, a, terms, mode", [
+    (7, 1, elliptic_terms(7, 2, 1), "toric"),
+    (7, 1, elliptic_terms(7, 2, 1), "affine"),
+    # genus 2: y^2 = x^5 + 3x + 1
+    (7, 1, [((5, 0), (1,)), ((1, 0), (3,)), ((0, 0), (1,)), ((0, 2), (6,))],
+     "affine"),
+    # the projective cubic x^3 + 2y^3 + z^3
+    (7, 1, [((3, 0, 0), (1,)), ((0, 3, 0), (2,)), ((0, 0, 3), (1,))],
+     "projective"),
+    # y^2 = x^3 + x + t over F_25 = F_5[t]/(t^2 + 4t + 2)
+    (5, 2, [((3, 0), (1, 0)), ((1, 0), (1, 0)), ((0, 0), (0, 1)),
+            ((0, 2), (4, 0))], "affine"),
+])
+def test_sparse_row_reduce_matches_dense_reference(p, a, terms, mode):
+    R = ring(p, a, 6)
+    lifted, _, (ech, basis) = build(R, terms, mode)
+    for d, de in ech.by_degree.items():
+        nrows, ncols = len(de.row_meta), len(de.columns)
+        M = [densify(R, row, ncols) for row in relation_rows(lifted, de)]
+        T, pivots = dense_row_reduce(R, M, ncols, d)
+        assert de.pivots == pivots, (mode, d)
+        assert [densify(R, row, ncols) for row in de.M] == M, (mode, d)
+        assert [densify(R, row, nrows) for row in de.T] == T, (mode, d)

@@ -5,11 +5,13 @@ reconstruction from counts."""
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from itertools import product as iproduct
 
 import pytest
 
-from dworkzeta import gf
+from dworkzeta import gf, oracle
 from dworkzeta.errors import (
     BudgetExceeded,
     ConsistencyFailure,
@@ -145,3 +147,34 @@ def test_affine_stratification_consistency():
             if val == 0:
                 naive += 1
     assert got == naive
+
+
+def test_get_field_shared_across_threads():
+    # Eight threads ask for the same fields at once: each (p, d) must be built
+    # once and every caller must get that one shared object.
+    keys = [(3, 3), (5, 2), (7, 2), (11, 2)]
+    for key in keys:
+        oracle._field_cache.pop(key, None)
+    nthreads = 8
+    barrier = threading.Barrier(nthreads)
+    results = [[] for _ in range(nthreads)]
+
+    def worker(i):
+        barrier.wait(timeout=30)
+        results[i] = [get_field(*key) for key in keys]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for k, key in enumerate(keys):
+        shared = oracle._field_cache[key]
+        assert all(r[k] is shared for r in results), key

@@ -4,12 +4,17 @@ search."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+import logging
 import random
+from dataclasses import replace
 
 import pytest
 
-from dworkzeta import gf
+from dworkzeta import gf, pipeline
 from dworkzeta.errors import (
+    InsufficientPrecision,
     InvalidInput,
     NondegeneracyFailure,
     UnsupportedCharacteristic,
@@ -142,3 +147,61 @@ def test_nondegeneracy_witness_search():
     assert k == 1 and point == (4,)  # x = -1 over F_5
     good = elliptic_affine(5, 1, 2)
     assert nondegeneracy_witness_search(good, 1) is None
+
+
+def matrix_digest(matrix):
+    """SHA-256 of the serialized Frobenius matrix (compact JSON)."""
+    return hashlib.sha256(
+        json.dumps(matrix, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("prob, digest", [
+    # x + y + 1/(xy) + 1 over F_3
+    (Problem(p=3, a=1, hbar=(0, 1), n=2, mode="toric",
+             terms=[((1, 0), (1,)), ((0, 1), (1,)), ((-1, -1), (1,)),
+                    ((0, 0), (1,))]),
+     "8afe3f61e2c3dda69348b50eee9fcf4ec2aa809df164de81fd3a19b61218576f"),
+    # genus 2: y^2 = x^5 + 3x + 1 over F_7
+    (Problem(p=7, a=1, hbar=(0, 1), n=2, mode="affine",
+             terms=[((5, 0), (1,)), ((1, 0), (3,)), ((0, 0), (1,)),
+                    ((0, 2), (6,))]),
+     "82e87872f3f35a1b7d2dbd088f0b3aa9b7da45dd88d61b371f16d6a5721e6adf"),
+    # y^2 = x^3 + x + t over F_25 = F_5[t]/(t^2 + 4t + 2)
+    (Problem(p=5, a=2, hbar=(2, 4, 1), n=2, mode="affine",
+             terms=[((3, 0), (1, 0)), ((1, 0), (1, 0)), ((0, 0), (0, 1)),
+                    ((0, 2), (4, 0))]),
+     "abe682f5dbddf7f1aab513891e658e1fb4e04cd53ad6ab4dec1c510dd64cbc28"),
+])
+def test_frobenius_matrix_pinned(prob, digest):
+    # Pinned bits: any change to the echelon or the reduction must leave the
+    # Frobenius matrix bit-identical, not merely give the same zeta function.
+    res = compute_zeta(prob, emit_matrix=True)
+    assert matrix_digest(res.matrix) == digest
+
+
+def test_precision_choice_and_retry_logged(monkeypatch, caplog):
+    run_at = pipeline._run_at
+    calls = []
+
+    def fail_once(prob, N, emit_matrix):
+        calls.append(N)
+        if len(calls) == 1:
+            raise InsufficientPrecision("forced for the test")
+        return run_at(prob, N, emit_matrix)
+
+    monkeypatch.setattr(pipeline, "_run_at", fail_once)
+    with caplog.at_level(logging.DEBUG, logger="dworkzeta"):
+        res = compute_zeta(elliptic_affine(7, 2, 1))
+    N0 = calls[0]
+    assert calls == [N0, N0 + 2]
+    assert res.zeta.N_used == N0 + 2
+    messages = [r.getMessage() for r in caplog.records if r.name == "dworkzeta"]
+    assert messages == [
+        f"precision: v = 2 -> N = {N0}",
+        f"precision retry: N = {N0} -> N = {N0 + 2}: forced for the test",
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="dworkzeta"):
+        compute_zeta(replace(elliptic_affine(7, 2, 1), precision=3))
+    assert [r.getMessage() for r in caplog.records] == [
+        "precision: N = 3 (override)"]
