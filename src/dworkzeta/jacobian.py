@@ -14,6 +14,9 @@ builds every row of J_d once, directly as the sparse row that the in-place
 elimination turns into a row of M_d, and T_d starts as the sparse identity.
 J_d itself is not kept; row_meta says how to rebuild any of its rows.
 
+The rank v = |V| of the quotient has a closed formula in the support
+(expected_rank); a basis of any other size means the input is degenerate.
+
 Three modes share this machinery:
 
 * toric: no restrictions; generators indexed 0..n with index 0 the w-scaling
@@ -22,23 +25,25 @@ Three modes share this machinery:
   divisible by x_1...x_n; the cofactor m of the w*f rows must itself be so
   divisible, and the cofactor of the w*x_i df/dx_i rows must be divisible by
   the complementary product of variables.
-* projective (homogeneous of degree D, p not dividing D): the last variable
-  is eliminated through homogeneity and monomials are carried in the first
-  n-1 coordinates, with the last exponent implicit (= d*D - |mu|) and the
-  w-power formal; the w-scaling generator is dropped (it is a combination of
-  the others by the Euler relation) and the affine divisibility restrictions
-  apply with the implicit coordinate included.
+* projective (homogeneous of degree D, p not dividing D, and for n >= 3 no
+  variable dividing every monomial): the last variable is eliminated through
+  homogeneity and monomials are carried in the first n-1 coordinates, with
+  the last exponent implicit (= d*D - |mu|) and the w-power formal; the
+  w-scaling generator is dropped (it is a combination of the others by the
+  Euler relation) and the affine divisibility restrictions apply with the
+  implicit coordinate included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cone_algebra import ConeElement, ConeMonomial, monomial_basis, term_order_key
+from .cone_algebra import ConeElement, ConeMonomial, term_order_key
 from .errors import InvalidInput, NondegeneracyFailure
 from .padic import RingContext, RingElement
-from .polytope import LatticePolytope, lattice_points
+from .polytope import LatticePolytope, lattice_points, normalized_volume
 
 MODES = ("toric", "affine", "projective")
 
@@ -109,23 +114,13 @@ class LiftedInput:
         return all(self.var_exponent(i, m) >= 1
                    for i in range(1, self.n_vars + 1) if i != gen)
 
-    def column_monomials(self, poly: LatticePolytope, d: int) -> List[ConeMonomial]:
-        ms = [(d, mu) for mu in lattice_points(poly, d)]
-        return sorted((m for m in ms if self.column_allowed(m)), key=term_order_key)
 
-    def cofactor_monomials(self, poly: LatticePolytope, d: int,
-                           gen: int) -> List[ConeMonomial]:
-        ms = [(d, mu) for mu in lattice_points(poly, d)]
-        return sorted((m for m in ms if self.cofactor_allowed(gen, m)),
-                      key=term_order_key)
+def check_terms(terms: Sequence[Tuple[Sequence[int], Sequence[int]]], mode: str,
+                p: int) -> Optional[int]:
+    """Check an input against the contract of its mode, without lifting it.
 
-
-def lift_input(ring: RingContext, terms: Sequence[Tuple[Sequence[int], Sequence[int]]],
-               mode: str = "toric") -> LiftedInput:
-    """Teichmueller-lift the input coefficients and validate the mode.
-
-    terms is a sequence of (exponent vector, F_q residue vector); residues are
-    coordinates on the chosen generator of F_q over F_p.
+    terms is a sequence of (exponent vector, F_q residue vector).  Returns the
+    homogeneity degree D in projective mode, None otherwise.
     """
     if mode not in MODES:
         raise InvalidInput(f"unknown mode {mode!r}")
@@ -134,40 +129,92 @@ def lift_input(ring: RingContext, terms: Sequence[Tuple[Sequence[int], Sequence[
     n = len(terms[0][0])
     if n < 1:
         raise InvalidInput("need at least one variable")
-    coeffs: Dict[Tuple[int, ...], RingElement] = {}
+    exps = set()
     for exp, residue in terms:
         nu = tuple(int(e) for e in exp)
         if len(nu) != n:
             raise InvalidInput("inconsistent exponent lengths")
-        if nu in coeffs:
+        if nu in exps:
             raise InvalidInput(f"duplicate exponent {nu}")
-        a = ring.teichmuller_lift(tuple(int(c) % ring.p for c in residue))
-        if ring.is_zero(a):
+        if all(int(c) % p == 0 for c in residue):
             raise InvalidInput(f"zero coefficient at exponent {nu}")
-        coeffs[nu] = a
-    degree = None
+        exps.add(nu)
     if mode in ("affine", "projective"):
-        if any(c < 0 for nu in coeffs for c in nu):
+        if any(c < 0 for nu in exps for c in nu):
             raise InvalidInput(f"{mode} mode requires nonnegative exponents")
     if mode == "affine":
-        if (0,) * n not in coeffs:
+        if (0,) * n not in exps:
             raise InvalidInput("affine mode requires a nonzero constant term")
         for i in range(n):
             if not any(nu[i] > 0 and all(nu[j] == 0 for j in range(n) if j != i)
-                       for nu in coeffs):
+                       for nu in exps):
                 raise InvalidInput(
                     f"affine mode requires a pure power of variable {i + 1}")
-    if mode == "projective":
-        degrees = {sum(nu) for nu in coeffs}
-        if len(degrees) != 1:
-            raise InvalidInput("projective mode requires a homogeneous polynomial")
-        degree = degrees.pop()
-        if degree <= 0 or degree % ring.p == 0:
-            raise InvalidInput(
-                "projective mode requires degree >= 1 not divisible by p")
-        if n < 2:
-            raise InvalidInput("projective mode requires at least two variables")
-    return LiftedInput(ring=ring, mode=mode, n_vars=n, coeffs=coeffs, degree=degree)
+    if mode != "projective":
+        return None
+    degrees = {sum(nu) for nu in exps}
+    if len(degrees) != 1:
+        raise InvalidInput("projective mode requires a homogeneous polynomial")
+    degree = degrees.pop()
+    if degree <= 0 or degree % p == 0:
+        raise InvalidInput(
+            "projective mode requires degree >= 1 not divisible by p")
+    if n < 2:
+        raise InvalidInput("projective mode requires at least two variables")
+    for i in range(n):
+        if n >= 3 and all(nu[i] > 0 for nu in exps):
+            # f = x_i * g: the hypersurface contains the hyperplane x_i = 0
+            # and is singular where it meets g = 0, which it does for n >= 3.
+            # For n = 2 both are finite point sets, which the method handles.
+            raise NondegeneracyFailure(
+                f"every monomial is divisible by variable {i + 1}, so the "
+                "hypersurface contains a coordinate hyperplane; the input is "
+                "degenerate")
+    return degree
+
+
+def lift_input(ring: RingContext, terms: Sequence[Tuple[Sequence[int], Sequence[int]]],
+               mode: str = "toric") -> LiftedInput:
+    """Check the input (check_terms) and Teichmueller-lift its coefficients.
+
+    terms is a sequence of (exponent vector, F_q residue vector); residues are
+    coordinates on the chosen generator of F_q over F_p.
+    """
+    degree = check_terms(terms, mode, ring.p)
+    coeffs = {tuple(int(e) for e in exp):
+              ring.teichmuller_lift(tuple(int(c) % ring.p for c in residue))
+              for exp, residue in terms}
+    return LiftedInput(ring=ring, mode=mode, n_vars=len(terms[0][0]),
+                       coeffs=coeffs, degree=degree)
+
+
+def expected_rank(mode: str, exponents: Iterable[Sequence[int]]) -> int:
+    """The rank v of the quotient for a nondegenerate input with this support.
+
+    Over the coordinate faces Delta_I = conv(support inside R^I), I a subset
+    of the n variables, with nvol_k of a face of dimension below k read as 0
+    (Kouchnirenko, Invent. Math. 32, 1976; Adolphson-Sperber, Ann. of Math.
+    130, 1989):
+
+    * toric: v = nvol(Delta);
+    * affine: v = sum_I (-1)^(n-|I|) nvol_|I|(Delta_I), with nvol(Delta_0) = 1;
+    * projective: v = (-1)^n + sum_{I nonempty} (-1)^(n-|I|) nvol_(|I|-1)(Delta_I),
+      a face inside sum x_i = D measured after dropping one coordinate of I.
+
+    The input must satisfy check_terms for its mode.
+    """
+    exps = sorted({tuple(int(c) for c in nu) for nu in exponents})
+    if mode == "toric":
+        return normalized_volume(exps)
+    n = len(exps[0])
+    drop = 1 if mode == "projective" else 0
+    v = (-1) ** n if drop else 0
+    for k in range(drop, n + 1):
+        for I in combinations(range(n), k):
+            face = [tuple(nu[i] for i in I[drop:]) for nu in exps
+                    if all(nu[j] == 0 for j in range(n) if j not in I)]
+            v += (-1) ** (n - k) * normalized_volume(face)
+    return v
 
 
 @dataclass
@@ -311,7 +358,10 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope
     """Row-reduce the relation matrices for degrees 1..top and read off V.
 
     top = n_eff + 2; the quotient basis lives in degrees <= n_eff + 1 and the
-    top-degree matrix must have a pivot in every column.
+    top-degree matrix must have a pivot in every column.  The lattice points
+    of each dilation d * Delta are enumerated once; they give the columns of
+    degree d and the cofactors of the rows of degree d + 1.  |V| must equal
+    expected_rank, or the input is degenerate.
     """
     ring = lifted.ring
     n_eff = lifted.n_eff
@@ -320,17 +370,22 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope
     by_degree: Dict[int, DegreeEchelon] = {}
     V: List[ConeMonomial] = []
 
+    # Sorted lattice points are already in the term order within a degree.
+    layer = [(0, mu) for mu in lattice_points(poly, 0)]
     # Degree 0 has no relations; its basis part is whatever columns exist
     # (the single monomial 1 in toric mode, nothing in the restricted modes).
-    V.extend(lifted.column_monomials(poly, 0))
+    V.extend(m for m in layer if lifted.column_allowed(m))
 
     for d in range(1, top + 1):
-        columns = lifted.column_monomials(poly, d)
+        cofactors, layer = layer, [(d, mu) for mu in lattice_points(poly, d)]
+        columns = [m for m in layer if lifted.column_allowed(m)]
         col_index = {m: k for k, m in enumerate(columns)}
         row_meta: List[Tuple[int, ConeMonomial]] = []
         M: List[SparseRow] = []
         for gi in lifted.generator_indices:
-            for m in lifted.cofactor_monomials(poly, d - 1, gi):
+            for m in cofactors:
+                if not lifted.cofactor_allowed(gi, m):
+                    continue
                 row: SparseRow = {}
                 for mono, c in gens[gi].mul_monomial(m):
                     j = col_index.get(mono)
@@ -357,13 +412,14 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope
             V.extend(columns[j] for j in nonpivot)
 
     basis = MonomialBasis(V=sorted(V, key=term_order_key))
-    if lifted.mode == "toric":
-        if basis.v != poly.nvol:
-            raise NondegeneracyFailure(
-                f"quotient basis has cardinality {basis.v}, expected the "
-                f"normalized volume {poly.nvol}; the input is degenerate")
-        if basis.of_degree(0) != [(0, (0,) * n_eff)]:
-            raise NondegeneracyFailure(
-                "degree-0 part of the basis is not the single monomial 1")
+    v = expected_rank(lifted.mode, lifted.coeffs)
+    if basis.v != v:
+        raise NondegeneracyFailure(
+            f"quotient basis has cardinality {basis.v}, expected the rank "
+            f"{v} of a nondegenerate input with this support; the input is "
+            "degenerate")
+    if lifted.mode == "toric" and basis.of_degree(0) != [(0, (0,) * n_eff)]:
+        raise NondegeneracyFailure(
+            "degree-0 part of the basis is not the single monomial 1")
     return EchelonData(lifted=lifted, poly=poly, top=top,
                        by_degree=by_degree), basis

@@ -1,8 +1,9 @@
 """End-to-end orchestration: input -> ZetaFunction.
 
-Order of operations: validate -> (optional confinement, toric only) -> hull
--> structural pass at minimal precision to learn v -> choose N -> working
-ring at N_work = N + a + 1 -> quotient basis -> Frobenius expansion and
+Order of operations: validate -> (optional confinement, toric only) -> rank
+v from the support by its closed formula (jacobian.expected_rank) -> choose N
+-> working ring at N_work = N + a + 1 -> hull -> quotient basis (the one
+Jacobian build of the run, which checks |V| = v) -> Frobenius expansion and
 reduction per basis monomial -> matrix assembly and charpoly -> centered
 lift with Weil filter -> mode assembly.  On InsufficientPrecision the whole
 computation reruns at N + 2, at most twice.  The precision choice and every
@@ -30,7 +31,7 @@ from .frobenius import (
     make_support_matrix,
     splitting_for,
 )
-from .jacobian import MODES, build_jacobian, lift_input
+from .jacobian import MODES, build_jacobian, check_terms, expected_rank, lift_input
 from .padic import FieldSpec, RingContext, make_ring
 from .polytope import confine as confine_support
 from .polytope import faces, hull_and_triangulate
@@ -98,9 +99,17 @@ def validate_problem(prob: Problem) -> None:
         raise InvalidInput("the zero polynomial does not define a hypersurface")
     if any(len(nu) != prob.n for nu, _ in prob.terms):
         raise InvalidInput("every exponent vector must have length n")
+    if len(prob.hbar) != prob.a + 1:
+        raise InvalidInput(
+            f"hbar must have a + 1 = {prob.a + 1} coefficients, got "
+            f"{len(prob.hbar)}")
+    if any(len(c) > prob.a for _, c in prob.terms):
+        raise InvalidInput(
+            f"a coefficient over F_q has at most a = {prob.a} coordinates")
     if prob.confine and prob.mode != "toric":
         raise InvalidInput(
             "confinement is a torus change of coordinates; only toric mode")
+    check_terms(prob.terms, prob.mode, prob.p)
 
 
 def apply_confinement(prob: Problem) -> Problem:
@@ -118,15 +127,6 @@ def apply_confinement(prob: Problem) -> Problem:
 def _make_ring(prob: Problem, n_work: int) -> RingContext:
     return make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar,
                                N_work=n_work))
-
-
-def structural_rank(prob: Problem) -> int:
-    """v = rank of the quotient, from a minimal-precision structural pass."""
-    ring = _make_ring(prob, 1)
-    lifted = lift_input(ring, prob.terms, prob.mode)
-    poly, _ = hull_and_triangulate(lifted.working_support())
-    _ech, basis = build_jacobian(lifted, poly)
-    return basis.v
 
 
 def _run_at(prob: Problem, N: int, emit_matrix: bool) -> Result:
@@ -169,7 +169,7 @@ def compute_zeta(prob: Problem, emit_matrix: bool = False,
         N = prob.precision
         log.debug("precision: N = %d (override)", N)
     else:
-        v = structural_rank(prob)
+        v = expected_rank(prob.mode, [nu for nu, _ in prob.terms])
         N = precision_bound(v, prob.p ** prob.a,
                             _lift_weight(prob.mode, prob.n), prob.p,
                             crude=prob.crude)

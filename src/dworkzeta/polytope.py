@@ -2,9 +2,10 @@
 
 Provides convex hulls with facet inequalities, a deterministic triangulation
 obtained by projecting the lower hull of the points lifted to (v, |v|^2),
-lattice-point enumeration of dilations via fundamental-parallelepiped
-residues, Hermite normal form with recorded unimodular transform, face
-enumeration, and the orthotope-confinement transform.
+normalized volumes, lattice-point enumeration of dilations via
+fundamental-parallelepiped residues, Hermite normal form with recorded
+unimodular transform, face enumeration, and the orthotope-confinement
+transform.
 
 No floating point is used anywhere; all predicates are integer determinants.
 Cospherical (degenerate) lifted configurations are resolved by a deterministic
@@ -15,7 +16,6 @@ cell is split by coning from its lexicographically smallest point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Iterable, List, Sequence, Tuple
@@ -280,6 +280,21 @@ def hull_and_triangulate(S: Iterable[Point]) -> Tuple[LatticePolytope, Triangula
     return poly, tri
 
 
+def normalized_volume(points: Sequence[Point]) -> int:
+    """Normalized volume of conv(points) in Z^k, k the length of the points.
+
+    0 for no points or a hull of dimension below k; a nonempty set in Z^0
+    (a point) has volume 1.
+    """
+    if not points:
+        return 0
+    if not points[0]:
+        return 1
+    if affine_rank(points) < len(points[0]):
+        return 0
+    return hull_and_triangulate(points)[0].nvol
+
+
 # ---------------------------------------------------------------------------
 # lattice points of dilations
 # ---------------------------------------------------------------------------
@@ -303,13 +318,23 @@ def lattice_points(poly: LatticePolytope, d: int) -> List[Point]:
 
 
 def _simplex_lattice_points(verts: List[Point]) -> List[Point]:
-    """Integer points of a full-dimensional simplex with integer vertices."""
+    """Integer points of a full-dimensional simplex with integer vertices.
+
+    Every lattice point is v0 + B*c with c = B^{-1}(y - v0) = adj(B)*r/det for
+    a residue r of Z^n modulo the column lattice of B; it lies in the simplex
+    when the fractional parts of c sum to at most 1.  With D = |det| these
+    fractional parts are fr/D, fr = (sign(det) * adj(B) * r) mod D, so the
+    whole walk stays in integers.
+    """
     n = len(verts) - 1
     v0 = verts[0]
     B = [[verts[j + 1][i] - v0[i] for j in range(n)] for i in range(n)]  # columns w_j
     det = int_det(B)
     assert det != 0
+    D = abs(det)
     adj = _adjugate(B)
+    if det < 0:
+        adj = [[-x for x in row] for row in adj]
     out: List[Point] = [tuple(v) for v in verts]  # vertices are always included
 
     # Triangular generator matrix of the column lattice B*Z^n (for residues).
@@ -320,15 +345,14 @@ def _simplex_lattice_points(verts: List[Point]) -> List[Point]:
 
     rep = [0] * n
     while True:
-        # c = B^{-1} r = adj(B) r / det, taken to its fractional part in [0,1)^n.
-        cf = []
-        for i in range(n):
-            num = sum(adj[i][j] * rep[j] for j in range(n))
-            cf.append(Fraction(num, det) % 1)
-        if sum(cf) <= 1:
-            y = [v0[i] + sum(B[i][j] * cf[j] for j in range(n)) for i in range(n)]
-            assert all(c.denominator == 1 for c in map(Fraction, y))
-            out.append(tuple(int(c) for c in y))
+        fr = [sum(adj[i][j] * rep[j] for j in range(n)) % D for i in range(n)]
+        if sum(fr) <= D:
+            y = []
+            for i in range(n):
+                q, rem = divmod(sum(B[i][j] * fr[j] for j in range(n)), D)
+                assert rem == 0
+                y.append(v0[i] + q)
+            out.append(tuple(y))
         # odometer over residue representatives
         i = 0
         while i < n:

@@ -195,7 +195,8 @@ def lift_charpoly(ring: RingContext, result: CharpolyResult, q: int,
 
     Coefficients must be scalars (fixed by sigma); each is lifted to the
     residue of smallest absolute value and checked against
-    |c_i| <= C(v,i) q^(i*weight/2) (squared comparison, exact).
+    |c_i| <= C(v,i) q^(i*weight/2) (squared comparison, exact).  A top
+    coefficient that lifts to 0 also means the precision was too low.
     """
     modulus = result.modulus
     v = len(result.coefficients) - 1
@@ -212,6 +213,12 @@ def lift_charpoly(ring: RingContext, result: CharpolyResult, q: int,
                 f"lifted coefficient {centered} of T^{i} violates the "
                 f"weight-{weight} bound; rerun with higher precision")
         out.append(centered)
+    if out[-1] == 0:
+        # The top coefficient is +-det(Frobenius), never 0: a zero here means
+        # the precision could not see it.
+        raise InsufficientPrecision(
+            f"lifted coefficient of T^{v} is 0, but det(Frobenius) is not; "
+            "rerun with higher precision")
     return out
 
 

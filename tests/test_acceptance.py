@@ -283,7 +283,8 @@ def test_criterion_08_relations_vanish_200_per_fixture():
             xi = ConeElement(ring)
             for _ in range(4):
                 d = rng.randrange(0, 4)
-                cands = lifted.cofactor_monomials(poly, d, gi)
+                cands = [(d, mu) for mu in lattice_points(poly, d)
+                         if lifted.cofactor_allowed(gi, (d, mu))]
                 if cands:
                     xi.add_term(rng.choice(cands),
                                 ring.from_int(rng.randrange(1, ring.modulus)))

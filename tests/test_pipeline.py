@@ -19,14 +19,16 @@ from dworkzeta.errors import (
     NondegeneracyFailure,
     UnsupportedCharacteristic,
 )
+from dworkzeta.jacobian import build_jacobian, expected_rank, lift_input
+from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.pipeline import (
     Problem,
     apply_confinement,
     compute_zeta,
     nondegeneracy_witness_search,
-    structural_rank,
     verify_against_oracle,
 )
+from dworkzeta.polytope import hull_and_triangulate
 
 
 def elliptic_affine(p, aa, bb):
@@ -113,11 +115,114 @@ def test_confinement_preserves_zeta():
     verify_against_oracle(confined, z1, 3)
 
 
-def test_structural_rank_matches_volume():
-    prob = Problem(p=7, a=1, hbar=(0, 1), n=2, mode="toric",
-                   terms=[((3, 0), (1,)), ((1, 0), (2,)),
-                          ((0, 0), (1,)), ((0, 2), (6,))])
-    assert structural_rank(prob) == 6
+def structural_rank(prob):
+    """Reference for expected_rank: |V| from a Jacobian build at precision 1.
+
+    build_jacobian itself raises NondegeneracyFailure when |V| differs from
+    expected_rank, so a wrong formula fails here either way.
+    """
+    ring = make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar, N_work=1))
+    lifted = lift_input(ring, prob.terms, prob.mode)
+    poly, _ = hull_and_triangulate(lifted.working_support())
+    _ech, basis = build_jacobian(lifted, poly)
+    return basis.v
+
+
+def over_fp(p, mode, terms):
+    """Problem over F_p from (exponent, coefficient) pairs."""
+    return Problem(p=p, a=1, hbar=(0, 1), n=len(terms[0][0]), mode=mode,
+                   terms=[(nu, (c,)) for nu, c in terms])
+
+
+@pytest.mark.parametrize("prob, v", [
+    # toric y^2 = x^3 + 2x + 1 (normalized volume 6) and x + y + 1/(xy) + 1
+    (over_fp(7, "toric", [((3, 0), 1), ((1, 0), 2), ((0, 0), 1),
+                          ((0, 2), 6)]), 6),
+    (over_fp(3, "toric", [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1),
+                          ((0, 0), 1)]), 3),
+    # the confined support of test_confinement_preserves_zeta
+    (apply_confinement(over_fp(5, "toric", [((3, 2), 1), ((2, 2), 1),
+                                            ((2, 3), 1), ((3, 3), 2)])), 2),
+    # affine elliptic and genus 2
+    (over_fp(7, "affine", [((3, 0), 1), ((1, 0), 2), ((0, 0), 1),
+                           ((0, 2), 6)]), 2),
+    (over_fp(7, "affine", [((5, 0), 1), ((1, 0), 3), ((0, 0), 1),
+                           ((0, 2), 6)]), 4),
+    # affine surfaces: x^2 + y^2 + 3z^2 + 1 and x^3 + y^2 + 3z^2 + 2xyz + 1
+    (over_fp(7, "affine", [((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), 3),
+                           ((0, 0, 0), 1)]), 1),
+    (over_fp(7, "affine", [((3, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), 3),
+                           ((1, 1, 1), 2), ((0, 0, 0), 1)]), 6),
+    # diagonal projective cubic and quartic: ((D-1)^3 - (D-1)) / D
+    (over_fp(7, "projective", [((3, 0, 0), 1), ((0, 3, 0), 2),
+                               ((0, 0, 3), 1)]), 2),
+    (over_fp(5, "projective", [((4, 0, 0), 2), ((0, 4, 0), 1),
+                               ((0, 0, 4), 2)]), 6),
+    # supports without pure powers: x^2y + y^2z + z^2x, x^3y + y^3z + z^3x
+    (over_fp(5, "projective", [((2, 1, 0), 1), ((0, 2, 1), 1),
+                               ((1, 0, 2), 1)]), 2),
+    (over_fp(5, "projective", [((3, 1, 0), 1), ((0, 3, 1), 1),
+                               ((1, 0, 3), 1)]), 6),
+    # a cubic surface x^2y + y^2z + z^2w + w^2x
+    (over_fp(7, "projective", [((2, 1, 0, 0), 1), ((0, 2, 1, 0), 1),
+                               ((0, 0, 2, 1), 1), ((1, 0, 0, 2), 1)]), 6),
+])
+def test_expected_rank_matches_structural_build(prob, v):
+    exps = [nu for nu, _ in prob.terms]
+    assert expected_rank(prob.mode, exps) == structural_rank(prob) == v
+
+
+def test_one_jacobian_build_per_run(monkeypatch):
+    calls = []
+
+    def counted(lifted, poly):
+        calls.append(lifted.ring.N)
+        return build_jacobian(lifted, poly)
+
+    monkeypatch.setattr(pipeline, "build_jacobian", counted)
+    res = compute_zeta(elliptic_affine(7, 2, 1))
+    assert len(calls) == 1
+    assert res.zeta.N_used + 2 == calls[0]  # built once, at N_work = N + a + 1
+
+
+@pytest.mark.parametrize("prob", [
+    # y z + 2y^2 + 3x y, 4z^3 + 4y^2 z + 3x^2 z, 2x z^2 + 3x y z + 3x^2 z
+    over_fp(5, "projective", [((0, 1, 1), 1), ((0, 2, 0), 2), ((1, 1, 0), 3)]),
+    over_fp(5, "projective", [((0, 0, 3), 4), ((0, 2, 1), 4), ((2, 0, 1), 3)]),
+    over_fp(5, "projective", [((1, 0, 2), 2), ((1, 1, 1), 3), ((2, 0, 1), 3)]),
+    # 4x y z + 5x y^2 + 5x^2 y over F_11
+    over_fp(11, "projective", [((1, 1, 1), 4), ((1, 2, 0), 5),
+                               ((2, 1, 0), 5)]),
+])
+def test_projective_divisible_by_variable_rejected(prob):
+    # f = x_i * g contains the hyperplane x_i = 0: degenerate, not answered.
+    with pytest.raises(NondegeneracyFailure):
+        compute_zeta(prob)
+
+
+def test_projective_points_divisible_by_variable_against_oracle():
+    # In P^1, x * (x + y) is two points: divisible by x, yet nondegenerate.
+    prob = over_fp(5, "projective", [((1, 1), 1), ((2, 0), 1)])
+    zf = compute_zeta(prob).zeta
+    assert zf.v == 1
+    assert verify_against_oracle(prob, zf, 3) == [2, 2, 2]
+
+
+@pytest.mark.parametrize("prob, N_used", [
+    (elliptic_affine(7, 2, 1), 3),
+    # genus 2: y^2 = x^5 + 3x + 1
+    (over_fp(7, "affine", [((5, 0), 1), ((1, 0), 3), ((0, 0), 1),
+                           ((0, 2), 6)]), 5),
+])
+def test_low_precision_override_retries(prob, N_used):
+    # At N = 1 the top charpoly coefficient lifts to 0; det(Frobenius) is
+    # never 0, so the run retries at N + 2 until the precision suffices.
+    base = compute_zeta(prob).zeta
+    low = compute_zeta(replace(prob, precision=1)).zeta
+    assert low.N_used == N_used
+    assert low.numerator == base.numerator
+    assert low.denominator == base.denominator
+    verify_against_oracle(prob, low, 2)
 
 
 def test_emit_matrix_shape():
@@ -135,6 +240,11 @@ def test_validation_errors():
         compute_zeta(Problem(p=5, a=1, hbar=(0, 1), n=2, mode="affine",
                              confine=True,
                              terms=[((1, 0), (1,)), ((0, 0), (1,))]))
+    with pytest.raises(InvalidInput):  # hbar of F_25 with a = 1
+        compute_zeta(replace(elliptic_affine(5, 1, 2), hbar=(2, 4, 1)))
+    with pytest.raises(InvalidInput):  # a coefficient with two coordinates
+        compute_zeta(Problem(p=5, a=1, hbar=(0, 1), n=1, mode="toric",
+                             terms=[((1,), (1, 0)), ((0,), (2,))]))
 
 
 def test_nondegeneracy_witness_search():

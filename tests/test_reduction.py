@@ -10,7 +10,7 @@ from dworkzeta import gf
 from dworkzeta.cone_algebra import ConeElement, from_terms
 from dworkzeta.jacobian import build_jacobian, lift_input
 from dworkzeta.padic import FieldSpec, make_ring
-from dworkzeta.polytope import hull_and_triangulate
+from dworkzeta.polytope import hull_and_triangulate, lattice_points
 from dworkzeta.reduction import reduce as cone_reduce
 
 
@@ -44,7 +44,8 @@ def random_cone_element(rng, R, lifted, poly, gen_i, max_degree=3, k=4):
     out = ConeElement(R)
     for _ in range(k):
         d = rng.randrange(0, max_degree + 1)
-        candidates = lifted.cofactor_monomials(poly, d, gen_i)
+        candidates = [(d, mu) for mu in lattice_points(poly, d)
+                      if lifted.cofactor_allowed(gen_i, (d, mu))]
         if not candidates:
             continue
         m = rng.choice(candidates)
