@@ -25,6 +25,11 @@ from .pipeline import (
 )
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer; JSON true/false load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_problem(path: str) -> Tuple[Problem, Dict[str, Any]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -37,14 +42,14 @@ def _load_problem(path: str) -> Tuple[Problem, Dict[str, Any]]:
         if key not in data:
             raise InvalidInput(f"missing required input key {key!r}")
     p, a, n = data["p"], data["a"], data["n"]
-    if not all(isinstance(x, int) and x > 0 for x in (p, a, n)):
+    if not all(_is_int(x) and x > 0 for x in (p, a, n)):
         raise InvalidInput("p, a, n must be positive integers")
     field_poly = data.get("field_poly", "conway")
     if field_poly == "conway" or field_poly is None:
         hbar = (0, 1) if a == 1 else tuple(gf.conway_polynomial(p, a))
     else:
         if (not isinstance(field_poly, list)
-                or not all(isinstance(c, int) for c in field_poly)):
+                or not all(_is_int(c) for c in field_poly)):
             raise InvalidInput("field_poly must be a list of integers or \"conway\"")
         hbar = tuple(field_poly)
     terms = []
@@ -54,16 +59,16 @@ def _load_problem(path: str) -> Tuple[Problem, Dict[str, Any]]:
         exp = entry["exp"]
         coeff = entry["coeff"]
         if (not isinstance(exp, list) or len(exp) != n
-                or not all(isinstance(e, int) for e in exp)):
+                or not all(_is_int(e) for e in exp)):
             raise InvalidInput(f"term exponent {exp!r} is not an integer "
                                f"vector of length n = {n}")
         if (not isinstance(coeff, list) or not coeff or len(coeff) > a
-                or not all(isinstance(c, int) for c in coeff)):
+                or not all(_is_int(c) for c in coeff)):
             raise InvalidInput(f"term coefficient {coeff!r} is not an F_p "
                                f"vector of length <= a = {a}")
         terms.append((tuple(exp), tuple(coeff)))
     precision = data.get("precision")
-    if precision is not None and not isinstance(precision, int):
+    if precision is not None and not _is_int(precision):
         raise InvalidInput("precision must be an integer or null")
     prob = Problem(p=p, a=a, hbar=hbar, n=n, mode=data["mode"], terms=terms,
                    precision=precision, confine=bool(data.get("confine", False)))
@@ -79,8 +84,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     prob, _raw = _load_problem(args.input)
     if args.precision is not None:
         prob.precision = args.precision
-    prob.crude = args.crude_precision
-    prob.expansion = args.expansion
     if args.confine:
         prob.confine = True
     if args.check_nondegenerate:
@@ -135,10 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("input", help="input JSON file")
     pc.add_argument("--precision", type=int, default=None,
                     help="override the p-adic precision N")
-    pc.add_argument("--crude-precision", action="store_true",
-                    help="use the crude (larger) precision bound")
-    pc.add_argument("--expansion", choices=("fewnomial", "dense"),
-                    default="fewnomial", help="Frobenius expansion strategy")
     pc.add_argument("--confine", action="store_true",
                     help="apply a unimodular confinement first (toric only)")
     pc.add_argument("--verify", type=int, metavar="R", default=0,

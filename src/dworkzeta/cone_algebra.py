@@ -3,8 +3,7 @@
 A cone monomial is a pair (d, mu): an auxiliary weight degree d >= 0 together
 with an exponent vector mu lying in d * Delta.  The term order compares the
 weight degree first and then the exponent vector lexicographically; it is a
-total order on monomials and every nonzero element has a well-defined leading
-monomial.
+total order on monomials.
 
 A ConeElement is a finite R-linear combination of cone monomials, stored
 sparsely as a dict; zero coefficients are dropped eagerly so that emptiness
@@ -13,11 +12,9 @@ means zero.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
-from .errors import EmptyElement, InvalidInput
 from .padic import RingContext, RingElement
-from .polytope import LatticePolytope, lattice_points
 
 ConeMonomial = Tuple[int, Tuple[int, ...]]
 
@@ -25,22 +22,6 @@ ConeMonomial = Tuple[int, Tuple[int, ...]]
 def term_order_key(m: ConeMonomial) -> Tuple[int, ...]:
     """Sort key: weight degree first, then lexicographic on the exponents."""
     return (m[0],) + m[1]
-
-
-def monomial_basis(poly: LatticePolytope, d: int, mode: str = "toric") -> list[ConeMonomial]:
-    """Cone monomials of weight degree d, sorted in the term order.
-
-    toric / projective: all lattice points of d * Delta (for the projective
-    mode the polytope is already the projected simplex, so no restriction
-    applies).  affine: only exponent vectors with every coordinate >= 1,
-    which is empty at d = 0.
-    """
-    pts = lattice_points(poly, d)
-    if mode == "affine":
-        pts = [mu for mu in pts if all(c >= 1 for c in mu)]
-    elif mode not in ("toric", "projective"):
-        raise InvalidInput(f"unknown mode {mode!r}")
-    return sorted(((d, mu) for mu in pts), key=term_order_key)
 
 
 class ConeElement:
@@ -57,22 +38,8 @@ class ConeElement:
                 if not ring.is_zero(c):
                     self.terms[m] = c
 
-    def copy(self) -> "ConeElement":
-        out = ConeElement(self.ring)
-        out.terms = dict(self.terms)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __iter__(self) -> Iterator[Tuple[ConeMonomial, RingElement]]:
         return iter(self.terms.items())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ConeElement) and self.terms == other.terms
-
-    def coefficient(self, m: ConeMonomial) -> RingElement:
-        return self.terms.get(m, self.ring.zero)
 
     def add_term(self, m: ConeMonomial, c: RingElement) -> None:
         """In-place accumulate c on the monomial m."""
@@ -81,28 +48,6 @@ class ConeElement:
             self.terms.pop(m, None)
         else:
             self.terms[m] = total
-
-    def add(self, other: "ConeElement") -> "ConeElement":
-        out = self.copy()
-        for m, c in other.terms.items():
-            out.add_term(m, c)
-        return out
-
-    def neg(self) -> "ConeElement":
-        out = ConeElement(self.ring)
-        out.terms = {m: self.ring.neg(c) for m, c in self.terms.items()}
-        return out
-
-    def scale(self, c: RingElement) -> "ConeElement":
-        R = self.ring
-        if R.is_zero(c):
-            return ConeElement(R)
-        out = ConeElement(R)
-        for m, v in self.terms.items():
-            w = R.mul(c, v)
-            if not R.is_zero(w):
-                out.terms[m] = w
-        return out
 
     def mul_monomial(self, m0: ConeMonomial,
                      c: RingElement | None = None) -> "ConeElement":
@@ -118,32 +63,3 @@ class ConeElement:
             key = (d + d0, tuple(x + y for x, y in zip(mu, mu0)))
             out.add_term(key, v)
         return out
-
-    def mul(self, other: "ConeElement") -> "ConeElement":
-        out = ConeElement(self.ring)
-        for m0, c0 in other.terms.items():
-            for m, c in self.mul_monomial(m0, c0).terms.items():
-                out.add_term(m, c)
-        return out
-
-    def leading_monomial(self) -> ConeMonomial:
-        """Largest monomial in the term order; EmptyElement if zero."""
-        if not self.terms:
-            raise EmptyElement("leading monomial of the zero element")
-        return max(self.terms, key=term_order_key)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "ConeElement(0)"
-        parts = []
-        for m in sorted(self.terms, key=term_order_key, reverse=True):
-            parts.append(f"{list(self.terms[m])}*w^{m[0]}x^{list(m[1])}")
-        return "ConeElement(" + " + ".join(parts) + ")"
-
-
-def from_terms(ring: RingContext,
-               items: Iterable[Tuple[ConeMonomial, RingElement]]) -> ConeElement:
-    out = ConeElement(ring)
-    for m, c in items:
-        out.add_term(m, c)
-    return out

@@ -97,9 +97,3 @@ class UnderDetermined(DworkZetaError):
     """Not enough point counts to pin down the rational function."""
 
     exit_code = 14
-
-
-class EmptyElement(DworkZetaError):
-    """The leading monomial of the zero element was requested."""
-
-    exit_code = 15

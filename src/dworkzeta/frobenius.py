@@ -8,27 +8,19 @@ inverse Frobenius to coefficients.  The auxiliary global factor pi^d used to
 keep every coefficient in R is a formal tag carried by the caller; it cancels
 at matrix assembly because both sides of the matrix carry the same grading.
 
-Two equivalent paths are provided:
+expand_frobenius does this by "fewnomial" enumeration.  Write the multi-index
+of F as k + p*e with k in {0..p-1}^s.  Terms survive psi exactly when
+U*k = -(d, mu) mod p, where U has columns (1, nu).  For each solution k the
+e-part is enumerated by an odometer with |e| < E and exact pruning on the
+guaranteed p-adic valuation.  Each term contributes
 
-* expand_frobenius: "fewnomial" enumeration.  Write the multi-index of F as
-  k + p*e with k in {0..p-1}^s.  Terms survive psi exactly when
-  U*k = -(d, mu) mod p, where U has columns (1, nu).  For each solution k the
-  e-part is enumerated by an odometer with |e| < E and exact pruning on the
-  guaranteed p-adic valuation.  Each term contributes
+    (-1)^(bw+|e|) * p^(bw+|e|) * prod_i ell_{k_i+p e_i}
+        * sigma^{-1}(a^k) * a^e   on the monomial (bw+|e|, (k.nu+mu)/p + e.nu)
 
-      (-1)^(bw+|e|) * p^(bw+|e|) * prod_i ell_{k_i+p e_i}
-          * sigma^{-1}(a^k) * a^e   on the monomial (bw+|e|, (k.nu+mu)/p + e.nu)
-
-  with bw = (|k|+d)/p; the p-power always clears the ell denominators (their
-  total exponent is at most bw + |e| for p >= 3), and the cleared coefficient
-  lies in R.
-
-* expand_frobenius_dense: multiply the truncated factors of F directly,
-  tracking per-term denominator scale and a lower bound on the e-budget, then
-  multiply by the target monomial and apply psi.
-
-Both paths drop only terms that are individually 0 mod p^N_work, so their
-outputs agree bit-for-bit as ConeElements.
+with bw = (|k|+d)/p; the p-power always clears the ell denominators (their
+total exponent is at most bw + |e| for p >= 3), and the cleared coefficient
+lies in R.  Only terms that are individually 0 mod p^N_work are dropped, so
+the output is exactly the truncation of alpha.
 """
 
 from __future__ import annotations
@@ -36,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .cone_algebra import ConeElement, ConeMonomial
 from .errors import InternalPrecisionError, PrecisionOrLogicError
@@ -177,6 +169,7 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
 
     neg_target = tuple((-t) % p for t in (d,) + mu)
     out = ConeElement(ring)
+    seen = set()  # monomials already checked against the cone
     for k in solve_congruence(support.U, neg_target, p):
         total_k = sum(k)
         bw, rem = divmod(total_k + d, p)
@@ -210,9 +203,11 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
             if net >= N_work:
                 return
             mono = (bw + esum, tuple(exps))
-            if not poly.contains(mono[1], mono[0]):
-                raise PrecisionOrLogicError(
-                    f"Frobenius term {mono} escapes the cone over the polytope")
+            if mono not in seen:
+                if not poly.contains(mono[1], mono[0]):
+                    raise PrecisionOrLogicError(
+                        f"Frobenius term {mono} escapes the cone over the polytope")
+                seen.add(mono)
             sign = -1 if (bw + esum) % 2 else 1
             scalar = sign * (p ** net) * numer
             out.add_term(mono, ring.smul(scalar, apow))
@@ -242,87 +237,4 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
             return
 
         walk(0, 0, 0, 1, prefix, base_x)
-    return out
-
-
-def expand_frobenius_dense(target: ConeMonomial, lifted: LiftedInput,
-                           poly: LatticePolytope, series: SplittingSeries,
-                           bound: TruncationBound) -> ConeElement:
-    """Dense-product expansion: multiply out the factors of F, then apply psi.
-
-    Running-product coefficients are triples (delta, u, be): the true value is
-    p^(-delta) * u with u in R, and be lower-bounds the total e-budget
-    sum_j floor(i_j / p) over every index decomposition merged into the term
-    (terms with be >= E vanish mod p^N_work and are dropped).
-    """
-    ring = lifted.ring
-    p, N_work = ring.p, ring.N
-    d, mu = target
-    E = bound.E
-
-    def prunable(D: int, delta: int, be: int) -> bool:
-        # Net p-power after psi is at least D/p - delta and only grows under
-        # further factor multiplication.
-        return be >= E or D - p * delta >= p * N_work
-
-    # product[(D, m)] = (delta, u, be)
-    product: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, RingElement, int]] = {
-        (0, (0,) * lifted.n_eff): (0, ring.one, 0)}
-    support_items = sorted(
-        (lifted.working_exponent(nu), a) for nu, a in lifted.coeffs.items())
-    for nu, a in support_items:
-        factor = []
-        apow = ring.one
-        for i in range(bound.series_length):
-            ell = series[i]
-            u = ring.smul(ell.numer, apow)
-            if not ring.is_zero(u) or i == 0:
-                factor.append((i, tuple(c * i for c in nu), ell.denom_exp,
-                               u, i // p))
-            apow = ring.mul(apow, a)
-        new: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, RingElement, int]] = {}
-        for (D, m), (delta, u, be) in product.items():
-            for i, inu, di, ui, bi in factor:
-                D2 = D + i
-                delta2 = delta + di
-                be2 = be + bi
-                if prunable(D2, delta2, be2):
-                    continue
-                key = (D2, tuple(x + y for x, y in zip(m, inu)))
-                uv = ring.mul(u, ui)
-                prev = new.get(key)
-                if prev is None:
-                    new[key] = (delta2, uv, be2)
-                else:
-                    pd, pu, pb = prev
-                    if pd >= delta2:
-                        merged = (pd, ring.add(pu, ring.smul(p ** (pd - delta2), uv)),
-                                  min(pb, be2))
-                    else:
-                        merged = (delta2, ring.add(uv, ring.smul(p ** (delta2 - pd), pu)),
-                                  min(pb, be2))
-                    new[key] = merged
-        product = new
-
-    out = ConeElement(ring)
-    for (D, m), (delta, u, be) in product.items():
-        Dt = D + d
-        if Dt % p:
-            continue
-        mt = tuple(x + y for x, y in zip(m, mu))
-        if any(c % p for c in mt):
-            continue
-        t = Dt // p
-        if t - delta >= N_work:
-            continue
-        if t - delta < 0:
-            raise InternalPrecisionError(
-                f"negative net p-power {t - delta} in dense expansion")
-        mono = (t, tuple(c // p for c in mt))
-        if not poly.contains(mono[1], mono[0]):
-            raise PrecisionOrLogicError(
-                f"dense Frobenius term {mono} escapes the cone over the polytope")
-        sign = -1 if t % 2 else 1
-        coeff = ring.smul(sign * p ** (t - delta), ring.frobenius_inverse(u))
-        out.add_term(mono, coeff)
     return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 

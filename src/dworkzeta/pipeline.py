@@ -6,28 +6,26 @@ v from the support by its closed formula (jacobian.expected_rank) -> choose N
 Jacobian build of the run, which checks |V| = v) -> Frobenius expansion and
 reduction per basis monomial -> matrix assembly and charpoly -> centered
 lift with Weil filter -> mode assembly.  On InsufficientPrecision the whole
-computation reruns at N + 2, at most twice.  The precision choice and every
-retry are logged at debug level on the "dworkzeta" logger.
+computation reruns at N + 2, at most MAX_RETRIES times.  The precision choice
+and every retry are logged at debug level on the "dworkzeta" logger.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from . import gf, oracle
+from . import oracle
 from .errors import (
     ConsistencyFailure,
     InsufficientPrecision,
     InvalidInput,
-    NondegeneracyFailure,
     UnsupportedCharacteristic,
 )
 from .frobenius import (
     TruncationBound,
     expand_frobenius,
-    expand_frobenius_dense,
     make_support_matrix,
     splitting_for,
 )
@@ -48,6 +46,8 @@ Term = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 log = logging.getLogger("dworkzeta")
 
+MAX_RETRIES = 2  # reruns at N + 2 after InsufficientPrecision
+
 
 @dataclass
 class Problem:
@@ -60,9 +60,7 @@ class Problem:
     mode: str
     terms: List[Term]
     precision: Optional[int] = None
-    crude: bool = False
     confine: bool = False
-    expansion: str = "fewnomial"
 
 
 @dataclass
@@ -93,8 +91,6 @@ def validate_problem(prob: Problem) -> None:
         raise UnsupportedCharacteristic("p = 2 is not supported")
     if prob.mode not in MODES:
         raise InvalidInput(f"unknown mode {prob.mode!r}")
-    if prob.expansion not in ("fewnomial", "dense"):
-        raise InvalidInput(f"unknown expansion strategy {prob.expansion!r}")
     if not prob.terms:
         raise InvalidInput("the zero polynomial does not define a hypersurface")
     if any(len(nu) != prob.n for nu, _ in prob.terms):
@@ -141,10 +137,7 @@ def _run_at(prob: Problem, N: int, emit_matrix: bool) -> Result:
     support = make_support_matrix(lifted, p)
     columns = []
     for m in basis.V:
-        if prob.expansion == "dense":
-            alpha = expand_frobenius_dense(m, lifted, poly, series, bound)
-        else:
-            alpha = expand_frobenius(m, lifted, poly, series, support, bound)
+        alpha = expand_frobenius(m, lifted, poly, series, support, bound)
         columns.append(cone_reduce(alpha, ech, basis))
     A, charpoly = assemble_and_charpoly(ring, columns, prob.mode, a)
     lifted_cp = lift_charpoly(ring, charpoly, q, _lift_weight(prob.mode, prob.n))
@@ -156,8 +149,7 @@ def _run_at(prob: Problem, N: int, emit_matrix: bool) -> Result:
     return Result(zeta=zf, lifted_charpoly=lifted_cp, matrix=matrix)
 
 
-def compute_zeta(prob: Problem, emit_matrix: bool = False,
-                 max_retries: int = 2) -> Result:
+def compute_zeta(prob: Problem, emit_matrix: bool = False) -> Result:
     validate_problem(prob)
     confined_terms = None
     if prob.confine:
@@ -171,16 +163,15 @@ def compute_zeta(prob: Problem, emit_matrix: bool = False,
     else:
         v = expected_rank(prob.mode, [nu for nu, _ in prob.terms])
         N = precision_bound(v, prob.p ** prob.a,
-                            _lift_weight(prob.mode, prob.n), prob.p,
-                            crude=prob.crude)
+                            _lift_weight(prob.mode, prob.n), prob.p)
         log.debug("precision: v = %d -> N = %d", v, N)
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         try:
             result = _run_at(prob, N, emit_matrix)
             result.confined_terms = confined_terms
             return result
         except InsufficientPrecision as exc:
-            if attempt == max_retries:
+            if attempt == MAX_RETRIES:
                 raise
             log.debug("precision retry: N = %d -> N = %d: %s", N, N + 2, exc)
             N += 2
@@ -213,8 +204,6 @@ def nondegeneracy_witness_search(prob: Problem, k_max: int,
     restriction and all its logarithmic derivatives vanish.  Returns
     (k, point codes) for the first witness found, None otherwise.
     """
-    from itertools import product as iproduct
-
     ring = _make_ring(prob, 1)
     lifted = lift_input(ring, prob.terms, prob.mode)
     work_terms = {}

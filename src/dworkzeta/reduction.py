@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .cone_algebra import ConeElement, ConeMonomial, term_order_key
 from .errors import DecompositionError, NonTermination, PrecisionOrLogicError
@@ -44,12 +44,7 @@ def _default_divisor_policy(candidates: List[ConeMonomial],
     return None
 
 
-DivisorPolicy = Callable[[List[ConeMonomial], ConeMonomial, EchelonData],
-                         Optional[ConeMonomial]]
-
-
-def reduce(G: ConeElement, ech: EchelonData, basis: MonomialBasis,
-           divisor_policy: DivisorPolicy = _default_divisor_policy
+def reduce(G: ConeElement, ech: EchelonData, basis: MonomialBasis
            ) -> List[RingElement]:
     """Coordinates of the class of G on the basis V."""
     ring = ech.lifted.ring
@@ -97,7 +92,7 @@ def reduce(G: ConeElement, ech: EchelonData, basis: MonomialBasis,
         if guard > max_iterations:
             raise NonTermination(
                 "leading degree failed to drop within the iteration budget")
-        m0 = divisor_policy(top_ech.columns, lm, ech)
+        m0 = _default_divisor_policy(top_ech.columns, lm, ech)
         if m0 is None:
             raise DecompositionError(
                 f"no top-degree divisor monomial for {lm}: the cone "

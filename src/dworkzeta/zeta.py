@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import (
     ConsistencyFailure,
@@ -41,19 +41,14 @@ from .padic import RingContext, RingElement
 Matrix = List[List[RingElement]]
 
 
-def precision_bound(v: int, q: int, weight: int, p: int, crude: bool = False) -> int:
+def precision_bound(v: int, q: int, weight: int, p: int) -> int:
     """Smallest N with p^N >= 2 C(v,m) q^(weight*m/2) for every m <= v.
 
-    Comparisons involving q^(m/2) are made exactly by squaring.  The crude
-    variant replaces every binomial by 2^v, i.e. p^N >= 2^(v+1) q^(weight*v/2).
+    Comparisons involving q^(m/2) are made exactly by squaring.
     """
     if v < 0:
         raise ValueError("negative basis cardinality")
-    if crude:
-        targets = [4 ** (v + 1) * q ** (weight * v)]
-    else:
-        targets = [4 * comb(v, m) ** 2 * q ** (weight * m) for m in range(v + 1)]
-    need = max(targets)
+    need = max(4 * comb(v, m) ** 2 * q ** (weight * m) for m in range(v + 1))
     N = 1
     while (p ** N) ** 2 < need:
         N += 1

@@ -6,7 +6,8 @@ criterion.
 3  two-term-plus-constant fixtures: closed-form basis and oracle equivalence
 4  toric degree law: det(1 - T A_a) has degree exactly v
 5  integrality/valuation suite: unit pivots, integral columns, |V| = Vol
-6  path equivalence: fewnomial and dense give bit-identical matrices
+6  path equivalence: the pipeline with the test-side dense reference expansion
+   (dense_frobenius.py) gives bit-identical matrices
 7  precision stability: N and N+2 give the same ZetaFunction
 8  operator relations reduce to zero for 200 random sparse elements/fixture
 9  polytope suite: enumeration vs box filter, HNF identities, confinement
@@ -15,14 +16,16 @@ criterion.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 
 import pytest
 
+from cone_helpers import apply_Di
+from dense_frobenius import use_in_pipeline
+
 from dworkzeta import gf
-from dworkzeta.cone_algebra import ConeElement, from_terms
+from dworkzeta.cone_algebra import ConeElement
 from dworkzeta.errors import NondegeneracyFailure
 from dworkzeta.frobenius import (
     TruncationBound,
@@ -232,13 +235,14 @@ def test_criterion_05_integrality_and_unit_pivots():
 # --- criterion 6 -------------------------------------------------------------
 
 
-def test_criterion_06_path_equivalence_bit_identical():
-    import dataclasses
+def test_criterion_06_path_equivalence_bit_identical(monkeypatch):
     for name, prob in _fixture_problems():
         assert len(prob.terms) <= 8
         few = compute_zeta(prob, emit_matrix=True)
-        dense = compute_zeta(dataclasses.replace(prob, expansion="dense"),
-                             emit_matrix=True)
+        with monkeypatch.context() as mp:
+            dense_targets = use_in_pipeline(mp)
+            dense = compute_zeta(prob, emit_matrix=True)
+        assert dense_targets, name
         assert few.matrix == dense.matrix, name
         assert few.zeta.numerator == dense.zeta.numerator, name
 
@@ -260,16 +264,6 @@ def test_criterion_07_precision_stability():
 # --- criterion 8 -------------------------------------------------------------
 
 
-def _apply_Di(lifted, i, xi):
-    ring = lifted.ring
-    out = ConeElement(ring)
-    for m, c in xi:
-        mult = lifted.var_exponent(i, m)
-        if mult:
-            out.add_term(m, ring.smul(mult, c))
-    return out.add(xi.mul(lifted.generator(i)))
-
-
 def test_criterion_08_relations_vanish_200_per_fixture():
     rng = random.Random(808)
     fixtures = [(name, prob) for name, prob in _fixture_problems()
@@ -288,9 +282,9 @@ def test_criterion_08_relations_vanish_200_per_fixture():
                 if cands:
                     xi.add_term(rng.choice(cands),
                                 ring.from_int(rng.randrange(1, ring.modulus)))
-            if xi.is_zero():
+            if not xi.terms:
                 continue
-            coords = cone_reduce(_apply_Di(lifted, gi, xi), ech, basis)
+            coords = cone_reduce(apply_Di(lifted, gi, xi), ech, basis)
             assert all(ring.is_zero(c) for c in coords), (name, gi)
             checked += 1
 

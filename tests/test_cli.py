@@ -1,9 +1,11 @@
-"""CLI tests: report schema, byte-determinism, path equivalence, and the
-error -> exit-code mapping."""
+"""CLI tests: report schema, byte-determinism, path equivalence against the
+test-side dense reference expansion, and the error -> exit-code mapping."""
 
 from __future__ import annotations
 
 import json
+
+from dense_frobenius import use_in_pipeline
 
 from dworkzeta.cli import main
 
@@ -39,11 +41,13 @@ def test_compute_report(tmp_path, capsys):
     assert out.endswith("\n")
 
 
-def test_byte_identical_and_dense_equivalent(tmp_path, capsys):
+def test_byte_identical_and_dense_equivalent(tmp_path, capsys, monkeypatch):
     path = write_input(tmp_path, ELLIPTIC)
     _, out1, _ = run(capsys, ["compute", path])
     _, out2, _ = run(capsys, ["compute", path])
-    _, out3, _ = run(capsys, ["compute", path, "--expansion", "dense"])
+    dense_targets = use_in_pipeline(monkeypatch)
+    _, out3, _ = run(capsys, ["compute", path])
+    assert dense_targets
     assert out1 == out2 == out3
 
 
@@ -75,6 +79,21 @@ def test_exit_code_invalid_json(tmp_path, capsys):
     path.write_text("{not json")
     code, _out, err = run(capsys, ["compute", str(path)])
     assert code == 2 and "InvalidInput" in err
+    # JSON true/false where an integer is wanted (bool is an int subclass)
+    terms = ELLIPTIC["terms"]
+    for key, value, message in [
+            ("p", True, "p, a, n must be positive integers"),
+            ("a", True, "p, a, n must be positive integers"),
+            ("n", True, "p, a, n must be positive integers"),
+            ("precision", True, "precision must be an integer"),
+            ("field_poly", [True, 1], "field_poly must be a list of integers"),
+            ("terms", [dict(terms[0], exp=[True, 0])] + terms[1:],
+             "term exponent [True, 0]"),
+            ("terms", [dict(terms[0], coeff=[True])] + terms[1:],
+             "term coefficient [True]")]:
+        path = write_input(tmp_path, dict(ELLIPTIC, **{key: value}))
+        code, _out, err = run(capsys, ["compute", path])
+        assert code == 2 and f"InvalidInput: {message}" in err, (key, value)
 
 
 def test_exit_code_unsupported_characteristic(tmp_path, capsys):

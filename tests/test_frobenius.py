@@ -1,18 +1,19 @@
 """Frobenius-expansion tests: congruence solving, the elliptic double-sum
-oracle evaluated independently with exact rationals, and fewnomial/dense
-path agreement."""
+oracle evaluated independently with exact rationals, and agreement of the
+fewnomial expansion with the test-side dense reference (dense_frobenius.py)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
 
+from dense_frobenius import expand_frobenius_dense
+
 from dworkzeta import gf
 from dworkzeta.cone_algebra import term_order_key
 from dworkzeta.frobenius import (
     TruncationBound,
     expand_frobenius,
-    expand_frobenius_dense,
     make_support_matrix,
     solve_congruence,
     splitting_for,

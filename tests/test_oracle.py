@@ -7,7 +7,6 @@ from __future__ import annotations
 import random
 import sys
 import threading
-from itertools import product as iproduct
 
 import pytest
 

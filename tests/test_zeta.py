@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 
 import pytest
 
@@ -64,12 +64,6 @@ def test_precision_bound_large_x_is_top_coefficient():
     # need = 2 q^(w v / 2) = 2 * 25^4
     need = 2 * q ** (w * v // 2)
     assert p ** N >= need and p ** (N - 1) < need
-
-
-def test_precision_bound_crude_dominates():
-    for (v, q, w, p) in [(2, 7, 2, 7), (6, 9, 2, 3), (4, 5, 3, 5)]:
-        assert (precision_bound(v, q, w, p, crude=True)
-                >= precision_bound(v, q, w, p))
 
 
 # ---- charpoly oracle ---------------------------------------------------------
