@@ -70,8 +70,11 @@ def _load_problem(path: str) -> Tuple[Problem, Dict[str, Any]]:
     precision = data.get("precision")
     if precision is not None and not _is_int(precision):
         raise InvalidInput("precision must be an integer or null")
+    confine = data.get("confine", False)
+    if not isinstance(confine, bool):
+        raise InvalidInput("confine must be true or false")
     prob = Problem(p=p, a=a, hbar=hbar, n=n, mode=data["mode"], terms=terms,
-                   precision=precision, confine=bool(data.get("confine", False)))
+                   precision=precision, confine=confine)
     return prob, data
 
 

@@ -40,41 +40,19 @@ from .splitting import SplittingSeries, compute_splitting, d_bound
 
 @dataclass(frozen=True)
 class SupportMatrix:
-    """Columns (1, nu) of the working support, with the mod-p rank."""
+    """Columns (1, nu) of the working support."""
 
     support: Tuple[Tuple[int, ...], ...]
     U: Tuple[Tuple[int, ...], ...]  # (n_eff+1) x s
     s: int
-    rho: int
 
 
-def make_support_matrix(lifted: LiftedInput, p: int) -> SupportMatrix:
+def make_support_matrix(lifted: LiftedInput) -> SupportMatrix:
     support = tuple(lifted.working_support())
-    s = len(support)
     n1 = lifted.n_eff + 1
     U = tuple(tuple(1 if r == 0 else nu[r - 1] for nu in support)
               for r in range(n1))
-    rho = _mod_p_rank([list(row) for row in U], p)
-    return SupportMatrix(support=support, U=U, s=s, rho=rho)
-
-
-def _mod_p_rank(rows: List[List[int]], p: int) -> int:
-    rows = [[c % p for c in row] for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for j in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][j] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][j], -1, p)
-        rows[rank] = [(c * inv) % p for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][j]:
-                c = rows[i][j]
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return SupportMatrix(support=support, U=U, s=len(support))
 
 
 def solve_congruence(U: Sequence[Sequence[int]], target: Sequence[int],

@@ -97,27 +97,13 @@ def is_irreducible(f: Poly, p: int) -> bool:
         xq = powmod(xq, p, f, p)
     if xq != mod(x, f, p):
         return False
-    for ell in _prime_divisors(m):
+    for ell in factorize(m):
         xk = x
         for _ in range(m // ell):
             xk = powmod(xk, p, f, p)
         if gcd(add(xk, tuple((-c) % p for c in x), p), f, p) != (1,):
             return False
     return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -134,10 +120,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def element_order_divides(f: Poly, e: int, g: Poly, p: int) -> bool:
-    return powmod(f, e, g, p) == (1,)
-
-
 def is_primitive(f: Poly, g: Poly, p: int, q_minus_1_factors: dict[int, int]) -> bool:
     """Is f a generator of (F_p[x]/g)^x ?  g irreducible of degree m, |group| = p^m - 1."""
     m = len(g) - 1
@@ -145,7 +127,7 @@ def is_primitive(f: Poly, g: Poly, p: int, q_minus_1_factors: dict[int, int]) ->
     if not f or powmod(f, order, g, p) != (1,):
         return False
     for ell in q_minus_1_factors:
-        if element_order_divides(f, order // ell, g, p):
+        if powmod(f, order // ell, g, p) == (1,):
             return False
     return True
 

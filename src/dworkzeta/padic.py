@@ -273,9 +273,6 @@ class RingContext:
         """Teichmueller lift of an F_q element given as F_p coefficients."""
         return self.teich(self.from_residue(residue))
 
-    def frobenius_inverse(self, x: RingElement) -> RingElement:
-        return self.sigma_inverse(x)
-
     # ---- serialization ---------------------------------------------------------
 
     def serialize(self, x: RingElement) -> list[int]:

@@ -111,7 +111,7 @@ def validate_problem(prob: Problem) -> None:
 def apply_confinement(prob: Problem) -> Problem:
     """Unimodular change of torus coordinates; the zeta function is invariant."""
     exps = [nu for nu, _ in prob.terms]
-    U, t, _s2, _flag = confine_support(exps)
+    U, t, _ = confine_support(exps)
     new_terms = []
     for nu, c in prob.terms:
         img = tuple(sum(U[i][j] * nu[j] for j in range(prob.n)) + t[i]
@@ -130,19 +130,18 @@ def _run_at(prob: Problem, N: int, emit_matrix: bool) -> Result:
     n_work = N + a + 1
     ring = _make_ring(prob, n_work)
     lifted = lift_input(ring, prob.terms, prob.mode)
-    poly, _ = hull_and_triangulate(lifted.working_support())
+    poly = hull_and_triangulate(lifted.working_support())
     ech, basis = build_jacobian(lifted, poly)
     bound = TruncationBound.for_params(p, lifted.n_eff, n_work)
     series = splitting_for(ring, bound)
-    support = make_support_matrix(lifted, p)
+    support = make_support_matrix(lifted)
     columns = []
     for m in basis.V:
         alpha = expand_frobenius(m, lifted, poly, series, support, bound)
         columns.append(cone_reduce(alpha, ech, basis))
     A, charpoly = assemble_and_charpoly(ring, columns, prob.mode, a)
     lifted_cp = lift_charpoly(ring, charpoly, q, _lift_weight(prob.mode, prob.n))
-    zf = assemble_zeta(lifted_cp, prob.mode, prob.n, q, basis.v, p, a, N,
-                       unit_block_split=charpoly.unit_block_split)
+    zf = assemble_zeta(lifted_cp, prob.mode, prob.n, q, basis.v, p, a, N)
     matrix = None
     if emit_matrix:
         matrix = [[ring.serialize(e) for e in row] for row in A]
@@ -194,15 +193,15 @@ def verify_against_oracle(prob: Problem, zf: ZetaFunction, r_max: int) -> List[i
     return counts
 
 
-def nondegeneracy_witness_search(prob: Problem, k_max: int,
-                                 budget: int = oracle.DEFAULT_BUDGET
+def nondegeneracy_witness_search(prob: Problem, k_max: int
                                  ) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """Heuristic search for a degeneracy witness.
 
     For every face of the Newton polytope of the working support, looks for a
-    torus point over F_{q^k} (k <= k_max, within budget) where the face
-    restriction and all its logarithmic derivatives vanish.  Returns
-    (k, point codes) for the first witness found, None otherwise.
+    torus point over F_{q^k} (k <= k_max, within the oracle's enumeration
+    budget) where the face restriction and all its logarithmic derivatives
+    vanish.  Returns (k, point codes) for the first witness found, None
+    otherwise.
     """
     ring = _make_ring(prob, 1)
     lifted = lift_input(ring, prob.terms, prob.mode)
@@ -210,11 +209,11 @@ def nondegeneracy_witness_search(prob: Problem, k_max: int,
     for nu, c in prob.terms:
         work_terms[lifted.working_exponent(nu)] = c
     exps = sorted(work_terms)
-    poly, _ = hull_and_triangulate(exps)
+    poly = hull_and_triangulate(exps)
     m = lifted.n_eff
     q = prob.p ** prob.a
     for k in range(1, k_max + 1):
-        if q ** (k * m) > budget:
+        if q ** (k * m) > oracle.DEFAULT_BUDGET:
             break
         F = oracle.get_field(prob.p, prob.a * k)
         codes = oracle.embed_coefficients(

@@ -1,16 +1,13 @@
 """Newton-polytope combinatorics in exact integer arithmetic.
 
-Provides convex hulls with facet inequalities, a deterministic triangulation
-obtained by projecting the lower hull of the points lifted to (v, |v|^2),
-normalized volumes, lattice-point enumeration of dilations via
-fundamental-parallelepiped residues, Hermite normal form with recorded
-unimodular transform, face enumeration, and the orthotope-confinement
-transform.
+Provides convex hulls with facet inequalities, a pulling triangulation (cone
+from the lexicographically smallest point over the facets that do not contain
+it, each facet triangulated the same way), normalized volumes, lattice-point
+enumeration of dilations via fundamental-parallelepiped residues, Hermite
+normal form with recorded unimodular transform, face enumeration, and the
+orthotope-confinement transform.
 
 No floating point is used anywhere; all predicates are integer determinants.
-Cospherical (degenerate) lifted configurations are resolved by a deterministic
-rule equivalent to a lexicographic symbolic perturbation: each non-simplicial
-cell is split by coning from its lexicographically smallest point.
 """
 
 from __future__ import annotations
@@ -156,27 +153,15 @@ def hull_facets(points: Sequence[Point]) -> List[Facet]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Triangulation:
-    """Simplices as (n+1)-tuples of indices into `points`."""
-
-    points: Tuple[Point, ...]
-    simplices: Tuple[Tuple[int, ...], ...]
-
-    def simplex_nvol(self, s: Tuple[int, ...]) -> int:
-        base = self.points[s[0]]
-        edges = [[self.points[i][j] - base[j] for j in range(len(base))] for i in s[1:]]
-        return abs(int_det(edges))
-
-
-@dataclass(frozen=True)
 class LatticePolytope:
-    """Exact Newton-polytope data: vertices, facets, dimension, normalized volume."""
+    """Exact Newton-polytope data: vertices, facets, dimension, normalized
+    volume, and the simplices (as vertex tuples) of a triangulation."""
 
     dim: int
     vertices: Tuple[Point, ...]
     facets: Tuple[Facet, ...]
     nvol: int
-    triangulation: Triangulation = field(compare=False)
+    simplices: Tuple[Tuple[Point, ...], ...] = field(compare=False)
 
     def contains(self, x: Sequence[int], dilation: int = 1) -> bool:
         """Membership of x in dilation * Delta, via scaled facet inequalities."""
@@ -186,32 +171,33 @@ class LatticePolytope:
                    for normal, b in self.facets)
 
 
-def _triangulate_convex(points: List[Point]) -> List[Tuple[int, ...]]:
-    """Deterministic triangulation of a polytope given by points in convex
-    position: cone from the lexicographically smallest point over the facets
-    that do not contain it, recursively."""
-    k = affine_rank(points)
-    if len(points) == k + 1:
-        return [tuple(range(len(points)))]
-    proj, _ = _project_to_span(points, k)
-    apex = min(range(len(proj)), key=lambda i: proj[i])
+def _pulling_triangulation(points: List[Point],
+                           facets: Sequence[Facet]) -> List[Tuple[int, ...]]:
+    """Triangulation of conv(points), full-dimensional with the given facets,
+    as sorted index tuples: cone from the lexicographically smallest point
+    over the facets that do not contain it, each facet triangulated the same
+    way within its own affine span."""
+    k = len(points[0]) - 1  # dimension of a facet
+    apex = min(range(len(points)), key=points.__getitem__)
     result: List[Tuple[int, ...]] = []
-    for normal, b in hull_facets(proj):
-        if sum(n * x for n, x in zip(normal, proj[apex])) == b:
+    for normal, b in facets:
+        if sum(a * x for a, x in zip(normal, points[apex])) == b:
             continue
-        face_idx = [i for i in range(len(proj))
-                    if sum(n * x for n, x in zip(normal, proj[i])) == b]
-        for sub in _triangulate_convex([proj[i] for i in face_idx]):
-            simplex = tuple(sorted(face_idx[j] for j in sub)) + (apex,)
-            result.append(tuple(sorted(simplex)))
+        face_idx = [i for i, p in enumerate(points)
+                    if sum(a * x for a, x in zip(normal, p)) == b]
+        if len(face_idx) == k + 1:
+            subs = [tuple(range(k + 1))]
+        else:
+            proj = _project_to_span([points[i] for i in face_idx], k)
+            subs = _pulling_triangulation(proj, hull_facets(proj))
+        for sub in subs:
+            result.append(tuple(sorted([face_idx[j] for j in sub] + [apex])))
     return result
 
 
-def _project_to_span(points: List[Point], k: int) -> Tuple[List[Point], List[int]]:
+def _project_to_span(points: List[Point], k: int) -> List[Point]:
     """Project points to k coordinates on which their affine span is injective."""
     n = len(points[0])
-    if k == n:
-        return points, list(range(n))
     base = points[0]
     edges = [[p[i] - base[i] for i in range(n)] for p in points[1:]]
     cols: List[int] = []
@@ -222,13 +208,17 @@ def _project_to_span(points: List[Point], k: int) -> Tuple[List[Point], List[int
             cols.append(c)
         if len(cols) == k:
             break
-    proj = [tuple(p[j] for j in cols) for p in points]
-    return proj, cols
+    return [tuple(p[j] for j in cols) for p in points]
 
 
-def hull_and_triangulate(S: Iterable[Point]) -> Tuple[LatticePolytope, Triangulation]:
-    """Convex hull with exact facet description, plus the triangulation induced
-    by the lower hull of the points lifted to (v, |v|^2)."""
+def _simplex_nvol(verts: Sequence[Point]) -> int:
+    base = verts[0]
+    return abs(int_det([[v[j] - base[j] for j in range(len(base))]
+                        for v in verts[1:]]))
+
+
+def hull_and_triangulate(S: Iterable[Point]) -> LatticePolytope:
+    """Convex hull with exact facet description and a pulling triangulation."""
     points = sorted(set(tuple(int(c) for c in p) for p in S))
     if not points:
         raise NotFullDimensional("empty point set")
@@ -249,35 +239,12 @@ def hull_and_triangulate(S: Iterable[Point]) -> Tuple[LatticePolytope, Triangula
                  if sum(a * x for a, x in zip(normal, p)) == b]
         if _rank([list(t) for t in tight]) == n:
             vertices.append(p)
-    vertices = tuple(vertices)
 
-    # Delaunay-style cells from the lower hull of the lifted points.
-    lifted = [p + (sum(c * c for c in p),) for p in points]
-    simplices: List[Tuple[int, ...]] = []
-    if affine_rank(lifted) < n + 1:
-        # Entirely cospherical: one cell containing every point.
-        cells = [list(range(len(points)))]
-    else:
-        cells = []
-        for normal, b in hull_facets(lifted):
-            if normal[-1] >= 0:
-                continue  # not a lower facet
-            cell = [i for i in range(len(lifted))
-                    if sum(a * x for a, x in zip(normal, lifted[i])) == b]
-            cells.append(cell)
-    for cell in sorted(cells):
-        cell_points = [points[i] for i in cell]
-        for sub in _triangulate_convex(cell_points):
-            simplices.append(tuple(sorted(cell[j] for j in sub)))
-    simplices = sorted(set(simplices))
-
-    tri = Triangulation(points=tuple(points), simplices=tuple(simplices))
-    nvol = sum(tri.simplex_nvol(s) for s in tri.simplices)
-    if nvol <= 0:
-        raise NotFullDimensional("triangulation produced zero volume")
-    poly = LatticePolytope(dim=n, vertices=vertices, facets=facets, nvol=nvol,
-                           triangulation=tri)
-    return poly, tri
+    simplices = tuple(tuple(points[i] for i in s)
+                      for s in sorted(_pulling_triangulation(points, facets)))
+    return LatticePolytope(dim=n, vertices=tuple(vertices), facets=facets,
+                           nvol=sum(_simplex_nvol(s) for s in simplices),
+                           simplices=simplices)
 
 
 def normalized_volume(points: Sequence[Point]) -> int:
@@ -292,7 +259,7 @@ def normalized_volume(points: Sequence[Point]) -> int:
         return 1
     if affine_rank(points) < len(points[0]):
         return 0
-    return hull_and_triangulate(points)[0].nvol
+    return hull_and_triangulate(points).nvol
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +275,8 @@ def lattice_points(poly: LatticePolytope, d: int) -> List[Point]:
     if d == 0:
         return [(0,) * n]
     found: set[Point] = set()
-    tri = poly.triangulation
-    for s in tri.simplices:
-        verts = [tuple(d * c for c in tri.points[i]) for i in s]
+    for s in poly.simplices:
+        verts = [tuple(d * c for c in v) for v in s]
         found.update(_simplex_lattice_points(verts))
     pts = sorted(found)
     assert all(poly.contains(p, d) for p in pts)
@@ -340,8 +306,6 @@ def _simplex_lattice_points(verts: List[Point]) -> List[Point]:
     # Triangular generator matrix of the column lattice B*Z^n (for residues).
     _, Ht = hermite_normal_form([[B[j][i] for j in range(n)] for i in range(n)])
     diag = [abs(Ht[i][i]) for i in range(n)]
-    if any(di == 0 for di in diag):
-        return out  # cannot happen for det != 0; defensive
 
     rep = [0] * n
     while True:
@@ -480,8 +444,7 @@ def confine(S: Sequence[Point]):
     Greedily grows a large-volume simplex (adding the point that maximizes the
     Gram determinant), applies the unimodular transform from the HNF of its
     edge matrix, and translates the result to nonnegative coordinates.
-    Returns (U, t, S_transformed, confined_flag) where the flag records
-    whether the bounding box has side product <= n^n * nvol.
+    Returns (U, t, S_transformed) with S_transformed = {U*s + t : s in S}.
     """
     points = sorted(set(tuple(int(c) for c in p) for p in S))
     n = len(points[0])
@@ -514,11 +477,4 @@ def confine(S: Sequence[Point]):
     mins = [min(p[i] for p in transformed) for i in range(n)]
     shifted = sorted(tuple(p[i] - mins[i] for i in range(n)) for p in transformed)
     t = tuple(-sum(U[i][j] * base[j] for j in range(n)) - mins[i] for i in range(n))
-
-    poly, _ = hull_and_triangulate(shifted)
-    box = 1
-    for i in range(n):
-        side = max(p[i] for p in shifted) - min(p[i] for p in shifted)
-        box *= max(side, 1)
-    flag = box <= n ** n * poly.nvol
-    return U, t, shifted, flag
+    return U, t, shifted

@@ -40,6 +40,8 @@ from .padic import RingContext, RingElement
 
 Matrix = List[List[RingElement]]
 
+POINT_COUNT_DEPTH = 4  # ZetaFunction.point_counts holds N_r for r = 1..4
+
 
 def precision_bound(v: int, q: int, weight: int, p: int) -> int:
     """Smallest N with p^N >= 2 C(v,m) q^(weight*m/2) for every m <= v.
@@ -135,7 +137,6 @@ class CharpolyResult:
 
     coefficients: List[RingElement]  # ascending in T
     modulus: int                     # coefficients are exact modulo this
-    unit_block_split: bool           # True when the (1-T) factor was removed
 
 
 def assemble_and_charpoly(ring: RingContext, columns: List[List[RingElement]],
@@ -176,12 +177,10 @@ def assemble_and_charpoly(ring: RingContext, columns: List[List[RingElement]],
             Q = matrix_mul(ring, Q, B)
         coeffs = charpoly_det_one_minus_t(ring, Q)
         return A, CharpolyResult(coefficients=coeffs,
-                                 modulus=p ** (ring.N - a),
-                                 unit_block_split=True)
+                                 modulus=p ** (ring.N - a))
     Aa = twisted_product(ring, A, a)
     coeffs = charpoly_det_one_minus_t(ring, Aa)
-    return A, CharpolyResult(coefficients=coeffs, modulus=p ** ring.N,
-                             unit_block_split=False)
+    return A, CharpolyResult(coefficients=coeffs, modulus=p ** ring.N)
 
 
 def lift_charpoly(ring: RingContext, result: CharpolyResult, q: int,
@@ -298,9 +297,9 @@ class ZetaFunction:
 
 
 def assemble_zeta(lifted: List[int], mode: str, n_vars: int, q: int, v: int,
-                  p: int, a: int, N_used: int, r_max: int = 4,
-                  unit_block_split: bool = False) -> ZetaFunction:
-    """Build Z(f, T) from the lifted integer charpoly, per mode."""
+                  p: int, a: int, N_used: int) -> ZetaFunction:
+    """Build Z(f, T) from the lifted integer charpoly, per mode; in toric mode
+    the charpoly is the one with the (1-T) factor split off."""
     num: List[int] = [1]
     den: List[int] = [1]
 
@@ -313,9 +312,6 @@ def assemble_zeta(lifted: List[int], mode: str, n_vars: int, q: int, v: int,
                 den = poly_mul(den, f)
 
     if mode == "toric":
-        if not unit_block_split:
-            raise PrecisionOrLogicError(
-                "toric assembly requires the unit-block-split charpoly")
         n = n_vars
         P = lifted
         apply(P, 1 if n % 2 == 0 else -1)
@@ -338,5 +334,5 @@ def assemble_zeta(lifted: List[int], mode: str, n_vars: int, q: int, v: int,
 
     zf = ZetaFunction(mode=mode, p=p, a=a, q=q, n=n_vars, v=v, N_used=N_used,
                       numerator=num, denominator=den)
-    zf.point_counts = zf.counts(r_max)
+    zf.point_counts = zf.counts(POINT_COUNT_DEPTH)
     return zf

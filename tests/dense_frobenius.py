@@ -101,7 +101,7 @@ def expand_frobenius_dense(target: ConeMonomial, lifted: LiftedInput,
             raise PrecisionOrLogicError(
                 f"dense Frobenius term {mono} escapes the cone over the polytope")
         sign = -1 if t % 2 else 1
-        coeff = ring.smul(sign * p ** (t - delta), ring.frobenius_inverse(u))
+        coeff = ring.smul(sign * p ** (t - delta), ring.sigma_inverse(u))
         out.add_term(mono, coeff)
     return out
 

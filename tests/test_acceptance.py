@@ -176,7 +176,7 @@ def test_criterion_03_two_term_plus_constant_closed_form():
         prob = Problem(p=p, a=1, hbar=(0, 1), n=2, mode="affine", terms=terms)
         ring = make_ring(FieldSpec(p=p, a=1, hbar=(0, 1), N_work=2))
         lifted = lift_input(ring, terms, "affine")
-        poly, _ = hull_and_triangulate(lifted.working_support())
+        poly = hull_and_triangulate(lifted.working_support())
         _ech, basis = build_jacobian(lifted, poly)
         expected = sorted(
             ((-(-(u * m2 + v * m1) // (m1 * m2)), (u, v))
@@ -208,7 +208,7 @@ def _pipeline_internals(prob, n_work):
     ring = make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar,
                                N_work=n_work))
     lifted = lift_input(ring, prob.terms, prob.mode)
-    poly, _ = hull_and_triangulate(lifted.working_support())
+    poly = hull_and_triangulate(lifted.working_support())
     ech, basis = build_jacobian(lifted, poly)
     return ring, lifted, poly, ech, basis
 
@@ -223,7 +223,7 @@ def test_criterion_05_integrality_and_unit_pivots():
             assert basis.v == poly.nvol, name
         bound = TruncationBound.for_params(prob.p, lifted.n_eff, 4)
         series = splitting_for(ring, bound)
-        support = make_support_matrix(lifted, prob.p)
+        support = make_support_matrix(lifted)
         for m in basis.V:
             alpha = expand_frobenius(m, lifted, poly, series, support, bound)
             coords = cone_reduce(alpha, ech, basis)
@@ -313,7 +313,7 @@ def test_criterion_09_polytope_suite():
         pts = {tuple(rng.randrange(0, 5) for _ in range(n))
                for _ in range(n + 2 + rng.randrange(4))}
         try:
-            poly, _ = hull_and_triangulate(pts)
+            poly = hull_and_triangulate(pts)
         except Exception:
             continue
         for d in range(0, 3):
@@ -340,10 +340,10 @@ def test_criterion_09_polytope_suite():
         pts = {tuple(rng.randrange(-3, 8) for _ in range(n))
                for _ in range(n + 2 + rng.randrange(3))}
         try:
-            _U, _t, shifted, _flag = confine(list(pts))
+            _U, _t, shifted = confine(list(pts))
         except Exception:
             continue
-        poly, _ = hull_and_triangulate(shifted)
+        poly = hull_and_triangulate(shifted)
         count = len(lattice_points(poly, 1))
         assert count <= (2 * n) ** n * poly.nvol
 

@@ -90,7 +90,12 @@ def test_exit_code_invalid_json(tmp_path, capsys):
             ("terms", [dict(terms[0], exp=[True, 0])] + terms[1:],
              "term exponent [True, 0]"),
             ("terms", [dict(terms[0], coeff=[True])] + terms[1:],
-             "term coefficient [True]")]:
+             "term coefficient [True]"),
+            # only a JSON boolean switches confinement
+            ("confine", "false", "confine must be true or false"),
+            ("confine", "no", "confine must be true or false"),
+            ("confine", 1, "confine must be true or false"),
+            ("confine", 0, "confine must be true or false")]:
         path = write_input(tmp_path, dict(ELLIPTIC, **{key: value}))
         code, _out, err = run(capsys, ["compute", path])
         assert code == 2 and f"InvalidInput: {message}" in err, (key, value)

@@ -48,7 +48,7 @@ def test_solve_congruence_basics():
     U = [[1, 1, 1, 1], [3, 1, 0, 0], [0, 0, 2, 0]]
     target = [(-1) % p, (-1) % p, (-1) % p]
     K = solve_congruence(U, target, p)
-    assert len(K) == p  # s - rho = 4 - 3
+    assert len(K) == p  # p^(s - rank of U mod p) = p^(4 - 3)
     for k in K:
         for row, t in zip(U, target):
             assert sum(c * e for c, e in zip(row, k)) % p == t
@@ -110,8 +110,8 @@ def elliptic_alpha_oracle(p, aa, bb, N, max_degree):
 
 def expansion_setup(R, terms, mode):
     lifted = lift_input(R, terms, mode)
-    poly, _ = hull_and_triangulate(lifted.working_support())
-    support = make_support_matrix(lifted, R.p)
+    poly = hull_and_triangulate(lifted.working_support())
+    support = make_support_matrix(lifted)
     bound = TruncationBound.for_params(R.p, lifted.n_eff, R.N)
     series = splitting_for(R, bound)
     return lifted, poly, support, bound, series

@@ -27,7 +27,7 @@ def elliptic_terms(p, aa, bb):
 
 def build(R, terms, mode):
     lifted = lift_input(R, terms, mode)
-    poly, _ = hull_and_triangulate(lifted.working_support())
+    poly = hull_and_triangulate(lifted.working_support())
     return lifted, poly, build_jacobian(lifted, poly)
 
 

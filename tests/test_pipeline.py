@@ -123,7 +123,7 @@ def structural_rank(prob):
     """
     ring = make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar, N_work=1))
     lifted = lift_input(ring, prob.terms, prob.mode)
-    poly, _ = hull_and_triangulate(lifted.working_support())
+    poly = hull_and_triangulate(lifted.working_support())
     _ech, basis = build_jacobian(lifted, poly)
     return basis.v
 

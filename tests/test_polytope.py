@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -36,24 +37,24 @@ def box_filter_oracle(poly, d):
 
 
 def test_unit_simplex():
-    poly, tri = hull_and_triangulate([(0, 0), (1, 0), (0, 1)])
+    poly = hull_and_triangulate([(0, 0), (1, 0), (0, 1)])
     assert poly.nvol == 1
-    assert len(tri.simplices) == 1
+    assert len(poly.simplices) == 1
     assert sorted(poly.vertices) == [(0, 0), (0, 1), (1, 0)]
     assert lattice_points(poly, 1) == [(0, 0), (0, 1), (1, 0)]
     assert len(lattice_points(poly, 2)) == 6
 
 
 def test_elliptic_triangle_volume_six():
-    poly, _ = hull_and_triangulate([(0, 0), (3, 0), (0, 2)])
+    poly = hull_and_triangulate([(0, 0), (3, 0), (0, 2)])
     assert poly.nvol == 6
 
 
 def test_cospherical_square():
-    poly, tri = hull_and_triangulate([(0, 0), (1, 0), (0, 1), (1, 1)])
+    poly = hull_and_triangulate([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert poly.nvol == 2
-    assert len(tri.simplices) == 2
-    assert sum(tri.simplex_nvol(s) for s in tri.simplices) == 2
+    # pulled from (0, 0) over the two edges that miss it
+    assert poly.simplices == (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 0), (1, 1)))
 
 
 def test_not_full_dimensional():
@@ -75,13 +76,33 @@ def test_lattice_points_vs_box_oracle_random():
         delta = budgets[n]
         pts = random_point_set(rng, n, delta, rng.randrange(n + 1, n + 5))
         try:
-            poly, tri = hull_and_triangulate(pts)
+            poly = hull_and_triangulate(pts)
         except NotFullDimensional:
             continue
         cases += 1
-        assert sum(tri.simplex_nvol(s) for s in tri.simplices) == poly.nvol
         for d in range(0, min(n + 2, 4) + 1):
             assert lattice_points(poly, d) == box_filter_oracle(poly, d)
+
+
+def test_nvol_is_ehrhart_leading_coefficient():
+    # L(d) = #(d*Delta cap Z^n) is a degree-n polynomial with leading
+    # coefficient vol(Delta), so its n-th finite difference over d = 0..n is
+    # n! * vol(Delta) = nvol.  The counts come from the box oracle, so this
+    # checks nvol without the triangulation that computes it.
+    rng = random.Random(20261018)
+    cases = 0
+    budgets = {1: 12, 2: 8, 3: 4}
+    while cases < 60:
+        n = rng.choice([1, 2, 2, 3, 3])
+        pts = random_point_set(rng, n, budgets[n], rng.randrange(n + 1, n + 5))
+        try:
+            poly = hull_and_triangulate(pts)
+        except NotFullDimensional:
+            continue
+        cases += 1
+        counts = [len(box_filter_oracle(poly, d)) for d in range(n + 1)]
+        assert sum((-1) ** (n - j) * comb(n, j) * counts[j]
+                   for j in range(n + 1)) == poly.nvol, pts
 
 
 def test_hnf_identity_and_unimodularity():
@@ -119,10 +140,10 @@ def test_hnf_identity_and_singular():
 
 
 def test_faces_segment_and_triangle():
-    poly, _ = hull_and_triangulate([(0,), (1,)])
+    poly = hull_and_triangulate([(0,), (1,)])
     fs = faces(poly, [(0,), (1,)])
     assert len(fs) == 3
-    poly, _ = hull_and_triangulate([(0, 0), (1, 0), (0, 1)])
+    poly = hull_and_triangulate([(0, 0), (1, 0), (0, 1)])
     fs = faces(poly, [(0, 0), (1, 0), (0, 1)])
     assert len(fs) == 7
     dims = sorted(f.dim for f in fs)
@@ -135,7 +156,7 @@ def test_faces_vs_bruteforce_random():
         n = rng.choice([2, 3])
         pts = random_point_set(rng, n, 4, n + 4)
         try:
-            poly, _ = hull_and_triangulate(pts)
+            poly = hull_and_triangulate(pts)
         except NotFullDimensional:
             continue
         fs = faces(poly, pts)
@@ -159,16 +180,15 @@ def test_faces_vs_bruteforce_random():
 
 
 def test_confine_sliver():
-    U, t, S2, flag = confine([(0, 0), (100, 1), (99, 1)])
-    assert flag
-    poly, _ = hull_and_triangulate(S2)
+    U, t, S2 = confine([(0, 0), (100, 1), (99, 1)])
+    poly = hull_and_triangulate(S2)
     box = 1
     for i in range(2):
         box *= max(max(p[i] for p in S2) - min(p[i] for p in S2), 1)
     assert box <= 4 * poly.nvol
     assert abs(int_det(U)) == 1
     # volume is a unimodular invariant
-    poly0, _ = hull_and_triangulate([(0, 0), (100, 1), (99, 1)])
+    poly0 = hull_and_triangulate([(0, 0), (100, 1), (99, 1)])
     assert poly.nvol == poly0.nvol
 
 
@@ -177,9 +197,9 @@ def test_confine_preserves_lattice_point_count():
     for _ in range(10):
         pts = random_point_set(rng, 2, 8, 5)
         try:
-            U, t, S2, flag = confine(pts)
-            poly0, _ = hull_and_triangulate(pts)
-            poly1, _ = hull_and_triangulate(S2)
+            U, t, S2 = confine(pts)
+            poly0 = hull_and_triangulate(pts)
+            poly1 = hull_and_triangulate(S2)
         except NotFullDimensional:
             continue
         assert poly0.nvol == poly1.nvol
@@ -193,10 +213,13 @@ def test_confined_bound_lattice_points():
         n = rng.choice([1, 2, 2, 3])
         pts = random_point_set(rng, n, 6, n + 3)
         try:
-            U, t, S2, flag = confine(pts)
+            U, t, S2 = confine(pts)
         except NotFullDimensional:
             continue
-        if not flag:
-            continue
-        poly, _ = hull_and_triangulate(S2)
+        poly = hull_and_triangulate(S2)
+        box = 1
+        for i in range(n):
+            box *= max(max(p[i] for p in S2) - min(p[i] for p in S2), 1)
+        if box > n ** n * poly.nvol:
+            continue  # the greedy simplex did not confine this support
         assert len(lattice_points(poly, 1)) <= (2 * n) ** n * poly.nvol

@@ -25,7 +25,7 @@ def elliptic_fixture(p=7, aa=2, bb=1, mode="toric", N=4):
     R = ring(p, 1, N)
     terms = [((3, 0), (1,)), ((1, 0), (aa,)), ((0, 0), (bb,)), ((0, 2), (p - 1,))]
     lifted = lift_input(R, terms, mode)
-    poly, _ = hull_and_triangulate(lifted.working_support())
+    poly = hull_and_triangulate(lifted.working_support())
     ech, basis = build_jacobian(lifted, poly)
     return R, lifted, poly, ech, basis
 
@@ -82,7 +82,7 @@ def test_operator_relations_vanish_projective():
     R = ring(7, 1, 4)
     terms = [((3, 0, 0), (1,)), ((0, 3, 0), (2,)), ((0, 0, 3), (1,))]
     lifted = lift_input(R, terms, "projective")
-    poly, _ = hull_and_triangulate(lifted.working_support())
+    poly = hull_and_triangulate(lifted.working_support())
     ech, basis = build_jacobian(lifted, poly)
     rng = random.Random(23)
     for gi in lifted.generator_indices:
@@ -112,7 +112,7 @@ def test_fermat_like_constant_relation():
     R = ring(5, 1, 4)
     terms = [((3, 0), (2,)), ((0, 2), (1,)), ((0, 0), (3,))]
     lifted = lift_input(R, terms, "toric")
-    poly, _ = hull_and_triangulate(lifted.working_support())
+    poly = hull_and_triangulate(lifted.working_support())
     ech, basis = build_jacobian(lifted, poly)
     b = R.teichmuller_lift((3,))
     for d in (2, 3, 4):

@@ -163,13 +163,12 @@ def test_lift_charpoly_centered_and_filtered():
     q, v, weight = 7, 2, 3
     # c_1 = -a_q * q with a_q = 4: stored as modulus - 28
     coeffs = [R.one, R.from_int(-28), R.from_int(q ** 3)]
-    res = CharpolyResult(coefficients=coeffs, modulus=R.modulus,
-                         unit_block_split=False)
+    res = CharpolyResult(coefficients=coeffs, modulus=R.modulus)
     lifted = lift_charpoly(R, res, q, weight)
     assert lifted == [1, -28, 343]
     # violate the Weil bound for i = 1: |c| > 2 q^(3/2) = 37.0...
     bad = CharpolyResult(coefficients=[R.one, R.from_int(1000), R.from_int(0)],
-                         modulus=R.modulus, unit_block_split=False)
+                         modulus=R.modulus)
     with pytest.raises(InsufficientPrecision):
         lift_charpoly(R, bad, q, weight)
 
@@ -239,10 +238,10 @@ def test_end_to_end_single_point_on_torus():
     p, N_work = 5, 4
     R = ring(p, 1, N_work)
     lifted = lift_input(R, [((1,), (1,)), ((0,), (2,))], "toric")
-    poly, _ = hull_and_triangulate(lifted.working_support())
+    poly = hull_and_triangulate(lifted.working_support())
     ech, basis = build_jacobian(lifted, poly)
     assert basis.v == 1
-    support = make_support_matrix(lifted, p)
+    support = make_support_matrix(lifted)
     bound = TruncationBound.for_params(p, lifted.n_eff, N_work)
     series = splitting_for(R, bound)
     columns = []
@@ -250,9 +249,9 @@ def test_end_to_end_single_point_on_torus():
         alpha = expand_frobenius(m, lifted, poly, series, support, bound)
         columns.append(cone_reduce(alpha, ech, basis))
     A, res = assemble_and_charpoly(R, columns, "toric", 1)
-    assert res.unit_block_split
+    # the (1-T) factor of the unit row is split off: degree v - 1 = 0
+    assert res.coefficients == [R.one]
     lifted_cp = lift_charpoly(R, res, p, 1)
-    zf = assemble_zeta(lifted_cp, "toric", 1, p, basis.v, p, 1, 2,
-                       unit_block_split=True)
+    zf = assemble_zeta(lifted_cp, "toric", 1, p, basis.v, p, 1, 2)
     # V is the single torus point x = -2: one point over every extension.
     assert zf.point_counts == [1, 1, 1, 1]
