@@ -91,9 +91,3 @@ class BudgetExceeded(DworkZetaError):
     """A brute-force enumeration would exceed the configured budget."""
 
     exit_code = 13
-
-
-class UnderDetermined(DworkZetaError):
-    """Not enough point counts to pin down the rational function."""
-
-    exit_code = 14

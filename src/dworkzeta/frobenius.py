@@ -21,6 +21,11 @@ with bw = (|k|+d)/p; the p-power always clears the ell denominators (their
 total exponent is at most bw + |e| for p >= 3), and the cleared coefficient
 lies in R.  Only terms that are individually 0 mod p^N_work are dropped, so
 the output is exactly the truncation of alpha.
+
+The enumeration reads the denominator bounds d(p, i) from one table per call.
+Each term is added, unreduced, to one list of integer coordinates per
+monomial; every monomial is checked against the cone once, when it first
+appears, and the lists are reduced mod p^N_work once at the end.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import List, Sequence, Tuple
+from operator import add
+from typing import Dict, List, Sequence, Tuple
 
 from .cone_algebra import ConeElement, ConeMonomial
 from .errors import InternalPrecisionError, PrecisionOrLogicError
@@ -136,7 +142,7 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                      ) -> ConeElement:
     """Fewnomial-enumeration expansion of alpha((pi*w)^d x^mu) mod p^N_work."""
     ring = lifted.ring
-    p, N_work = ring.p, ring.N
+    p, N_work, E = ring.p, ring.N, bound.E
     d, mu = target
     s = support.s
     nus = support.support
@@ -144,10 +150,13 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
     for nu, a in lifted.coeffs.items():
         coeffs_by_nu[lifted.working_exponent(nu)] = a
     a_list = [coeffs_by_nu[nu] for nu in nus]
+    dtab = [d_bound(p, i) for i in range(len(series))]
+    p_pows = [p ** net for net in range(N_work)]
 
     neg_target = tuple((-t) % p for t in (d,) + mu)
-    out = ConeElement(ring)
-    seen = set()  # monomials already checked against the cone
+    # Unreduced coordinates of each monomial's coefficient; a monomial enters
+    # only after it has been checked against the cone.
+    raw: Dict[ConeMonomial, List[int]] = {}
     for k in solve_congruence(support.U, neg_target, p):
         total_k = sum(k)
         bw, rem = divmod(total_k + d, p)
@@ -170,49 +179,50 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
         # Per-position tail bounds on future ell-denominator exponents at e=0.
         tail = [0] * (s + 1)
         for j in range(s - 1, -1, -1):
-            tail[j] = tail[j + 1] + d_bound(p, k[j])
+            tail[j] = tail[j + 1] + dtab[k[j]]
 
         def emit(esum: int, delta: int, numer: int, apow: RingElement,
-                 exps: List[int]) -> None:
+                 exps: Tuple[int, ...]) -> None:
             net = bw + esum - delta
             if net < 0:
                 raise InternalPrecisionError(
                     f"negative net p-power {net} at target {target}")
             if net >= N_work:
                 return
-            mono = (bw + esum, tuple(exps))
-            if mono not in seen:
-                if not poly.contains(mono[1], mono[0]):
+            mono = (bw + esum, exps)
+            acc = raw.get(mono)
+            if acc is None:
+                if not poly.contains(exps, mono[0]):
                     raise PrecisionOrLogicError(
                         f"Frobenius term {mono} escapes the cone over the polytope")
-                seen.add(mono)
-            sign = -1 if (bw + esum) % 2 else 1
-            scalar = sign * (p ** net) * numer
-            out.add_term(mono, ring.smul(scalar, apow))
+                acc = raw[mono] = [0] * len(apow)
+            scalar = p_pows[net] * numer
+            if (bw + esum) % 2:
+                scalar = -scalar
+            for t, c in enumerate(apow):
+                acc[t] += scalar * c
 
         def walk(j: int, esum: int, delta: int, numer: int,
-                 apow: RingElement, exps: List[int]) -> None:
+                 apow: RingElement, exps: Tuple[int, ...]) -> None:
             if j == s:
                 emit(esum, delta, numer, apow, exps)
                 return
-            nu = nus[j]
-            ej = 0
-            cur_apow = apow
-            cur_exps = list(exps)
-            while esum + ej < bound.E:
+            nu, aj, kj, rest = nus[j], a_list[j], k[j], tail[j + 1]
+            for ej in range(E - esum):
                 # Sound monotone cutoff: every completion of this state has
                 # guaranteed valuation >= the bound below.
-                cutoff = (bw + esum + ej - delta
-                          - d_bound(p, k[j] + p * ej) - tail[j + 1])
-                if cutoff >= N_work:
+                idx = kj + p * ej
+                if bw + esum + ej - delta - dtab[idx] - rest >= N_work:
                     break
-                ell = series[k[j] + p * ej]
+                if ej:
+                    apow = ring.mul(apow, aj)
+                    exps = tuple(map(add, exps, nu))
+                ell = series[idx]
                 walk(j + 1, esum + ej, delta + ell.denom_exp,
-                     numer * ell.numer, cur_apow, cur_exps)
-                ej += 1
-                cur_apow = ring.mul(cur_apow, a_list[j])
-                cur_exps = [c + v for c, v in zip(cur_exps, nu)]
-            return
+                     numer * ell.numer, apow, exps)
 
-        walk(0, 0, 0, 1, prefix, base_x)
-    return out
+        walk(0, 0, 0, 1, prefix, tuple(base_x))
+
+    modulus = ring.modulus
+    return ConeElement(ring, {m: tuple(c % modulus for c in acc)
+                              for m, acc in raw.items()})

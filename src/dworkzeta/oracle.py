@@ -1,4 +1,4 @@
-"""Brute-force point counting and naive zeta reconstruction.
+"""Brute-force point counting.
 
 Entirely independent of the cohomological pipeline: only finite-field
 polynomial arithmetic (gf) and numpy table lookups are used.  F_{q^r} is
@@ -12,14 +12,13 @@ smallest root of its defining polynomial found by exhaustive search.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import gf
-from .errors import BudgetExceeded, ConsistencyFailure, InvalidInput, UnderDetermined
+from .errors import BudgetExceeded, ConsistencyFailure, InvalidInput
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -235,82 +234,3 @@ def count_points(p: int, a: int, hbar: Sequence[int],
         # the origin is always a zero of a homogeneous polynomial
         return (cone - 1) // (field.Q - 1)
     raise InvalidInput(f"unknown mode {mode!r}")
-
-
-def _series_from_counts(counts: Sequence[int], R: int) -> List[Fraction]:
-    """Z(T) = exp(sum N_r T^r / r) as exact series coefficients z_0..z_R."""
-    z = [Fraction(1)] + [Fraction(0)] * R
-    for k in range(1, R + 1):
-        acc = Fraction(0)
-        for r in range(1, k + 1):
-            acc += counts[r - 1] * z[k - r]
-        z[k] = acc / k
-    return z
-
-
-def zeta_from_counts(counts: Sequence[int], num_deg: int, den_deg: int
-                     ) -> Tuple[List[int], List[int]]:
-    """The unique Num/Den (constant terms 1, bounded degrees) whose
-    log-derivative series reproduces the counts.
-
-    Raises UnderDetermined when the counts do not pin down a unique rational
-    function, ConsistencyFailure when no rational function of the given
-    degrees fits.
-    """
-    R = len(counts)
-    unknowns = num_deg + den_deg
-    if R < unknowns:
-        raise UnderDetermined(
-            f"{R} counts cannot determine {unknowns} coefficients")
-    z = _series_from_counts(counts, R)
-    # Equations: coefficient of T^k in Den*Z - Num vanishes, k = 1..R.
-    rows = []
-    for k in range(1, R + 1):
-        row = [Fraction(0)] * unknowns
-        if k <= num_deg:
-            row[k - 1] = Fraction(-1)
-        for j in range(1, min(k, den_deg) + 1):
-            row[num_deg + j - 1] = z[k - j]
-        rows.append((row, -z[k]))
-    sol = _solve_unique(rows, unknowns)
-    num = [1] + [int(x) for x in sol[:num_deg]]
-    den = [1] + [int(x) for x in sol[num_deg:]]
-    return num, den
-
-
-def _solve_unique(rows: List[Tuple[List[Fraction], Fraction]],
-                  unknowns: int) -> List[Fraction]:
-    """Gaussian elimination over Q; unique solution or raise."""
-    A = [list(r) + [b] for r, b in rows]
-    nrows = len(A)
-    pivots = []
-    ri = 0
-    for col in range(unknowns):
-        piv = next((r for r in range(ri, nrows) if A[r][col] != 0), None)
-        if piv is None:
-            continue
-        A[ri], A[piv] = A[piv], A[ri]
-        pr = A[ri]
-        inv = 1 / pr[col]
-        A[ri] = [x * inv for x in pr]
-        for r in range(nrows):
-            if r != ri and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[ri])]
-        pivots.append(col)
-        ri += 1
-    for r in range(ri, nrows):
-        if A[r][unknowns] != 0:
-            raise ConsistencyFailure(
-                "no rational function of the given degrees matches the counts")
-    if len(pivots) < unknowns:
-        raise UnderDetermined(
-            "multiple rational functions of the given degrees match the counts")
-    sol = [Fraction(0)] * unknowns
-    for r, col in enumerate(pivots):
-        sol[col] = A[r][unknowns]
-    for x in sol:
-        if x.denominator != 1:
-            raise ConsistencyFailure(
-                "the fitted rational function has non-integer coefficients")
-    return sol

@@ -9,20 +9,37 @@ explicitly bounded power of p in the denominator:
 
 and  ord_p(ell_i) >= -d(p, i)  with  d(p, i) = floor(i*(2p-1) / (p^2*(p-1))).
 
-This module computes the ell_i exactly (as Fractions) and packages them as
-scaled residues p^(-e) * numer with numer taken modulo p^(N_work + e), which
-is precisely the precision needed so that any later product multiplied by a
-compensating p^e is correct modulo p^(N_work).
+The coefficients come from a recurrence rather than from that sum.  theta
+satisfies theta' = pi*(1 - p*z^(p-1))*theta; comparing coefficients and using
+pi^(p-1) = -p gives
+
+    ell_0 = 1,   i * ell_i = ell_{i-1} + ell_{i-p}   (ell_j = 0 for j < 0).
+
+Precision ledger for a series of length L.  Put D = d(p, L-1), the largest
+denominator exponent allowed (d is nondecreasing in i), so X_i = p^D * ell_i
+is a p-adic integer for every i < L.  The recurrence runs on the X_i as
+integers mod p^M.  Adding and multiplying by the inverse of the unit part of
+i lose nothing; dividing the sum by p^(v_p(i)) turns a value known mod p^k
+into one known mod p^(k - v_p(i)).  So X_i is known mod p^(M - v_p(i!)), and
+M = N_work + D + v_p((L-1)!) leaves every X_i known mod p^(N_work + D).  The
+output needs exactly that: ell_i = p^(-e) * numer has e = D - min(v_p(X_i), D),
+and numer = X_i / p^(D-e) is wanted mod p^(N_work + e).
+
+Each coefficient is packaged as a scaled residue p^(-e) * numer with numer
+taken modulo p^(N_work + e), which is precisely the precision needed so that
+any later product multiplied by a compensating p^e is correct modulo
+p^(N_work).  The series is recomputed on every call; it costs a few
+milliseconds even at p = 271, so nothing is cached.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from typing import Tuple
 
 from .padic import ScaledElement
+
+# ell_0..ell_{L-1} as scaled residues p^(-e) * numer, numer mod p^(N_work+e).
+SplittingSeries = Tuple[ScaledElement, ...]
 
 
 def d_bound(p: int, i: int) -> int:
@@ -30,68 +47,45 @@ def d_bound(p: int, i: int) -> int:
     return (i * (2 * p - 1)) // (p * p * (p - 1))
 
 
-def ell_fraction(p: int, i: int) -> Fraction:
-    """Exact value of the i-th splitting coefficient."""
-    total = Fraction(0)
-    for j in range(i // p + 1):
-        total += Fraction(1, p ** j * factorial(i - p * j) * factorial(j))
+def _vp_factorial(p: int, n: int) -> int:
+    """ord_p(n!) by Legendre's formula."""
+    total = 0
+    while n:
+        n //= p
+        total += n
     return total
 
 
-def _p_adic_split(x: Fraction, p: int) -> tuple[int, int, int]:
-    """Write x = p^(-e) * (num/den) with e >= 0 and p dividing neither num nor den.
-
-    Returns (e, num, den); for x with nonnegative valuation e is 0.
-    """
-    num, den = x.numerator, x.denominator
-    e = 0
-    while den % p == 0:
-        den //= p
-        e += 1
-    while e > 0 and num % p == 0:
-        num //= p
-        e -= 1
-    return e, num, den
-
-
-@dataclass(frozen=True)
-class SplittingSeries:
-    """Splitting coefficients ell_0..ell_{length-1} as scaled residues mod p^(N_work+e)."""
-
-    p: int
-    N_work: int
-    length: int
-    coefficients: tuple[ScaledElement, ...]
-
-    def __getitem__(self, i: int) -> ScaledElement:
-        return self.coefficients[i]
-
-
-_cache: dict[tuple[int, int], SplittingSeries] = {}
-_cache_lock = threading.Lock()
-
-
 def compute_splitting(p: int, N_work: int, length: int) -> SplittingSeries:
-    """Splitting coefficients ell_0..ell_{length-1} for the prime p.
-
-    Results are cached per (p, N_work); a longer request extends the cached
-    series and the shared prefix is bit-identical across calls.
-    """
-    with _cache_lock:
-        cached = _cache.get((p, N_work))
-        if cached is not None and cached.length >= length:
-            return SplittingSeries(p, N_work, length, cached.coefficients[:length])
-        start = cached.length if cached is not None else 0
-        coeffs = list(cached.coefficients) if cached is not None else []
-        for i in range(start, length):
-            e, num, den = _p_adic_split(ell_fraction(p, i), p)
-            if e > d_bound(p, i):
+    """Splitting coefficients ell_0..ell_{length-1} for the prime p."""
+    if length <= 0:
+        return ()
+    D = d_bound(p, length - 1)
+    modulus = p ** (N_work + D + _vp_factorial(p, length - 1))
+    X = [p ** D]  # X_i = p^D * ell_i, see the precision ledger above
+    for i in range(1, length):
+        s = X[i - 1] + (X[i - p] if i >= p else 0)
+        unit = i
+        while unit % p == 0:
+            unit //= p
+            if s % p:
                 raise AssertionError(
-                    f"splitting coefficient ell_{i} has denominator exponent {e} "
-                    f"exceeding the bound {d_bound(p, i)}")
-            modulus = p ** (N_work + e)
-            numer = (num * pow(den, -1, modulus)) % modulus
-            coeffs.append(ScaledElement(denom_exp=e, numer=numer))
-        series = SplittingSeries(p, N_work, length, tuple(coeffs))
-        _cache[(p, N_work)] = series
-        return SplittingSeries(p, N_work, length, series.coefficients[:length])
+                    f"splitting coefficient ell_{i} has a denominator "
+                    f"exponent exceeding the bound {D}")
+            s //= p
+        X.append(s * pow(unit, -1, modulus) % modulus)
+
+    kept = p ** (N_work + D)
+    coeffs = []
+    for i, x in enumerate(X):
+        x %= kept
+        e = D
+        while e and x % p == 0:
+            x //= p
+            e -= 1
+        if e > d_bound(p, i):
+            raise AssertionError(
+                f"splitting coefficient ell_{i} has denominator exponent {e} "
+                f"exceeding the bound {d_bound(p, i)}")
+        coeffs.append(ScaledElement(denom_exp=e, numer=x))
+    return tuple(coeffs)

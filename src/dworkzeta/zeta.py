@@ -290,11 +290,6 @@ class ZetaFunction:
                     f"negative point count {c} over the degree-{r} extension")
         return counts
 
-    def same_function(self, other: "ZetaFunction") -> bool:
-        # equality as rational functions: cross-multiplied polynomials agree
-        return (poly_mul(self.numerator, other.denominator)
-                == poly_mul(other.numerator, self.denominator))
-
 
 def assemble_zeta(lifted: List[int], mode: str, n_vars: int, q: int, v: int,
                   p: int, a: int, N_used: int) -> ZetaFunction:

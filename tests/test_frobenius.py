@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from dense_frobenius import expand_frobenius_dense
+from splitting_oracle import ell_fraction
 
 from dworkzeta import gf
 from dworkzeta.cone_algebra import term_order_key
@@ -21,7 +22,6 @@ from dworkzeta.frobenius import (
 from dworkzeta.jacobian import lift_input
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.polytope import hull_and_triangulate
-from dworkzeta.splitting import ell_fraction
 
 
 def ring(p, a, n):

@@ -10,18 +10,11 @@ import threading
 
 import pytest
 
+from counts_oracle import UnderDetermined, zeta_from_counts
+
 from dworkzeta import gf, oracle
-from dworkzeta.errors import (
-    BudgetExceeded,
-    ConsistencyFailure,
-    UnderDetermined,
-)
-from dworkzeta.oracle import (
-    ExtensionField,
-    count_points,
-    get_field,
-    zeta_from_counts,
-)
+from dworkzeta.errors import BudgetExceeded, ConsistencyFailure
+from dworkzeta.oracle import ExtensionField, count_points, get_field
 
 
 def test_field_tables_match_polynomial_arithmetic():

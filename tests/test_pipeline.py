@@ -281,10 +281,14 @@ def matrix_digest(matrix):
              terms=[((3, 0), (1, 0)), ((1, 0), (1, 0)), ((0, 0), (0, 1)),
                     ((0, 2), (4, 0))]),
      "abe682f5dbddf7f1aab513891e658e1fb4e04cd53ad6ab4dec1c510dd64cbc28"),
+    # y^2 = x^3 + 2x + 3 over F_101: a large-p case, series length p*E = 707
+    (elliptic_affine(101, 2, 3),
+     "86d0ec935e656f91cac174f1da88feee26f2de9298168c2537c1883e48df4d7b"),
 ])
 def test_frobenius_matrix_pinned(prob, digest):
-    # Pinned bits: any change to the echelon or the reduction must leave the
-    # Frobenius matrix bit-identical, not merely give the same zeta function.
+    # Pinned bits: any change to the echelon, the expansion or the reduction
+    # must leave the Frobenius matrix bit-identical, not merely give the same
+    # zeta function.
     res = compute_zeta(prob, emit_matrix=True)
     assert matrix_digest(res.matrix) == digest
 

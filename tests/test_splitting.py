@@ -1,8 +1,10 @@
-"""Splitting-series tests against an independent symbolic oracle.
+"""Splitting-series tests against independent exact oracles.
 
-The oracle expands exp(pi*z) * exp(-pi*z^p) directly in the ring
+The symbolic oracle expands exp(pi*z) * exp(-pi*z^p) directly in the ring
 Q[pi]/(pi^(p-1) + p) with exact Fraction arithmetic and reads off the
-coefficient of z^i, which must equal ell_i * pi^i.
+coefficient of z^i, which must equal ell_i * pi^i.  The exact coefficients
+of splitting_oracle.py (Fraction sums with factorials) then check the
+recurrence that compute_splitting runs on truncated integers.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ import threading
 from fractions import Fraction
 from math import factorial
 
-from dworkzeta.splitting import compute_splitting, d_bound, ell_fraction
+from splitting_oracle import ell_fraction, scaled_residue
+
+from dworkzeta.splitting import compute_splitting, d_bound
 
 
 def pi_ring_mul(u, v, p):
@@ -99,19 +103,21 @@ def test_denominator_bound():
 
 
 def test_scaled_residues_match_exact_values():
-    for p, N in ((3, 6), (5, 4)):
-        s = compute_splitting(p, N, 40)
-        for i in range(40):
-            c = s[i]
-            scaled = ell_fraction(p, i) * p ** c.denom_exp
-            modulus = p ** (N + c.denom_exp)
-            num, den = scaled.numerator, scaled.denominator
-            assert den % p != 0
-            assert c.numer == (num * pow(den, -1, modulus)) % modulus
-            assert 0 <= c.denom_exp <= d_bound(p, i)
+    # Lengths past p^3 for p = 3 and 5 reach steps i with v_p(i) >= 2, where
+    # the recurrence divides by p more than once; p = 101 is a large-p shape.
+    # A length between p and 2p makes one division by p, whose digit loss the
+    # working precision covers with no slack.
+    for p, length in ((3, 100), (5, 150), (7, 110), (11, 130), (101, 707),
+                      (3, 5), (5, 8), (11, 15)):
+        exact = [ell_fraction(p, i) for i in range(length)]
+        for N in (1, 4, 6, 12):
+            got = compute_splitting(p, N, length)
+            expected = [scaled_residue(x, p, N) for x in exact]
+            assert [(c.denom_exp, c.numer) for c in got] == expected, (p, N)
+            assert all(c.denom_exp <= d_bound(p, i) for i, c in enumerate(got))
 
 
-def test_cache_extension_bit_identical_and_thread_safe():
+def test_prefix_bit_identical_and_thread_safe():
     short = compute_splitting(3, 5, 10)
     results = []
 
@@ -122,7 +128,9 @@ def test_cache_extension_bit_identical_and_thread_safe():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert len(results) == 8
     for r in results:
-        assert r.coefficients == results[0].coefficients
-        assert r.coefficients[:10] == short.coefficients
+        assert r == results[0]
+        assert r[:10] == short

@@ -222,13 +222,19 @@ def test_assemble_zeta_negative_counts_fail():
         assemble_zeta([1, -150, 0], "affine", 2, 5, 2, 5, 1, 2)
 
 
+def same_function(z1, z2):
+    """Equality as rational functions: cross-multiplied polynomials agree."""
+    return (poly_mul(z1.numerator, z2.denominator)
+            == poly_mul(z2.numerator, z1.denominator))
+
+
 def test_zeta_same_function_up_to_common_factors():
     z1 = ZetaFunction("toric", 5, 1, 5, 1, 1, 2, [1, -1], [1, -5])
     z2 = ZetaFunction("toric", 5, 1, 5, 1, 1, 2,
                       poly_mul([1, -1], [1, 3]), poly_mul([1, -5], [1, 3]))
-    assert z1.same_function(z2)
+    assert same_function(z1, z2)
     z3 = ZetaFunction("toric", 5, 1, 5, 1, 1, 2, [1, -2], [1, -5])
-    assert not z1.same_function(z3)
+    assert not same_function(z1, z3)
 
 
 # ---- end-to-end: f = x + 2 on G_m -------------------------------------------
