@@ -48,18 +48,3 @@ class ConeElement:
             self.terms.pop(m, None)
         else:
             self.terms[m] = total
-
-    def mul_monomial(self, m0: ConeMonomial,
-                     c: RingElement | None = None) -> "ConeElement":
-        """Multiply by the monomial m0 (optionally scaled by c)."""
-        R = self.ring
-        d0, mu0 = m0
-        out = ConeElement(R)
-        for (d, mu), v in self.terms.items():
-            if c is not None:
-                v = R.mul(c, v)
-                if R.is_zero(v):
-                    continue
-            key = (d + d0, tuple(x + y for x, y in zip(mu, mu0)))
-            out.add_term(key, v)
-        return out

@@ -15,7 +15,8 @@ elimination turns into a row of M_d, and T_d starts as the sparse identity.
 J_d itself is not kept; row_meta says how to rebuild any of its rows.
 
 The rank v = |V| of the quotient has a closed formula in the support
-(expected_rank); a basis of any other size means the input is degenerate.
+(expected_rank), which the caller passes to build_jacobian; a basis of any
+other size means the input is degenerate.
 
 Three modes share this machinery:
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cone_algebra import ConeElement, ConeMonomial, term_order_key
@@ -353,7 +355,7 @@ def _row_reduce(ring: RingContext, rows: List[SparseRow], ncols: int,
     return T, pivots
 
 
-def build_jacobian(lifted: LiftedInput, poly: LatticePolytope
+def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
                    ) -> Tuple[EchelonData, MonomialBasis]:
     """Row-reduce the relation matrices for degrees 1..top and read off V.
 
@@ -361,12 +363,15 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope
     top-degree matrix must have a pivot in every column.  The lattice points
     of each dilation d * Delta are enumerated once; they give the columns of
     degree d and the cofactors of the rows of degree d + 1.  |V| must equal
-    expected_rank, or the input is degenerate.
+    v, the expected_rank of the input, or the input is degenerate.
     """
     ring = lifted.ring
     n_eff = lifted.n_eff
     top = n_eff + 2
-    gens = {i: lifted.generator(i) for i in lifted.generator_indices}
+    # The exponents and coefficients of each generator; all its terms have
+    # degree 1, so the row of cofactor (d-1, mu) has its terms at (d, mu+nu).
+    gens = {i: [(nu, c) for (_, nu), c in lifted.generator(i)]
+            for i in lifted.generator_indices}
     by_degree: Dict[int, DegreeEchelon] = {}
     V: List[ConeMonomial] = []
 
@@ -386,9 +391,10 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope
             for m in cofactors:
                 if not lifted.cofactor_allowed(gi, m):
                     continue
+                mu = m[1]
                 row: SparseRow = {}
-                for mono, c in gens[gi].mul_monomial(m):
-                    j = col_index.get(mono)
+                for nu, c in gens[gi]:
+                    j = col_index.get((d, tuple(map(add, mu, nu))))
                     if j is None:
                         raise NondegeneracyFailure(
                             f"relation row {m} * generator {gi} leaves the "
@@ -412,7 +418,6 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope
             V.extend(columns[j] for j in nonpivot)
 
     basis = MonomialBasis(V=sorted(V, key=term_order_key))
-    v = expected_rank(lifted.mode, lifted.coeffs)
     if basis.v != v:
         raise NondegeneracyFailure(
             f"quotient basis has cardinality {basis.v}, expected the rank "

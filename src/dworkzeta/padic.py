@@ -2,8 +2,18 @@
 
 R is realized as (Z/p^N)[t]/(h) where h is the unique monic lift of the given
 irreducible polynomial hbar with h | x^q - x.  With that choice the residue
-generator t is a Teichmueller element and the Frobenius sigma acts by the
-polynomial substitution t -> t^p, which we precompute as an a x a linear map.
+generator t is a Teichmueller element.  One rule serves each operation, for
+every extension degree a:
+
+* Teichmueller lift: teich(x) = x^(q^(N-1)).  If x = tau*(1 + p*y) with tau
+  the Teichmueller representative, tau^q = tau and (1 + p*y)^(q^(N-1)) = 1
+  mod p^(1 + a(N-1)), so the power is tau mod p^N; a residue divisible by p
+  goes to 0.
+* h: the product of (x - tau^(p^i)) over the conjugates of tau = teich(t)
+  in a scratch ring over an arbitrary lift of hbar.
+* Inverse Frobenius: sigma^-1 is the substitution t -> t^(q/p), precomputed
+  as an a x a linear map (the identity at a = 1).
+* Inverse of a unit: invert mod p in F_q, then Hensel-lift.
 
 Ring elements are plain tuples of length a with entries in [0, p^N); all
 operations live on an immutable RingContext and are pure functions, so a
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from . import gf
-from .errors import InvalidFieldSpec
+from .errors import InvalidFieldSpec, PrecisionOrLogicError
 
 RingElement = Tuple[int, ...]
 
@@ -71,12 +81,9 @@ class RingContext:
         self.zero: RingElement = (0,) * self.a
         self.one: RingElement = (1,) + (0,) * (self.a - 1)
         self._h = self._lift_defining_polynomial()
-        # Precompute the matrices of sigma (t -> t^p) and sigma^{-1} = sigma^(a-1).
-        self._sigma_mat = self._substitution_matrix(self.pow(self.gen(), self.p))
-        m = _mat_identity(self.a)
-        for _ in range(self.a - 1):
-            m = _mat_mul(m, self._sigma_mat, self.modulus)
-        self._sigma_inv_mat = m
+        # sigma^{-1} is the substitution t -> t^(q/p).
+        self._sigma_inv_mat = self._substitution_matrix(
+            self.pow(self.gen(), self.q // self.p))
 
     # ---- construction helpers -------------------------------------------------
 
@@ -86,15 +93,11 @@ class RingContext:
         Computed by taking the Teichmueller lift tau of the generator inside a
         scratch ring over an arbitrary lift of hbar and forming the product of
         (x - tau^(p^i)) over the conjugates; the symmetric functions land in
-        Z/p^N, which is asserted.  Returns the non-leading coefficients
+        Z/p^N, which is checked.  Returns the non-leading coefficients
         (h_0, ..., h_{a-1}).
         """
         p, a, mod_ = self.p, self.a, self.modulus
         hbar = gf.trim(c % p for c in self.spec.hbar)
-        if a == 1:
-            root = (-hbar[0]) % p
-            tau = _teich_scalar(root, p, mod_)
-            return ((-tau) % mod_,)
         scratch_h = tuple(int(c) for c in hbar[:-1])
         scratch = _RawRing(p, a, self.N, scratch_h)
         tau = scratch.teich(scratch.gen())
@@ -195,20 +198,6 @@ class RingContext:
     def is_zero(self, x: RingElement) -> bool:
         return all(c % self.modulus == 0 for c in x)
 
-    def valuation(self, x: RingElement) -> int:
-        """min_i ord_p(coeff_i); N for the zero element (the ring is unramified)."""
-        best = self.N
-        for c in x:
-            c %= self.modulus
-            if c == 0:
-                continue
-            v = 0
-            while c % self.p == 0:
-                c //= self.p
-                v += 1
-            best = min(best, v)
-        return best
-
     def is_unit(self, x: RingElement) -> bool:
         return any(c % self.p for c in x)
 
@@ -218,7 +207,7 @@ class RingContext:
             raise ZeroDivisionError("attempted inversion of a non-unit")
         p = self.p
         ubar = gf.trim(c % p for c in u)
-        hbar = gf.trim(list(self._h_mod_p()) + [1])
+        hbar = gf.trim([c % p for c in self._h] + [1])
         vbar = gf.powmod(ubar, self.q - 2, hbar, p)
         v = tuple(vbar[i] if i < len(vbar) else 0 for i in range(self.a))
         # v <- v(2 - uv) doubles the precision each round.
@@ -227,9 +216,6 @@ class RingContext:
             t = self.sub(self.from_int(2), self.mul(u, v))
             v = self.mul(v, t)
         return v
-
-    def _h_mod_p(self) -> Tuple[int, ...]:
-        return tuple(c % self.p for c in self._h)
 
     def divide_exact_by_p(self, x: RingElement) -> RingElement:
         """Exact division by p of an element with valuation >= 1.
@@ -243,31 +229,17 @@ class RingContext:
 
     # ---- Frobenius and Teichmueller -------------------------------------------
 
-    def sigma(self, x: RingElement) -> RingElement:
-        return _mat_vec(self._sigma_mat, x, self.modulus)
-
     def sigma_inverse(self, x: RingElement) -> RingElement:
         return _mat_vec(self._sigma_inv_mat, x, self.modulus)
 
     def teich(self, x: RingElement) -> RingElement:
-        """Teichmueller representative congruent to x mod p (0 maps to 0).
-
-        Newton iteration for X^q = X with derivative q X^(q-1) - 1 (a unit),
-        doubling the precision each round.
-        """
-        if all(c % self.p == 0 for c in x):
-            return self.zero
-        y = x
-        rounds = max(1, (self.N - 1).bit_length()) + 1
-        for _ in range(rounds):
-            yq = self.pow(y, self.q)
-            g = self.sub(yq, y)
-            if self.is_zero(g):
-                break
-            gp = self.sub(self.smul(self.q, self.pow(y, self.q - 1)), self.one)
-            y = self.sub(y, self.mul(g, self.inv(gp)))
-        assert self.is_zero(self.sub(self.pow(y, self.q), y))
-        return y
+        """Teichmueller representative congruent to x mod p (0 maps to 0):
+        x^(q^(N-1)), see the module docstring."""
+        tau = self.pow(x, self.q ** (self.N - 1))
+        if self.pow(tau, self.q) != tau:
+            raise PrecisionOrLogicError(
+                f"Teichmueller lift {tau} of {x} is not fixed by x -> x^q")
+        return tau
 
     def teichmuller_lift(self, residue: Sequence[int]) -> RingElement:
         """Teichmueller lift of an F_q element given as F_p coefficients."""
@@ -281,7 +253,7 @@ class RingContext:
 
 
 class _RawRing(RingContext):
-    """Scratch context over an arbitrary monic lift (no sigma precompute)."""
+    """Scratch context over an arbitrary monic lift (no sigma^-1 precompute)."""
 
     def __init__(self, p: int, a: int, n: int, h_low: Tuple[int, ...]):
         # Bypass RingContext.__init__: no Frobenius machinery is available
@@ -292,34 +264,6 @@ class _RawRing(RingContext):
         self.zero = (0,) * a
         self.one = (1,) + (0,) * (a - 1)
         self._h = tuple(c % self.modulus for c in h_low)
-
-    def gen(self) -> RingElement:
-        if self.a == 1:
-            return ((-self._h[0]) % self.modulus,)
-        return (0, 1) + (0,) * (self.a - 2)
-
-
-def _teich_scalar(root: int, p: int, modulus: int) -> int:
-    """Teichmueller lift of a residue mod p inside Z/p^N (scalar case)."""
-    if root % p == 0:
-        return 0
-    x = root % modulus
-    # Newton for X^(p-1) = 1 would work; plain x -> x^p gains a digit per round.
-    while True:
-        y = pow(x, p, modulus)
-        if y == x:
-            return x
-        x = y
-
-
-def _mat_identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]], m: int) -> list[list[int]]:
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) % m for j in range(n)]
-            for i in range(n)]
 
 
 def _mat_vec(mat: list[list[int]], v: Sequence[int], m: int) -> Tuple[int, ...]:

@@ -1,13 +1,15 @@
 """End-to-end orchestration: input -> ZetaFunction.
 
 Order of operations: validate -> (optional confinement, toric only) -> rank
-v from the support by its closed formula (jacobian.expected_rank) -> choose N
+v from the support by its closed formula (jacobian.expected_rank), once per
+run and also under a precision override -> choose N (or take the override)
 -> working ring at N_work = N + a + 1 -> hull -> quotient basis (the one
-Jacobian build of the run, which checks |V| = v) -> Frobenius expansion and
-reduction per basis monomial -> matrix assembly and charpoly -> centered
-lift with Weil filter -> mode assembly.  On InsufficientPrecision the whole
-computation reruns at N + 2, at most MAX_RETRIES times.  The precision choice
-and every retry are logged at debug level on the "dworkzeta" logger.
+Jacobian build of each attempt, given v, which checks |V| = v) -> Frobenius
+expansion and reduction per basis monomial -> matrix assembly and charpoly
+-> centered lift with Weil filter -> mode assembly.  On InsufficientPrecision
+the whole computation reruns at N + 2, at most MAX_RETRIES times.  The
+precision choice and every retry are logged at debug level on the
+"dworkzeta" logger.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ class Result:
     zeta: ZetaFunction
     lifted_charpoly: List[int] = field(default_factory=list)
     matrix: Optional[List[List[List[int]]]] = None  # serialized ring elements
-    confined_terms: Optional[List[Term]] = None
 
 
 def _lift_weight(mode: str, n: int) -> int:
@@ -125,13 +126,13 @@ def _make_ring(prob: Problem, n_work: int) -> RingContext:
                                N_work=n_work))
 
 
-def _run_at(prob: Problem, N: int, emit_matrix: bool) -> Result:
+def _run_at(prob: Problem, N: int, v: int, emit_matrix: bool) -> Result:
     p, a, q = prob.p, prob.a, prob.p ** prob.a
     n_work = N + a + 1
     ring = _make_ring(prob, n_work)
     lifted = lift_input(ring, prob.terms, prob.mode)
     poly = hull_and_triangulate(lifted.working_support())
-    ech, basis = build_jacobian(lifted, poly)
+    ech, basis = build_jacobian(lifted, poly, v)
     bound = TruncationBound.for_params(p, lifted.n_eff, n_work)
     series = splitting_for(ring, bound)
     support = make_support_matrix(lifted)
@@ -150,25 +151,21 @@ def _run_at(prob: Problem, N: int, emit_matrix: bool) -> Result:
 
 def compute_zeta(prob: Problem, emit_matrix: bool = False) -> Result:
     validate_problem(prob)
-    confined_terms = None
     if prob.confine:
         prob = apply_confinement(prob)
-        confined_terms = prob.terms
+    v = expected_rank(prob.mode, [nu for nu, _ in prob.terms])
     if prob.precision is not None:
         if prob.precision < 1:
             raise InvalidInput("precision must be >= 1")
         N = prob.precision
         log.debug("precision: N = %d (override)", N)
     else:
-        v = expected_rank(prob.mode, [nu for nu, _ in prob.terms])
         N = precision_bound(v, prob.p ** prob.a,
                             _lift_weight(prob.mode, prob.n), prob.p)
         log.debug("precision: v = %d -> N = %d", v, N)
     for attempt in range(MAX_RETRIES + 1):
         try:
-            result = _run_at(prob, N, emit_matrix)
-            result.confined_terms = confined_terms
-            return result
+            return _run_at(prob, N, v, emit_matrix)
         except InsufficientPrecision as exc:
             if attempt == MAX_RETRIES:
                 raise

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import NotFullDimensional
+from .errors import NotFullDimensional, PrecisionOrLogicError
 
 Point = Tuple[int, ...]
 Facet = Tuple[Tuple[int, ...], int]  # (a, b) meaning <a, x> <= b
@@ -279,7 +279,9 @@ def lattice_points(poly: LatticePolytope, d: int) -> List[Point]:
         verts = [tuple(d * c for c in v) for v in s]
         found.update(_simplex_lattice_points(verts))
     pts = sorted(found)
-    assert all(poly.contains(p, d) for p in pts)
+    if not all(poly.contains(p, d) for p in pts):
+        raise PrecisionOrLogicError(
+            f"a lattice point of the dilation {d} * Delta lies outside it")
     return pts
 
 
@@ -296,7 +298,8 @@ def _simplex_lattice_points(verts: List[Point]) -> List[Point]:
     v0 = verts[0]
     B = [[verts[j + 1][i] - v0[i] for j in range(n)] for i in range(n)]  # columns w_j
     det = int_det(B)
-    assert det != 0
+    if det == 0:
+        raise PrecisionOrLogicError("simplex of the triangulation is flat")
     D = abs(det)
     adj = _adjugate(B)
     if det < 0:
@@ -314,7 +317,9 @@ def _simplex_lattice_points(verts: List[Point]) -> List[Point]:
             y = []
             for i in range(n):
                 q, rem = divmod(sum(B[i][j] * fr[j] for j in range(n)), D)
-                assert rem == 0
+                if rem:
+                    raise PrecisionOrLogicError(
+                        "lattice point of a simplex is not integral")
                 y.append(v0[i] + q)
             out.append(tuple(y))
         # odometer over residue representatives

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from .errors import InternalPrecisionError
 from .padic import ScaledElement
 
 # ell_0..ell_{L-1} as scaled residues p^(-e) * numer, numer mod p^(N_work+e).
@@ -69,7 +70,7 @@ def compute_splitting(p: int, N_work: int, length: int) -> SplittingSeries:
         while unit % p == 0:
             unit //= p
             if s % p:
-                raise AssertionError(
+                raise InternalPrecisionError(
                     f"splitting coefficient ell_{i} has a denominator "
                     f"exponent exceeding the bound {D}")
             s //= p
@@ -84,7 +85,7 @@ def compute_splitting(p: int, N_work: int, length: int) -> SplittingSeries:
             x //= p
             e -= 1
         if e > d_bound(p, i):
-            raise AssertionError(
+            raise InternalPrecisionError(
                 f"splitting coefficient ell_{i} has denominator exponent {e} "
                 f"exceeding the bound {d_bound(p, i)}")
         coeffs.append(ScaledElement(denom_exp=e, numer=x))

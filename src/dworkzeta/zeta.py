@@ -11,17 +11,17 @@ by mode-specific bookkeeping over exact integer polynomial arithmetic:
 * toric:      Z(V,qT) = det(1-T A_a)^((-1)^n) * Z(G_m^n, T); the unit block
               of A contributes an exact factor (1-T) that cancels the i = 0
               torus factor after the substitution T -> T/q, leaving
-              Z(V,T) = det(1-T Q)^((-1)^n) * prod_{i=1}^{n}
+              Z(V,T) = det(1-T Q_a)^((-1)^n) * prod_{i=1}^{n}
                        (1-q^(i-1) T)^(C(n,i) (-1)^(i+n+1))
-              with Q = q^{-1} (A_0)_a assembled from exact entrywise
-              divisions by p.
+              with Q = p^{-1} A_0 by exact entrywise division, so that
+              Q_a = q^{-1} (A_0)_a.
 * affine:     Z(V,qT) = L / (1 - q^n T) with L = det(1-T A_a)^((-1)^n), so
               Z(V,T) = P^((-1)^n) / (1 - q^(n-1) T), P(T) = det(1-T A_a)(T/q).
 * projective: det(1-T A_a) = P(qT) and
               Z = P^((-1)^(n-1)) / prod_{i=0}^{n-2} (1-q^i T).
 
 All T -> T/q substitutions are exact integer divisions of coefficients
-(asserted).  Point counts come from the integer log-derivative series of the
+(checked).  Point counts come from the integer log-derivative series of the
 assembled rational function and must be nonnegative.
 """
 
@@ -146,9 +146,9 @@ def assemble_and_charpoly(ring: RingContext, columns: List[List[RingElement]],
 
     In toric mode the first basis monomial is 1 and A has the block form
     [[1, 0], [*, A_0]] with A_0 entrywise divisible by p; the (1-T) factor is
-    split off and the remaining factor is det(1 - T q^{-1}(A_0)_a), computed
-    as the a-fold twisted product of p^{-1} A_0^(sigma^-i) so that the result
-    is exact modulo p^(N_work - a).
+    split off and the remaining factor is det(1 - T q^{-1}(A_0)_a) = det(1 - T
+    Q_a) with Q = p^{-1} A_0.  The exact division leaves Q known modulo
+    p^(N_work - 1), and the charpoly is taken modulo p^(N_work - a).
     """
     v = len(columns)
     A = [[columns[j][i] for j in range(v)] for i in range(v)]
@@ -158,24 +158,12 @@ def assemble_and_charpoly(ring: RingContext, columns: List[List[RingElement]],
                 not ring.is_zero(A[0][j]) for j in range(1, v)):
             raise PrecisionOrLogicError(
                 "Frobenius matrix lacks the exact unit row on the monomial 1")
-        A0 = [row[1:] for row in A[1:]]
-        blocks = []
-        cur = A0
-        for i in range(a):
-            if i > 0:
-                cur = sigma_inverse_matrix(ring, cur)
-            div = []
-            for row in cur:
-                try:
-                    div.append([ring.divide_exact_by_p(e) for e in row])
-                except ZeroDivisionError:
-                    raise PrecisionOrLogicError(
-                        "non-unit block entry not divisible by p") from None
-            blocks.append(div)
-        Q = blocks[0]
-        for B in blocks[1:]:
-            Q = matrix_mul(ring, Q, B)
-        coeffs = charpoly_det_one_minus_t(ring, Q)
+        try:
+            Q = [[ring.divide_exact_by_p(e) for e in row[1:]] for row in A[1:]]
+        except ZeroDivisionError:
+            raise PrecisionOrLogicError(
+                "non-unit block entry not divisible by p") from None
+        coeffs = charpoly_det_one_minus_t(ring, twisted_product(ring, Q, a))
         return A, CharpolyResult(coefficients=coeffs,
                                  modulus=p ** (ring.N - a))
     Aa = twisted_product(ring, A, a)

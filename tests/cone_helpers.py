@@ -1,5 +1,6 @@
 """Cone-algebra arithmetic the tests need and the package does not: sums of
-elements and the operators D_i applied to an element."""
+elements, products with a monomial, and the operators D_i applied to an
+element."""
 
 from __future__ import annotations
 
@@ -15,6 +16,20 @@ def cone_sum(ring, *elements):
     return out
 
 
+def mul_monomial(elem, m0, c=None):
+    """elem times the monomial m0 (optionally scaled by c), by add_term."""
+    ring = elem.ring
+    d0, mu0 = m0
+    out = ConeElement(ring)
+    for (d, mu), v in elem:
+        if c is not None:
+            v = ring.mul(c, v)
+            if ring.is_zero(v):
+                continue
+        out.add_term((d + d0, tuple(x + y for x, y in zip(mu, mu0))), v)
+    return out
+
+
 def apply_Di(lifted, i, xi):
     """D_i xi = x_i d(xi)/dx_i + (pi*w) f_i * xi, computed in the cone algebra."""
     ring = lifted.ring
@@ -24,4 +39,4 @@ def apply_Di(lifted, i, xi):
         if mult:
             out.add_term(m, ring.smul(mult, c))
     gen = lifted.generator(i)
-    return cone_sum(ring, out, *(gen.mul_monomial(m, c) for m, c in xi))
+    return cone_sum(ring, out, *(mul_monomial(gen, m, c) for m, c in xi))

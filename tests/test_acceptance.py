@@ -23,6 +23,7 @@ import pytest
 
 from cone_helpers import apply_Di
 from dense_frobenius import use_in_pipeline
+from ring_helpers import valuation
 
 from dworkzeta import gf
 from dworkzeta.cone_algebra import ConeElement
@@ -33,7 +34,7 @@ from dworkzeta.frobenius import (
     make_support_matrix,
     splitting_for,
 )
-from dworkzeta.jacobian import build_jacobian, lift_input
+from dworkzeta.jacobian import build_jacobian, expected_rank, lift_input
 from dworkzeta.oracle import count_points
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.pipeline import Problem, compute_zeta, verify_against_oracle
@@ -177,7 +178,8 @@ def test_criterion_03_two_term_plus_constant_closed_form():
         ring = make_ring(FieldSpec(p=p, a=1, hbar=(0, 1), N_work=2))
         lifted = lift_input(ring, terms, "affine")
         poly = hull_and_triangulate(lifted.working_support())
-        _ech, basis = build_jacobian(lifted, poly)
+        rank = expected_rank("affine", lifted.coeffs)
+        _ech, basis = build_jacobian(lifted, poly, rank)
         expected = sorted(
             ((-(-(u * m2 + v * m1) // (m1 * m2)), (u, v))
              for u in range(1, m1) for v in range(1, m2)),
@@ -209,7 +211,8 @@ def _pipeline_internals(prob, n_work):
                                N_work=n_work))
     lifted = lift_input(ring, prob.terms, prob.mode)
     poly = hull_and_triangulate(lifted.working_support())
-    ech, basis = build_jacobian(lifted, poly)
+    ech, basis = build_jacobian(lifted, poly,
+                                expected_rank(lifted.mode, lifted.coeffs))
     return ring, lifted, poly, ech, basis
 
 
@@ -229,7 +232,7 @@ def test_criterion_05_integrality_and_unit_pivots():
             coords = cone_reduce(alpha, ech, basis)
             for c in coords:
                 # representable in R means p-integral; 0 <= valuation holds
-                assert 0 <= ring.valuation(c) <= ring.N, (name, m)
+                assert 0 <= valuation(ring, c) <= ring.N, (name, m)
 
 
 # --- criterion 6 -------------------------------------------------------------

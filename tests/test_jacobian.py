@@ -8,9 +8,16 @@ import random
 
 import pytest
 
+from cone_helpers import mul_monomial
+
 from dworkzeta import gf
 from dworkzeta.errors import InvalidInput, NondegeneracyFailure
-from dworkzeta.jacobian import build_jacobian, lift_input, _row_reduce
+from dworkzeta.jacobian import (
+    _row_reduce,
+    build_jacobian,
+    expected_rank,
+    lift_input,
+)
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.polytope import hull_and_triangulate
 
@@ -28,7 +35,8 @@ def elliptic_terms(p, aa, bb):
 def build(R, terms, mode):
     lifted = lift_input(R, terms, mode)
     poly = hull_and_triangulate(lifted.working_support())
-    return lifted, poly, build_jacobian(lifted, poly)
+    v = expected_rank(mode, lifted.coeffs)
+    return lifted, poly, build_jacobian(lifted, poly, v)
 
 
 def test_lift_input_elliptic_generators():
@@ -118,7 +126,7 @@ def relation_rows(lifted, de):
     """The relation matrix J of one degree, rebuilt from row_meta: row i is
     generator(gi) * m as a sparse {column: entry} row."""
     return [{de.col_index[mono]: c
-             for mono, c in lifted.generator(gi).mul_monomial(m)}
+             for mono, c in mul_monomial(lifted.generator(gi), m)}
             for gi, m in de.row_meta]
 
 

@@ -1,10 +1,13 @@
-"""Tests for arithmetic in R = Z_q/p^N: ring axioms, Frobenius, Teichmueller."""
+"""Tests for arithmetic in R = Z_q/p^N: ring axioms, inverse Frobenius,
+Teichmueller lifts, and pinned values of the lifted polynomial and sigma^-1."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+
+from ring_helpers import valuation
 
 from dworkzeta import gf
 from dworkzeta.errors import InvalidFieldSpec
@@ -17,10 +20,21 @@ def ring(p, a, n, hbar=None):
     return make_ring(FieldSpec(p=p, a=a, hbar=hbar, N_work=n))
 
 
+def sigma_inverse_power(R, x, k):
+    for _ in range(k):
+        x = R.sigma_inverse(x)
+    return x
+
+
+def residues(R):
+    """Every F_q element as its F_p coefficient vector."""
+    return [tuple((code // R.p ** i) % R.p for i in range(R.a))
+            for code in range(R.q)]
+
+
 def test_prime_field_sigma_identity():
     R = ring(7, 1, 3, hbar=(0, 1))  # hbar = t
     x = R.from_int(123)
-    assert R.sigma(x) == x
     assert R.sigma_inverse(x) == x
 
 
@@ -37,13 +51,13 @@ def test_p2_and_composite_rejected():
 
 
 def test_lifted_polynomial_divides_xq_minus_x():
-    # (p=3, a=2, hbar=t^2+1): generator must satisfy t^9 = t, sigma^2 = id,
-    # sigma(t) = t^3 = -t modulo the lifted polynomial.
+    # (p=3, a=2, hbar=t^2+1): generator must satisfy t^9 = t, sigma^-2 = id,
+    # sigma^-1(t) = t^3 = -t modulo the lifted polynomial.
     R = ring(3, 2, 5, hbar=(1, 0, 1))
     t = R.gen()
     assert R.pow(t, 9) == t
-    assert R.sigma(R.sigma(t)) == t
-    assert R.sigma(t) == R.neg(t)
+    assert R.sigma_inverse(R.sigma_inverse(t)) == t
+    assert R.sigma_inverse(t) == R.neg(t)
 
 
 def test_ring_axioms_random():
@@ -71,33 +85,34 @@ def test_unit_inverse():
 
 
 def test_sigma_is_ring_hom_and_reduces_to_pth_power():
-    for (p, a) in [(3, 2), (5, 2), (7, 2)]:
+    # sigma^-1 is a ring homomorphism, and its image raised to the p-th power
+    # is the element again mod p (sigma^-1 inverts x -> x^p on F_q).
+    for (p, a) in [(3, 2), (5, 2), (7, 2), (3, 3)]:
         R = ring(p, a, 4)
         rng = random.Random(p)
         for _ in range(10):
             x = tuple(rng.randrange(R.modulus) for _ in range(a))
             y = tuple(rng.randrange(R.modulus) for _ in range(a))
-            assert R.sigma(R.mul(x, y)) == R.mul(R.sigma(x), R.sigma(y))
-            assert R.sigma(R.add(x, y)) == R.add(R.sigma(x), R.sigma(y))
-        # exhaustively on residues: sigma == p-th power mod p
-        for code in range(p ** a):
-            res = [code % p, (code // p) % p][:a]
+            assert R.sigma_inverse(R.mul(x, y)) == R.mul(
+                R.sigma_inverse(x), R.sigma_inverse(y))
+            assert R.sigma_inverse(R.add(x, y)) == R.add(
+                R.sigma_inverse(x), R.sigma_inverse(y))
+        for res in residues(R):
             x = R.from_residue(res)
-            lhs = R.sigma(x)
-            rhs = R.pow(x, p)
-            assert all((l - r) % p == 0 for l, r in zip(lhs, rhs))
+            lhs = R.pow(R.sigma_inverse(x), p)
+            assert all((l - r) % p == 0 for l, r in zip(lhs, x))
 
 
 def test_sigma_order_a():
-    R = ring(5, 2, 4)
-    rng = random.Random(3)
-    for _ in range(20):
-        x = tuple(rng.randrange(R.modulus) for _ in range(R.a))
-        y = x
-        for _ in range(R.a):
-            y = R.sigma(y)
-        assert y == x
-        assert R.sigma(R.sigma_inverse(x)) == x
+    for (p, a) in [(5, 2), (3, 3)]:
+        R = ring(p, a, 4)
+        t = R.gen()
+        fixed = [sigma_inverse_power(R, t, k) == t for k in range(1, a + 1)]
+        assert fixed == [False] * (a - 1) + [True]
+        rng = random.Random(3)
+        for _ in range(20):
+            x = tuple(rng.randrange(R.modulus) for _ in range(R.a))
+            assert sigma_inverse_power(R, x, a) == x
 
 
 def test_teichmuller_prime_field_frozen():
@@ -138,6 +153,52 @@ def test_teichmuller_multiplicative_exhaustive_q25():
             assert lhs == rhs
 
 
+def test_teichmuller_multiplicative_and_lifted_polynomial_q27():
+    # a = 3: h | x^27 - x (the generator is a Teichmueller element) and the
+    # lifts of all F_27 elements multiply like their residues.
+    R = ring(3, 3, 6)
+    t = R.gen()
+    assert R.pow(t, R.q) == t
+    lifts = {res: R.teichmuller_lift(res) for res in residues(R)}
+    for u in lifts:
+        for v in lifts:
+            w = gf.mod(gf.mul(gf.trim(u), gf.trim(v), 3), R.spec.hbar, 3)
+            key = tuple(w) + (0,) * (3 - len(w))
+            assert R.mul(lifts[u], lifts[v]) == lifts[key]
+
+
+def test_precision_one_lifts_are_residues():
+    # N = 1: the lift exponent is q^0, so teich is the identity on F_q, and
+    # h is hbar itself.
+    for (p, a) in [(5, 1), (3, 2), (3, 3)]:
+        R = ring(p, a, 1)
+        assert R._h == tuple(c % p for c in R.spec.hbar[:-1])
+        for res in residues(R):
+            x = R.from_residue(res)
+            assert R.teichmuller_lift(res) == x
+            assert R.pow(R.sigma_inverse(x), p) == x
+
+
+# (p, a, N) -> (h_0..h_{a-1}, sigma^-1 matrix) over the Conway polynomial,
+# computed by other rules (a Newton iteration for the lift, sigma^(a-1) for
+# sigma^-1); both values are unique, so every correct rule reproduces them.
+PINNED_RINGS = {
+    (7, 1, 9): ((14906455,), [[1]]),
+    (3, 2, 5): ((242, 221), [[1, 22], [0, 242]]),
+    (5, 2, 8): ((280182, 117214), [[1, 273411], [0, 390624]]),
+    (3, 3, 6): ((1, 722, 606),
+                [[1, 124, 556], [0, 721, 605], [0, 606, 7]]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_RINGS))
+def test_lifted_polynomial_and_sigma_inverse_pinned(key):
+    h, sigma_inv = PINNED_RINGS[key]
+    R = ring(*key)
+    assert R._h == h
+    assert R._sigma_inv_mat == sigma_inv
+
+
 def test_teichmuller_power_frobenius_inverse():
     # For Teichmueller x: sigma^{-1}(x) = x^(q/p).
     R = ring(3, 2, 5)
@@ -150,8 +211,8 @@ def test_teichmuller_power_frobenius_inverse():
 def test_valuation_and_exact_division():
     R = ring(5, 2, 4)
     x = R.smul(25, R.gen())
-    assert R.valuation(x) == 2
-    assert R.valuation(R.zero) == R.N
+    assert valuation(R, x) == 2
+    assert valuation(R, R.zero) == R.N
     assert R.divide_exact_by_p(R.from_int(10)) == R.from_int(2)
     with pytest.raises(ZeroDivisionError):
         R.divide_exact_by_p(R.from_int(3))

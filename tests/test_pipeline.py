@@ -115,16 +115,16 @@ def test_confinement_preserves_zeta():
     verify_against_oracle(confined, z1, 3)
 
 
-def structural_rank(prob):
+def structural_rank(prob, v):
     """Reference for expected_rank: |V| from a Jacobian build at precision 1.
 
-    build_jacobian itself raises NondegeneracyFailure when |V| differs from
-    expected_rank, so a wrong formula fails here either way.
+    build_jacobian raises NondegeneracyFailure when |V| differs from the v it
+    is given, here the known rank, not expected_rank.
     """
     ring = make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar, N_work=1))
     lifted = lift_input(ring, prob.terms, prob.mode)
     poly = hull_and_triangulate(lifted.working_support())
-    _ech, basis = build_jacobian(lifted, poly)
+    _ech, basis = build_jacobian(lifted, poly, v)
     return basis.v
 
 
@@ -169,15 +169,15 @@ def over_fp(p, mode, terms):
 ])
 def test_expected_rank_matches_structural_build(prob, v):
     exps = [nu for nu, _ in prob.terms]
-    assert expected_rank(prob.mode, exps) == structural_rank(prob) == v
+    assert expected_rank(prob.mode, exps) == structural_rank(prob, v) == v
 
 
 def test_one_jacobian_build_per_run(monkeypatch):
     calls = []
 
-    def counted(lifted, poly):
+    def counted(lifted, poly, v):
         calls.append(lifted.ring.N)
-        return build_jacobian(lifted, poly)
+        return build_jacobian(lifted, poly, v)
 
     monkeypatch.setattr(pipeline, "build_jacobian", counted)
     res = compute_zeta(elliptic_affine(7, 2, 1))
@@ -297,11 +297,11 @@ def test_precision_choice_and_retry_logged(monkeypatch, caplog):
     run_at = pipeline._run_at
     calls = []
 
-    def fail_once(prob, N, emit_matrix):
+    def fail_once(prob, N, v, emit_matrix):
         calls.append(N)
         if len(calls) == 1:
             raise InsufficientPrecision("forced for the test")
-        return run_at(prob, N, emit_matrix)
+        return run_at(prob, N, v, emit_matrix)
 
     monkeypatch.setattr(pipeline, "_run_at", fail_once)
     with caplog.at_level(logging.DEBUG, logger="dworkzeta"):

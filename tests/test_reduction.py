@@ -10,7 +10,7 @@ from cone_helpers import apply_Di, cone_sum
 
 from dworkzeta import gf, reduction
 from dworkzeta.cone_algebra import ConeElement
-from dworkzeta.jacobian import build_jacobian, lift_input
+from dworkzeta.jacobian import build_jacobian, expected_rank, lift_input
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.polytope import hull_and_triangulate, lattice_points
 from dworkzeta.reduction import reduce as cone_reduce
@@ -26,7 +26,8 @@ def elliptic_fixture(p=7, aa=2, bb=1, mode="toric", N=4):
     terms = [((3, 0), (1,)), ((1, 0), (aa,)), ((0, 0), (bb,)), ((0, 2), (p - 1,))]
     lifted = lift_input(R, terms, mode)
     poly = hull_and_triangulate(lifted.working_support())
-    ech, basis = build_jacobian(lifted, poly)
+    ech, basis = build_jacobian(lifted, poly,
+                                expected_rank(lifted.mode, lifted.coeffs))
     return R, lifted, poly, ech, basis
 
 
@@ -83,7 +84,8 @@ def test_operator_relations_vanish_projective():
     terms = [((3, 0, 0), (1,)), ((0, 3, 0), (2,)), ((0, 0, 3), (1,))]
     lifted = lift_input(R, terms, "projective")
     poly = hull_and_triangulate(lifted.working_support())
-    ech, basis = build_jacobian(lifted, poly)
+    ech, basis = build_jacobian(lifted, poly,
+                                expected_rank(lifted.mode, lifted.coeffs))
     rng = random.Random(23)
     for gi in lifted.generator_indices:
         for _ in range(4):
@@ -113,7 +115,8 @@ def test_fermat_like_constant_relation():
     terms = [((3, 0), (2,)), ((0, 2), (1,)), ((0, 0), (3,))]
     lifted = lift_input(R, terms, "toric")
     poly = hull_and_triangulate(lifted.working_support())
-    ech, basis = build_jacobian(lifted, poly)
+    ech, basis = build_jacobian(lifted, poly,
+                                expected_rank(lifted.mode, lifted.coeffs))
     b = R.teichmuller_lift((3,))
     for d in (2, 3, 4):
         lhs = cone_reduce(ConeElement(R, {(d, (0, 0)): R.one}), ech, basis)

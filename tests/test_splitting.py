@@ -13,8 +13,12 @@ import threading
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from splitting_oracle import ell_fraction, scaled_residue
 
+from dworkzeta import splitting
+from dworkzeta.errors import InternalPrecisionError
 from dworkzeta.splitting import compute_splitting, d_bound
 
 
@@ -134,3 +138,23 @@ def test_prefix_bit_identical_and_thread_safe():
     for r in results:
         assert r == results[0]
         assert r[:10] == short
+
+
+@pytest.mark.parametrize("lowered", ["everywhere", "below_the_last_index"])
+def test_denominator_bound_violation_raises(monkeypatch, lowered):
+    # At p = 5, ell_25 has denominator exponent 2.  Lowering d_bound to 0
+    # everywhere trips the divisibility check of the recurrence; lowering it
+    # only below the last index keeps the ledger's D and trips the check on
+    # each emitted coefficient.
+    p, length = 5, 40
+    true_bound = d_bound
+
+    def low(q, i):
+        if lowered == "below_the_last_index" and i == length - 1:
+            return true_bound(q, i)
+        return 0
+
+    assert true_bound(p, length - 1) >= 1
+    monkeypatch.setattr(splitting, "d_bound", low)
+    with pytest.raises(InternalPrecisionError):
+        compute_splitting(p, 4, length)

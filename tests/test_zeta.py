@@ -18,7 +18,7 @@ from dworkzeta.frobenius import (
     make_support_matrix,
     splitting_for,
 )
-from dworkzeta.jacobian import build_jacobian, lift_input
+from dworkzeta.jacobian import build_jacobian, expected_rank, lift_input
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.polytope import hull_and_triangulate
 from dworkzeta.reduction import reduce as cone_reduce
@@ -245,7 +245,8 @@ def test_end_to_end_single_point_on_torus():
     R = ring(p, 1, N_work)
     lifted = lift_input(R, [((1,), (1,)), ((0,), (2,))], "toric")
     poly = hull_and_triangulate(lifted.working_support())
-    ech, basis = build_jacobian(lifted, poly)
+    ech, basis = build_jacobian(lifted, poly,
+                                expected_rank(lifted.mode, lifted.coeffs))
     assert basis.v == 1
     support = make_support_matrix(lifted)
     bound = TruncationBound.for_params(p, lifted.n_eff, N_work)
