@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from . import gf, oracle
 from .errors import DworkZetaError, InvalidInput, NondegeneracyFailure
@@ -30,7 +30,7 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _load_problem(path: str) -> Tuple[Problem, Dict[str, Any]]:
+def _load_problem(path: str) -> Problem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -73,9 +73,8 @@ def _load_problem(path: str) -> Tuple[Problem, Dict[str, Any]]:
     confine = data.get("confine", False)
     if not isinstance(confine, bool):
         raise InvalidInput("confine must be true or false")
-    prob = Problem(p=p, a=a, hbar=hbar, n=n, mode=data["mode"], terms=terms,
+    return Problem(p=p, a=a, hbar=hbar, n=n, mode=data["mode"], terms=terms,
                    precision=precision, confine=confine)
-    return prob, data
 
 
 def _emit(report: Dict[str, Any]) -> None:
@@ -84,7 +83,7 @@ def _emit(report: Dict[str, Any]) -> None:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    prob, _raw = _load_problem(args.input)
+    prob = _load_problem(args.input)
     if args.precision is not None:
         prob.precision = args.precision
     if args.confine:
@@ -122,7 +121,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_count(args: argparse.Namespace) -> int:
-    prob, _raw = _load_problem(args.input)
+    prob = _load_problem(args.input)
     counts = [oracle.count_points(prob.p, prob.a, prob.hbar, prob.terms,
                                   prob.mode, r)
               for r in range(1, args.r + 1)]

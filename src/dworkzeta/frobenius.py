@@ -11,8 +11,9 @@ at matrix assembly because both sides of the matrix carry the same grading.
 expand_frobenius does this by "fewnomial" enumeration.  Write the multi-index
 of F as k + p*e with k in {0..p-1}^s.  Terms survive psi exactly when
 U*k = -(d, mu) mod p, where U has columns (1, nu).  For each solution k the
-e-part is enumerated by an odometer with |e| < E and exact pruning on the
-guaranteed p-adic valuation.  Each term contributes
+e-part is enumerated by a recursive walk over the support points, one e_j at
+a time, with |e| < E and exact pruning on the guaranteed p-adic valuation.
+Each term contributes
 
     (-1)^(bw+|e|) * p^(bw+|e|) * prod_i ell_{k_i+p e_i}
         * sigma^{-1}(a^k) * a^e   on the monomial (bw+|e|, (k.nu+mu)/p + e.nu)
@@ -38,7 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .cone_algebra import ConeElement, ConeMonomial
 from .errors import InternalPrecisionError, PrecisionOrLogicError
-from .jacobian import LiftedInput
+from .jacobian import LiftedInput, working_exponent
 from .padic import RingContext, RingElement
 from .polytope import LatticePolytope
 from .splitting import SplittingSeries, compute_splitting, d_bound
@@ -46,19 +47,23 @@ from .splitting import SplittingSeries, compute_splitting, d_bound
 
 @dataclass(frozen=True)
 class SupportMatrix:
-    """Columns (1, nu) of the working support."""
+    """The working support, its matrix U with columns (1, nu), and the lifted
+    coefficient a_nu of each support point."""
 
     support: Tuple[Tuple[int, ...], ...]
     U: Tuple[Tuple[int, ...], ...]  # (n_eff+1) x s
-    s: int
+    coeffs: Tuple[RingElement, ...]
 
 
 def make_support_matrix(lifted: LiftedInput) -> SupportMatrix:
-    support = tuple(lifted.working_support())
+    by_nu = {working_exponent(lifted.mode, nu): a
+             for nu, a in lifted.coeffs.items()}
+    support = tuple(sorted(by_nu))
     n1 = lifted.n_eff + 1
     U = tuple(tuple(1 if r == 0 else nu[r - 1] for nu in support)
               for r in range(n1))
-    return SupportMatrix(support=support, U=U, s=len(support))
+    return SupportMatrix(support=support, U=U,
+                         coeffs=tuple(by_nu[nu] for nu in support))
 
 
 def solve_congruence(U: Sequence[Sequence[int]], target: Sequence[int],
@@ -110,46 +115,28 @@ def solve_congruence(U: Sequence[Sequence[int]], target: Sequence[int],
     return solutions
 
 
-@dataclass(frozen=True)
-class TruncationBound:
+def truncation_bound(p: int, n_eff: int, N_work: int) -> int:
     """Cutoff E on the total e-exponent: terms with |e| >= E vanish mod p^N_work."""
-
-    p: int
-    n_eff: int
-    N_work: int
-    E: int
-
-    @classmethod
-    def for_params(cls, p: int, n_eff: int, N_work: int) -> "TruncationBound":
-        beta = Fraction(p * p - p, p * p - 3 * p + 1)
-        gamma = Fraction(n_eff + 1, p * p - p)
-        E = ceil(beta * (N_work + gamma))
-        return cls(p=p, n_eff=n_eff, N_work=N_work, E=E)
-
-    @property
-    def series_length(self) -> int:
-        """Splitting coefficients are consumed at indices k + p*e < p*E."""
-        return self.p * self.E
+    beta = Fraction(p * p - p, p * p - 3 * p + 1)
+    gamma = Fraction(n_eff + 1, p * p - p)
+    return ceil(beta * (N_work + gamma))
 
 
-def splitting_for(ring: RingContext, bound: TruncationBound) -> SplittingSeries:
-    return compute_splitting(ring.p, ring.N, bound.series_length)
+def splitting_for(ring: RingContext, E: int) -> SplittingSeries:
+    """Splitting coefficients are consumed at indices k + p*e < p*E."""
+    return compute_splitting(ring.p, ring.N, ring.p * E)
 
 
 def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                      poly: LatticePolytope, series: SplittingSeries,
-                     support: SupportMatrix, bound: TruncationBound
-                     ) -> ConeElement:
-    """Fewnomial-enumeration expansion of alpha((pi*w)^d x^mu) mod p^N_work."""
+                     support: SupportMatrix, E: int) -> ConeElement:
+    """Fewnomial-enumeration expansion of alpha((pi*w)^d x^mu) mod p^N_work,
+    with E = truncation_bound(p, n_eff, N_work)."""
     ring = lifted.ring
-    p, N_work, E = ring.p, ring.N, bound.E
+    p, N_work = ring.p, ring.N
     d, mu = target
-    s = support.s
-    nus = support.support
-    coeffs_by_nu = {}
-    for nu, a in lifted.coeffs.items():
-        coeffs_by_nu[lifted.working_exponent(nu)] = a
-    a_list = [coeffs_by_nu[nu] for nu in nus]
+    nus, a_list = support.support, support.coeffs
+    s = len(nus)
     dtab = [d_bound(p, i) for i in range(len(series))]
     p_pows = [p ** net for net in range(N_work)]
 

@@ -53,6 +53,12 @@ MODES = ("toric", "affine", "projective")
 SparseRow = Dict[int, RingElement]
 
 
+def working_exponent(mode: str, nu: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Working coordinates of an exponent: projective mode drops the last,
+    implicit one."""
+    return nu[:-1] if mode == "projective" else nu
+
+
 @dataclass
 class LiftedInput:
     """Teichmueller-lifted input polynomial with its degree-one generators.
@@ -79,11 +85,8 @@ class LiftedInput:
             return tuple(range(1, self.n_vars + 1))
         return tuple(range(0, self.n_vars + 1))
 
-    def working_exponent(self, nu: Tuple[int, ...]) -> Tuple[int, ...]:
-        return nu[:-1] if self.mode == "projective" else nu
-
     def working_support(self) -> List[Tuple[int, ...]]:
-        return sorted({self.working_exponent(nu) for nu in self.coeffs})
+        return sorted({working_exponent(self.mode, nu) for nu in self.coeffs})
 
     def var_exponent(self, i: int, m: ConeMonomial) -> int:
         """True exponent of variable i in the cone monomial m (i = 0 is w)."""
@@ -100,17 +103,15 @@ class LiftedInput:
         for nu, a in self.coeffs.items():
             c = a if i == 0 else self.ring.smul(nu[i - 1], a)
             if not self.ring.is_zero(c):
-                out.add_term((1, self.working_exponent(nu)), c)
+                out.add_term((1, working_exponent(self.mode, nu)), c)
         return out
 
-    def column_allowed(self, m: ConeMonomial) -> bool:
-        """Is m an allowed column monomial (divisibility restriction)?"""
-        if self.mode == "toric":
-            return True
-        return all(self.var_exponent(i, m) >= 1 for i in range(1, self.n_vars + 1))
-
     def cofactor_allowed(self, gen: int, m: ConeMonomial) -> bool:
-        """May m multiply generator gen as a relation row?"""
+        """May m multiply generator gen as a relation row?
+
+        The cofactors of w*f (gen = 0) obey the divisibility restriction of
+        the columns themselves, so gen = 0 also tells the allowed columns.
+        """
         if self.mode == "toric":
             return True
         return all(self.var_exponent(i, m) >= 1
@@ -118,11 +119,10 @@ class LiftedInput:
 
 
 def check_terms(terms: Sequence[Tuple[Sequence[int], Sequence[int]]], mode: str,
-                p: int) -> Optional[int]:
+                p: int) -> None:
     """Check an input against the contract of its mode, without lifting it.
 
-    terms is a sequence of (exponent vector, F_q residue vector).  Returns the
-    homogeneity degree D in projective mode, None otherwise.
+    terms is a sequence of (exponent vector, F_q residue vector).
     """
     if mode not in MODES:
         raise InvalidInput(f"unknown mode {mode!r}")
@@ -153,7 +153,7 @@ def check_terms(terms: Sequence[Tuple[Sequence[int], Sequence[int]]], mode: str,
                 raise InvalidInput(
                     f"affine mode requires a pure power of variable {i + 1}")
     if mode != "projective":
-        return None
+        return
     degrees = {sum(nu) for nu in exps}
     if len(degrees) != 1:
         raise InvalidInput("projective mode requires a homogeneous polynomial")
@@ -172,17 +172,16 @@ def check_terms(terms: Sequence[Tuple[Sequence[int], Sequence[int]]], mode: str,
                 f"every monomial is divisible by variable {i + 1}, so the "
                 "hypersurface contains a coordinate hyperplane; the input is "
                 "degenerate")
-    return degree
 
 
 def lift_input(ring: RingContext, terms: Sequence[Tuple[Sequence[int], Sequence[int]]],
                mode: str = "toric") -> LiftedInput:
-    """Check the input (check_terms) and Teichmueller-lift its coefficients.
+    """Teichmueller-lift the coefficients of an input that passed check_terms.
 
     terms is a sequence of (exponent vector, F_q residue vector); residues are
     coordinates on the chosen generator of F_q over F_p.
     """
-    degree = check_terms(terms, mode, ring.p)
+    degree = sum(terms[0][0]) if mode == "projective" else None
     coeffs = {tuple(int(e) for e in exp):
               ring.teichmuller_lift(tuple(int(c) % ring.p for c in residue))
               for exp, residue in terms}
@@ -232,7 +231,6 @@ class DegreeEchelon:
     its row.
     """
 
-    degree: int
     columns: List[ConeMonomial]
     col_index: Dict[ConeMonomial, int]
     row_meta: List[Tuple[int, ConeMonomial]]  # (generator index, cofactor monomial)
@@ -379,11 +377,11 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
     layer = [(0, mu) for mu in lattice_points(poly, 0)]
     # Degree 0 has no relations; its basis part is whatever columns exist
     # (the single monomial 1 in toric mode, nothing in the restricted modes).
-    V.extend(m for m in layer if lifted.column_allowed(m))
+    V.extend(m for m in layer if lifted.cofactor_allowed(0, m))
 
     for d in range(1, top + 1):
         cofactors, layer = layer, [(d, mu) for mu in lattice_points(poly, d)]
-        columns = [m for m in layer if lifted.column_allowed(m)]
+        columns = [m for m in layer if lifted.cofactor_allowed(0, m)]
         col_index = {m: k for k, m in enumerate(columns)}
         row_meta: List[Tuple[int, ConeMonomial]] = []
         M: List[SparseRow] = []
@@ -410,7 +408,7 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
                 f"top-degree relation matrix (degree {d}) is not of full "
                 f"column rank: {len(nonpivot)} monomial(s) remain unreduced; "
                 "the input is degenerate")
-        ech = DegreeEchelon(degree=d, columns=columns, col_index=col_index,
+        ech = DegreeEchelon(columns=columns, col_index=col_index,
                             row_meta=row_meta, M=M, T=T, pivots=pivots,
                             pivot_rows=pivot_rows)
         by_degree[d] = ech

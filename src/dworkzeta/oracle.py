@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from itertools import product as iproduct
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from . import gf
 from .errors import BudgetExceeded, ConsistencyFailure, InvalidInput
 
 DEFAULT_BUDGET = 10 ** 8
+
+Term = Tuple[Tuple[int, ...], int]  # (exponent vector, coefficient code)
 
 
 class ExtensionField:
@@ -161,31 +163,60 @@ def embed_coefficients(field: ExtensionField, p: int, a: int,
     return out
 
 
+def _torus_zero_masks(field: ExtensionField, polys: Sequence[Sequence[Term]],
+                      m: int) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
+    """Common zeros of Laurent polynomials on the m-torus (F^x)^m, m >= 1.
+
+    Each polynomial is a sequence of (exponent vector, coefficient code)
+    terms; one with no nonzero coefficient vanishes everywhere.  A torus
+    point is (g^e_1, ..., g^e_m) for the generator g.  For each exponent
+    head (e_1, ..., e_(m-1)), in lexicographic order, yields the head and
+    the boolean mask over e_m of the points where every polynomial vanishes.
+    """
+    Q, p, d = field.Q, field.p, field.d
+    e_last = np.arange(Q - 1, dtype=np.int64)
+    # Per term: the head part of its exponent and the log of c * x_m^nu_m
+    # along the last coordinate.
+    live = [[(nu[:-1], int(field.log[c]) + nu[-1] * e_last)
+             for nu, c in terms if c != 0] for terms in polys]
+    live = [terms for terms in live if terms]
+    for e_head in iproduct(range(Q - 1), repeat=m - 1):
+        mask = np.ones(Q - 1, dtype=bool)
+        for terms in live:
+            acc = np.zeros((Q - 1, d), dtype=np.int64)
+            for head, tail in terms:
+                shift = sum(nh * eh for nh, eh in zip(head, e_head))
+                acc += field.exp_digits[(tail + shift) % (Q - 1)]
+            np.remainder(acc, p, out=acc)
+            mask &= ~acc.any(axis=1)
+        yield e_head, mask
+
+
+def torus_common_zero(field: ExtensionField, polys: Sequence[Sequence[Term]],
+                      m: int) -> Optional[Tuple[int, ...]]:
+    """Codes of the first torus point (lexicographic in the exponents of the
+    generator) where every polynomial of polys vanishes, or None."""
+    for e_head, mask in _torus_zero_masks(field, polys, m):
+        hits = np.flatnonzero(mask)
+        if hits.size:
+            return tuple(int(field.exp_codes[e])
+                         for e in e_head + (int(hits[0]),))
+    return None
+
+
 def _toric_zero_count(field: ExtensionField, exps: List[Tuple[int, ...]],
                       coeff_codes: List[int], m: int) -> int:
     """Zeros of sum a_nu x^nu over the m-torus (F^x)^m (Laurent exponents ok)."""
-    Q = field.Q
     terms = [(nu, c) for nu, c in zip(exps, coeff_codes) if c != 0]
     if not terms:
-        return (Q - 1) ** m  # identically zero
+        return (field.Q - 1) ** m  # identically zero
     if m == 0:
         acc = 0
         for _, c in terms:
             acc = field.add(acc, c)
         return 1 if acc == 0 else 0
-    p, d = field.p, field.d
-    logs = [int(field.log[c]) for _, c in terms]
-    e_last = np.arange(Q - 1, dtype=np.int64)
-    count = 0
-    outer = iproduct(range(Q - 1), repeat=m - 1) if m > 1 else [()]
-    for e_head in outer:
-        acc = np.zeros((Q - 1, d), dtype=np.int64)
-        for (nu, _c), lg in zip(terms, logs):
-            base = lg + sum(nh * eh for nh, eh in zip(nu[:-1], e_head))
-            idx = (base + nu[-1] * e_last) % (Q - 1)
-            acc += field.exp_digits[idx]
-        count += int(np.count_nonzero(np.all(acc % p == 0, axis=1)))
-    return count
+    return sum(int(np.count_nonzero(mask))
+               for _, mask in _torus_zero_masks(field, [terms], m))
 
 
 def _affine_zero_count(field: ExtensionField, exps: List[Tuple[int, ...]],

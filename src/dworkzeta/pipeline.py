@@ -26,13 +26,20 @@ from .errors import (
     UnsupportedCharacteristic,
 )
 from .frobenius import (
-    TruncationBound,
     expand_frobenius,
     make_support_matrix,
     splitting_for,
+    truncation_bound,
 )
-from .jacobian import MODES, build_jacobian, check_terms, expected_rank, lift_input
-from .padic import FieldSpec, RingContext, make_ring
+from .jacobian import (
+    MODES,
+    build_jacobian,
+    check_terms,
+    expected_rank,
+    lift_input,
+    working_exponent,
+)
+from .padic import FieldSpec, make_ring
 from .polytope import confine as confine_support
 from .polytope import faces, hull_and_triangulate
 from .reduction import reduce as cone_reduce
@@ -112,7 +119,7 @@ def validate_problem(prob: Problem) -> None:
 def apply_confinement(prob: Problem) -> Problem:
     """Unimodular change of torus coordinates; the zeta function is invariant."""
     exps = [nu for nu, _ in prob.terms]
-    U, t, _ = confine_support(exps)
+    U, t = confine_support(exps)
     new_terms = []
     for nu, c in prob.terms:
         img = tuple(sum(U[i][j] * nu[j] for j in range(prob.n)) + t[i]
@@ -121,24 +128,20 @@ def apply_confinement(prob: Problem) -> Problem:
     return replace(prob, terms=new_terms, confine=False)
 
 
-def _make_ring(prob: Problem, n_work: int) -> RingContext:
-    return make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar,
-                               N_work=n_work))
-
-
 def _run_at(prob: Problem, N: int, v: int, emit_matrix: bool) -> Result:
     p, a, q = prob.p, prob.a, prob.p ** prob.a
     n_work = N + a + 1
-    ring = _make_ring(prob, n_work)
+    ring = make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar,
+                               N_work=n_work))
     lifted = lift_input(ring, prob.terms, prob.mode)
     poly = hull_and_triangulate(lifted.working_support())
     ech, basis = build_jacobian(lifted, poly, v)
-    bound = TruncationBound.for_params(p, lifted.n_eff, n_work)
-    series = splitting_for(ring, bound)
+    E = truncation_bound(p, lifted.n_eff, n_work)
+    series = splitting_for(ring, E)
     support = make_support_matrix(lifted)
     columns = []
     for m in basis.V:
-        alpha = expand_frobenius(m, lifted, poly, series, support, bound)
+        alpha = expand_frobenius(m, lifted, poly, series, support, E)
         columns.append(cone_reduce(alpha, ech, basis))
     A, charpoly = assemble_and_charpoly(ring, columns, prob.mode, a)
     lifted_cp = lift_charpoly(ring, charpoly, q, _lift_weight(prob.mode, prob.n))
@@ -200,49 +203,25 @@ def nondegeneracy_witness_search(prob: Problem, k_max: int
     vanish.  Returns (k, point codes) for the first witness found, None
     otherwise.
     """
-    ring = _make_ring(prob, 1)
-    lifted = lift_input(ring, prob.terms, prob.mode)
-    work_terms = {}
-    for nu, c in prob.terms:
-        work_terms[lifted.working_exponent(nu)] = c
+    FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar, N_work=1).validate()
+    validate_problem(prob)
+    work_terms = {working_exponent(prob.mode, nu): c for nu, c in prob.terms}
     exps = sorted(work_terms)
     poly = hull_and_triangulate(exps)
-    m = lifted.n_eff
+    m = len(exps[0])
     q = prob.p ** prob.a
     for k in range(1, k_max + 1):
         if q ** (k * m) > oracle.DEFAULT_BUDGET:
             break
         F = oracle.get_field(prob.p, prob.a * k)
-        codes = oracle.embed_coefficients(
-            F, prob.p, prob.a, prob.hbar, [work_terms[nu] for nu in exps])
-        for face in faces(poly, exps):
-            fexps = [nu for nu in face.points]
-            fcodes = [codes[exps.index(nu)] for nu in fexps]
-            witness = _face_degeneracy_point(F, fexps, fcodes, m)
+        codes = dict(zip(exps, oracle.embed_coefficients(
+            F, prob.p, prob.a, prob.hbar, [work_terms[nu] for nu in exps])))
+        for points in faces(poly, exps):
+            f = [(nu, codes[nu]) for nu in points]
+            # x_i df/dx_i scales the coefficient of x^nu by nu_i mod p
+            derivs = [[(nu, F.mul(c, F.encode([nu[i]]))) for nu, c in f]
+                      for i in range(m)]
+            witness = oracle.torus_common_zero(F, [f] + derivs, m)
             if witness is not None:
                 return k, witness
-    return None
-
-
-def _face_degeneracy_point(F, fexps, fcodes, m):
-    from itertools import product as iproduct
-
-    Qm1 = F.Q - 1
-    for es in iproduct(range(Qm1), repeat=m):
-        vals = []
-        for deriv in range(m + 1):
-            acc = 0
-            for nu, c in zip(fexps, fcodes):
-                scale = 1 if deriv == 0 else nu[deriv - 1] % F.p
-                if scale == 0:
-                    continue
-                idx = sum(ni * ei for ni, ei in zip(nu, es)) % Qm1
-                mono = int(F.exp_codes[idx])
-                term = F.mul(c, mono)
-                if scale != 1:
-                    term = F.mul(term, F.encode([scale]))
-                acc = F.add(acc, term)
-            vals.append(acc)
-        if all(v == 0 for v in vals):
-            return tuple(int(F.exp_codes[e]) for e in es)
     return None

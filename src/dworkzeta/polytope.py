@@ -353,41 +353,38 @@ def _adjugate(m: List[List[int]]) -> List[List[int]]:
 # ---------------------------------------------------------------------------
 
 def hermite_normal_form(B: Sequence[Sequence[int]]):
-    """Row-operation HNF: returns (U, H) with U unimodular, U*B = H, H lower
-    triangular, diagonal positive where nonzero, and 0 <= h_ji < h_ii below
-    each nonzero pivot.  Singular input yields zero diagonal entries."""
+    """Row-operation HNF of a square integer matrix: returns (U, H) with U
+    unimodular, U*B = H, H lower triangular, diagonal positive where nonzero,
+    and 0 <= h_ji < h_ii below each nonzero pivot.  Singular input yields
+    zero diagonal entries."""
     n = len(B)
-    m = len(B[0]) if n else 0
     H = [list(map(int, row)) for row in B]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    for col in range(min(n, m) - 1, -1, -1) if n == m else range(m - 1, -1, -1):
-        pivot = col
-        if pivot >= n:
-            continue
-        # Fold rows 0..pivot-1 into the pivot row on this column via gcd steps.
-        for r in range(pivot):
+    for col in range(n - 1, -1, -1):
+        # Fold rows 0..col-1 into row col on this column via gcd steps.
+        for r in range(col):
             while H[r][col] != 0:
-                if H[pivot][col] == 0:
-                    H[pivot], H[r] = H[r], H[pivot]
-                    U[pivot], U[r] = U[r], U[pivot]
+                if H[col][col] == 0:
+                    H[col], H[r] = H[r], H[col]
+                    U[col], U[r] = U[r], U[col]
                     continue
-                qout = H[r][col] // H[pivot][col]
+                qout = H[r][col] // H[col][col]
                 if qout != 0:
-                    H[r] = [x - qout * y for x, y in zip(H[r], H[pivot])]
-                    U[r] = [x - qout * y for x, y in zip(U[r], U[pivot])]
+                    H[r] = [x - qout * y for x, y in zip(H[r], H[col])]
+                    U[r] = [x - qout * y for x, y in zip(U[r], U[col])]
                 if H[r][col] != 0:
-                    H[pivot], H[r] = H[r], H[pivot]
-                    U[pivot], U[r] = U[r], U[pivot]
-        if H[pivot][col] < 0:
-            H[pivot] = [-x for x in H[pivot]]
-            U[pivot] = [-x for x in U[pivot]]
-        if H[pivot][col] != 0:
-            for r in range(pivot + 1, n):
-                qout = H[r][col] // H[pivot][col]
+                    H[col], H[r] = H[r], H[col]
+                    U[col], U[r] = U[r], U[col]
+        if H[col][col] < 0:
+            H[col] = [-x for x in H[col]]
+            U[col] = [-x for x in U[col]]
+        if H[col][col] != 0:
+            for r in range(col + 1, n):
+                qout = H[r][col] // H[col][col]
                 if qout != 0:
-                    H[r] = [x - qout * y for x, y in zip(H[r], H[pivot])]
-                    U[r] = [x - qout * y for x, y in zip(U[r], U[pivot])]
+                    H[r] = [x - qout * y for x, y in zip(H[r], H[col])]
+                    U[r] = [x - qout * y for x, y in zip(U[r], U[col])]
     return U, H
 
 
@@ -395,19 +392,11 @@ def hermite_normal_form(B: Sequence[Sequence[int]]):
 # faces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Face:
-    """A face of the polytope with the support points lying on it."""
-
-    tight: Tuple[int, ...]  # indices into poly.facets, tight on this face
-    vertices: Tuple[Point, ...]
-    points: Tuple[Point, ...]  # S restricted to the face
-    dim: int
-
-
-def faces(poly: LatticePolytope, S: Sequence[Point]) -> List[Face]:
-    """All faces of every dimension 0..n (the polytope itself included, the
-    empty face excluded), each with its restriction of the support set S."""
+def faces(poly: LatticePolytope,
+          S: Sequence[Point]) -> List[Tuple[Point, ...]]:
+    """The points of the support set S on each face of every dimension 0..n
+    (the polytope itself included, the empty face excluded), sorted, with
+    the faces ordered by their number of vertices and then by the vertices."""
     facet_vsets = []
     for normal, b in poly.facets:
         facet_vsets.append(frozenset(
@@ -426,16 +415,12 @@ def faces(poly: LatticePolytope, S: Sequence[Point]) -> List[Face]:
         frontier = nxt
     out = []
     for w in sorted(closure, key=lambda s: (len(s), sorted(s))):
-        verts = tuple(sorted(w))
-        tight = tuple(i for i, (normal, b) in enumerate(poly.facets)
-                      if all(sum(a * x for a, x in zip(normal, v)) == b
-                             for v in verts))
-        pts = tuple(sorted(
-            s for s in S
-            if all(sum(a * x for a, x in zip(poly.facets[i][0], s)) == poly.facets[i][1]
-                   for i in tight)))
-        out.append(Face(tight=tight, vertices=verts, points=pts,
-                        dim=affine_rank(list(verts))))
+        tight = [facet for facet, fv in zip(poly.facets, facet_vsets)
+                 if w <= fv]
+        out.append(tuple(sorted(
+            pt for pt in S
+            if all(sum(a * x for a, x in zip(normal, pt)) == b
+                   for normal, b in tight))))
     return out
 
 
@@ -449,7 +434,8 @@ def confine(S: Sequence[Point]):
     Greedily grows a large-volume simplex (adding the point that maximizes the
     Gram determinant), applies the unimodular transform from the HNF of its
     edge matrix, and translates the result to nonnegative coordinates.
-    Returns (U, t, S_transformed) with S_transformed = {U*s + t : s in S}.
+    Returns (U, t): the map s -> U*s + t sends S into the nonnegative orthant
+    with every coordinate minimum 0.
     """
     points = sorted(set(tuple(int(c) for c in p) for p in S))
     n = len(points[0])
@@ -480,6 +466,5 @@ def confine(S: Sequence[Point]):
     transformed = [tuple(sum(U[i][j] * (p[j] - base[j]) for j in range(n))
                          for i in range(n)) for p in points]
     mins = [min(p[i] for p in transformed) for i in range(n)]
-    shifted = sorted(tuple(p[i] - mins[i] for i in range(n)) for p in transformed)
     t = tuple(-sum(U[i][j] * base[j] for j in range(n)) - mins[i] for i in range(n))
-    return U, t, shifted
+    return U, t

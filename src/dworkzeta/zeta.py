@@ -103,10 +103,7 @@ def charpoly_det_one_minus_t(ring: RingContext, M: Matrix) -> List[RingElement]:
         t = [ring.one, ring.neg(a)]
         cur = col
         for _ in range(2, k + 1):
-            dot = ring.zero
-            for x, y in zip(row, cur):
-                dot = ring.add(dot, ring.mul(x, y))
-            t.append(ring.neg(dot))
+            t.append(ring.neg(_dot_row(ring, row, cur)))
             cur = [_dot_row(ring, sub[i], cur) for i in range(k - 1)]
         C = [_convolve_at(ring, t, C, i) for i in range(k + 1)]
     # C[k] is the coefficient of lambda^(v-k) in det(lambda I - M), i.e.
@@ -148,7 +145,7 @@ def assemble_and_charpoly(ring: RingContext, columns: List[List[RingElement]],
     [[1, 0], [*, A_0]] with A_0 entrywise divisible by p; the (1-T) factor is
     split off and the remaining factor is det(1 - T q^{-1}(A_0)_a) = det(1 - T
     Q_a) with Q = p^{-1} A_0.  The exact division leaves Q known modulo
-    p^(N_work - 1), and the charpoly is taken modulo p^(N_work - a).
+    p^(N_work - 1), and so are Q_a and every coefficient of its charpoly.
     """
     v = len(columns)
     A = [[columns[j][i] for j in range(v)] for i in range(v)]
@@ -165,7 +162,7 @@ def assemble_and_charpoly(ring: RingContext, columns: List[List[RingElement]],
                 "non-unit block entry not divisible by p") from None
         coeffs = charpoly_det_one_minus_t(ring, twisted_product(ring, Q, a))
         return A, CharpolyResult(coefficients=coeffs,
-                                 modulus=p ** (ring.N - a))
+                                 modulus=p ** (ring.N - 1))
     Aa = twisted_product(ring, A, a)
     coeffs = charpoly_det_one_minus_t(ring, Aa)
     return A, CharpolyResult(coefficients=coeffs, modulus=p ** ring.N)

@@ -16,8 +16,7 @@ from typing import Dict, List, Tuple
 from dworkzeta.cone_algebra import ConeElement, ConeMonomial
 from dworkzeta.errors import InternalPrecisionError, PrecisionOrLogicError
 from dworkzeta import pipeline
-from dworkzeta.frobenius import TruncationBound
-from dworkzeta.jacobian import LiftedInput
+from dworkzeta.jacobian import LiftedInput, working_exponent
 from dworkzeta.padic import RingElement
 from dworkzeta.polytope import LatticePolytope
 from dworkzeta.splitting import SplittingSeries
@@ -25,7 +24,7 @@ from dworkzeta.splitting import SplittingSeries
 
 def expand_frobenius_dense(target: ConeMonomial, lifted: LiftedInput,
                            poly: LatticePolytope, series: SplittingSeries,
-                           bound: TruncationBound) -> ConeElement:
+                           E: int) -> ConeElement:
     """Dense-product expansion: multiply out the factors of F, then apply psi.
 
     Running-product coefficients are triples (delta, u, be): the true value is
@@ -36,7 +35,6 @@ def expand_frobenius_dense(target: ConeMonomial, lifted: LiftedInput,
     ring = lifted.ring
     p, N_work = ring.p, ring.N
     d, mu = target
-    E = bound.E
 
     def prunable(D: int, delta: int, be: int) -> bool:
         # Net p-power after psi is at least D/p - delta and only grows under
@@ -47,11 +45,11 @@ def expand_frobenius_dense(target: ConeMonomial, lifted: LiftedInput,
     product: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, RingElement, int]] = {
         (0, (0,) * lifted.n_eff): (0, ring.one, 0)}
     support_items = sorted(
-        (lifted.working_exponent(nu), a) for nu, a in lifted.coeffs.items())
+        (working_exponent(lifted.mode, nu), a) for nu, a in lifted.coeffs.items())
     for nu, a in support_items:
         factor = []
         apow = ring.one
-        for i in range(bound.series_length):
+        for i in range(p * E):
             ell = series[i]
             u = ring.smul(ell.numer, apow)
             if not ring.is_zero(u) or i == 0:
@@ -113,9 +111,9 @@ def use_in_pipeline(monkeypatch) -> List[ConeMonomial]:
     check that the substitution took effect."""
     targets: List[ConeMonomial] = []
 
-    def dense(target, lifted, poly, series, support, bound):
+    def dense(target, lifted, poly, series, support, E):
         targets.append(target)
-        return expand_frobenius_dense(target, lifted, poly, series, bound)
+        return expand_frobenius_dense(target, lifted, poly, series, E)
 
     monkeypatch.setattr(pipeline, "expand_frobenius", dense)
     return targets

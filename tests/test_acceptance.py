@@ -29,10 +29,10 @@ from dworkzeta import gf
 from dworkzeta.cone_algebra import ConeElement
 from dworkzeta.errors import NondegeneracyFailure
 from dworkzeta.frobenius import (
-    TruncationBound,
     expand_frobenius,
     make_support_matrix,
     splitting_for,
+    truncation_bound,
 )
 from dworkzeta.jacobian import build_jacobian, expected_rank, lift_input
 from dworkzeta.oracle import count_points
@@ -224,7 +224,7 @@ def test_criterion_05_integrality_and_unit_pivots():
                 assert de.M[r][c] == ring.one, (name, d)
         if prob.mode == "toric":
             assert basis.v == poly.nvol, name
-        bound = TruncationBound.for_params(prob.p, lifted.n_eff, 4)
+        bound = truncation_bound(prob.p, lifted.n_eff, 4)
         series = splitting_for(ring, bound)
         support = make_support_matrix(lifted)
         for m in basis.V:
@@ -343,10 +343,12 @@ def test_criterion_09_polytope_suite():
         pts = {tuple(rng.randrange(-3, 8) for _ in range(n))
                for _ in range(n + 2 + rng.randrange(3))}
         try:
-            _U, _t, shifted = confine(list(pts))
+            U, t = confine(list(pts))
         except Exception:
             continue
-        poly = hull_and_triangulate(shifted)
+        poly = hull_and_triangulate(
+            [tuple(sum(U[i][j] * s[j] for j in range(n)) + t[i]
+                   for i in range(n)) for s in pts])
         count = len(lattice_points(poly, 1))
         assert count <= (2 * n) ** n * poly.nvol
 

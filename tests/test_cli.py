@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from dense_frobenius import use_in_pipeline
 
 from dworkzeta.cli import main
@@ -137,3 +139,27 @@ def test_check_nondegenerate_clean_pass(tmp_path, capsys):
     code, out, _ = run(capsys, ["compute", path, "--check-nondegenerate", "1"])
     assert code == 0
     assert json.loads(out)["nondegeneracy_search_depth"] == 1
+
+
+@pytest.mark.parametrize("change, code, name", [
+    # a zero coefficient
+    ({"terms": ELLIPTIC["terms"][:3] + [{"exp": [0, 2], "coeff": [7]}]},
+     2, "InvalidInput"),
+    # a reducible defining polynomial of F_49
+    ({"a": 2, "field_poly": [0, 0, 1]}, 3, "InvalidFieldSpec"),
+    # projective of degree divisible by p
+    ({"mode": "projective", "terms": [{"exp": [7, 0], "coeff": [1]},
+                                      {"exp": [0, 7], "coeff": [1]}]},
+     2, "InvalidInput"),
+    # projective with z dividing every monomial
+    ({"n": 3, "mode": "projective",
+      "terms": [{"exp": [2, 0, 1], "coeff": [1]},
+                {"exp": [0, 2, 1], "coeff": [1]},
+                {"exp": [1, 1, 1], "coeff": [1]}]}, 6, "NondegeneracyFailure"),
+])
+def test_check_nondegenerate_invalid_input_exit_code(tmp_path, capsys, change,
+                                                     code, name):
+    path = write_input(tmp_path, dict(ELLIPTIC, **change))
+    for extra in ([], ["--check-nondegenerate", "2"]):
+        got, _out, err = run(capsys, ["compute", path] + extra)
+        assert got == code and err.startswith(f"{name}: "), (extra, err)

@@ -13,11 +13,11 @@ from splitting_oracle import ell_fraction
 from dworkzeta import gf
 from dworkzeta.cone_algebra import term_order_key
 from dworkzeta.frobenius import (
-    TruncationBound,
     expand_frobenius,
     make_support_matrix,
     solve_congruence,
     splitting_for,
+    truncation_bound,
 )
 from dworkzeta.jacobian import lift_input
 from dworkzeta.padic import FieldSpec, make_ring
@@ -34,12 +34,10 @@ def elliptic_terms(p, aa, bb):
 
 
 def test_truncation_bound_values():
-    b3 = TruncationBound.for_params(3, 2, 4)
     # beta(3) = 6
-    assert b3.E == 6 * 4 + 3  # ceil(6*(4 + 3/6)) = 27
-    b5 = TruncationBound.for_params(5, 2, 4)
+    assert truncation_bound(3, 2, 4) == 6 * 4 + 3  # ceil(6*(4 + 3/6)) = 27
     assert Fraction(5 * 5 - 5, 5 * 5 - 15 + 1) == Fraction(20, 11)
-    assert b5.E == 8  # ceil(20/11 * (4 + 3/20))
+    assert truncation_bound(5, 2, 4) == 8  # ceil(20/11 * (4 + 3/20))
 
 
 def test_solve_congruence_basics():
@@ -112,7 +110,7 @@ def expansion_setup(R, terms, mode):
     lifted = lift_input(R, terms, mode)
     poly = hull_and_triangulate(lifted.working_support())
     support = make_support_matrix(lifted)
-    bound = TruncationBound.for_params(R.p, lifted.n_eff, R.N)
+    bound = truncation_bound(R.p, lifted.n_eff, R.N)
     series = splitting_for(R, bound)
     return lifted, poly, support, bound, series
 

@@ -15,6 +15,7 @@ from dworkzeta.errors import InvalidInput, NondegeneracyFailure
 from dworkzeta.jacobian import (
     _row_reduce,
     build_jacobian,
+    check_terms,
     expected_rank,
     lift_input,
 )
@@ -54,23 +55,25 @@ def test_lift_input_elliptic_generators():
     assert len(f0.terms) == 4
 
 
-def test_lift_input_validation():
-    R = ring()
+def test_check_terms_validation():
     with pytest.raises(InvalidInput):
-        lift_input(R, [((1, 0), (0,))])  # zero coefficient
+        check_terms([((1, 0), (0,))], "toric", 7)  # zero coefficient
     with pytest.raises(InvalidInput):
-        lift_input(R, [((1, 0), (1,)), ((1, 0), (2,))])  # duplicate exponent
+        # duplicate exponent
+        check_terms([((1, 0), (1,)), ((1, 0), (2,))], "toric", 7)
     with pytest.raises(InvalidInput):
-        lift_input(R, [((1, 0), (1,)), ((0, 1), (1,))], "affine")  # no constant
+        # no constant
+        check_terms([((1, 0), (1,)), ((0, 1), (1,))], "affine", 7)
     with pytest.raises(InvalidInput):
         # no pure power of y
-        lift_input(R, [((0, 0), (1,)), ((2, 0), (1,)), ((1, 1), (1,))], "affine")
+        check_terms([((0, 0), (1,)), ((2, 0), (1,)), ((1, 1), (1,))],
+                    "affine", 7)
     with pytest.raises(InvalidInput):
         # inhomogeneous in projective mode
-        lift_input(R, [((2, 0), (1,)), ((0, 1), (1,))], "projective")
+        check_terms([((2, 0), (1,)), ((0, 1), (1,))], "projective", 7)
     with pytest.raises(InvalidInput):
         # degree divisible by p
-        lift_input(ring(p=3), [((3, 0), (1,)), ((0, 3), (1,))], "projective")
+        check_terms([((3, 0), (1,)), ((0, 3), (1,))], "projective", 3)
 
 
 def test_elliptic_affine_basis():

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from dworkzeta import gf, pipeline
+from dworkzeta import gf, jacobian, pipeline
 from dworkzeta.errors import (
     InsufficientPrecision,
     InvalidInput,
@@ -257,6 +257,84 @@ def test_nondegeneracy_witness_search():
     assert k == 1 and point == (4,)  # x = -1 over F_5
     good = elliptic_affine(5, 1, 2)
     assert nondegeneracy_witness_search(good, 1) is None
+
+
+def _problem(p, terms, n=2, a=1, mode="toric"):
+    hbar = (0, 1) if a == 1 else tuple(gf.conway_polynomial(p, a))
+    return Problem(p=p, a=a, hbar=hbar, n=n, mode=mode,
+                   terms=[(nu, c if isinstance(c, tuple) else (c,))
+                          for nu, c in terms])
+
+
+# (problem, k_max, witness): the first witness in face order, then in
+# lexicographic order of the generator exponents of the torus point; the
+# (x + 1)^2 case is pinned in test_nondegeneracy_witness_search.
+@pytest.mark.parametrize("prob, k_max, witness", [
+    # (x + y + 1)^2 over F_5
+    (_problem(5, [((2, 0), 1), ((1, 1), 2), ((0, 2), 1), ((1, 0), 2),
+                  ((0, 1), 2), ((0, 0), 1)]), 2, (1, (1, 4))),
+    # (x^2 + 1)^2 + y over F_3: the edge y^0 vanishes doubly at x^2 = -1,
+    # which has no root before F_9
+    (_problem(3, [((4, 0), 1), ((2, 0), 2), ((0, 0), 1), ((0, 1), 1)]), 2,
+     (2, (6, 1))),
+    # projective quadric (x + y)^2 + z^2, degenerate on the edge (x + y)^2
+    (_problem(3, [((2, 0, 0), 1), ((1, 1, 0), 2), ((0, 2, 0), 1),
+                  ((0, 0, 2), 1)], n=3, mode="projective"), 2, (1, (1, 2))),
+    (_problem(5, [((2, 0, 0), 1), ((1, 1, 0), 2), ((0, 2, 0), 1),
+                  ((0, 0, 2), 1)], n=3, mode="projective"), 2, (1, (1, 4))),
+    # a = 2: (x + t)^2 = x^2 + 2t x + t^2 over F_9, t^2 = t + 1
+    (_problem(3, [((2,), (1, 0)), ((1,), (0, 2)), ((0,), (1, 1))], n=1, a=2),
+     2, (1, (7,))),
+    # nondegenerate: no witness up to the given degree
+    (elliptic_affine(5, 1, 2), 2, None),
+    (_problem(3, [((3, 0), 1), ((1, 0), 1), ((0, 0), 2), ((0, 2), 2)],
+              mode="affine"), 2, None),
+    (_problem(3, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1), ((0, 0), 1)]), 2,
+     None),
+])
+def test_witness_search_pinned(prob, k_max, witness):
+    assert nondegeneracy_witness_search(prob, k_max) == witness
+
+
+def test_check_terms_once_per_solve(monkeypatch):
+    calls = []
+    check = jacobian.check_terms
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(jacobian, "check_terms", counted)
+    monkeypatch.setattr(pipeline, "check_terms", counted)
+    run_at = pipeline._run_at
+    attempts = []
+
+    def fail_once(prob, N, v, emit_matrix):
+        attempts.append(N)
+        if len(attempts) == 1:
+            raise InsufficientPrecision("forced for the test")
+        return run_at(prob, N, v, emit_matrix)
+
+    monkeypatch.setattr(pipeline, "_run_at", fail_once)
+    compute_zeta(elliptic_affine(7, 2, 1))
+    assert len(attempts) == 2 and len(calls) == 1
+    compute_zeta(elliptic_affine(5, 1, 2))
+    assert len(calls) == 2
+
+
+def test_toric_charpoly_exact_mod_p_to_n_work_minus_one():
+    # 2x + 2t*y + 1/(xy) + t over F_9 (a = 2): Q = A_0 / p is known mod
+    # p^(N_work - 1), so precision 1 suffices without a retry.
+    prob = Problem(p=3, a=2, hbar=(2, 2, 1), n=2, mode="toric",
+                   terms=[((1, 0), (2, 0)), ((0, 1), (0, 2)),
+                          ((-1, -1), (1, 0)), ((0, 0), (0, 1))],
+                   precision=1)
+    zf = compute_zeta(prob).zeta
+    assert zf.N_used == 1
+    # the zeta of the default precision (N = 7)
+    assert zf.numerator == [1, -3, 12, -19, 9]
+    assert zf.denominator == [1, -9]
+    assert verify_against_oracle(prob, zf, 2) == [6, 96]
 
 
 def matrix_digest(matrix):

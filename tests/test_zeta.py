@@ -13,10 +13,10 @@ import pytest
 from dworkzeta import gf
 from dworkzeta.errors import ConsistencyFailure, InsufficientPrecision
 from dworkzeta.frobenius import (
-    TruncationBound,
     expand_frobenius,
     make_support_matrix,
     splitting_for,
+    truncation_bound,
 )
 from dworkzeta.jacobian import build_jacobian, expected_rank, lift_input
 from dworkzeta.padic import FieldSpec, make_ring
@@ -249,7 +249,7 @@ def test_end_to_end_single_point_on_torus():
                                 expected_rank(lifted.mode, lifted.coeffs))
     assert basis.v == 1
     support = make_support_matrix(lifted)
-    bound = TruncationBound.for_params(p, lifted.n_eff, N_work)
+    bound = truncation_bound(p, lifted.n_eff, N_work)
     series = splitting_for(R, bound)
     columns = []
     for m in basis.V:
