@@ -12,7 +12,7 @@ means zero.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 from .padic import RingContext, RingElement
 
@@ -37,14 +37,3 @@ class ConeElement:
             for m, c in terms.items():
                 if not ring.is_zero(c):
                     self.terms[m] = c
-
-    def __iter__(self) -> Iterator[Tuple[ConeMonomial, RingElement]]:
-        return iter(self.terms.items())
-
-    def add_term(self, m: ConeMonomial, c: RingElement) -> None:
-        """In-place accumulate c on the monomial m."""
-        total = self.ring.add(self.terms.get(m, self.ring.zero), c)
-        if self.ring.is_zero(total):
-            self.terms.pop(m, None)
-        else:
-            self.terms[m] = total

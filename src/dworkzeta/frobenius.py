@@ -10,9 +10,10 @@ at matrix assembly because both sides of the matrix carry the same grading.
 
 expand_frobenius does this by "fewnomial" enumeration.  Write the multi-index
 of F as k + p*e with k in {0..p-1}^s.  Terms survive psi exactly when
-U*k = -(d, mu) mod p, where U has columns (1, nu).  For each solution k the
-e-part is enumerated by a recursive walk over the support points, one e_j at
-a time, with |e| < E and exact pruning on the guaranteed p-adic valuation.
+U*k = -(d, mu) mod p, where U has columns (1, nu) over the lifted support.
+For each solution k the e-part is enumerated by a recursive walk over the
+support points, one e_j at a time, with |e| < E and exact pruning on the
+guaranteed p-adic valuation.
 Each term contributes
 
     (-1)^(bw+|e|) * p^(bw+|e|) * prod_i ell_{k_i+p e_i}
@@ -31,7 +32,6 @@ appears, and the lists are reduced mod p^N_work once at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from operator import add
@@ -39,31 +39,10 @@ from typing import Dict, List, Sequence, Tuple
 
 from .cone_algebra import ConeElement, ConeMonomial
 from .errors import InternalPrecisionError, PrecisionOrLogicError
-from .jacobian import LiftedInput, working_exponent
+from .jacobian import LiftedInput
 from .padic import RingContext, RingElement
 from .polytope import LatticePolytope
 from .splitting import SplittingSeries, compute_splitting, d_bound
-
-
-@dataclass(frozen=True)
-class SupportMatrix:
-    """The working support, its matrix U with columns (1, nu), and the lifted
-    coefficient a_nu of each support point."""
-
-    support: Tuple[Tuple[int, ...], ...]
-    U: Tuple[Tuple[int, ...], ...]  # (n_eff+1) x s
-    coeffs: Tuple[RingElement, ...]
-
-
-def make_support_matrix(lifted: LiftedInput) -> SupportMatrix:
-    by_nu = {working_exponent(lifted.mode, nu): a
-             for nu, a in lifted.coeffs.items()}
-    support = tuple(sorted(by_nu))
-    n1 = lifted.n_eff + 1
-    U = tuple(tuple(1 if r == 0 else nu[r - 1] for nu in support)
-              for r in range(n1))
-    return SupportMatrix(support=support, U=U,
-                         coeffs=tuple(by_nu[nu] for nu in support))
 
 
 def solve_congruence(U: Sequence[Sequence[int]], target: Sequence[int],
@@ -129,14 +108,15 @@ def splitting_for(ring: RingContext, E: int) -> SplittingSeries:
 
 def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                      poly: LatticePolytope, series: SplittingSeries,
-                     support: SupportMatrix, E: int) -> ConeElement:
+                     E: int) -> ConeElement:
     """Fewnomial-enumeration expansion of alpha((pi*w)^d x^mu) mod p^N_work,
     with E = truncation_bound(p, n_eff, N_work)."""
     ring = lifted.ring
     p, N_work = ring.p, ring.N
     d, mu = target
-    nus, a_list = support.support, support.coeffs
+    nus, a_list = lifted.support, lifted.coeffs
     s = len(nus)
+    U = [[1] * s] + [[nu[i] for nu in nus] for i in range(lifted.n_eff)]
     dtab = [d_bound(p, i) for i in range(len(series))]
     p_pows = [p ** net for net in range(N_work)]
 
@@ -144,7 +124,7 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
     # Unreduced coordinates of each monomial's coefficient; a monomial enters
     # only after it has been checked against the cone.
     raw: Dict[ConeMonomial, List[int]] = {}
-    for k in solve_congruence(support.U, neg_target, p):
+    for k in solve_congruence(U, neg_target, p):
         total_k = sum(k)
         bw, rem = divmod(total_k + d, p)
         if rem:

@@ -42,7 +42,7 @@ from itertools import combinations
 from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cone_algebra import ConeElement, ConeMonomial, term_order_key
+from .cone_algebra import ConeMonomial, term_order_key
 from .errors import InvalidInput, NondegeneracyFailure
 from .padic import RingContext, RingElement
 from .polytope import LatticePolytope, lattice_points, normalized_volume
@@ -63,15 +63,17 @@ def working_exponent(mode: str, nu: Tuple[int, ...]) -> Tuple[int, ...]:
 class LiftedInput:
     """Teichmueller-lifted input polynomial with its degree-one generators.
 
-    coeffs maps full exponent vectors (length n_vars) to unit coefficients in
-    R.  Working monomials have n_eff coordinates: n_eff = n_vars except in
-    projective mode, where the last exponent is implicit.
+    support holds the sorted working exponents and coeffs their unit
+    coefficients in R, aligned.  Working monomials have n_eff coordinates:
+    n_eff = n_vars except in projective mode, where the last exponent is
+    implicit.
     """
 
     ring: RingContext
     mode: str
     n_vars: int
-    coeffs: Dict[Tuple[int, ...], RingElement]
+    support: Tuple[Tuple[int, ...], ...]
+    coeffs: Tuple[RingElement, ...]
     degree: Optional[int] = None  # homogeneity degree D (projective only)
 
     @property
@@ -85,9 +87,6 @@ class LiftedInput:
             return tuple(range(1, self.n_vars + 1))
         return tuple(range(0, self.n_vars + 1))
 
-    def working_support(self) -> List[Tuple[int, ...]]:
-        return sorted({working_exponent(self.mode, nu) for nu in self.coeffs})
-
     def var_exponent(self, i: int, m: ConeMonomial) -> int:
         """True exponent of variable i in the cone monomial m (i = 0 is w)."""
         d, mu = m
@@ -97,13 +96,15 @@ class LiftedInput:
             return d * self.degree - sum(mu)
         return mu[i - 1]
 
-    def generator(self, i: int) -> ConeElement:
-        """The degree-one generator: w*f for i = 0, w*x_i df/dx_i for i >= 1."""
-        out = ConeElement(self.ring)
-        for nu, a in self.coeffs.items():
-            c = a if i == 0 else self.ring.smul(nu[i - 1], a)
+    def generator(self, i: int) -> List[Tuple[Tuple[int, ...], RingElement]]:
+        """The degree-one generator w*x_i df/dx_i (x_0 = w, so i = 0 gives
+        w*f) as (exponent, coefficient) pairs: the term a_nu w x^nu carries
+        the exponent of variable i in w x^nu."""
+        out = []
+        for nu, a in zip(self.support, self.coeffs):
+            c = self.ring.smul(self.var_exponent(i, (1, nu)), a)
             if not self.ring.is_zero(c):
-                out.add_term((1, working_exponent(self.mode, nu)), c)
+                out.append((nu, c))
         return out
 
     def cofactor_allowed(self, gen: int, m: ConeMonomial) -> bool:
@@ -122,20 +123,16 @@ def check_terms(terms: Sequence[Tuple[Sequence[int], Sequence[int]]], mode: str,
                 p: int) -> None:
     """Check an input against the contract of its mode, without lifting it.
 
-    terms is a sequence of (exponent vector, F_q residue vector).
+    terms is a nonempty sequence of (exponent vector, F_q residue vector),
+    the exponent vectors all of one length, and mode is one of MODES; the
+    caller (pipeline.validate_problem) has checked that shape.
     """
-    if mode not in MODES:
-        raise InvalidInput(f"unknown mode {mode!r}")
-    if not terms:
-        raise InvalidInput("empty polynomial")
     n = len(terms[0][0])
     if n < 1:
         raise InvalidInput("need at least one variable")
     exps = set()
     for exp, residue in terms:
         nu = tuple(int(e) for e in exp)
-        if len(nu) != n:
-            raise InvalidInput("inconsistent exponent lengths")
         if nu in exps:
             raise InvalidInput(f"duplicate exponent {nu}")
         if all(int(c) % p == 0 for c in residue):
@@ -179,14 +176,19 @@ def lift_input(ring: RingContext, terms: Sequence[Tuple[Sequence[int], Sequence[
     """Teichmueller-lift the coefficients of an input that passed check_terms.
 
     terms is a sequence of (exponent vector, F_q residue vector); residues are
-    coordinates on the chosen generator of F_q over F_p.
+    coordinates on the chosen generator of F_q over F_p.  The working
+    exponents are distinct: projective inputs are homogeneous, so dropping
+    the last coordinate loses nothing.
     """
     degree = sum(terms[0][0]) if mode == "projective" else None
-    coeffs = {tuple(int(e) for e in exp):
-              ring.teichmuller_lift(tuple(int(c) % ring.p for c in residue))
-              for exp, residue in terms}
+    residues = {working_exponent(mode, tuple(int(e) for e in exp)): residue
+                for exp, residue in terms}
+    support = tuple(sorted(residues))
+    coeffs = tuple(
+        ring.teichmuller_lift(tuple(int(c) % ring.p for c in residues[nu]))
+        for nu in support)
     return LiftedInput(ring=ring, mode=mode, n_vars=len(terms[0][0]),
-                       coeffs=coeffs, degree=degree)
+                       support=support, coeffs=coeffs, degree=degree)
 
 
 def expected_rank(mode: str, exponents: Iterable[Sequence[int]]) -> int:
@@ -225,10 +227,9 @@ class DegreeEchelon:
     Rows are sparse: M[i] maps a column index to a nonzero entry, T[i] maps an
     original relation row (an index into row_meta) to a nonzero entry.
     M = T * J exactly over R, where J is the relation matrix whose row i is
-    the product described by row_meta[i]; J itself is not kept.  pivots are
-    (row of M, column) pairs with unit (normalized to 1) pivot entries and no
-    other nonzero entry in a pivot column; pivot_rows maps a pivot column to
-    its row.
+    the product described by row_meta[i]; J itself is not kept.  pivot_rows
+    maps each pivot column to its row of M, in the order the pivots were
+    found; a pivot entry is 1 and its column has no other nonzero entry.
     """
 
     columns: List[ConeMonomial]
@@ -236,7 +237,6 @@ class DegreeEchelon:
     row_meta: List[Tuple[int, ConeMonomial]]  # (generator index, cofactor monomial)
     M: List[SparseRow]
     T: List[SparseRow]
-    pivots: List[Tuple[int, int]]
     pivot_rows: Dict[int, int]
 
     def solve(self, ring: RingContext, xi: SparseRow
@@ -277,9 +277,6 @@ class MonomialBasis:
     @property
     def v(self) -> int:
         return len(self.V)
-
-    def of_degree(self, d: int) -> List[ConeMonomial]:
-        return [m for m in self.V if m[0] == d]
 
 
 def _combine(ring: RingContext,
@@ -368,8 +365,7 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
     top = n_eff + 2
     # The exponents and coefficients of each generator; all its terms have
     # degree 1, so the row of cofactor (d-1, mu) has its terms at (d, mu+nu).
-    gens = {i: [(nu, c) for (_, nu), c in lifted.generator(i)]
-            for i in lifted.generator_indices}
+    gens = {i: lifted.generator(i) for i in lifted.generator_indices}
     by_degree: Dict[int, DegreeEchelon] = {}
     V: List[ConeMonomial] = []
 
@@ -409,8 +405,7 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
                 f"column rank: {len(nonpivot)} monomial(s) remain unreduced; "
                 "the input is degenerate")
         ech = DegreeEchelon(columns=columns, col_index=col_index,
-                            row_meta=row_meta, M=M, T=T, pivots=pivots,
-                            pivot_rows=pivot_rows)
+                            row_meta=row_meta, M=M, T=T, pivot_rows=pivot_rows)
         by_degree[d] = ech
         if d <= top - 1:
             V.extend(columns[j] for j in nonpivot)
@@ -421,7 +416,8 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
             f"quotient basis has cardinality {basis.v}, expected the rank "
             f"{v} of a nondegenerate input with this support; the input is "
             "degenerate")
-    if lifted.mode == "toric" and basis.of_degree(0) != [(0, (0,) * n_eff)]:
+    degree0 = [m for m in basis.V if m[0] == 0]
+    if lifted.mode == "toric" and degree0 != [(0, (0,) * n_eff)]:
         raise NondegeneracyFailure(
             "degree-0 part of the basis is not the single monomial 1")
     return EchelonData(lifted=lifted, poly=poly, top=top,

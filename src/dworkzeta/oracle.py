@@ -101,13 +101,6 @@ class ExtensionField:
             place *= self.p
         return out
 
-    def pow(self, x: int, e: int) -> int:
-        if x == 0:
-            if e <= 0:
-                raise ZeroDivisionError("0 to a nonpositive power")
-            return 0
-        return int(self.exp_codes[(int(self.log[x]) * e) % (self.Q - 1)])
-
     def all_roots(self, poly_coeffs: List[int]) -> List[int]:
         """Roots (as codes) of a polynomial whose coefficients are codes."""
         Q = self.Q
@@ -237,16 +230,16 @@ def _affine_zero_count(field: ExtensionField, exps: List[Tuple[int, ...]],
 
 def count_points(p: int, a: int, hbar: Sequence[int],
                  terms: List[Tuple[Tuple[int, ...], Sequence[int]]],
-                 mode: str, r: int, budget: int = DEFAULT_BUDGET) -> int:
-    """#V(F_{q^r}) by exhaustive enumeration."""
+                 mode: str, r: int) -> int:
+    """#V(F_{q^r}) by exhaustive enumeration, within DEFAULT_BUDGET points."""
     if not terms:
         raise InvalidInput("the zero polynomial does not define a hypersurface")
     n = len(terms[0][0])
     q = p ** a
-    if q ** (r * n) > budget:
+    if q ** (r * n) > DEFAULT_BUDGET:
         raise BudgetExceeded(
             f"enumeration over q^(r*n) = {q}^{r * n} points exceeds the "
-            f"budget of {budget}")
+            f"budget of {DEFAULT_BUDGET}")
     field = get_field(p, a * r)
     exps = [tuple(nu) for nu, _ in terms]
     codes = embed_coefficients(field, p, a, hbar, [vec for _, vec in terms])

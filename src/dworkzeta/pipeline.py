@@ -1,8 +1,9 @@
 """End-to-end orchestration: input -> ZetaFunction.
 
-Order of operations: validate -> (optional confinement, toric only) -> rank
-v from the support by its closed formula (jacobian.expected_rank), once per
-run and also under a precision override -> choose N (or take the override)
+Order of operations: validate (validate_problem, the one input gate) ->
+(optional confinement, toric only) -> rank v from the support by its closed
+formula (jacobian.expected_rank), once per run and also under a precision
+override -> choose N (or take the override)
 -> working ring at N_work = N + a + 1 -> hull -> quotient basis (the one
 Jacobian build of each attempt, given v, which checks |V| = v) -> Frobenius
 expansion and reduction per basis monomial -> matrix assembly and charpoly
@@ -25,12 +26,7 @@ from .errors import (
     InvalidInput,
     UnsupportedCharacteristic,
 )
-from .frobenius import (
-    expand_frobenius,
-    make_support_matrix,
-    splitting_for,
-    truncation_bound,
-)
+from .frobenius import expand_frobenius, splitting_for, truncation_bound
 from .jacobian import (
     MODES,
     build_jacobian,
@@ -95,6 +91,15 @@ def _lift_weight(mode: str, n: int) -> int:
 
 
 def validate_problem(prob: Problem) -> None:
+    """The one input gate: every rule is checked here once, in this order,
+    and the first that fails raises its typed error.
+
+    1. p = 2 (UnsupportedCharacteristic);
+    2. the shape of the Problem: mode, nonempty terms, lengths of exponents,
+       hbar and coefficients, confinement only in toric mode, precision >= 1;
+    3. the contract of the mode (jacobian.check_terms);
+    4. the field F_q = F_p[t]/(hbar) (FieldSpec.validate, InvalidFieldSpec).
+    """
     if prob.p == 2:
         raise UnsupportedCharacteristic("p = 2 is not supported")
     if prob.mode not in MODES:
@@ -113,7 +118,10 @@ def validate_problem(prob: Problem) -> None:
     if prob.confine and prob.mode != "toric":
         raise InvalidInput(
             "confinement is a torus change of coordinates; only toric mode")
+    if prob.precision is not None and prob.precision < 1:
+        raise InvalidInput("precision must be >= 1")
     check_terms(prob.terms, prob.mode, prob.p)
+    FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar, N_work=1).validate()
 
 
 def apply_confinement(prob: Problem) -> Problem:
@@ -134,14 +142,13 @@ def _run_at(prob: Problem, N: int, v: int, emit_matrix: bool) -> Result:
     ring = make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar,
                                N_work=n_work))
     lifted = lift_input(ring, prob.terms, prob.mode)
-    poly = hull_and_triangulate(lifted.working_support())
+    poly = hull_and_triangulate(lifted.support)
     ech, basis = build_jacobian(lifted, poly, v)
     E = truncation_bound(p, lifted.n_eff, n_work)
     series = splitting_for(ring, E)
-    support = make_support_matrix(lifted)
     columns = []
     for m in basis.V:
-        alpha = expand_frobenius(m, lifted, poly, series, support, E)
+        alpha = expand_frobenius(m, lifted, poly, series, E)
         columns.append(cone_reduce(alpha, ech, basis))
     A, charpoly = assemble_and_charpoly(ring, columns, prob.mode, a)
     lifted_cp = lift_charpoly(ring, charpoly, q, _lift_weight(prob.mode, prob.n))
@@ -158,8 +165,6 @@ def compute_zeta(prob: Problem, emit_matrix: bool = False) -> Result:
         prob = apply_confinement(prob)
     v = expected_rank(prob.mode, [nu for nu, _ in prob.terms])
     if prob.precision is not None:
-        if prob.precision < 1:
-            raise InvalidInput("precision must be >= 1")
         N = prob.precision
         log.debug("precision: N = %d (override)", N)
     else:
@@ -203,7 +208,6 @@ def nondegeneracy_witness_search(prob: Problem, k_max: int
     vanish.  Returns (k, point codes) for the first witness found, None
     otherwise.
     """
-    FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar, N_work=1).validate()
     validate_problem(prob)
     work_terms = {working_exponent(prob.mode, nu): c for nu, c in prob.terms}
     exps = sorted(work_terms)

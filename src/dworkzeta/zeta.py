@@ -228,26 +228,16 @@ def substitute_t_over_q(f: List[int], q: int) -> List[int]:
 
 
 def log_derivative_series(f: List[int], r_max: int) -> List[int]:
-    """Coefficients s_1..s_r of T f'(T)/f(T), f(0) = 1 (exact integers)."""
+    """Coefficients s_1..s_r of T f'(T)/f(T), f(0) = 1 (exact integers), by
+    Newton's recurrence s_r = r c_r - sum_{i=1}^{r-1} c_i s_{r-i}, which is
+    the T^r coefficient of f * (T f'/f) = T f'."""
     if not f or f[0] != 1:
         raise PrecisionOrLogicError("series must have constant term 1")
-    inv = [0] * (r_max + 1)
-    inv[0] = 1
+    c = list(f) + [0] * (r_max + 1 - len(f))
+    s = [0]
     for r in range(1, r_max + 1):
-        acc = 0
-        for j in range(1, min(r, len(f) - 1) + 1):
-            acc += f[j] * inv[r - j]
-        inv[r] = -acc
-    tfp = [0] * (r_max + 1)
-    for i in range(1, min(len(f) - 1, r_max) + 1):
-        tfp[i] = i * f[i]
-    out = []
-    for r in range(1, r_max + 1):
-        acc = 0
-        for i in range(1, r + 1):
-            acc += tfp[i] * inv[r - i]
-        out.append(acc)
-    return out
+        s.append(r * c[r] - sum(c[i] * s[r - i] for i in range(1, r)))
+    return s[1:]
 
 
 @dataclass

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from cone_helpers import add_term
+
 from dworkzeta.cone_algebra import ConeElement, ConeMonomial
 from dworkzeta.errors import InternalPrecisionError, PrecisionOrLogicError
 from dworkzeta import pipeline
-from dworkzeta.jacobian import LiftedInput, working_exponent
+from dworkzeta.jacobian import LiftedInput
 from dworkzeta.padic import RingElement
 from dworkzeta.polytope import LatticePolytope
 from dworkzeta.splitting import SplittingSeries
@@ -44,9 +46,7 @@ def expand_frobenius_dense(target: ConeMonomial, lifted: LiftedInput,
     # product[(D, m)] = (delta, u, be)
     product: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, RingElement, int]] = {
         (0, (0,) * lifted.n_eff): (0, ring.one, 0)}
-    support_items = sorted(
-        (working_exponent(lifted.mode, nu), a) for nu, a in lifted.coeffs.items())
-    for nu, a in support_items:
+    for nu, a in zip(lifted.support, lifted.coeffs):
         factor = []
         apow = ring.one
         for i in range(p * E):
@@ -100,7 +100,7 @@ def expand_frobenius_dense(target: ConeMonomial, lifted: LiftedInput,
                 f"dense Frobenius term {mono} escapes the cone over the polytope")
         sign = -1 if t % 2 else 1
         coeff = ring.smul(sign * p ** (t - delta), ring.sigma_inverse(u))
-        out.add_term(mono, coeff)
+        add_term(out, mono, coeff)
     return out
 
 
@@ -111,7 +111,7 @@ def use_in_pipeline(monkeypatch) -> List[ConeMonomial]:
     check that the substitution took effect."""
     targets: List[ConeMonomial] = []
 
-    def dense(target, lifted, poly, series, support, E):
+    def dense(target, lifted, poly, series, E):
         targets.append(target)
         return expand_frobenius_dense(target, lifted, poly, series, E)
 

@@ -156,6 +156,12 @@ def test_check_nondegenerate_clean_pass(tmp_path, capsys):
       "terms": [{"exp": [2, 0, 1], "coeff": [1]},
                 {"exp": [0, 2, 1], "coeff": [1]},
                 {"exp": [1, 1, 1], "coeff": [1]}]}, 6, "NondegeneracyFailure"),
+    # characteristic 2
+    ({"p": 2}, 5, "UnsupportedCharacteristic"),
+    # a defining polynomial of degree 2 for F_7 (a = 1)
+    ({"field_poly": [3, 0, 1]}, 2, "InvalidInput"),
+    # a precision override below 1
+    ({"precision": 0}, 2, "InvalidInput"),
 ])
 def test_check_nondegenerate_invalid_input_exit_code(tmp_path, capsys, change,
                                                      code, name):

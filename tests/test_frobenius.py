@@ -14,7 +14,6 @@ from dworkzeta import gf
 from dworkzeta.cone_algebra import term_order_key
 from dworkzeta.frobenius import (
     expand_frobenius,
-    make_support_matrix,
     solve_congruence,
     splitting_for,
     truncation_bound,
@@ -108,21 +107,20 @@ def elliptic_alpha_oracle(p, aa, bb, N, max_degree):
 
 def expansion_setup(R, terms, mode):
     lifted = lift_input(R, terms, mode)
-    poly = hull_and_triangulate(lifted.working_support())
-    support = make_support_matrix(lifted)
+    poly = hull_and_triangulate(lifted.support)
     bound = truncation_bound(R.p, lifted.n_eff, R.N)
     series = splitting_for(R, bound)
-    return lifted, poly, support, bound, series
+    return lifted, poly, bound, series
 
 
 def test_elliptic_alpha_wxy_against_paper_series():
     p, aa, bb, N = 5, 2, 1, 4
     R = ring(p, 1, N)
-    lifted, poly, support, bound, series = expansion_setup(
+    lifted, poly, bound, series = expansion_setup(
         R, elliptic_terms(p, aa, bb), "affine")
-    alpha = expand_frobenius((1, (1, 1)), lifted, poly, series, support, bound)
+    alpha = expand_frobenius((1, (1, 1)), lifted, poly, series, bound)
     oracle = elliptic_alpha_oracle(p, aa, bb, N, max_degree=3)
-    got = {m: c[0] for m, c in alpha if m[0] <= 3}
+    got = {m: c[0] for m, c in alpha.terms.items() if m[0] <= 3}
     checked = sorted(oracle, key=term_order_key)
     assert len(checked) >= 5
     for m in checked:
@@ -136,18 +134,18 @@ def test_unit_monomial_constant_term_is_one():
     p, N = 5, 4
     R = ring(p, 1, N)
     terms = [((1,), (1,)), ((0,), (2,))]  # x + 2 on G_m
-    lifted, poly, support, bound, series = expansion_setup(R, terms, "toric")
-    alpha = expand_frobenius((0, (0,)), lifted, poly, series, support, bound)
+    lifted, poly, bound, series = expansion_setup(R, terms, "toric")
+    alpha = expand_frobenius((0, (0,)), lifted, poly, series, bound)
     assert alpha.terms[(0, (0,))] == R.one
 
 
 def test_cone_support_invariant():
     p, N = 7, 4
     R = ring(p, 1, N)
-    lifted, poly, support, bound, series = expansion_setup(
+    lifted, poly, bound, series = expansion_setup(
         R, elliptic_terms(p, 3, 2), "toric")
-    alpha = expand_frobenius((1, (1, 1)), lifted, poly, series, support, bound)
-    for (d, mu), c in alpha:
+    alpha = expand_frobenius((1, (1, 1)), lifted, poly, series, bound)
+    for (d, mu), c in alpha.terms.items():
         assert poly.contains(mu, d)
         assert not R.is_zero(c)
 
@@ -162,8 +160,8 @@ def test_fewnomial_equals_dense():
                          ((0, 0), (1, 1)), ((1, 1), (2, 0))], "affine", (1, (1, 1))),
     ]
     for R, terms, mode, target in cases:
-        lifted, poly, support, bound, series = expansion_setup(R, terms, mode)
-        few = expand_frobenius(target, lifted, poly, series, support, bound)
+        lifted, poly, bound, series = expansion_setup(R, terms, mode)
+        few = expand_frobenius(target, lifted, poly, series, bound)
         dense = expand_frobenius_dense(target, lifted, poly, series, bound)
         assert few.terms == dense.terms, (R.p, mode, target)
 
@@ -171,9 +169,9 @@ def test_fewnomial_equals_dense():
 def test_projective_expansion_paths_agree():
     R = ring(7, 1, 3)
     terms = [((3, 0, 0), (1,)), ((0, 3, 0), (2,)), ((0, 0, 3), (1,))]
-    lifted, poly, support, bound, series = expansion_setup(R, terms, "projective")
+    lifted, poly, bound, series = expansion_setup(R, terms, "projective")
     target = (1, (1, 1))  # w * xyz with z implicit
-    few = expand_frobenius(target, lifted, poly, series, support, bound)
+    few = expand_frobenius(target, lifted, poly, series, bound)
     dense = expand_frobenius_dense(target, lifted, poly, series, bound)
     assert few.terms == dense.terms
     assert few.terms  # nonempty

@@ -5,10 +5,9 @@ on elliptic, Fermat-like, and projective fixtures."""
 from __future__ import annotations
 
 import random
+from operator import add
 
 import pytest
-
-from cone_helpers import mul_monomial
 
 from dworkzeta import gf
 from dworkzeta.errors import InvalidInput, NondegeneracyFailure
@@ -35,24 +34,22 @@ def elliptic_terms(p, aa, bb):
 
 def build(R, terms, mode):
     lifted = lift_input(R, terms, mode)
-    poly = hull_and_triangulate(lifted.working_support())
-    v = expected_rank(mode, lifted.coeffs)
+    poly = hull_and_triangulate(lifted.support)
+    v = expected_rank(mode, [nu for nu, _ in terms])
     return lifted, poly, build_jacobian(lifted, poly, v)
 
 
 def test_lift_input_elliptic_generators():
     R = ring()
     lifted = lift_input(R, elliptic_terms(7, 2, 3), "affine")
+    assert lifted.support == ((0, 0), (0, 2), (1, 0), (3, 0))
     # f_x = w(3x^3 + 2x), f_y = -2w y^2
     fx = lifted.generator(1)
-    assert set(fx.terms) == {(1, (3, 0)), (1, (1, 0))}
-    assert fx.terms[(1, (3, 0))] == R.smul(3, R.teichmuller_lift((1,)))
-    assert fx.terms[(1, (1, 0))] == R.smul(1, R.teichmuller_lift((2,)))
-    fy = lifted.generator(2)
-    assert set(fy.terms) == {(1, (0, 2))}
-    assert fy.terms[(1, (0, 2))] == R.smul(-2, R.one)
-    f0 = lifted.generator(0)
-    assert len(f0.terms) == 4
+    assert fx == [((1, 0), R.smul(1, R.teichmuller_lift((2,)))),
+                  ((3, 0), R.smul(3, R.teichmuller_lift((1,))))]
+    assert lifted.generator(2) == [((0, 2), R.smul(-2, R.one))]
+    # w*f carries every term with its lifted coefficient
+    assert lifted.generator(0) == list(zip(lifted.support, lifted.coeffs))
 
 
 def test_check_terms_validation():
@@ -87,7 +84,7 @@ def test_elliptic_toric_volume_six():
     _, poly, (ech, basis) = build(R, elliptic_terms(7, 1, 1), "toric")
     assert poly.nvol == 6
     assert basis.v == 6
-    assert basis.of_degree(0) == [(0, (0, 0))]
+    assert [m for m in basis.V if m[0] == 0] == [(0, (0, 0))]
 
 
 def test_fermat_like_affine_basis():
@@ -106,6 +103,8 @@ def test_projective_fermat_cubic():
     lifted, poly, (ech, basis) = build(R, terms, "projective")
     assert lifted.degree == 3
     assert lifted.n_eff == 2
+    # w z df/dz, with z implicit: only z^3 = x^0 y^0 z^3 carries z
+    assert lifted.generator(3) == [((0, 0), R.smul(3, R.one))]
     assert basis.V == [(1, (1, 1)), (2, (2, 2))]
 
 
@@ -128,9 +127,14 @@ def test_degenerate_input_detected():
 def relation_rows(lifted, de):
     """The relation matrix J of one degree, rebuilt from row_meta: row i is
     generator(gi) * m as a sparse {column: entry} row."""
-    return [{de.col_index[mono]: c
-             for mono, c in mul_monomial(lifted.generator(gi), m)}
-            for gi, m in de.row_meta]
+    return [{de.col_index[(d + 1, tuple(map(add, mu, nu)))]: c
+             for nu, c in lifted.generator(gi)}
+            for gi, (d, mu) in de.row_meta]
+
+
+def pivots(de):
+    """The (row, column) pivot pairs of one degree, in the order found."""
+    return [(r, j) for j, r in de.pivot_rows.items()]
 
 
 def densify(R, row, n):
@@ -206,8 +210,7 @@ def test_echelon_identities():
                         acc = R.add(acc, R.mul(T[i][k], J[k][j]))
                     assert acc == M[i][j]
             # unit pivots normalized to 1, zero elsewhere in pivot columns
-            assert de.pivot_rows == {j: r for r, j in de.pivots}
-            for r, j in de.pivots:
+            for j, r in de.pivot_rows.items():
                 assert M[r][j] == R.one
                 for i in range(nrows):
                     if i != r:
@@ -231,8 +234,7 @@ def test_solve_splits_vector():
             assert all(not R.is_zero(c) for c in eta.values())
             assert all(not R.is_zero(c) for c in v.values())
             # v is supported on the non-pivot columns
-            for r, j in de.pivots:
-                assert j not in v
+            assert not set(v) & set(de.pivot_rows)
             # xi = eta*J + v
             for j in range(ncols):
                 acc = v.get(j, R.zero)
@@ -250,8 +252,8 @@ def test_nonpivot_columns_independent_of_row_order():
     for d, de in ech.by_degree.items():
         rows = relation_rows(lifted, de)
         rng.shuffle(rows)
-        _, pivots = _row_reduce(R, rows, len(de.columns), d)
-        assert {j for _, j in pivots} == {j for _, j in de.pivots}
+        _, found = _row_reduce(R, rows, len(de.columns), d)
+        assert {j for _, j in found} == set(de.pivot_rows)
 
 
 @pytest.mark.parametrize("p, a, terms, mode", [
@@ -273,7 +275,7 @@ def test_sparse_row_reduce_matches_dense_reference(p, a, terms, mode):
     for d, de in ech.by_degree.items():
         nrows, ncols = len(de.row_meta), len(de.columns)
         M = [densify(R, row, ncols) for row in relation_rows(lifted, de)]
-        T, pivots = dense_row_reduce(R, M, ncols, d)
-        assert de.pivots == pivots, (mode, d)
+        T, dense_pivots = dense_row_reduce(R, M, ncols, d)
+        assert pivots(de) == dense_pivots, (mode, d)
         assert [densify(R, row, ncols) for row in de.M] == M, (mode, d)
         assert [densify(R, row, nrows) for row in de.T] == T, (mode, d)

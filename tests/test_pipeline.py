@@ -15,6 +15,7 @@ import pytest
 from dworkzeta import gf, jacobian, pipeline
 from dworkzeta.errors import (
     InsufficientPrecision,
+    InvalidFieldSpec,
     InvalidInput,
     NondegeneracyFailure,
     UnsupportedCharacteristic,
@@ -88,6 +89,22 @@ def test_extension_field_toric_against_oracle():
     verify_against_oracle(prob, zf, 4)
 
 
+@pytest.mark.parametrize("prob, r_max", [
+    # y^2 = x^3 + x + t over F_25 = F_5[t]/(t^2 + 4t + 2)
+    (Problem(p=5, a=2, hbar=(2, 4, 1), n=2, mode="affine",
+             terms=[((3, 0), (1, 0)), ((1, 0), (1, 0)), ((0, 0), (0, 1)),
+                    ((0, 2), (4, 0))]), 2),
+    # x^3 + y^3 + t z^3 over F_25; r = 2 would enumerate 25^6 > 10^8 points
+    (Problem(p=5, a=2, hbar=(2, 4, 1), n=3, mode="projective",
+             terms=[((3, 0, 0), (1, 0)), ((0, 3, 0), (1, 0)),
+                    ((0, 0, 3), (0, 1))]), 1),
+], ids=["affine", "projective"])
+def test_extension_field_a2_against_oracle(prob, r_max):
+    zf = compute_zeta(prob).zeta
+    assert zf.v == 2
+    verify_against_oracle(prob, zf, r_max)
+
+
 def test_precision_stability():
     for prob in (elliptic_affine(7, 2, 1),
                  Problem(p=5, a=1, hbar=(0, 1), n=2, mode="toric",
@@ -123,7 +140,7 @@ def structural_rank(prob, v):
     """
     ring = make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar, N_work=1))
     lifted = lift_input(ring, prob.terms, prob.mode)
-    poly = hull_and_triangulate(lifted.working_support())
+    poly = hull_and_triangulate(lifted.support)
     _ech, basis = build_jacobian(lifted, poly, v)
     return basis.v
 
@@ -294,6 +311,28 @@ def _problem(p, terms, n=2, a=1, mode="toric"):
 ])
 def test_witness_search_pinned(prob, k_max, witness):
     assert nondegeneracy_witness_search(prob, k_max) == witness
+
+
+# Inputs with two faults: validate_problem reports the one its order checks
+# first (p = 2, then the Problem's shape, then the mode contract, then the
+# field), and the witness search reports the same.
+ZERO_AT_Y2 = [((3, 0), (1,)), ((1, 0), (2,)), ((0, 0), (1,)), ((0, 2), (7,))]
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ({"p": 2, "hbar": (0, 0, 1)}, UnsupportedCharacteristic, "p = 2"),
+    ({"p": 2, "precision": 0}, UnsupportedCharacteristic, "p = 2"),
+    ({"precision": 0, "terms": ZERO_AT_Y2}, InvalidInput, "precision"),
+    ({"a": 2, "hbar": (0, 0, 1), "terms": ZERO_AT_Y2}, InvalidInput,
+     "zero coefficient"),
+    ({"a": 2, "hbar": (0, 0, 1)}, InvalidFieldSpec, "reducible"),
+])
+def test_validate_problem_order(change, error, message):
+    prob = replace(elliptic_affine(7, 2, 1), **change)
+    with pytest.raises(error, match=message):
+        compute_zeta(prob)
+    with pytest.raises(error, match=message):
+        nondegeneracy_witness_search(prob, 2)
 
 
 def test_check_terms_once_per_solve(monkeypatch):

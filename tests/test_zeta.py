@@ -14,7 +14,6 @@ from dworkzeta import gf
 from dworkzeta.errors import ConsistencyFailure, InsufficientPrecision
 from dworkzeta.frobenius import (
     expand_frobenius,
-    make_support_matrix,
     splitting_for,
     truncation_bound,
 )
@@ -192,6 +191,20 @@ def test_log_derivative_series_closed_form():
         assert s_num[r - 1] - s_den[r - 1] == 5 ** r - 3 ** r - (-2) ** r
 
 
+def test_log_derivative_series_power_sums():
+    # f = prod (1 - alpha_i T) has T f'/f = -sum_r (sum_i alpha_i^r) T^r,
+    # also for r beyond deg f and with repeated or zero alpha_i.
+    rng = random.Random(12)
+    for _ in range(40):
+        alphas = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 6))]
+        f = [1]
+        for alpha in alphas:
+            f = poly_mul(f, [1, -alpha])
+        r_max = rng.randrange(1, 10)
+        assert log_derivative_series(f, r_max) == [
+            -sum(alpha ** r for alpha in alphas) for r in range(1, r_max + 1)]
+
+
 def test_assemble_zeta_affine_elliptic_shape():
     q, a_q = 7, 2
     lifted = [1, -a_q * q, q ** 3]
@@ -244,16 +257,15 @@ def test_end_to_end_single_point_on_torus():
     p, N_work = 5, 4
     R = ring(p, 1, N_work)
     lifted = lift_input(R, [((1,), (1,)), ((0,), (2,))], "toric")
-    poly = hull_and_triangulate(lifted.working_support())
+    poly = hull_and_triangulate(lifted.support)
     ech, basis = build_jacobian(lifted, poly,
-                                expected_rank(lifted.mode, lifted.coeffs))
+                                expected_rank("toric", lifted.support))
     assert basis.v == 1
-    support = make_support_matrix(lifted)
     bound = truncation_bound(p, lifted.n_eff, N_work)
     series = splitting_for(R, bound)
     columns = []
     for m in basis.V:
-        alpha = expand_frobenius(m, lifted, poly, series, support, bound)
+        alpha = expand_frobenius(m, lifted, poly, series, bound)
         columns.append(cone_reduce(alpha, ech, basis))
     A, res = assemble_and_charpoly(R, columns, "toric", 1)
     # the (1-T) factor of the unit row is split off: degree v - 1 = 0
