@@ -2,7 +2,8 @@
 
 Subcommands:
   compute <input.json>   run the full pipeline and print a JSON report
-  oracle count <input.json> --r R   brute-force point counts only
+  oracle count <input.json> --r R   brute-force point counts only, after
+                                    the input checks of compute
 
 Reports are deterministic: keys sorted, fixed separators, one trailing
 newline, so identical input and flags give byte-identical output.
@@ -21,6 +22,7 @@ from .pipeline import (
     Problem,
     compute_zeta,
     nondegeneracy_witness_search,
+    validate_problem,
     verify_against_oracle,
 )
 
@@ -122,6 +124,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_count(args: argparse.Namespace) -> int:
     prob = _load_problem(args.input)
+    validate_problem(prob)
     counts = [oracle.count_points(prob.p, prob.a, prob.hbar, prob.terms,
                                   prob.mode, r)
               for r in range(1, args.r + 1)]

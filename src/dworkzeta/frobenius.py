@@ -25,9 +25,10 @@ lies in R.  Only terms that are individually 0 mod p^N_work are dropped, so
 the output is exactly the truncation of alpha.
 
 The enumeration reads the denominator bounds d(p, i) from one table per call.
-Each term is added, unreduced, to one list of integer coordinates per
-monomial; every monomial is checked against the cone once, when it first
-appears, and the lists are reduced mod p^N_work once at the end.
+Each term, its scalar reduced mod p^N_work times its ring coefficient, is
+added unreduced to one integer per monomial; every monomial is checked
+against the cone once, when it first appears, and each sum becomes a ring
+element once, by ring.normalize, at the end.
 """
 
 from __future__ import annotations
@@ -112,18 +113,19 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
     """Fewnomial-enumeration expansion of alpha((pi*w)^d x^mu) mod p^N_work,
     with E = truncation_bound(p, n_eff, N_work)."""
     ring = lifted.ring
-    p, N_work = ring.p, ring.N
+    p, N_work, modulus, mul = ring.p, ring.N, ring.modulus, ring.mul
     d, mu = target
     nus, a_list = lifted.support, lifted.coeffs
-    s = len(nus)
+    s, last = len(nus), len(nus) - 1
     U = [[1] * s] + [[nu[i] for nu in nus] for i in range(lifted.n_eff)]
     dtab = [d_bound(p, i) for i in range(len(series))]
     p_pows = [p ** net for net in range(N_work)]
 
     neg_target = tuple((-t) % p for t in (d,) + mu)
-    # Unreduced coordinates of each monomial's coefficient; a monomial enters
-    # only after it has been checked against the cone.
-    raw: Dict[ConeMonomial, List[int]] = {}
+    # Unreduced sum of each monomial's terms, (scalar mod p^N_work) * apow
+    # (see padic.normalize); a monomial enters only after it has been
+    # checked against the cone.
+    raw: Dict[ConeMonomial, int] = {}
     for k in solve_congruence(U, neg_target, p):
         total_k = sum(k)
         bw, rem = divmod(total_k + d, p)
@@ -162,18 +164,15 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                 if not poly.contains(exps, mono[0]):
                     raise PrecisionOrLogicError(
                         f"Frobenius term {mono} escapes the cone over the polytope")
-                acc = raw[mono] = [0] * len(apow)
+                acc = 0
             scalar = p_pows[net] * numer
             if (bw + esum) % 2:
                 scalar = -scalar
-            for t, c in enumerate(apow):
-                acc[t] += scalar * c
+            raw[mono] = acc + scalar % modulus * apow
 
         def walk(j: int, esum: int, delta: int, numer: int,
                  apow: RingElement, exps: Tuple[int, ...]) -> None:
-            if j == s:
-                emit(esum, delta, numer, apow, exps)
-                return
+            """Choose e_j, then walk on to j + 1 (or emit, after the last)."""
             nu, aj, kj, rest = nus[j], a_list[j], k[j], tail[j + 1]
             for ej in range(E - esum):
                 # Sound monotone cutoff: every completion of this state has
@@ -182,14 +181,16 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                 if bw + esum + ej - delta - dtab[idx] - rest >= N_work:
                     break
                 if ej:
-                    apow = ring.mul(apow, aj)
+                    apow = mul(apow, aj)
                     exps = tuple(map(add, exps, nu))
                 ell = series[idx]
-                walk(j + 1, esum + ej, delta + ell.denom_exp,
-                     numer * ell.numer, apow, exps)
+                if j == last:
+                    emit(esum + ej, delta + ell.denom_exp, numer * ell.numer,
+                         apow, exps)
+                else:
+                    walk(j + 1, esum + ej, delta + ell.denom_exp,
+                         numer * ell.numer, apow, exps)
 
         walk(0, 0, 0, 1, prefix, tuple(base_x))
 
-    modulus = ring.modulus
-    return ConeElement(ring, {m: tuple(c % modulus for c in acc)
-                              for m, acc in raw.items()})
+    return ConeElement(ring, {m: ring.normalize(acc) for m, acc in raw.items()})

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cone_algebra import ConeMonomial, term_order_key
 from .errors import InvalidInput, NondegeneracyFailure
@@ -253,8 +253,8 @@ class DegreeEchelon:
         for j, c in xi.items():
             r = self.pivot_rows.get(j)
             if r is not None:
-                _combine(ring, ring.sub, v, c, self.M[r])
-                _combine(ring, ring.add, eta, c, self.T[r])
+                _combine(ring, v, ring.neg(c), self.M[r])
+                _combine(ring, eta, c, self.T[r])
         return eta, v
 
 
@@ -279,17 +279,16 @@ class MonomialBasis:
         return len(self.V)
 
 
-def _combine(ring: RingContext,
-             op: Callable[[RingElement, RingElement], RingElement],
-             dst: SparseRow, c: RingElement, src: SparseRow) -> None:
-    """dst[k] = op(dst[k], c * src[k]) for every k in src, in place.
+def _combine(ring: RingContext, dst: SparseRow, c: RingElement,
+             src: SparseRow) -> None:
+    """dst[k] += c * src[k] for every k in src, in place.
 
-    op is ring.add or ring.sub.  Ring elements are canonical residues, so an
-    entry is zero exactly when it equals ring.zero; such entries are dropped.
+    Ring elements are canonical, so an entry is zero exactly when it equals
+    ring.zero; such entries are dropped.
     """
-    zero, mul = ring.zero, ring.mul
+    zero, muladd, get = ring.zero, ring.muladd, dst.get
     for k, b in src.items():
-        x = op(dst.get(k, zero), mul(c, b))
+        x = muladd(c, b, get(k, zero))
         if x != zero:
             dst[k] = x
         else:
@@ -343,8 +342,9 @@ def _row_reduce(ring: RingContext, rows: List[SparseRow], ncols: int,
                 continue
             c = rows[i].get(j)
             if c is not None:
-                _combine(ring, ring.sub, rows[i], c, prow)
-                _combine(ring, ring.sub, T[i], c, ptrow)
+                c = ring.neg(c)
+                _combine(ring, rows[i], c, prow)
+                _combine(ring, T[i], c, ptrow)
         pivots.append((r, j))
         r += 1
     return T, pivots

@@ -12,8 +12,9 @@ smallest root of its defining polynomial found by exhaustive search.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from itertools import product as iproduct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,17 +120,25 @@ class ExtensionField:
         return sorted(int(r) for r in np.nonzero(val == 0)[0])
 
 
-_field_cache: Dict[Tuple[int, int], ExtensionField] = {}
+# Fields kept, least recently used first out; one pass of the small-p
+# benchmark uses 16.
+FIELD_CACHE_CAPACITY = 32
+_field_cache: "OrderedDict[Tuple[int, int], ExtensionField]" = OrderedDict()
 _field_cache_lock = threading.Lock()
 
 
 def get_field(p: int, d: int) -> ExtensionField:
-    """The shared F_{p^d}; built once per (p, d), also under concurrent calls."""
+    """The shared F_{p^d}; built once per (p, d) while it stays among the
+    FIELD_CACHE_CAPACITY most recently used, also under concurrent calls."""
     key = (p, d)
     with _field_cache_lock:
         field = _field_cache.get(key)
         if field is None:
             field = _field_cache[key] = ExtensionField(p, d)
+            while len(_field_cache) > FIELD_CACHE_CAPACITY:
+                _field_cache.popitem(last=False)
+        else:
+            _field_cache.move_to_end(key)
         return field
 
 

@@ -13,11 +13,27 @@ every extension degree a:
   in a scratch ring over an arbitrary lift of hbar.
 * Inverse Frobenius: sigma^-1 is the substitution t -> t^(q/p), precomputed
   as an a x a linear map (the identity at a = 1).
-* Inverse of a unit: invert mod p in F_q, then Hensel-lift.
+* Inverse of a unit: pow(u, -1, p^N) at a = 1; for a > 1, u^(q-2) inverts u
+  mod p and Newton's iteration v -> v(2 - uv) lifts that inverse.
 
-Ring elements are plain tuples of length a with entries in [0, p^N); all
-operations live on an immutable RingContext and are pure functions, so a
-context can be shared freely across threads.
+A ring element is one Python int.  At a = 1 it is the residue in [0, p^N).
+At a > 1 it is the Kronecker packing sum_i x_i 2^(k*i) of its coordinates
+x_i in [0, p^N) on 1, t, ..., t^(a-1), so the integer product of two
+elements has the convolution of their coordinates as its base-2^k digits,
+and a sum of elements times integers has the sums of their coordinates.
+Such digits stay nonnegative, and the width k, HEADROOM_BITS bits above
+a*(p^N - 1)^2 (checked where k is set), keeps them below 2^k, so no digit
+carries into the next:
+
+* a convolution digit is a sum of at most a products of two coordinates,
+  and reducing t^(2a-2), ..., t^a by h adds at most a - 1 more such products;
+* a sum of at most 2^HEADROOM_BITS terms c*x, with x an element and c an
+  integer in [0, p^N), has digits below 2^HEADROOM_BITS*(p^N - 1)^2.
+
+normalize brings such a sum back to an element.  Elements are canonical, so
+an element is zero exactly when it is 0, and two elements are equal exactly
+when they are equal ints.  All operations live on an immutable RingContext
+and are pure functions, so a context can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -28,7 +44,9 @@ from typing import Sequence, Tuple
 from . import gf
 from .errors import InvalidFieldSpec, PrecisionOrLogicError
 
-RingElement = Tuple[int, ...]
+RingElement = int
+
+HEADROOM_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -73,17 +91,36 @@ class RingContext:
     def __init__(self, spec: FieldSpec):
         spec.validate()
         self.spec = spec
-        self.p = spec.p
-        self.a = spec.a
-        self.N = spec.N_work
-        self.q = spec.p ** spec.a
-        self.modulus = spec.p ** spec.N_work
-        self.zero: RingElement = (0,) * self.a
-        self.one: RingElement = (1,) + (0,) * (self.a - 1)
-        self._h = self._lift_defining_polynomial()
+        self._set_precision(spec.p, spec.a, spec.N_work)
+        self._set_defining_polynomial(self._lift_defining_polynomial())
         # sigma^{-1} is the substitution t -> t^(q/p).
         self._sigma_inv_mat = self._substitution_matrix(
             self.pow(self.gen(), self.q // self.p))
+
+    def _set_precision(self, p: int, a: int, n: int) -> None:
+        """The constants of Z_q/p^n and the packing width k."""
+        self.p, self.a, self.N = p, a, n
+        self.q = p ** a
+        self.modulus = m = p ** n
+        self.k = (a * (m - 1) ** 2).bit_length() + HEADROOM_BITS
+        if not (a * (m - 1) ** 2 < 1 << self.k
+                and (m - 1) ** 2 << HEADROOM_BITS < 1 << self.k):
+            raise PrecisionOrLogicError(
+                f"packing width {self.k} leaves a carry at p^N = {m}, a = {a}")
+        self._mask = (1 << self.k) - 1
+        self._shifts = [self.k * i for i in range(a)]
+        self._high_shifts = [self.k * i for i in range(2 * a - 2, a - 1, -1)]
+        # m in every digit: x + _m_digits - y has nonnegative digits.
+        self._m_digits = self._pack([m] * a)
+        self.zero: RingElement = 0
+        self.one: RingElement = 1
+
+    def _set_defining_polynomial(self, h_low: Sequence[int]) -> None:
+        """h = t^a + h_(a-1) t^(a-1) + ... + h_0; _t_to_a packs the
+        coordinates of t^a = -(h_0 + ... + h_(a-1) t^(a-1)) in [0, p^N)."""
+        m = self.modulus
+        self._h = tuple(c % m for c in h_low)
+        self._t_to_a = self._pack([-c % m for c in self._h])
 
     # ---- construction helpers -------------------------------------------------
 
@@ -96,7 +133,7 @@ class RingContext:
         Z/p^N, which is checked.  Returns the non-leading coefficients
         (h_0, ..., h_{a-1}).
         """
-        p, a, mod_ = self.p, self.a, self.modulus
+        p, a = self.p, self.a
         hbar = gf.trim(c % p for c in self.spec.hbar)
         scratch_h = tuple(int(c) for c in hbar[:-1])
         scratch = _RawRing(p, a, self.N, scratch_h)
@@ -112,32 +149,53 @@ class RingContext:
                 nxt[i + 1] = scratch.add(nxt[i + 1], ci)
                 nxt[i] = scratch.sub(nxt[i], scratch.mul(ci, c))
             coeffs = nxt
-        low = []
-        for ci in coeffs[:-1]:
-            if any(x % mod_ for x in ci[1:]):
-                raise InvalidFieldSpec(
-                    "defining-polynomial lift produced non-scalar symmetric functions"
-                )
-            low.append(ci[0] % mod_)
-        return tuple(low)
+        try:
+            return tuple(scratch.scalar(ci, self.modulus) for ci in coeffs[:-1])
+        except ValueError:
+            raise InvalidFieldSpec(
+                "defining-polynomial lift produced non-scalar symmetric functions"
+            ) from None
 
     def _substitution_matrix(self, image_of_t: RingElement) -> list[list[int]]:
         """Matrix (columns = images of t^i) of the substitution t -> image_of_t."""
         cols = [self.one]
         for _ in range(self.a - 1):
             cols.append(self.mul(cols[-1], image_of_t))
-        return [[cols[j][i] for j in range(self.a)] for i in range(self.a)]
+        digits = [self._digits(c) for c in cols]
+        return [[digits[j][i] for j in range(self.a)] for i in range(self.a)]
+
+    # ---- packing ----------------------------------------------------------------
+
+    def _digits(self, x: int) -> list[int]:
+        """The a base-2^k digits of x."""
+        mask = self._mask
+        return [(x >> s) & mask for s in self._shifts]
+
+    def _pack(self, digits: Sequence[int]) -> int:
+        return sum(d << s for d, s in zip(digits, self._shifts))
+
+    def normalize(self, x: int) -> RingElement:
+        """The element of a sum x of at most 2^HEADROOM_BITS terms c*y, each
+        an integer c in [0, p^N) times an element y (see the module
+        docstring): every digit reduced mod p^N."""
+        m = self.modulus
+        if self.a == 1:
+            return x % m
+        mask, out = self._mask, 0
+        for s in self._shifts:
+            out |= ((x >> s) & mask) % m << s
+        return out
 
     # ---- basic arithmetic ------------------------------------------------------
 
     def gen(self) -> RingElement:
         if self.a == 1:
             # t is identified with its scalar value -h_0.
-            return ((-self._h[0]) % self.modulus,)
-        return (0, 1) + (0,) * (self.a - 2)
+            return (-self._h[0]) % self.modulus
+        return 1 << self.k
 
     def from_int(self, c: int) -> RingElement:
-        return (c % self.modulus,) + (0,) * (self.a - 1)
+        return c % self.modulus
 
     def from_residue(self, coeffs: Sequence[int]) -> RingElement:
         """Embed an F_q element given by F_p coefficients on the generator."""
@@ -152,41 +210,42 @@ class RingContext:
         return out
 
     def add(self, x: RingElement, y: RingElement) -> RingElement:
-        m = self.modulus
-        return tuple((a + b) % m for a, b in zip(x, y))
+        return self.normalize(x + y)
 
     def sub(self, x: RingElement, y: RingElement) -> RingElement:
-        m = self.modulus
-        return tuple((a - b) % m for a, b in zip(x, y))
+        return self.normalize(x + self._m_digits - y)
 
     def neg(self, x: RingElement) -> RingElement:
-        m = self.modulus
-        return tuple((-a) % m for a in x)
+        return self.normalize(self._m_digits - x)
 
     def smul(self, c: int, x: RingElement) -> RingElement:
-        m = self.modulus
-        c %= m
-        return tuple((c * a) % m for a in x)
+        return self.normalize(c % self.modulus * x)
 
     def mul(self, x: RingElement, y: RingElement) -> RingElement:
-        a, m = self.a, self.modulus
-        if a == 1:
-            return ((x[0] * y[0]) % m,)
-        conv = [0] * (2 * a - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    conv[i + j] += xi * yj
-        h = self._h
-        for i in range(2 * a - 2, a - 1, -1):
-            c = conv[i] % m
-            if c:
-                for j in range(a):
-                    conv[i - a + j] -= c * h[j]
-            conv[i] = 0
-        return tuple(v % m for v in conv[:a])
+        if self.a == 1:
+            return x * y % self.modulus
+        return self._reduce_product(x * y)
+
+    def muladd(self, x: RingElement, y: RingElement, z: RingElement
+               ) -> RingElement:
+        """x*y + z."""
+        if self.a == 1:
+            return (x * y + z) % self.modulus
+        return self._reduce_product(x * y + z)
+
+    def _reduce_product(self, z: int) -> RingElement:
+        """The element of z = x*y (+ an element), whose 2a-1 base-2^k digits
+        are at most (a + 1)*(p^N - 1)^2.  From the top digit c*t^i down to
+        i = a, (c mod p^N)*t^(i-a)*t^a replaces it, adding at most
+        (p^N - 1)^2 to a lower digit (see the module docstring)."""
+        m, t_to_a, ka = self.modulus, self._t_to_a, self.k * self.a
+        for s in self._high_shifts:
+            z = (z & ((1 << s) - 1)) + ((z >> s) % m * t_to_a << (s - ka))
+        return self.normalize(z)
 
     def pow(self, x: RingElement, e: int) -> RingElement:
+        if self.a == 1:
+            return pow(x, e, self.modulus)
         result = self.one
         while e > 0:
             if e & 1:
@@ -196,41 +255,50 @@ class RingContext:
         return result
 
     def is_zero(self, x: RingElement) -> bool:
-        return all(c % self.modulus == 0 for c in x)
+        return not x
 
     def is_unit(self, x: RingElement) -> bool:
-        return any(c % self.p for c in x)
+        p = self.p
+        return any(d % p for d in self._digits(x))
 
     def inv(self, u: RingElement) -> RingElement:
-        """Inverse of a unit: invert modulo p in F_q, then Hensel-lift."""
+        """Inverse of a unit; see the module docstring."""
         if not self.is_unit(u):
             raise ZeroDivisionError("attempted inversion of a non-unit")
-        p = self.p
-        ubar = gf.trim(c % p for c in u)
-        hbar = gf.trim([c % p for c in self._h] + [1])
-        vbar = gf.powmod(ubar, self.q - 2, hbar, p)
-        v = tuple(vbar[i] if i < len(vbar) else 0 for i in range(self.a))
+        if self.a == 1:
+            return pow(u, -1, self.modulus)
+        v = self.pow(u, self.q - 2)
         # v <- v(2 - uv) doubles the precision each round.
-        rounds = max(1, (self.N - 1).bit_length())
-        for _ in range(rounds):
-            t = self.sub(self.from_int(2), self.mul(u, v))
-            v = self.mul(v, t)
+        for _ in range(max(1, (self.N - 1).bit_length())):
+            v = self.mul(v, self.sub(2, self.mul(u, v)))
         return v
 
     def divide_exact_by_p(self, x: RingElement) -> RingElement:
         """Exact division by p of an element with valuation >= 1.
 
-        The result is trustworthy one p-adic digit lower; the caller is
-        responsible for the precision ledger.
+        Every coordinate is divisible by p, so the packed int is too, and its
+        quotient is the packing of the coordinate quotients.  The result is
+        trustworthy one p-adic digit lower; the caller is responsible for the
+        precision ledger.
         """
-        if any(c % self.p for c in x):
+        if self.is_unit(x):
             raise ZeroDivisionError("element is not divisible by p")
-        return tuple(c // self.p for c in x)
+        return x // self.p
+
+    def scalar(self, x: RingElement, modulus: int) -> int:
+        """The coordinate of x on 1, mod modulus (a divisor of p^N); raises
+        ValueError unless every other coordinate is 0 mod modulus."""
+        c0, *rest = self._digits(x)
+        if any(c % modulus for c in rest):
+            raise ValueError(f"{self.serialize(x)} is not a scalar mod {modulus}")
+        return c0 % modulus
 
     # ---- Frobenius and Teichmueller -------------------------------------------
 
     def sigma_inverse(self, x: RingElement) -> RingElement:
-        return _mat_vec(self._sigma_inv_mat, x, self.modulus)
+        v, m = self._digits(x), self.modulus
+        return self._pack([sum(r * c for r, c in zip(row, v)) % m
+                           for row in self._sigma_inv_mat])
 
     def teich(self, x: RingElement) -> RingElement:
         """Teichmueller representative congruent to x mod p (0 maps to 0):
@@ -238,7 +306,8 @@ class RingContext:
         tau = self.pow(x, self.q ** (self.N - 1))
         if self.pow(tau, self.q) != tau:
             raise PrecisionOrLogicError(
-                f"Teichmueller lift {tau} of {x} is not fixed by x -> x^q")
+                f"Teichmueller lift {self.serialize(tau)} of "
+                f"{self.serialize(x)} is not fixed by x -> x^q")
         return tau
 
     def teichmuller_lift(self, residue: Sequence[int]) -> RingElement:
@@ -249,7 +318,7 @@ class RingContext:
 
     def serialize(self, x: RingElement) -> list[int]:
         """Little-endian list of the a base-p^N residues (JSON-friendly)."""
-        return [int(c % self.modulus) for c in x]
+        return self._digits(x)
 
 
 class _RawRing(RingContext):
@@ -258,17 +327,8 @@ class _RawRing(RingContext):
     def __init__(self, p: int, a: int, n: int, h_low: Tuple[int, ...]):
         # Bypass RingContext.__init__: no Frobenius machinery is available
         # before the special defining polynomial has been constructed.
-        self.p, self.a, self.N = p, a, n
-        self.q = p ** a
-        self.modulus = p ** n
-        self.zero = (0,) * a
-        self.one = (1,) + (0,) * (a - 1)
-        self._h = tuple(c % self.modulus for c in h_low)
-
-
-def _mat_vec(mat: list[list[int]], v: Sequence[int], m: int) -> Tuple[int, ...]:
-    n = len(mat)
-    return tuple(sum(mat[i][k] * v[k] for k in range(n)) % m for i in range(n))
+        self._set_precision(p, a, n)
+        self._set_defining_polynomial(h_low)
 
 
 def make_ring(spec: FieldSpec) -> RingContext:

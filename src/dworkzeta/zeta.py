@@ -72,7 +72,7 @@ def matrix_mul(ring: RingContext, A: Matrix, B: Matrix) -> Matrix:
             if ring.is_zero(e):
                 continue
             for j in range(m):
-                out[i][j] = ring.add(out[i][j], ring.mul(e, B[l][j]))
+                out[i][j] = ring.muladd(e, B[l][j], out[i][j])
     return out
 
 
@@ -115,7 +115,7 @@ def _dot_row(ring: RingContext, row: List[RingElement],
              vec: List[RingElement]) -> RingElement:
     acc = ring.zero
     for x, y in zip(row, vec):
-        acc = ring.add(acc, ring.mul(x, y))
+        acc = ring.muladd(x, y, acc)
     return acc
 
 
@@ -124,7 +124,7 @@ def _convolve_at(ring: RingContext, t: List[RingElement],
     acc = ring.zero
     for j in range(min(i, len(t) - 1) + 1):
         if i - j < len(C):
-            acc = ring.add(acc, ring.mul(t[j], C[i - j]))
+            acc = ring.muladd(t[j], C[i - j], acc)
     return acc
 
 
@@ -181,11 +181,11 @@ def lift_charpoly(ring: RingContext, result: CharpolyResult, q: int,
     v = len(result.coefficients) - 1
     out = []
     for i, c in enumerate(result.coefficients):
-        for comp in c[1:]:
-            if comp % modulus:
-                raise PrecisionOrLogicError(
-                    f"charpoly coefficient {i} is not a scalar: {c}")
-        r = c[0] % modulus
+        try:
+            r = ring.scalar(c, modulus)
+        except ValueError as exc:
+            raise PrecisionOrLogicError(
+                f"charpoly coefficient {i}: {exc}") from None
         centered = r if 2 * r <= modulus else r - modulus
         if centered * centered > comb(v, i) ** 2 * q ** (weight * i):
             raise InsufficientPrecision(

@@ -169,3 +169,21 @@ def test_check_nondegenerate_invalid_input_exit_code(tmp_path, capsys, change,
     for extra in ([], ["--check-nondegenerate", "2"]):
         got, _out, err = run(capsys, ["compute", path] + extra)
         assert got == code and err.startswith(f"{name}: "), (extra, err)
+
+
+@pytest.mark.parametrize("change, code, name", [
+    # F_7[t]/(t^2) is not a field
+    ({"a": 2, "field_poly": [0, 0, 1]}, 3, "InvalidFieldSpec"),
+    # a duplicated exponent
+    ({"terms": ELLIPTIC["terms"] + [{"exp": [3, 0], "coeff": [2]}]},
+     2, "InvalidInput"),
+    # a composite characteristic
+    ({"p": 9}, 3, "InvalidFieldSpec"),
+])
+def test_oracle_count_validates_like_compute(tmp_path, capsys, change, code,
+                                             name):
+    path = write_input(tmp_path, dict(ELLIPTIC, **change))
+    for argv in (["compute", path], ["oracle", "count", path, "--r", "1"]):
+        got, out, err = run(capsys, argv)
+        assert got == code and err.startswith(f"{name}: ") and not out, (
+            argv, err)

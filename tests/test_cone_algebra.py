@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from cone_helpers import add_term, cone_sum, mul_monomial
+from ring_helpers import from_coords
 
 from dworkzeta import gf
 from dworkzeta.cone_algebra import ConeElement, term_order_key
@@ -39,7 +40,7 @@ def test_arithmetic_against_dict_model():
         terms = {}
         for _ in range(k):
             m = (rng.randrange(0, 3), (rng.randrange(0, 4), rng.randrange(0, 4)))
-            terms[m] = tuple(rng.randrange(R.modulus) for _ in range(R.a))
+            terms[m] = from_coords(R, [rng.randrange(R.modulus) for _ in range(R.a)])
         return ConeElement(R, terms)
 
     for _ in range(25):
@@ -59,7 +60,7 @@ def test_arithmetic_against_dict_model():
         assert shifted.terms == {
             (d + 1, (mu[0] + 2, mu[1] + 1)): v for (d, mu), v in x.terms.items()}
 
-        c = tuple(rng.randrange(R.modulus) for _ in range(R.a))
+        c = from_coords(R, [rng.randrange(R.modulus) for _ in range(R.a)])
         assert mul_monomial(x, m0, c).terms == {
             (d + 1, (mu[0] + 2, mu[1] + 1)): R.mul(c, v)
             for (d, mu), v in x.terms.items() if not R.is_zero(R.mul(c, v))}

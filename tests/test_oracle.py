@@ -171,3 +171,23 @@ def test_get_field_shared_across_threads():
     for k, key in enumerate(keys):
         shared = oracle._field_cache[key]
         assert all(r[k] is shared for r in results), key
+
+
+def test_field_cache_is_bounded_lru(monkeypatch):
+    # With room for three fields, a stream of new fields never grows the
+    # cache past three, and a key used between every two new ones stays in
+    # and keeps returning the same object.
+    monkeypatch.setattr(oracle, "FIELD_CACHE_CAPACITY", 3)
+    monkeypatch.setattr(oracle, "_field_cache", type(oracle._field_cache)())
+    hot = get_field(3, 2)
+    built = {}
+    for key in [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (3, 3)]:
+        built[key] = get_field(*key)
+        assert built[key] is oracle._field_cache[key]
+        assert len(oracle._field_cache) <= 3
+        assert get_field(3, 2) is hot
+    assert list(oracle._field_cache) == [(11, 1), (3, 3), (3, 2)]
+    # an evicted field is built again, as a new object
+    again = get_field(3, 1)
+    assert again is not built[(3, 1)] and again.Q == 3
+    assert len(oracle._field_cache) == 3

@@ -1,5 +1,6 @@
 """Tests for arithmetic in R = Z_q/p^N: ring axioms, inverse Frobenius,
-Teichmueller lifts, and pinned values of the lifted polynomial and sigma^-1."""
+Teichmueller lifts, pinned values of the lifted polynomial and sigma^-1, and
+the int representation against a schoolbook tuple reference."""
 
 from __future__ import annotations
 
@@ -7,11 +8,11 @@ import random
 
 import pytest
 
-from ring_helpers import valuation
+from ring_helpers import TupleRing, from_coords, valuation
 
 from dworkzeta import gf
 from dworkzeta.errors import InvalidFieldSpec
-from dworkzeta.padic import FieldSpec, make_ring
+from dworkzeta.padic import HEADROOM_BITS, FieldSpec, make_ring
 
 
 def ring(p, a, n, hbar=None):
@@ -24,6 +25,10 @@ def sigma_inverse_power(R, x, k):
     for _ in range(k):
         x = R.sigma_inverse(x)
     return x
+
+
+def random_element(R, rng):
+    return from_coords(R, [rng.randrange(R.modulus) for _ in range(R.a)])
 
 
 def residues(R):
@@ -63,7 +68,7 @@ def test_lifted_polynomial_divides_xq_minus_x():
 def test_ring_axioms_random():
     R = ring(5, 2, 4)
     rng = random.Random(1)
-    sample = [tuple(rng.randrange(R.modulus) for _ in range(R.a)) for _ in range(12)]
+    sample = [random_element(R, rng) for _ in range(12)]
     for x in sample[:4]:
         for y in sample[4:8]:
             assert R.mul(x, y) == R.mul(y, x)
@@ -77,7 +82,7 @@ def test_unit_inverse():
     rng = random.Random(2)
     count = 0
     while count < 25:
-        u = tuple(rng.randrange(R.modulus) for _ in range(R.a))
+        u = random_element(R, rng)
         if not R.is_unit(u):
             continue
         count += 1
@@ -91,8 +96,8 @@ def test_sigma_is_ring_hom_and_reduces_to_pth_power():
         R = ring(p, a, 4)
         rng = random.Random(p)
         for _ in range(10):
-            x = tuple(rng.randrange(R.modulus) for _ in range(a))
-            y = tuple(rng.randrange(R.modulus) for _ in range(a))
+            x = random_element(R, rng)
+            y = random_element(R, rng)
             assert R.sigma_inverse(R.mul(x, y)) == R.mul(
                 R.sigma_inverse(x), R.sigma_inverse(y))
             assert R.sigma_inverse(R.add(x, y)) == R.add(
@@ -100,7 +105,8 @@ def test_sigma_is_ring_hom_and_reduces_to_pth_power():
         for res in residues(R):
             x = R.from_residue(res)
             lhs = R.pow(R.sigma_inverse(x), p)
-            assert all((l - r) % p == 0 for l, r in zip(lhs, x))
+            assert all((l - r) % p == 0
+                       for l, r in zip(R.serialize(lhs), R.serialize(x)))
 
 
 def test_sigma_order_a():
@@ -111,7 +117,7 @@ def test_sigma_order_a():
         assert fixed == [False] * (a - 1) + [True]
         rng = random.Random(3)
         for _ in range(20):
-            x = tuple(rng.randrange(R.modulus) for _ in range(R.a))
+            x = random_element(R, rng)
             assert sigma_inverse_power(R, x, a) == x
 
 
@@ -123,7 +129,7 @@ def test_teichmuller_prime_field_frozen():
     while pow(x, 7, 343) != x:
         x = pow(x, 7, 343)
     R = ring(7, 1, 3, hbar=(0, 1))
-    assert R.teichmuller_lift((2,)) == (x,)
+    assert R.teichmuller_lift((2,)) == R.from_int(x)
     assert R.teichmuller_lift((0,)) == R.zero
     assert R.teichmuller_lift((1,)) == R.one
 
@@ -223,3 +229,82 @@ def test_conway_polynomials_known_values():
     assert gf.conway_polynomial(3, 2) == (2, 2, 1)       # x^2 + 2x + 2
     assert gf.conway_polynomial(5, 2) == (2, 4, 1)       # x^2 + 4x + 2
     assert gf.conway_polynomial(7, 2) == (3, 6, 1)       # x^2 + 6x + 3
+
+
+# ---- the int representation --------------------------------------------------
+
+INT_RINGS = [(7, 1, 6), (5, 2, 7), (3, 3, 6)]
+
+
+@pytest.mark.parametrize("p, a, n", INT_RINGS)
+def test_operations_are_ints_agreeing_with_tuple_reference(p, a, n):
+    R = ring(p, a, n)
+    ref = TupleRing(R)
+    assert type(R.zero) is int and type(R.one) is int and type(R.gen()) is int
+    assert R.serialize(R.one) == [1] + [0] * (a - 1)
+    if a > 1:
+        assert R.serialize(R.gen()) == [0, 1] + [0] * (a - 2)
+    rng = random.Random(100 * p + a)
+    units = 0
+    for _ in range(40):
+        xs = [rng.randrange(R.modulus) for _ in range(a)]
+        ys = [rng.randrange(R.modulus) for _ in range(a)]
+        x, y = from_coords(R, xs), from_coords(R, ys)
+        assert R.serialize(x) == xs and R.serialize(y) == ys
+        X, Y = tuple(xs), tuple(ys)
+        c = rng.randrange(-R.modulus, R.modulus)
+        for got, want in [(R.add(x, y), ref.add(X, Y)),
+                          (R.sub(x, y), ref.sub(X, Y)),
+                          (R.neg(x), ref.neg(X)),
+                          (R.smul(c, x), ref.smul(c, X)),
+                          (R.mul(x, y), ref.mul(X, Y))]:
+            assert type(got) is int
+            assert tuple(R.serialize(got)) == want
+        assert R.is_unit(x) == any(v % p for v in xs)
+        if R.is_unit(x):
+            units += 1
+            u = R.inv(x)
+            assert type(u) is int
+            assert ref.mul(X, tuple(R.serialize(u))) == tuple(R.serialize(R.one))
+    assert units > 20
+
+
+@pytest.mark.parametrize("p, a, n", INT_RINGS)
+def test_packing_width_leaves_headroom(p, a, n):
+    R = ring(p, a, n)
+    ref = TupleRing(R)
+    m = R.modulus
+    assert a * (m - 1) ** 2 < 2 ** R.k
+    assert (m - 1) ** 2 * 2 ** HEADROOM_BITS < 2 ** R.k
+    # The largest element squared: every convolution digit at its maximum.
+    top = from_coords(R, [m - 1] * a)
+    assert tuple(R.serialize(R.mul(top, top))) == ref.mul((m - 1,) * a,
+                                                         (m - 1,) * a)
+    # The largest sum normalize accepts: 2^HEADROOM_BITS terms (m-1) * top.
+    assert R.serialize(R.normalize((m - 1) * top * 2 ** HEADROOM_BITS)) == (
+        [(m - 1) ** 2 * 2 ** HEADROOM_BITS % m] * a)
+    # An unreduced sum of scaled elements equals the reference sum.
+    rng = random.Random(7 * p + a)
+    acc, want = 0, (0,) * a
+    for _ in range(50):
+        c = rng.randrange(m)
+        xs = tuple(rng.randrange(m) for _ in range(a))
+        acc += c * from_coords(R, xs)
+        want = ref.add(want, ref.smul(c, xs))
+    assert tuple(R.serialize(R.normalize(acc))) == want
+
+
+@pytest.mark.parametrize("p, a, n", INT_RINGS)
+def test_scalar_zero_and_exact_division_on_ints(p, a, n):
+    R = ring(p, a, n)
+    assert R.is_zero(R.zero) and not R.is_zero(R.one)
+    assert R.scalar(R.from_int(-3), p ** (n - 1)) == -3 % p ** (n - 1)
+    if a > 1:
+        with pytest.raises(ValueError):
+            R.scalar(R.gen(), R.modulus)
+        # a non-scalar part that vanishes mod the given modulus is accepted
+        x = R.add(R.from_int(5), R.smul(p ** (n - 1), R.gen()))
+        assert R.scalar(x, p ** (n - 1)) == 5
+    xs = [p * (i + 2) for i in range(a)]
+    assert R.serialize(R.divide_exact_by_p(from_coords(R, xs))) == [
+        i + 2 for i in range(a)]

@@ -105,6 +105,24 @@ def test_extension_field_a2_against_oracle(prob, r_max):
     verify_against_oracle(prob, zf, r_max)
 
 
+@pytest.mark.parametrize("prob, r_max, numerator", [
+    # y^2 = x^3 + x + t over F_125 (Conway polynomial); r = 2 would
+    # enumerate 125^4 > 10^8 points
+    (Problem(p=5, a=3, hbar=tuple(gf.conway_polynomial(5, 3)), n=2,
+             mode="affine",
+             terms=[((3, 0), (1,)), ((1, 0), (1,)), ((0, 0), (0, 1)),
+                    ((0, 2), (4,))]), 1, [1, -8, 125]),
+    # x + 1/x + t on G_m over F_27 (Conway polynomial)
+    (Problem(p=3, a=3, hbar=tuple(gf.conway_polynomial(3, 3)), n=1,
+             mode="toric",
+             terms=[((1,), (1,)), ((-1,), (1,)), ((0,), (0, 1))]), 4, [1]),
+], ids=["affine", "toric"])
+def test_extension_field_a3_against_oracle(prob, r_max, numerator):
+    zf = compute_zeta(prob).zeta
+    assert zf.v == 2 and zf.numerator == numerator
+    verify_against_oracle(prob, zf, r_max)
+
+
 def test_precision_stability():
     for prob in (elliptic_affine(7, 2, 1),
                  Problem(p=5, a=1, hbar=(0, 1), n=2, mode="toric",
