@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Every error class maps to a distinct nonzero CLI exit code (see cli.py).
+A retired class leaves its code unused: 8 was the reduction's guard against
+non-termination, which the bounded degree-by-degree sweep does not need.
 Messages state the mathematical condition that failed so that a report is
 actionable without reading the source.
 """
@@ -55,12 +57,6 @@ class DecompositionError(DworkZetaError):
     """A cone monomial of high degree admits no valid divisor decomposition."""
 
     exit_code = 7
-
-
-class NonTermination(DworkZetaError):
-    """The reduction loop failed to make progress (guard against cycling)."""
-
-    exit_code = 8
 
 
 class InternalPrecisionError(DworkZetaError):

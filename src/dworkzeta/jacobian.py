@@ -49,8 +49,10 @@ from .polytope import LatticePolytope, lattice_points, normalized_volume
 
 MODES = ("toric", "affine", "projective")
 
-# A sparse matrix row or vector: index -> nonzero ring element.
+# A sparse matrix row: index -> nonzero ring element.
 SparseRow = Dict[int, RingElement]
+# A coefficient vector: one ring element per right-hand side, zeros included.
+Vector = List[RingElement]
 
 
 def working_exponent(mode: str, nu: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -239,23 +241,30 @@ class DegreeEchelon:
     T: List[SparseRow]
     pivot_rows: Dict[int, int]
 
-    def solve(self, ring: RingContext, xi: SparseRow
-              ) -> Tuple[SparseRow, SparseRow]:
-        """Split the sparse vector xi = eta.J + v with v on the non-pivot columns.
+    def solve(self, ring: RingContext, xi: Dict[int, Vector]
+              ) -> Tuple[Dict[int, Vector], Dict[int, Vector]]:
+        """Split xi = eta.J + v coordinatewise, with v on the non-pivot columns.
 
-        Returns (eta over the original rows, v over the columns), both sparse.
+        xi maps a column to its vector of coordinates, one per right-hand
+        side, all of one length.  Returns (eta over the original rows, v over
+        the columns), each mapping to such vectors, none of them all zero.
         M is fully reduced, so subtracting a pivot row never changes another
-        pivot column: only the pivot entries of xi itself select rows, and
-        only the nonzero entries of those rows are touched.
+        pivot column: only the pivot entries of xi itself select rows, each
+        clearing its own column, and only the nonzero entries of those rows,
+        times the nonzero coordinates of the pivot entries, are touched.
         """
-        v = dict(xi)
-        eta: SparseRow = {}
+        neg = ring.neg
+        v = {j: list(c) for j, c in xi.items()}
+        eta: Dict[int, Vector] = {}
         for j, c in xi.items():
             r = self.pivot_rows.get(j)
             if r is not None:
-                _combine(ring, v, ring.neg(c), self.M[r])
-                _combine(ring, eta, c, self.T[r])
-        return eta, v
+                coords = [(i, x) for i, x in enumerate(c) if x]
+                _combine_vectors(ring, v, [(i, neg(x)) for i, x in coords],
+                                 self.M[r], len(c))
+                _combine_vectors(ring, eta, coords, self.T[r], len(c))
+        return ({k: e for k, e in eta.items() if any(e)},
+                {k: e for k, e in v.items() if any(e)})
 
 
 @dataclass
@@ -293,6 +302,20 @@ def _combine(ring: RingContext, dst: SparseRow, c: RingElement,
             dst[k] = x
         else:
             dst.pop(k, None)
+
+
+def _combine_vectors(ring: RingContext, dst: Dict[int, Vector],
+                     coords: List[Tuple[int, RingElement]], src: SparseRow,
+                     width: int) -> None:
+    """dst[k][i] += x * src[k] for every k in src and every (i, x) in coords,
+    in place; a missing dst[k] starts as the zero vector of length width."""
+    zero, muladd = ring.zero, ring.muladd
+    for k, b in src.items():
+        vec = dst.get(k)
+        if vec is None:
+            vec = dst[k] = [zero] * width
+        for i, x in coords:
+            vec[i] = muladd(x, b, vec[i])
 
 
 def _row_reduce(ring: RingContext, rows: List[SparseRow], ncols: int,

@@ -6,7 +6,8 @@ formula (jacobian.expected_rank), once per run and also under a precision
 override -> choose N (or take the override)
 -> working ring at N_work = N + a + 1 -> hull -> quotient basis (the one
 Jacobian build of each attempt, given v, which checks |V| = v) -> Frobenius
-expansion and reduction per basis monomial -> matrix assembly and charpoly
+expansion of each basis monomial -> one reduction of all v images together
+-> matrix assembly and charpoly
 -> centered lift with Weil filter -> mode assembly.  On InsufficientPrecision
 the whole computation reruns at N + 2, at most MAX_RETRIES times.  The
 precision choice and every retry are logged at debug level on the
@@ -146,10 +147,8 @@ def _run_at(prob: Problem, N: int, v: int, emit_matrix: bool) -> Result:
     ech, basis = build_jacobian(lifted, poly, v)
     E = truncation_bound(p, lifted.n_eff, n_work)
     series = splitting_for(ring, E)
-    columns = []
-    for m in basis.V:
-        alpha = expand_frobenius(m, lifted, poly, series, E)
-        columns.append(cone_reduce(alpha, ech, basis))
+    images = [expand_frobenius(m, lifted, poly, series, E) for m in basis.V]
+    columns = cone_reduce(images, ech, basis)
     A, charpoly = assemble_and_charpoly(ring, columns, prob.mode, a)
     lifted_cp = lift_charpoly(ring, charpoly, q, _lift_weight(prob.mode, prob.n))
     zf = assemble_zeta(lifted_cp, prob.mode, prob.n, q, basis.v, p, a, N)

@@ -230,17 +230,26 @@ def test_solve_splits_vector():
         sparse_xi = {j: R.from_int(rng.randrange(1, R.modulus))
                      for j in rng.sample(range(ncols), min(3, ncols))}
         for xi in (dense_xi, sparse_xi):
-            eta, v = de.solve(R, xi)
-            assert all(not R.is_zero(c) for c in eta.values())
-            assert all(not R.is_zero(c) for c in v.values())
+            # xi is the first column; the second is random and sparse
+            second = {j: R.from_int(rng.randrange(1, R.modulus))
+                      for j in rng.sample(range(ncols), min(2, ncols))}
+            cols = (xi, second)
+            vec_xi = {j: [x.get(j, R.zero) for x in cols]
+                      for j in set(xi) | set(second)}
+            eta, v = de.solve(R, vec_xi)
+            assert all(len(e) == 2 and not all(R.is_zero(c) for c in e)
+                       for e in eta.values())
+            assert all(len(e) == 2 and not all(R.is_zero(c) for c in e)
+                       for e in v.values())
             # v is supported on the non-pivot columns
             assert not set(v) & set(de.pivot_rows)
-            # xi = eta*J + v
-            for j in range(ncols):
-                acc = v.get(j, R.zero)
-                for k, e in eta.items():
-                    acc = R.add(acc, R.mul(e, J[k][j]))
-                assert acc == xi.get(j, R.zero)
+            # xi = eta*J + v, coordinatewise
+            for col, x in enumerate(cols):
+                for j in range(ncols):
+                    acc = v[j][col] if j in v else R.zero
+                    for k, e in eta.items():
+                        acc = R.add(acc, R.mul(e[col], J[k][j]))
+                    assert acc == x.get(j, R.zero)
             if d == ech.top:
                 assert v == {}
 

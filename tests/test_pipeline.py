@@ -379,13 +379,22 @@ def test_check_terms_once_per_solve(monkeypatch):
     assert len(calls) == 2
 
 
+# 2x + 2t*y + 1/(xy) + t over F_9 = F_3[t]/(t^2 + 2t + 2) (Conway), n = 2
+TORIC_F9_N2 = Problem(p=3, a=2, hbar=(2, 2, 1), n=2, mode="toric",
+                      terms=[((1, 0), (2, 0)), ((0, 1), (0, 2)),
+                             ((-1, -1), (1, 0)), ((0, 0), (0, 1))])
+
+
+def test_toric_f9_n2_against_oracle():
+    zf = compute_zeta(TORIC_F9_N2).zeta
+    assert zf.v == 3 and zf.N_used == 7
+    assert verify_against_oracle(TORIC_F9_N2, zf, 3) == [6, 96, 753]
+
+
 def test_toric_charpoly_exact_mod_p_to_n_work_minus_one():
-    # 2x + 2t*y + 1/(xy) + t over F_9 (a = 2): Q = A_0 / p is known mod
-    # p^(N_work - 1), so precision 1 suffices without a retry.
-    prob = Problem(p=3, a=2, hbar=(2, 2, 1), n=2, mode="toric",
-                   terms=[((1, 0), (2, 0)), ((0, 1), (0, 2)),
-                          ((-1, -1), (1, 0)), ((0, 0), (0, 1))],
-                   precision=1)
+    # TORIC_F9_N2 (a = 2): Q = A_0 / p is known mod p^(N_work - 1), so
+    # precision 1 suffices without a retry.
+    prob = replace(TORIC_F9_N2, precision=1)
     zf = compute_zeta(prob).zeta
     assert zf.N_used == 1
     # the zeta of the default precision (N = 7)
@@ -419,6 +428,13 @@ def matrix_digest(matrix):
     # y^2 = x^3 + 2x + 3 over F_101: a large-p case, series length p*E = 707
     (elliptic_affine(101, 2, 3),
      "86d0ec935e656f91cac174f1da88feee26f2de9298168c2537c1883e48df4d7b"),
+    # projective 2x^4 + y^4 + 2z^4 over F_3 (v = 6, N = 10)
+    (Problem(p=3, a=1, hbar=(0, 1), n=3, mode="projective",
+             terms=[((4, 0, 0), (2,)), ((0, 4, 0), (1,)), ((0, 0, 4), (2,))]),
+     "822e5ce26419ea9e8d7fd43ad4a17f1fec198155df54108734c44a20044be1cc"),
+    # an n = 2, a = 2 toric case at the default N = 7
+    (TORIC_F9_N2,
+     "fbff74b6f07c33afbbb8f3c8ea4fbdc8b69f8656d1efb0bc39eabe206a4517f7"),
 ])
 def test_frobenius_matrix_pinned(prob, digest):
     # Pinned bits: any change to the echelon, the expansion or the reduction

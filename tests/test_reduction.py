@@ -1,12 +1,16 @@
 """Reduction tests: linearity, vanishing of the operator relations (the
-strongest oracle), the elliptic vertical/constant relations, and independence
-of the divisor-choice policy."""
+strongest oracle), the elliptic vertical/constant relations, independence
+of the divisor-choice policy, and images reduced together against each
+reduced alone."""
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
 from cone_helpers import add_term, apply_Di, cone_sum
+from ring_helpers import from_coords
 
 from dworkzeta import gf, reduction
 from dworkzeta.cone_algebra import ConeElement
@@ -22,8 +26,18 @@ def ring(p, a, n):
 
 
 def elliptic_fixture(p=7, aa=2, bb=1, mode="toric", N=4):
-    R = ring(p, 1, N)
     terms = [((3, 0), (1,)), ((1, 0), (aa,)), ((0, 0), (bb,)), ((0, 2), (p - 1,))]
+    return fixture(ring(p, 1, N), terms, mode)
+
+
+def elliptic_f25_fixture(N=4):
+    """y^2 = x^3 + x + t over F_25 = F_5[t]/(t^2 + 4t + 2), toric."""
+    terms = [((3, 0), (1, 0)), ((1, 0), (1, 0)), ((0, 0), (0, 1)),
+             ((0, 2), (4, 0))]
+    return fixture(ring(5, 2, N), terms, "toric")
+
+
+def fixture(R, terms, mode):
     lifted = lift_input(R, terms, mode)
     poly = hull_and_triangulate(lifted.support)
     ech, basis = build_jacobian(lifted, poly,
@@ -49,7 +63,7 @@ def test_basis_elements_reduce_to_themselves():
     R, lifted, poly, ech, basis = elliptic_fixture()
     for i, m in enumerate(basis.V):
         G = ConeElement(R, {m: R.from_int(3)})
-        coords = cone_reduce(G, ech, basis)
+        coords = cone_reduce([G], ech, basis)[0]
         assert coords[i] == R.from_int(3)
         assert all(R.is_zero(c) for j, c in enumerate(coords) if j != i)
 
@@ -60,9 +74,9 @@ def test_linearity_random():
     for _ in range(6):
         G1 = random_cone_element(rng, R, lifted, poly, 0, max_degree=4)
         G2 = random_cone_element(rng, R, lifted, poly, 0, max_degree=4)
-        lhs = cone_reduce(cone_sum(R, G1, G2), ech, basis)
-        r1 = cone_reduce(G1, ech, basis)
-        r2 = cone_reduce(G2, ech, basis)
+        lhs = cone_reduce([cone_sum(R, G1, G2)], ech, basis)[0]
+        r1 = cone_reduce([G1], ech, basis)[0]
+        r2 = cone_reduce([G2], ech, basis)[0]
         assert lhs == [R.add(a, b) for a, b in zip(r1, r2)]
 
 
@@ -75,7 +89,7 @@ def test_operator_relations_vanish():
                 xi = random_cone_element(rng, R, lifted, poly, gi)
                 if not xi.terms:
                     continue
-                coords = cone_reduce(apply_Di(lifted, gi, xi), ech, basis)
+                coords = cone_reduce([apply_Di(lifted, gi, xi)], ech, basis)[0]
                 assert all(R.is_zero(c) for c in coords), (mode, gi)
 
 
@@ -92,7 +106,7 @@ def test_operator_relations_vanish_projective():
             xi = random_cone_element(rng, R, lifted, poly, gi)
             if not xi.terms:
                 continue
-            coords = cone_reduce(apply_Di(lifted, gi, xi), ech, basis)
+            coords = cone_reduce([apply_Di(lifted, gi, xi)], ech, basis)[0]
             assert all(R.is_zero(c) for c in coords), gi
 
 
@@ -102,9 +116,10 @@ def test_elliptic_vertical_relation():
     half = R.inv(R.from_int(2))
     for d, u, v in [(2, 0, 3), (3, 1, 3), (3, 0, 5), (4, 2, 5)]:
         assert poly.contains((u, v), d) and poly.contains((u, v - 2), d - 1)
-        lhs = cone_reduce(ConeElement(R, {(d, (u, v)): R.one}), ech, basis)
-        rhs = cone_reduce(ConeElement(R, {(d - 1, (u, v - 2)): R.one}),
-                          ech, basis)
+        lhs = cone_reduce([ConeElement(R, {(d, (u, v)): R.one})],
+                          ech, basis)[0]
+        rhs = cone_reduce([ConeElement(R, {(d - 1, (u, v - 2)): R.one})],
+                          ech, basis)[0]
         factor = R.mul(R.from_int(v - 2), half)
         assert lhs == [R.mul(factor, c) for c in rhs], (d, u, v)
 
@@ -119,8 +134,10 @@ def test_fermat_like_constant_relation():
         lifted, poly, expected_rank("toric", [nu for nu, _ in terms]))
     b = R.teichmuller_lift((3,))
     for d in (2, 3, 4):
-        lhs = cone_reduce(ConeElement(R, {(d, (0, 0)): R.one}), ech, basis)
-        rhs = cone_reduce(ConeElement(R, {(d - 1, (0, 0)): R.one}), ech, basis)
+        lhs = cone_reduce([ConeElement(R, {(d, (0, 0)): R.one})],
+                          ech, basis)[0]
+        rhs = cone_reduce([ConeElement(R, {(d - 1, (0, 0)): R.one})],
+                          ech, basis)[0]
         factor = R.neg(R.mul(R.from_int(d - 1), R.inv(b)))
         assert lhs == [R.mul(factor, c) for c in rhs], d
 
@@ -143,8 +160,36 @@ def test_divisor_policy_independence(monkeypatch):
     rng = random.Random(24)
     elements = [random_cone_element(rng, R, lifted, poly, 0, max_degree=6, k=5)
                 for _ in range(6)]
-    first = [cone_reduce(G, ech, basis) for G in elements]
+    first = [cone_reduce([G], ech, basis)[0] for G in elements]
     monkeypatch.setattr(reduction, "_default_divisor_policy", last_fit)
-    last = [cone_reduce(G, ech, basis) for G in elements]
+    last = [cone_reduce([G], ech, basis)[0] for G in elements]
     assert calls  # the swapped-in policy chose the divisors
     assert first == last
+
+
+@pytest.mark.parametrize("make", [elliptic_fixture, elliptic_f25_fixture],
+                         ids=["a1", "a2"])
+def test_columns_together_match_columns_alone(make):
+    R, lifted, poly, ech, basis = make()
+    rng = random.Random(25)
+
+    def random_element():
+        # every coordinate of every coefficient random, so a > 1 packs digits
+        out = ConeElement(R)
+        for _ in range(6):
+            d = rng.randrange(0, 7)
+            candidates = [(d, mu) for mu in lattice_points(poly, d)]
+            coords = [rng.randrange(R.modulus) for _ in range(R.a)]
+            add_term(out, rng.choice(candidates), from_coords(R, coords))
+        return out
+
+    for _ in range(3):
+        G1, G2 = random_element(), random_element()
+        assert max(m[0] for m in G1.terms) > ech.top
+        minus_G2 = ConeElement(R, {m: R.neg(c) for m, c in G2.terms.items()})
+        images = [G1, G2, ConeElement(R), G1, minus_G2]
+        together = cone_reduce(images, ech, basis)
+        alone = [cone_reduce([G], ech, basis)[0] for G in images]
+        assert together == alone
+        assert together[2] == [R.zero] * basis.v
+        assert together[4] == [R.neg(c) for c in together[1]]
