@@ -7,6 +7,9 @@ the degree-one generators (w*f and w*x_i df/dx_i) and m over cone monomials of
 degree d-1.  Row-reducing the coefficient matrix J_d with a recorded
 transform T_d (so that M_d = T_d * J_d exactly, with unit pivots) yields both
 the reduction machinery and, through the non-pivot columns, the basis V.
+The echelon is data only: DegreeEchelon has no solve.  Reduction reads the
+pivot row of a column in M_d and in T_d once and compiles it into that
+column's reduction operator (reduction.compile_column).
 
 Each relation row has at most as many nonzero entries as its generator has
 terms, so rows are kept sparse ({column: entry}) throughout: build_jacobian
@@ -51,8 +54,6 @@ MODES = ("toric", "affine", "projective")
 
 # A sparse matrix row: index -> nonzero ring element.
 SparseRow = Dict[int, RingElement]
-# A coefficient vector: one ring element per right-hand side, zeros included.
-Vector = List[RingElement]
 
 
 def working_exponent(mode: str, nu: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -241,31 +242,6 @@ class DegreeEchelon:
     T: List[SparseRow]
     pivot_rows: Dict[int, int]
 
-    def solve(self, ring: RingContext, xi: Dict[int, Vector]
-              ) -> Tuple[Dict[int, Vector], Dict[int, Vector]]:
-        """Split xi = eta.J + v coordinatewise, with v on the non-pivot columns.
-
-        xi maps a column to its vector of coordinates, one per right-hand
-        side, all of one length.  Returns (eta over the original rows, v over
-        the columns), each mapping to such vectors, none of them all zero.
-        M is fully reduced, so subtracting a pivot row never changes another
-        pivot column: only the pivot entries of xi itself select rows, each
-        clearing its own column, and only the nonzero entries of those rows,
-        times the nonzero coordinates of the pivot entries, are touched.
-        """
-        neg = ring.neg
-        v = {j: list(c) for j, c in xi.items()}
-        eta: Dict[int, Vector] = {}
-        for j, c in xi.items():
-            r = self.pivot_rows.get(j)
-            if r is not None:
-                coords = [(i, x) for i, x in enumerate(c) if x]
-                _combine_vectors(ring, v, [(i, neg(x)) for i, x in coords],
-                                 self.M[r], len(c))
-                _combine_vectors(ring, eta, coords, self.T[r], len(c))
-        return ({k: e for k, e in eta.items() if any(e)},
-                {k: e for k, e in v.items() if any(e)})
-
 
 @dataclass
 class EchelonData:
@@ -302,20 +278,6 @@ def _combine(ring: RingContext, dst: SparseRow, c: RingElement,
             dst[k] = x
         else:
             dst.pop(k, None)
-
-
-def _combine_vectors(ring: RingContext, dst: Dict[int, Vector],
-                     coords: List[Tuple[int, RingElement]], src: SparseRow,
-                     width: int) -> None:
-    """dst[k][i] += x * src[k] for every k in src and every (i, x) in coords,
-    in place; a missing dst[k] starts as the zero vector of length width."""
-    zero, muladd = ring.zero, ring.muladd
-    for k, b in src.items():
-        vec = dst.get(k)
-        if vec is None:
-            vec = dst[k] = [zero] * width
-        for i, x in coords:
-            vec[i] = muladd(x, b, vec[i])
 
 
 def _row_reduce(ring: RingContext, rows: List[SparseRow], ncols: int,

@@ -19,21 +19,27 @@ every extension degree a:
 A ring element is one Python int.  At a = 1 it is the residue in [0, p^N).
 At a > 1 it is the Kronecker packing sum_i x_i 2^(k*i) of its coordinates
 x_i in [0, p^N) on 1, t, ..., t^(a-1), so the integer product of two
-elements has the convolution of their coordinates as its base-2^k digits,
-and a sum of elements times integers has the sums of their coordinates.
-Such digits stay nonnegative, and the width k, HEADROOM_BITS bits above
-a*(p^N - 1)^2 (checked where k is set), keeps them below 2^k, so no digit
-carries into the next:
+elements has the convolution of their coordinates as its 2a - 1 base-2^k
+digits, and a sum of elements times integers has the sums of their
+coordinates.  Such digits stay nonnegative, and none carries into the next
+as long as it stays below 2^k.
 
-* a convolution digit is a sum of at most a products of two coordinates,
-  and reducing t^(2a-2), ..., t^a by h adds at most a - 1 more such products;
-* a sum of at most 2^HEADROOM_BITS terms c*x, with x an element and c an
-  integer in [0, p^N), has digits below 2^HEADROOM_BITS*(p^N - 1)^2.
+normalize is the one rule that brings such an integer back to an element.
+Its input is a sum of at most K = 2^HEADROOM_BITS - 1 terms, each an
+element times an integer in [0, p^N) or a product of two elements.  A
+digit of such a sum is at most K*a*(p^N - 1)^2, since a convolution digit
+is a sum of at most a products of two coordinates.  At a > 1, normalize
+first folds the digits of t^(2a-2), ..., t^a, top down, by t^a = -(h_0 +
+... + h_(a-1) t^(a-1)): each fold adds at most (p^N - 1)^2 to a lower digit,
+a - 1 folds in all.  So every digit stays below (K*a + a - 1)*(p^N - 1)^2,
+which the width k keeps below 2^k (checked where k is set).  Then every
+digit is reduced mod p^N.  mul, muladd and the callers' lazy sums (the
+expansion's emit, reduction's layers) all go through it.
 
-normalize brings such a sum back to an element.  Elements are canonical, so
-an element is zero exactly when it is 0, and two elements are equal exactly
-when they are equal ints.  All operations live on an immutable RingContext
-and are pure functions, so a context can be shared freely across threads.
+Elements are canonical, so an element is zero exactly when it is 0, and two
+elements are equal exactly when they are equal ints.  All operations live on
+an immutable RingContext and are pure functions, so a context can be shared
+freely across threads.
 """
 
 from __future__ import annotations
@@ -102,14 +108,17 @@ class RingContext:
         self.p, self.a, self.N = p, a, n
         self.q = p ** a
         self.modulus = m = p ** n
-        self.k = (a * (m - 1) ** 2).bit_length() + HEADROOM_BITS
-        if not (a * (m - 1) ** 2 < 1 << self.k
-                and (m - 1) ** 2 << HEADROOM_BITS < 1 << self.k):
+        self.k = k = (a * (m - 1) ** 2).bit_length() + HEADROOM_BITS
+        terms = (1 << HEADROOM_BITS) - 1
+        if not (terms * a + a - 1) * (m - 1) ** 2 < 1 << k:
             raise PrecisionOrLogicError(
-                f"packing width {self.k} leaves a carry at p^N = {m}, a = {a}")
-        self._mask = (1 << self.k) - 1
-        self._shifts = [self.k * i for i in range(a)]
-        self._high_shifts = [self.k * i for i in range(2 * a - 2, a - 1, -1)]
+                f"packing width {k} leaves a carry at p^N = {m}, a = {a}")
+        self._mask = (1 << k) - 1
+        self._shifts = [k * i for i in range(a)]
+        # The folds of the digits of t^(2a-2), ..., t^a: (shift, mask below
+        # it, shift of t^(i-a)).
+        self._folds = [(k * i, (1 << k * i) - 1, k * (i - a))
+                       for i in range(2 * a - 2, a - 1, -1)]
         # m in every digit: x + _m_digits - y has nonnegative digits.
         self._m_digits = self._pack([m] * a)
         self.zero: RingElement = 0
@@ -175,12 +184,16 @@ class RingContext:
         return sum(d << s for d, s in zip(digits, self._shifts))
 
     def normalize(self, x: int) -> RingElement:
-        """The element of a sum x of at most 2^HEADROOM_BITS terms c*y, each
-        an integer c in [0, p^N) times an element y (see the module
-        docstring): every digit reduced mod p^N."""
+        """The element of a sum x of at most 2^HEADROOM_BITS - 1 terms, each
+        an element times an integer in [0, p^N) or a product of two elements:
+        the digits of t^(2a-2), ..., t^a folded down by h, then every digit
+        reduced mod p^N (see the module docstring for the bound)."""
         m = self.modulus
         if self.a == 1:
             return x % m
+        t_to_a = self._t_to_a
+        for s, low, back in self._folds:
+            x = (x & low) + ((x >> s) % m * t_to_a << back)
         mask, out = self._mask, 0
         for s in self._shifts:
             out |= ((x >> s) & mask) % m << s
@@ -222,26 +235,17 @@ class RingContext:
         return self.normalize(c % self.modulus * x)
 
     def mul(self, x: RingElement, y: RingElement) -> RingElement:
+        """normalize(x*y), inlined at a = 1."""
         if self.a == 1:
             return x * y % self.modulus
-        return self._reduce_product(x * y)
+        return self.normalize(x * y)
 
     def muladd(self, x: RingElement, y: RingElement, z: RingElement
                ) -> RingElement:
-        """x*y + z."""
+        """normalize(x*y + z), inlined at a = 1."""
         if self.a == 1:
             return (x * y + z) % self.modulus
-        return self._reduce_product(x * y + z)
-
-    def _reduce_product(self, z: int) -> RingElement:
-        """The element of z = x*y (+ an element), whose 2a-1 base-2^k digits
-        are at most (a + 1)*(p^N - 1)^2.  From the top digit c*t^i down to
-        i = a, (c mod p^N)*t^(i-a)*t^a replaces it, adding at most
-        (p^N - 1)^2 to a lower digit (see the module docstring)."""
-        m, t_to_a, ka = self.modulus, self._t_to_a, self.k * self.a
-        for s in self._high_shifts:
-            z = (z & ((1 << s) - 1)) + ((z >> s) % m * t_to_a << (s - ka))
-        return self.normalize(z)
+        return self.normalize(x * y + z)
 
     def pow(self, x: RingElement, e: int) -> RingElement:
         if self.a == 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import NotFullDimensional, PrecisionOrLogicError
@@ -166,9 +167,11 @@ class LatticePolytope:
     def contains(self, x: Sequence[int], dilation: int = 1) -> bool:
         """Membership of x in dilation * Delta, via scaled facet inequalities."""
         if dilation == 0:
-            return all(c == 0 for c in x)
-        return all(sum(a * xi for a, xi in zip(normal, x)) <= dilation * b
-                   for normal, b in self.facets)
+            return not any(x)
+        for normal, b in self.facets:
+            if sum(map(mul, normal, x)) > dilation * b:
+                return False
+        return True
 
 
 def _pulling_triangulation(points: List[Point],

@@ -137,8 +137,9 @@ def test_criterion_02_random_toric_oracle_equivalence():
     rng = random.Random(202)
     combos = ([(1, p, 1) for p in (3, 5, 7) for _ in range(3)]
               + [(1, p, 2) for p in (3, 5, 7) for _ in range(2)]
-              + [(2, 3, 1)] * 4 + [(2, 5, 1)] * 3 + [(2, 7, 1)] * 3)
-    assert len(combos) == 25
+              + [(2, 3, 1)] * 4 + [(2, 5, 1)] * 3 + [(2, 7, 1)] * 3
+              + [(2, 3, 2)] * 2)
+    assert len(combos) == 27
     done = 0
     for n, p, a in combos:
         hbar = (0, 1) if a == 1 else tuple(gf.conway_polynomial(p, a))
@@ -162,7 +163,7 @@ def test_criterion_02_random_toric_oracle_equivalence():
             break
         else:
             pytest.fail(f"no nondegenerate sample found for {(n, p, a)}")
-    assert done == 25
+    assert done == 27
 
 
 # --- criterion 3 -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for arithmetic in R = Z_q/p^N: ring axioms, inverse Frobenius,
 Teichmueller lifts, pinned values of the lifted polynomial and sigma^-1, and
-the int representation against a schoolbook tuple reference."""
+the int representation and normalize's contract against a schoolbook tuple
+reference."""
 
 from __future__ import annotations
 
@@ -280,7 +281,8 @@ def test_packing_width_leaves_headroom(p, a, n):
     top = from_coords(R, [m - 1] * a)
     assert tuple(R.serialize(R.mul(top, top))) == ref.mul((m - 1,) * a,
                                                          (m - 1,) * a)
-    # The largest sum normalize accepts: 2^HEADROOM_BITS terms (m-1) * top.
+    # 2^HEADROOM_BITS terms (m-1) * top, one more than normalize's term
+    # count: a sum with no products fits even so.
     assert R.serialize(R.normalize((m - 1) * top * 2 ** HEADROOM_BITS)) == (
         [(m - 1) ** 2 * 2 ** HEADROOM_BITS % m] * a)
     # An unreduced sum of scaled elements equals the reference sum.
@@ -292,6 +294,41 @@ def test_packing_width_leaves_headroom(p, a, n):
         acc += c * from_coords(R, xs)
         want = ref.add(want, ref.smul(c, xs))
     assert tuple(R.serialize(R.normalize(acc))) == want
+
+
+@pytest.mark.parametrize("p, a, n", [(5, 2, 7), (3, 3, 6), (7, 2, 3)])
+def test_normalize_takes_sums_of_products_and_scaled_elements(p, a, n):
+    """One normalize of a sum of products of two elements and of elements
+    times integers in [0, p^N) equals the reference sum, up to the term
+    count that the packing width is checked for."""
+    R = ring(p, a, n)
+    ref = TupleRing(R)
+    m = R.modulus
+    terms = 2 ** HEADROOM_BITS - 1
+    assert (terms * a + a - 1) * (m - 1) ** 2 < 2 ** R.k
+    rng = random.Random(11 * p + a)
+    acc, want = 0, (0,) * a
+    for _ in range(300):
+        xs = tuple(rng.randrange(m) for _ in range(a))
+        ys = tuple(rng.randrange(m) for _ in range(a))
+        if rng.random() < 0.5:
+            acc += from_coords(R, xs) * from_coords(R, ys)
+            want = ref.add(want, ref.mul(xs, ys))
+        else:
+            c = rng.randrange(m)
+            acc += c * from_coords(R, xs)
+            want = ref.add(want, ref.smul(c, xs))
+    assert tuple(R.serialize(R.normalize(acc))) == want
+    # The largest such sum: every term the product of the largest element
+    # with itself.
+    top = (m - 1,) * a
+    x = from_coords(R, top)
+    assert tuple(R.serialize(R.normalize(x * x * terms))) == ref.smul(
+        terms, ref.mul(top, top))
+    # mul and muladd are normalize of a product (plus an element).
+    y = random_element(R, rng)
+    assert R.mul(x, y) == R.normalize(x * y)
+    assert R.muladd(x, y, x) == R.normalize(x * y + x)
 
 
 @pytest.mark.parametrize("p, a, n", INT_RINGS)

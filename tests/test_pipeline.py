@@ -116,11 +116,19 @@ def test_extension_field_a2_against_oracle(prob, r_max):
     (Problem(p=3, a=3, hbar=tuple(gf.conway_polynomial(3, 3)), n=1,
              mode="toric",
              terms=[((1,), (1,)), ((-1,), (1,)), ((0,), (0, 1))]), 4, [1]),
-], ids=["affine", "toric"])
+    # the plane cubic x^3 + y^3 + t*z^3 over F_125 (Conway polynomial); r = 2
+    # would enumerate 125^6 points
+    (Problem(p=5, a=3, hbar=tuple(gf.conway_polynomial(5, 3)), n=3,
+             mode="projective",
+             terms=[((3, 0, 0), (1,)), ((0, 3, 0), (1,)),
+                    ((0, 0, 3), (0, 1))]), 1, [1, 0, 125]),
+], ids=["affine", "toric", "projective"])
 def test_extension_field_a3_against_oracle(prob, r_max, numerator):
     zf = compute_zeta(prob).zeta
     assert zf.v == 2 and zf.numerator == numerator
-    verify_against_oracle(prob, zf, r_max)
+    counts = verify_against_oracle(prob, zf, r_max)
+    if prob.mode == "projective":
+        assert counts == [126]
 
 
 def test_precision_stability():

@@ -1,7 +1,8 @@
 """Reduction tests: linearity, vanishing of the operator relations (the
 strongest oracle), the elliptic vertical/constant relations, independence
-of the divisor-choice policy, and images reduced together against each
-reduced alone."""
+of the divisor-choice policy, images reduced together against each
+reduced alone, and each compiled column operator against the echelon solve
+it replaces."""
 
 from __future__ import annotations
 
@@ -10,10 +11,12 @@ import random
 import pytest
 
 from cone_helpers import add_term, apply_Di, cone_sum
+from echelon_reference import solve
 from ring_helpers import from_coords
 
 from dworkzeta import gf, reduction
 from dworkzeta.cone_algebra import ConeElement
+from dworkzeta.errors import PrecisionOrLogicError
 from dworkzeta.jacobian import build_jacobian, expected_rank, lift_input
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.polytope import hull_and_triangulate, lattice_points
@@ -110,6 +113,23 @@ def test_operator_relations_vanish_projective():
             assert all(R.is_zero(c) for c in coords), gi
 
 
+def test_operator_relations_vanish_a2():
+    # full-width coefficients, and cofactors above the top degree, so that
+    # every layer of the sweep holds products with packed digits
+    R, lifted, poly, ech, basis = elliptic_f25_fixture()
+    rng = random.Random(27)
+    for gi in lifted.generator_indices:
+        for _ in range(3):
+            xi = ConeElement(R)
+            for _ in range(4):
+                d = rng.randrange(0, ech.top + 2)
+                coords = [rng.randrange(R.modulus) for _ in range(R.a)]
+                add_term(xi, (d, rng.choice(lattice_points(poly, d))),
+                         from_coords(R, coords))
+            coords = cone_reduce([apply_Di(lifted, gi, xi)], ech, basis)[0]
+            assert all(R.is_zero(c) for c in coords), gi
+
+
 def test_elliptic_vertical_relation():
     # (pi w)^d x^u y^v is (v-2)/2 times (pi w)^(d-1) x^u y^(v-2) in the quotient.
     R, lifted, poly, ech, basis = elliptic_fixture(p=7, aa=1, bb=1)
@@ -193,3 +213,78 @@ def test_columns_together_match_columns_alone(make):
         assert together == alone
         assert together[2] == [R.zero] * basis.v
         assert together[4] == [R.neg(c) for c in together[1]]
+
+
+def projective_cubic_fixture(N=4):
+    terms = [((3, 0, 0), (1,)), ((0, 3, 0), (2,)), ((0, 0, 3), (1,))]
+    return fixture(ring(7, 1, N), terms, "projective")
+
+
+@pytest.mark.parametrize("make", [
+    elliptic_fixture,
+    lambda: elliptic_fixture(mode="affine"),
+    projective_cubic_fixture,
+    elliptic_f25_fixture,
+], ids=["toric", "affine", "projective", "toric-a2"])
+def test_compiled_operator_matches_solve_and_push(make):
+    """Every column of every degree, applied to a random vector (with a
+    random cofactor at the top degree), equals the echelon solve followed by
+    one push per relation row, bit for bit."""
+    R, lifted, poly, ech, basis = make()
+    rng = random.Random(26)
+    basis_index = {m: i for i, m in enumerate(basis.V)}
+    width = 3
+
+    def element():
+        if rng.random() < 0.2:
+            return R.zero
+        return from_coords(R, [rng.randrange(R.modulus) for _ in range(R.a)])
+
+    def nonzero(layer):
+        return {m: vec for m, vec in layer.items() if any(vec)}
+
+    for d, de in ech.by_degree.items():
+        for j in range(len(de.columns)):
+            vec = [element() for _ in range(width)]
+            m = reduction.UNIT
+            if d == ech.top:
+                k = rng.randrange(3)
+                m = (k, rng.choice(lattice_points(poly, k)))
+            # the compiled operator, its sums normalized
+            below, out = {}, [[0] * basis.v for _ in range(width)]
+            op = reduction.compile_column(ech, d, j, basis_index)
+            e = reduction.cofactor_exponents(ech, m) if m[0] else ()
+            reduction.apply_column(R, op, m, e, vec, below, out)
+            below = {mono: [R.normalize(x) for x in v]
+                     for mono, v in below.items()}
+            out = [[R.normalize(x) for x in col] for col in out]
+            # the reference: solve, then push each relation row on its own
+            eta, v = solve(R, de, {j: vec})
+            if d == ech.top:
+                assert v == {}
+            ref_out = [[R.zero] * basis.v for _ in range(width)]
+            for kk, x in v.items():
+                for col in range(width):
+                    ref_out[col][basis_index[de.columns[kk]]] = x[col]
+            ref_below = {}
+            for i, er in eta.items():
+                g, mr = de.row_meta[i]
+                k, mu = m
+                mono = (k + mr[0], tuple(a + b for a, b in zip(mu, mr[1])) if k
+                        else mr[1])
+                mult = lifted.var_exponent(g, mono)
+                acc = ref_below.setdefault(mono, [R.zero] * width)
+                for col in range(width):
+                    acc[col] = R.sub(acc[col], R.smul(mult, er[col]))
+            assert out == ref_out, (d, j)
+            assert nonzero(below) == nonzero(ref_below), (d, j)
+
+
+def test_top_degree_residual_raises_at_compile():
+    R, lifted, poly, ech, basis = elliptic_fixture()
+    top = ech.by_degree[ech.top]
+    j, r = next(iter(top.pivot_rows.items()))
+    other = next(k for k in range(len(top.columns)) if k != j)
+    top.M[r] = {j: R.one, other: R.one}
+    with pytest.raises(PrecisionOrLogicError):
+        reduction.compile_column(ech, ech.top, j, {})
