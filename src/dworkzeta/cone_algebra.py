@@ -3,7 +3,7 @@
 A cone monomial is a pair (d, mu): an auxiliary weight degree d >= 0 together
 with an exponent vector mu lying in d * Delta.  The term order compares the
 weight degree first and then the exponent vector lexicographically; it is a
-total order on monomials.
+total order on monomials, and it is the order of the pairs as tuples.
 
 A ConeElement is a finite R-linear combination of cone monomials, stored
 sparsely as a dict; zero coefficients are dropped eagerly so that emptiness
@@ -17,11 +17,6 @@ from typing import Dict, Tuple
 from .padic import RingContext, RingElement
 
 ConeMonomial = Tuple[int, Tuple[int, ...]]
-
-
-def term_order_key(m: ConeMonomial) -> Tuple[int, ...]:
-    """Sort key: weight degree first, then lexicographic on the exponents."""
-    return (m[0],) + m[1]
 
 
 class ConeElement:

@@ -54,7 +54,9 @@ class NondegeneracyFailure(DworkZetaError):
 
 
 class DecompositionError(DworkZetaError):
-    """A cone monomial of high degree admits no valid divisor decomposition."""
+    """A cone monomial above the top degree admits no valid divisor
+    decomposition (at or below it, a monomial that is not a column breaks
+    the mode restriction: PrecisionOrLogicError)."""
 
     exit_code = 7
 

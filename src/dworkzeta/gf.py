@@ -16,6 +16,8 @@ from .errors import InvalidFieldSpec
 
 Poly = Tuple[int, ...]
 
+CACHE_SIZE = 32  # entries kept by each memoized field search
+
 
 def trim(coeffs) -> Poly:
     """Drop trailing zeros to canonical form."""
@@ -144,7 +146,7 @@ def _monic_polys(p: int, m: int) -> Iterator[Poly]:
         yield tuple(coeffs) + (1,)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def smallest_irreducible(p: int, m: int) -> Poly:
     """The lexicographically smallest (on low-to-high coefficients) monic
     irreducible polynomial of degree m over F_p; deterministic."""
@@ -178,7 +180,7 @@ def _conway_candidates(p: int, m: int) -> Iterator[Poly]:
         yield tuple(coeffs) + (1,)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def conway_polynomial(p: int, m: int) -> Poly:
     """Conway polynomial C_{p,m}, computed from its defining property:
 

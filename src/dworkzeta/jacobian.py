@@ -1,5 +1,6 @@
-"""Jacobian-ring linear algebra: graded relation matrices, recorded echelon
-transforms, and the monomial basis V of the quotient.
+"""Jacobian-ring linear algebra: graded relation matrices, their recorded
+echelon transforms, the monomial basis V of the quotient, and the reduction
+operator of every column.
 
 For a lifted polynomial f with support on a polytope Delta, the relation
 module in weight degree d is spanned by the products m * g where g runs over
@@ -7,15 +8,33 @@ the degree-one generators (w*f and w*x_i df/dx_i) and m over cone monomials of
 degree d-1.  Row-reducing the coefficient matrix J_d with a recorded
 transform T_d (so that M_d = T_d * J_d exactly, with unit pivots) yields both
 the reduction machinery and, through the non-pivot columns, the basis V.
-The echelon is data only: DegreeEchelon has no solve.  Reduction reads the
-pivot row of a column in M_d and in T_d once and compiles it into that
-column's reduction operator (reduction.compile_column).
 
 Each relation row has at most as many nonzero entries as its generator has
-terms, so rows are kept sparse ({column: entry}) throughout: build_jacobian
-builds every row of J_d once, directly as the sparse row that the in-place
-elimination turns into a row of M_d, and T_d starts as the sparse identity.
-J_d itself is not kept; row_meta says how to rebuild any of its rows.
+terms, so rows are kept sparse ({column: entry}) throughout:
+echelon_of_degree builds every row of J_d once, directly as the sparse row
+that the in-place elimination turns into a row of M_d, and T_d starts as the
+sparse identity.  J_d itself is not kept; row_meta says how to rebuild any
+of its rows.
+
+Compiled columns.  Let column c_j of degree d have its pivot in row r of
+M = T.J.  Row r says c_j = sum_i T[r][i] J_i - sum_{k != j} M[r][k] c_k,
+each c_k a non-pivot column (M is fully reduced) and J_i the relation row
+mr_i * (pi*w) f_(g_i) with (g_i, mr_i) = row_meta[i].  In the quotient
+m * (pi*w) f_g is congruent to -e_g(m) m (reduction module docstring), so
+for a cofactor m the class of m * c_j is
+
+* the residual sum_{k != j} -M[r][k] m c_k, on V (m = 1 below the top
+  degree; at the top degree the matrix has full column rank, M[r] is
+  exactly {j: 1} and there is no residual);
+* plus the image sum_i -T[r][i] e_(g_i)(m mr_i) m mr_i, one degree lower.
+
+e_g is linear in the monomial, so grouping the rows by their cofactor mr the
+coefficient of m * mr is alpha - sum_g beta_g e_g(m), with
+alpha = -sum T[r][i] e_(g_i)(mr) and beta_g = T[r][i] for the row of
+generator g.  A non-pivot column below the top degree is its own residual,
+(its V index, 1), with no image.  build_jacobian compiles every column of a
+degree (compile_column) once the degree is row-reduced and drops the rest:
+EchelonData keeps only the columns and their operators.
 
 The rank v = |V| of the quotient has a closed formula in the support
 (expected_rank), which the caller passes to build_jacobian; a basis of any
@@ -45,8 +64,8 @@ from itertools import combinations
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cone_algebra import ConeMonomial, term_order_key
-from .errors import InvalidInput, NondegeneracyFailure
+from .cone_algebra import ConeMonomial
+from .errors import InvalidInput, NondegeneracyFailure, PrecisionOrLogicError
 from .padic import RingContext, RingElement
 from .polytope import LatticePolytope, lattice_points, normalized_volume
 
@@ -54,6 +73,10 @@ MODES = ("toric", "affine", "projective")
 
 # A sparse matrix row: index -> nonzero ring element.
 SparseRow = Dict[int, RingElement]
+# A column's reduction operator (module docstring): the residual
+# [(V index, coefficient)] and the image [(mr, alpha, [beta_g])].
+Operator = Tuple[List[Tuple[int, RingElement]],
+                 List[Tuple[ConeMonomial, RingElement, List[RingElement]]]]
 
 
 def working_exponent(mode: str, nu: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -244,18 +267,30 @@ class DegreeEchelon:
 
 
 @dataclass
+class DegreeReduction:
+    """The columns of one weight degree and the reduction operator of each,
+    ops[j] for columns[j] (module docstring)."""
+
+    columns: List[ConeMonomial]
+    col_index: Dict[ConeMonomial, int]
+    ops: List[Operator]
+
+
+@dataclass
 class EchelonData:
-    """Per-degree echelon data for degrees 1..top, plus the shared context."""
+    """Per-degree reduction operators for degrees 1..top, plus the shared
+    context."""
 
     lifted: LiftedInput
     poly: LatticePolytope
     top: int
-    by_degree: Dict[int, DegreeEchelon]
+    by_degree: Dict[int, DegreeReduction]
 
 
 @dataclass
 class MonomialBasis:
-    """The non-pivot cone monomials V (degree-graded), a basis of the quotient."""
+    """The non-pivot cone monomials V (degree-graded, in term order), a basis
+    of the quotient."""
 
     V: List[ConeMonomial]
 
@@ -335,9 +370,85 @@ def _row_reduce(ring: RingContext, rows: List[SparseRow], ncols: int,
     return T, pivots
 
 
+def echelon_of_degree(lifted: LiftedInput, d: int,
+                      cofactors: Sequence[ConeMonomial],
+                      layer: Sequence[ConeMonomial]) -> DegreeEchelon:
+    """Build and row-reduce the relation rows of degree d.
+
+    cofactors and layer are the cone monomials of degrees d-1 and d in the
+    term order; the columns are those of layer that the mode allows.  Every
+    generator term has degree 1: the row of cofactor (d-1, mu) has its terms
+    at (d, mu+nu)."""
+    columns = [m for m in layer if lifted.cofactor_allowed(0, m)]
+    col_index = {m: k for k, m in enumerate(columns)}
+    row_meta: List[Tuple[int, ConeMonomial]] = []
+    M: List[SparseRow] = []
+    for gi in lifted.generator_indices:
+        terms = lifted.generator(gi)
+        for m in cofactors:
+            if not lifted.cofactor_allowed(gi, m):
+                continue
+            mu = m[1]
+            row: SparseRow = {}
+            for nu, c in terms:
+                j = col_index.get((d, tuple(map(add, mu, nu))))
+                if j is None:
+                    raise NondegeneracyFailure(
+                        f"relation row {m} * generator {gi} leaves the "
+                        f"restricted monomial span in degree {d}")
+                row[j] = c
+            row_meta.append((gi, m))
+            M.append(row)
+    T, pivots = _row_reduce(lifted.ring, M, len(columns), d)
+    return DegreeEchelon(columns=columns, col_index=col_index,
+                         row_meta=row_meta, M=M, T=T,
+                         pivot_rows={j: r for r, j in pivots})
+
+
+def compile_column(lifted: LiftedInput, de: DegreeEchelon, j: int,
+                   position: Dict[int, int]) -> Operator:
+    """The reduction operator of column j of de (module docstring).
+
+    position maps each non-pivot column of de that lies in V to its index in
+    V.  A residual on any other column (a top-degree column without a pivot,
+    or whose pivot row has entries besides the pivot) contradicts the theory.
+    """
+    ring = lifted.ring
+
+    def index_in_V(k: int) -> int:
+        idx = position.get(k)
+        if idx is None:
+            raise PrecisionOrLogicError(
+                f"column {de.columns[j]} leaves a residual on "
+                f"{de.columns[k]}, which is not in the basis V")
+        return idx
+
+    r = de.pivot_rows.get(j)
+    if r is None:
+        return [(index_in_V(j), ring.one)], []
+    residual = [(index_in_V(k), ring.neg(c))
+                for k, c in de.M[r].items() if k != j]
+    modulus, gens = ring.modulus, lifted.generator_indices
+    slot = {g: s for s, g in enumerate(gens, 1)}
+    var_exponent = lifted.var_exponent
+    # mr -> [alpha, beta_g for g in gens], alpha an unreduced sum.
+    sums: Dict[ConeMonomial, List[int]] = {}
+    for i, t in de.T[r].items():
+        g, mr = de.row_meta[i]
+        acc = sums.get(mr)
+        if acc is None:
+            acc = sums[mr] = [0] * (len(gens) + 1)
+        acc[0] += (-var_exponent(g, mr) % modulus) * t
+        acc[slot[g]] = t
+    normalize = ring.normalize
+    image = [(mr, normalize(acc[0]), acc[1:]) for mr, acc in sums.items()]
+    return residual, image
+
+
 def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
                    ) -> Tuple[EchelonData, MonomialBasis]:
-    """Row-reduce the relation matrices for degrees 1..top and read off V.
+    """Row-reduce the relation matrices for degrees 1..top, read off V and
+    compile every column's reduction operator.
 
     top = n_eff + 2; the quotient basis lives in degrees <= n_eff + 1 and the
     top-degree matrix must have a pivot in every column.  The lattice points
@@ -345,64 +456,42 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
     degree d and the cofactors of the rows of degree d + 1.  |V| must equal
     v, the expected_rank of the input, or the input is degenerate.
     """
-    ring = lifted.ring
-    n_eff = lifted.n_eff
-    top = n_eff + 2
-    # The exponents and coefficients of each generator; all its terms have
-    # degree 1, so the row of cofactor (d-1, mu) has its terms at (d, mu+nu).
-    gens = {i: lifted.generator(i) for i in lifted.generator_indices}
-    by_degree: Dict[int, DegreeEchelon] = {}
-    V: List[ConeMonomial] = []
+    top = lifted.n_eff + 2
+    by_degree: Dict[int, DegreeReduction] = {}
 
     # Sorted lattice points are already in the term order within a degree.
     layer = [(0, mu) for mu in lattice_points(poly, 0)]
     # Degree 0 has no relations; its basis part is whatever columns exist
     # (the single monomial 1 in toric mode, nothing in the restricted modes).
-    V.extend(m for m in layer if lifted.cofactor_allowed(0, m))
+    # Each degree then appends its non-pivot columns in ascending order, so
+    # V comes out in the term order.
+    V: List[ConeMonomial] = [m for m in layer if lifted.cofactor_allowed(0, m)]
 
     for d in range(1, top + 1):
         cofactors, layer = layer, [(d, mu) for mu in lattice_points(poly, d)]
-        columns = [m for m in layer if lifted.cofactor_allowed(0, m)]
-        col_index = {m: k for k, m in enumerate(columns)}
-        row_meta: List[Tuple[int, ConeMonomial]] = []
-        M: List[SparseRow] = []
-        for gi in lifted.generator_indices:
-            for m in cofactors:
-                if not lifted.cofactor_allowed(gi, m):
-                    continue
-                mu = m[1]
-                row: SparseRow = {}
-                for nu, c in gens[gi]:
-                    j = col_index.get((d, tuple(map(add, mu, nu))))
-                    if j is None:
-                        raise NondegeneracyFailure(
-                            f"relation row {m} * generator {gi} leaves the "
-                            f"restricted monomial span in degree {d}")
-                    row[j] = c
-                row_meta.append((gi, m))
-                M.append(row)
-        T, pivots = _row_reduce(ring, M, len(columns), d)
-        pivot_rows = {j: r for r, j in pivots}
-        nonpivot = [j for j in range(len(columns)) if j not in pivot_rows]
+        de = echelon_of_degree(lifted, d, cofactors, layer)
+        nonpivot = [j for j in range(len(de.columns))
+                    if j not in de.pivot_rows]
         if d == top and nonpivot:
             raise NondegeneracyFailure(
                 f"top-degree relation matrix (degree {d}) is not of full "
                 f"column rank: {len(nonpivot)} monomial(s) remain unreduced; "
                 "the input is degenerate")
-        ech = DegreeEchelon(columns=columns, col_index=col_index,
-                            row_meta=row_meta, M=M, T=T, pivot_rows=pivot_rows)
-        by_degree[d] = ech
-        if d <= top - 1:
-            V.extend(columns[j] for j in nonpivot)
+        position = {j: len(V) + i for i, j in enumerate(nonpivot)}
+        V.extend(de.columns[j] for j in nonpivot)
+        by_degree[d] = DegreeReduction(
+            columns=de.columns, col_index=de.col_index,
+            ops=[compile_column(lifted, de, j, position)
+                 for j in range(len(de.columns))])
 
-    basis = MonomialBasis(V=sorted(V, key=term_order_key))
+    basis = MonomialBasis(V=V)
     if basis.v != v:
         raise NondegeneracyFailure(
             f"quotient basis has cardinality {basis.v}, expected the rank "
             f"{v} of a nondegenerate input with this support; the input is "
             "degenerate")
     degree0 = [m for m in basis.V if m[0] == 0]
-    if lifted.mode == "toric" and degree0 != [(0, (0,) * n_eff)]:
+    if lifted.mode == "toric" and degree0 != [(0, (0,) * lifted.n_eff)]:
         raise NondegeneracyFailure(
             "degree-0 part of the basis is not the single monomial 1")
     return EchelonData(lifted=lifted, poly=poly, top=top,

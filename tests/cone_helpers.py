@@ -1,10 +1,15 @@
-"""Cone-algebra arithmetic the tests need and the package does not: adding a
-term in place, sums of elements, products with a monomial, and the operators
-D_i applied to an element."""
+"""Cone-algebra arithmetic the tests need and the package does not: the term
+order as a sort key, adding a term in place, sums of elements, products with
+a monomial, and the operators D_i applied to an element."""
 
 from __future__ import annotations
 
 from dworkzeta.cone_algebra import ConeElement
+
+
+def term_order_key(m):
+    """Sort key: weight degree first, then lexicographic on the exponents."""
+    return (m[0],) + m[1]
 
 
 def add_term(elem, m, c):

@@ -1,12 +1,30 @@
-"""The echelon solve that reduction compiles away: the reference that the
-compiled column operators are checked against."""
+"""The raw echelon of each degree and the solve that build_jacobian
+compiles away: the reference that the compiled column operators are checked
+against.
+
+build_jacobian keeps only the compiled operators; echelons row-reduces the
+same relation rows again, through the same jacobian.echelon_of_degree, so a
+test can read M, T, row_meta and pivot_rows."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from dworkzeta.jacobian import echelon_of_degree
+from dworkzeta.polytope import lattice_points
+
 # A coefficient vector: one ring element per right-hand side, zeros included.
 Vector = List[int]
+
+
+def echelons(lifted, poly, top):
+    """Degree -> DegreeEchelon for degrees 1..top, as build_jacobian
+    row-reduces them before compiling."""
+    def layer(d):
+        return [(d, mu) for mu in lattice_points(poly, d)]
+
+    return {d: echelon_of_degree(lifted, d, layer(d - 1), layer(d))
+            for d in range(1, top + 1)}
 
 
 def solve(ring, de, xi: Dict[int, Vector]

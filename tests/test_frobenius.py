@@ -7,11 +7,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
+from cone_helpers import term_order_key
 from dense_frobenius import expand_frobenius_dense
 from splitting_oracle import ell_fraction
 
 from dworkzeta import gf
-from dworkzeta.cone_algebra import term_order_key
 from dworkzeta.frobenius import (
     expand_frobenius,
     solve_congruence,

@@ -1,6 +1,7 @@
 """Jacobian-module tests: lifting, echelon identities (the sparse echelon
-against a dense reference too), and basis extraction
-on elliptic, Fermat-like, and projective fixtures."""
+against a dense reference too, each degree row-reduced again through
+echelon_of_degree), and basis extraction on elliptic, Fermat-like, and
+projective fixtures."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ from operator import add
 
 import pytest
 
-from echelon_reference import solve
+from cone_helpers import term_order_key
+from echelon_reference import echelons, solve
 
 from dworkzeta import gf
 from dworkzeta.errors import InvalidInput, NondegeneracyFailure
@@ -192,8 +194,8 @@ def test_echelon_identities():
     R = ring(7, 1, 4)
     for mode in ("toric", "affine"):
         # 4a^3 + 27b^2 = 59 is a unit mod 7, so the curve is nonsingular
-        lifted, _, (ech, basis) = build(R, elliptic_terms(7, 2, 1), mode)
-        for d, de in ech.by_degree.items():
+        lifted, poly, (ech, basis) = build(R, elliptic_terms(7, 2, 1), mode)
+        for d, de in echelons(lifted, poly, ech.top).items():
             nrows, ncols = len(de.row_meta), len(de.columns)
             J = [densify(R, row, ncols) for row in relation_rows(lifted, de)]
             assert len(de.M) == len(de.T) == nrows
@@ -221,10 +223,11 @@ def test_echelon_identities():
 
 def test_solve_splits_vector():
     R = ring(7, 1, 4)
-    lifted, _, (ech, basis) = build(R, elliptic_terms(7, 1, 3), "toric")
+    lifted, poly, (ech, basis) = build(R, elliptic_terms(7, 1, 3), "toric")
     rng = random.Random(4)
+    by_degree = echelons(lifted, poly, ech.top)
     for d in range(1, ech.top + 1):
-        de = ech.by_degree[d]
+        de = by_degree[d]
         ncols = len(de.columns)
         J = [densify(R, row, ncols) for row in relation_rows(lifted, de)]
         dense_xi = {j: R.from_int(rng.randrange(R.modulus))
@@ -258,9 +261,9 @@ def test_solve_splits_vector():
 
 def test_nonpivot_columns_independent_of_row_order():
     R = ring(7, 1, 4)
-    lifted, _, (ech, basis) = build(R, elliptic_terms(7, 3, 2), "toric")
+    lifted, poly, (ech, basis) = build(R, elliptic_terms(7, 3, 2), "toric")
     rng = random.Random(8)
-    for d, de in ech.by_degree.items():
+    for d, de in echelons(lifted, poly, ech.top).items():
         rows = relation_rows(lifted, de)
         rng.shuffle(rows)
         _, found = _row_reduce(R, rows, len(de.columns), d)
@@ -282,8 +285,12 @@ def test_nonpivot_columns_independent_of_row_order():
 ])
 def test_sparse_row_reduce_matches_dense_reference(p, a, terms, mode):
     R = ring(p, a, 6)
-    lifted, _, (ech, basis) = build(R, terms, mode)
-    for d, de in ech.by_degree.items():
+    lifted, poly, (ech, basis) = build(R, terms, mode)
+    # build_jacobian appends each degree's non-pivot columns in ascending
+    # order and does not sort V
+    assert basis.V == sorted(basis.V, key=term_order_key)
+    for d, de in echelons(lifted, poly, ech.top).items():
+        assert de.columns == ech.by_degree[d].columns, (mode, d)
         nrows, ncols = len(de.row_meta), len(de.columns)
         M = [densify(R, row, ncols) for row in relation_rows(lifted, de)]
         T, dense_pivots = dense_row_reduce(R, M, ncols, d)

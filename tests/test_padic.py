@@ -232,6 +232,21 @@ def test_conway_polynomials_known_values():
     assert gf.conway_polynomial(7, 2) == (3, 6, 1)       # x^2 + 6x + 3
 
 
+@pytest.mark.parametrize("search", [gf.smallest_irreducible,
+                                    gf.conway_polynomial])
+def test_field_search_cache_bounded(search):
+    assert search.cache_info().maxsize == gf.CACHE_SIZE
+    expected = search(5, 2)
+    # more distinct prime fields than the cache holds evict (5, 2)
+    primes = [p for p in range(3, 1000)
+              if all(p % k for k in range(2, int(p ** 0.5) + 1))]
+    for p in primes[:gf.CACHE_SIZE + 1]:
+        search(p, 1)
+    misses = search.cache_info().misses
+    assert search(5, 2) == expected
+    assert search.cache_info().misses == misses + 1
+
+
 # ---- the int representation --------------------------------------------------
 
 INT_RINGS = [(7, 1, 6), (5, 2, 7), (3, 3, 6)]

@@ -1,8 +1,8 @@
 """Reduction tests: linearity, vanishing of the operator relations (the
 strongest oracle), the elliptic vertical/constant relations, independence
 of the divisor-choice policy, images reduced together against each
-reduced alone, and each compiled column operator against the echelon solve
-it replaces."""
+reduced alone, the mode restriction, and each column operator that
+build_jacobian compiles against the echelon solve it replaces."""
 
 from __future__ import annotations
 
@@ -11,13 +11,18 @@ import random
 import pytest
 
 from cone_helpers import add_term, apply_Di, cone_sum
-from echelon_reference import solve
+from echelon_reference import echelons, solve
 from ring_helpers import from_coords
 
 from dworkzeta import gf, reduction
 from dworkzeta.cone_algebra import ConeElement
 from dworkzeta.errors import PrecisionOrLogicError
-from dworkzeta.jacobian import build_jacobian, expected_rank, lift_input
+from dworkzeta.jacobian import (
+    build_jacobian,
+    compile_column,
+    expected_rank,
+    lift_input,
+)
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.polytope import hull_and_triangulate, lattice_points
 from dworkzeta.reduction import reduce as cone_reduce
@@ -227,9 +232,10 @@ def projective_cubic_fixture(N=4):
     elliptic_f25_fixture,
 ], ids=["toric", "affine", "projective", "toric-a2"])
 def test_compiled_operator_matches_solve_and_push(make):
-    """Every column of every degree, applied to a random vector (with a
-    random cofactor at the top degree), equals the echelon solve followed by
-    one push per relation row, bit for bit."""
+    """The operator build_jacobian compiled for every column of every
+    degree, applied to a random vector (with a random cofactor at the top
+    degree), equals the echelon solve followed by one push per relation row,
+    bit for bit."""
     R, lifted, poly, ech, basis = make()
     rng = random.Random(26)
     basis_index = {m: i for i, m in enumerate(basis.V)}
@@ -243,16 +249,16 @@ def test_compiled_operator_matches_solve_and_push(make):
     def nonzero(layer):
         return {m: vec for m, vec in layer.items() if any(vec)}
 
-    for d, de in ech.by_degree.items():
+    for d, de in echelons(lifted, poly, ech.top).items():
         for j in range(len(de.columns)):
             vec = [element() for _ in range(width)]
-            m = reduction.UNIT
+            m = (0, ())
             if d == ech.top:
                 k = rng.randrange(3)
                 m = (k, rng.choice(lattice_points(poly, k)))
             # the compiled operator, its sums normalized
             below, out = {}, [[0] * basis.v for _ in range(width)]
-            op = reduction.compile_column(ech, d, j, basis_index)
+            op = ech.by_degree[d].ops[j]
             e = reduction.cofactor_exponents(ech, m) if m[0] else ()
             reduction.apply_column(R, op, m, e, vec, below, out)
             below = {mono: [R.normalize(x) for x in v]
@@ -282,9 +288,21 @@ def test_compiled_operator_matches_solve_and_push(make):
 
 def test_top_degree_residual_raises_at_compile():
     R, lifted, poly, ech, basis = elliptic_fixture()
-    top = ech.by_degree[ech.top]
+    top = echelons(lifted, poly, ech.top)[ech.top]
     j, r = next(iter(top.pivot_rows.items()))
     other = next(k for k in range(len(top.columns)) if k != j)
     top.M[r] = {j: R.one, other: R.one}
     with pytest.raises(PrecisionOrLogicError):
-        reduction.compile_column(ech, ech.top, j, {})
+        compile_column(lifted, top, j, {})
+
+
+def test_mode_restriction_raises_at_and_below_top():
+    # affine columns are divisible by xy; (d, (0, 0)) lies in d * Delta but
+    # is not a column, below the top degree and at it
+    R, lifted, poly, ech, basis = elliptic_fixture(mode="affine")
+    for d in (2, ech.top):
+        m = (d, (0, 0))
+        assert poly.contains(m[1], d)
+        assert m not in ech.by_degree[d].col_index
+        with pytest.raises(PrecisionOrLogicError):
+            cone_reduce([ConeElement(R, {m: R.one})], ech, basis)
