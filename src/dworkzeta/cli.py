@@ -85,6 +85,10 @@ def _emit(report: Dict[str, Any]) -> None:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
+    if args.verify < 0:
+        raise InvalidInput("--verify must be >= 0")
+    if args.check_nondegenerate < 0:
+        raise InvalidInput("--check-nondegenerate must be >= 0")
     prob = _load_problem(args.input)
     if args.precision is not None:
         prob.precision = args.precision
@@ -123,6 +127,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_count(args: argparse.Namespace) -> int:
+    if args.r < 1:
+        raise InvalidInput("--r must be >= 1")
     prob = _load_problem(args.input)
     validate_problem(prob)
     counts = [oracle.count_points(prob.p, prob.a, prob.hbar, prob.terms,

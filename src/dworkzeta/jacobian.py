@@ -1,40 +1,42 @@
-"""Jacobian-ring linear algebra: graded relation matrices, their recorded
-echelon transforms, the monomial basis V of the quotient, and the reduction
-operator of every column.
+"""Jacobian-ring linear algebra: graded relation matrices and their row
+reduction, the monomial basis V of the quotient, and the reduction operator
+of every column.
 
 For a lifted polynomial f with support on a polytope Delta, the relation
 module in weight degree d is spanned by the products m * g where g runs over
 the degree-one generators (w*f and w*x_i df/dx_i) and m over cone monomials of
-degree d-1.  Row-reducing the coefficient matrix J_d with a recorded
-transform T_d (so that M_d = T_d * J_d exactly, with unit pivots) yields both
-the reduction machinery and, through the non-pivot columns, the basis V.
+degree d-1.  Row-reducing the coefficient matrix J_d to M_d, with unit
+pivots, yields both the reduction machinery and, through the non-pivot
+columns, the basis V.
 
 Each relation row has at most as many nonzero entries as its generator has
-terms, so rows are kept sparse ({column: entry}) throughout:
+terms, so rows are kept sparse ({key: entry}) throughout:
 echelon_of_degree builds every row of J_d once, directly as the sparse row
-that the in-place elimination turns into a row of M_d, and T_d starts as the
-sparse identity.  J_d itself is not kept; row_meta says how to rebuild any
-of its rows.
+that the in-place elimination turns into a row of M_d.  J_d itself is not
+kept.
 
-Compiled columns.  Let column c_j of degree d have its pivot in row r of
-M = T.J.  Row r says c_j = sum_i T[r][i] J_i - sum_{k != j} M[r][k] c_k,
-each c_k a non-pivot column (M is fully reduced) and J_i the relation row
-mr_i * (pi*w) f_(g_i) with (g_i, mr_i) = row_meta[i].  In the quotient
-m * (pi*w) f_g is congruent to -e_g(m) m (reduction module docstring), so
-for a cofactor m the class of m * c_j is
+Rows carry their images.  In the quotient m * (pi*w) f_g is congruent to
+-e_g(m) m, one degree lower (reduction module docstring), and e_g is linear
+in the monomial.  So the row of generator g and cofactor mr carries, beside
+its column entries J_i, an image block: the key (mr, 0) with entry
+-e_g(mr) and the key (mr, s) with entry 1, s the slot of g in
+generator_indices (from 1).  The row reduction treats the block like the
+other entries, so reduced row r is sum_i T[r][i] (row i) for a transform T
+that is never formed.  If row r is the pivot row of column c_j, its column
+entries say c_j = sum_i T[r][i] J_i - sum_{k != j} M[r][k] c_k, each c_k a
+non-pivot column (M is fully reduced), and for a cofactor m the class of
+m * c_j is
 
-* the residual sum_{k != j} -M[r][k] m c_k, on V (m = 1 below the top
-  degree; at the top degree the matrix has full column rank, M[r] is
-  exactly {j: 1} and there is no residual);
-* plus the image sum_i -T[r][i] e_(g_i)(m mr_i) m mr_i, one degree lower.
+* the residual sum_{k != j} -M[r][k] m c_k, on V (m = 1 at and below the
+  top degree; at the top degree the matrix has full column rank and there
+  is no residual);
+* plus the image: on m * mr, the coefficient alpha - sum_g beta_g e_g(m),
+  alpha and beta_g the entries of row r at (mr, 0) and (mr, slot of g).
 
-e_g is linear in the monomial, so grouping the rows by their cofactor mr the
-coefficient of m * mr is alpha - sum_g beta_g e_g(m), with
-alpha = -sum T[r][i] e_(g_i)(mr) and beta_g = T[r][i] for the row of
-generator g.  A non-pivot column below the top degree is its own residual,
-(its V index, 1), with no image.  build_jacobian compiles every column of a
-degree (compile_column) once the degree is row-reduced and drops the rest:
-EchelonData keeps only the columns and their operators.
+compile_column splits the pivot row into these two parts; a non-pivot
+column is its own residual, (its V index, 1), with no image.  build_jacobian
+compiles every column of each degree, 0 to top, once the degree is
+row-reduced, and keeps only the columns and their operators (EchelonData).
 
 The rank v = |V| of the quotient has a closed formula in the support
 (expected_rank), which the caller passes to build_jacobian; a basis of any
@@ -62,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cone_algebra import ConeMonomial
 from .errors import InvalidInput, NondegeneracyFailure, PrecisionOrLogicError
@@ -71,8 +73,9 @@ from .polytope import LatticePolytope, lattice_points, normalized_volume
 
 MODES = ("toric", "affine", "projective")
 
-# A sparse matrix row: index -> nonzero ring element.
-SparseRow = Dict[int, RingElement]
+# A sparse matrix row: key -> nonzero ring element.  A key is a column index
+# or, in the image block of a relation row, (mr, slot) (module docstring).
+SparseRow = Dict[Union[int, Tuple[ConeMonomial, int]], RingElement]
 # A column's reduction operator (module docstring): the residual
 # [(V index, coefficient)] and the image [(mr, alpha, [beta_g])].
 Operator = Tuple[List[Tuple[int, RingElement]],
@@ -248,21 +251,18 @@ def expected_rank(mode: str, exponents: Iterable[Sequence[int]]) -> int:
 
 @dataclass
 class DegreeEchelon:
-    """Relation matrix of one weight degree with its recorded row reduction.
+    """Relation matrix of one weight degree, row-reduced, each row with its
+    image block (module docstring).
 
-    Rows are sparse: M[i] maps a column index to a nonzero entry, T[i] maps an
-    original relation row (an index into row_meta) to a nonzero entry.
-    M = T * J exactly over R, where J is the relation matrix whose row i is
-    the product described by row_meta[i]; J itself is not kept.  pivot_rows
-    maps each pivot column to its row of M, in the order the pivots were
-    found; a pivot entry is 1 and its column has no other nonzero entry.
+    Rows are sparse: M[i] maps a column index, or an image key (mr, slot), to
+    a nonzero entry.  pivot_rows maps each pivot column to its row of M, in
+    the order the pivots were found; a pivot entry is 1 and its column has no
+    other nonzero entry.
     """
 
     columns: List[ConeMonomial]
     col_index: Dict[ConeMonomial, int]
-    row_meta: List[Tuple[int, ConeMonomial]]  # (generator index, cofactor monomial)
     M: List[SparseRow]
-    T: List[SparseRow]
     pivot_rows: Dict[int, int]
 
 
@@ -278,7 +278,7 @@ class DegreeReduction:
 
 @dataclass
 class EchelonData:
-    """Per-degree reduction operators for degrees 1..top, plus the shared
+    """Per-degree reduction operators for degrees 0..top, plus the shared
     context."""
 
     lifted: LiftedInput
@@ -316,19 +316,18 @@ def _combine(ring: RingContext, dst: SparseRow, c: RingElement,
 
 
 def _row_reduce(ring: RingContext, rows: List[SparseRow], ncols: int,
-                degree: int) -> Tuple[List[SparseRow], List[Tuple[int, int]]]:
-    """In-place reduced row echelon form with unit pivots; returns (T, pivots).
+                degree: int) -> List[Tuple[int, int]]:
+    """In-place reduced row echelon form with unit pivots on the columns
+    0..ncols-1; returns the (row, column) pivots in the order found.
 
-    rows are sparse ({column: nonzero entry}); T starts as the identity and
-    records the same row operations, so its rows are sparse over the original
-    rows.  Entries that cancel are dropped.
+    rows are sparse; keys other than the columns are carried along by every
+    row operation.  Entries that cancel are dropped.
 
     R is local: a column whose remaining entries are nonzero but all divisible
     by p admits no unit pivot, which is exactly the degeneracy signal.
     """
     mul = ring.mul
     nrows = len(rows)
-    T: List[SparseRow] = [{i: ring.one} for i in range(nrows)]
     pivots: List[Tuple[int, int]] = []
     r = 0
     # Scan columns from the largest monomial down so that the free (non-pivot)
@@ -353,37 +352,34 @@ def _row_reduce(ring: RingContext, rows: List[SparseRow], ncols: int,
                     "working precision")
             continue
         rows[r], rows[unit_row] = rows[unit_row], rows[r]
-        T[r], T[unit_row] = T[unit_row], T[r]
         inv = ring.inv(rows[r][j])
         prow = rows[r] = {k: mul(inv, e) for k, e in rows[r].items()}
-        ptrow = T[r] = {k: mul(inv, e) for k, e in T[r].items()}
         for i in range(nrows):
             if i == r:
                 continue
             c = rows[i].get(j)
             if c is not None:
-                c = ring.neg(c)
-                _combine(ring, rows[i], c, prow)
-                _combine(ring, T[i], c, ptrow)
+                _combine(ring, rows[i], ring.neg(c), prow)
         pivots.append((r, j))
         r += 1
-    return T, pivots
+    return pivots
 
 
 def echelon_of_degree(lifted: LiftedInput, d: int,
                       cofactors: Sequence[ConeMonomial],
                       layer: Sequence[ConeMonomial]) -> DegreeEchelon:
-    """Build and row-reduce the relation rows of degree d.
+    """Build and row-reduce the relation rows of degree d, each with its
+    image block (module docstring).
 
     cofactors and layer are the cone monomials of degrees d-1 and d in the
-    term order; the columns are those of layer that the mode allows.  Every
-    generator term has degree 1: the row of cofactor (d-1, mu) has its terms
-    at (d, mu+nu)."""
+    term order (no cofactors at d = 0); the columns are those of layer that
+    the mode allows.  Every generator term has degree 1: the row of cofactor
+    (d-1, mu) has its terms at (d, mu+nu)."""
+    ring = lifted.ring
     columns = [m for m in layer if lifted.cofactor_allowed(0, m)]
     col_index = {m: k for k, m in enumerate(columns)}
-    row_meta: List[Tuple[int, ConeMonomial]] = []
     M: List[SparseRow] = []
-    for gi in lifted.generator_indices:
+    for s, gi in enumerate(lifted.generator_indices, 1):
         terms = lifted.generator(gi)
         for m in cofactors:
             if not lifted.cofactor_allowed(gi, m):
@@ -397,17 +393,21 @@ def echelon_of_degree(lifted: LiftedInput, d: int,
                         f"relation row {m} * generator {gi} leaves the "
                         f"restricted monomial span in degree {d}")
                 row[j] = c
-            row_meta.append((gi, m))
+            alpha = ring.smul(-lifted.var_exponent(gi, m), ring.one)
+            if not ring.is_zero(alpha):
+                row[(m, 0)] = alpha
+            row[(m, s)] = ring.one
             M.append(row)
-    T, pivots = _row_reduce(lifted.ring, M, len(columns), d)
-    return DegreeEchelon(columns=columns, col_index=col_index,
-                         row_meta=row_meta, M=M, T=T,
+    pivots = _row_reduce(ring, M, len(columns), d)
+    return DegreeEchelon(columns=columns, col_index=col_index, M=M,
                          pivot_rows={j: r for r, j in pivots})
 
 
 def compile_column(lifted: LiftedInput, de: DegreeEchelon, j: int,
                    position: Dict[int, int]) -> Operator:
-    """The reduction operator of column j of de (module docstring).
+    """The reduction operator of column j of de (module docstring): the
+    column entries of its pivot row besides j give the residual, the image
+    keys, grouped by cofactor, the image.
 
     position maps each non-pivot column of de that lies in V to its index in
     V.  A residual on any other column (a top-degree column without a pivot,
@@ -426,28 +426,26 @@ def compile_column(lifted: LiftedInput, de: DegreeEchelon, j: int,
     r = de.pivot_rows.get(j)
     if r is None:
         return [(index_in_V(j), ring.one)], []
-    residual = [(index_in_V(k), ring.neg(c))
-                for k, c in de.M[r].items() if k != j]
-    modulus, gens = ring.modulus, lifted.generator_indices
-    slot = {g: s for s, g in enumerate(gens, 1)}
-    var_exponent = lifted.var_exponent
-    # mr -> [alpha, beta_g for g in gens], alpha an unreduced sum.
-    sums: Dict[ConeMonomial, List[int]] = {}
-    for i, t in de.T[r].items():
-        g, mr = de.row_meta[i]
-        acc = sums.get(mr)
+    residual = []
+    width = len(lifted.generator_indices) + 1
+    # mr -> [alpha, beta_g for g in generator_indices]
+    image: Dict[ConeMonomial, List[RingElement]] = {}
+    for k, c in de.M[r].items():
+        if isinstance(k, int):
+            if k != j:
+                residual.append((index_in_V(k), ring.neg(c)))
+            continue
+        mr, s = k
+        acc = image.get(mr)
         if acc is None:
-            acc = sums[mr] = [0] * (len(gens) + 1)
-        acc[0] += (-var_exponent(g, mr) % modulus) * t
-        acc[slot[g]] = t
-    normalize = ring.normalize
-    image = [(mr, normalize(acc[0]), acc[1:]) for mr, acc in sums.items()]
-    return residual, image
+            acc = image[mr] = [ring.zero] * width
+        acc[s] = c
+    return residual, [(mr, acc[0], acc[1:]) for mr, acc in image.items()]
 
 
 def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
                    ) -> Tuple[EchelonData, MonomialBasis]:
-    """Row-reduce the relation matrices for degrees 1..top, read off V and
+    """Row-reduce the relation matrices for degrees 0..top, read off V and
     compile every column's reduction operator.
 
     top = n_eff + 2; the quotient basis lives in degrees <= n_eff + 1 and the
@@ -458,16 +456,13 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
     """
     top = lifted.n_eff + 2
     by_degree: Dict[int, DegreeReduction] = {}
+    # Each degree appends its non-pivot columns in ascending order, so V
+    # comes out in the term order.
+    V: List[ConeMonomial] = []
+    layer: List[ConeMonomial] = []
 
-    # Sorted lattice points are already in the term order within a degree.
-    layer = [(0, mu) for mu in lattice_points(poly, 0)]
-    # Degree 0 has no relations; its basis part is whatever columns exist
-    # (the single monomial 1 in toric mode, nothing in the restricted modes).
-    # Each degree then appends its non-pivot columns in ascending order, so
-    # V comes out in the term order.
-    V: List[ConeMonomial] = [m for m in layer if lifted.cofactor_allowed(0, m)]
-
-    for d in range(1, top + 1):
+    for d in range(top + 1):
+        # Sorted lattice points are already in the term order within a degree.
         cofactors, layer = layer, [(d, mu) for mu in lattice_points(poly, d)]
         de = echelon_of_degree(lifted, d, cofactors, layer)
         nonpivot = [j for j in range(len(de.columns))

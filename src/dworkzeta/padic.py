@@ -207,9 +207,6 @@ class RingContext:
             return (-self._h[0]) % self.modulus
         return 1 << self.k
 
-    def from_int(self, c: int) -> RingElement:
-        return c % self.modulus
-
     def from_residue(self, coeffs: Sequence[int]) -> RingElement:
         """Embed an F_q element given by F_p coefficients on the generator."""
         if len(coeffs) > self.a:

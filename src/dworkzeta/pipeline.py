@@ -182,12 +182,11 @@ def compute_zeta(prob: Problem, emit_matrix: bool = False) -> Result:
 
 
 def verify_against_oracle(prob: Problem, zf: ZetaFunction, r_max: int) -> List[int]:
-    """Cross-check the expanded counts against brute-force enumeration."""
-    # the oracle must see the same (possibly confined) polynomial
-    terms = prob.terms
-    if prob.confine:
-        terms = apply_confinement(prob).terms
-    counts = [oracle.count_points(prob.p, prob.a, prob.hbar, terms, prob.mode, r)
+    """Cross-check the expanded counts against brute-force enumeration of
+    the caller's polynomial as given: confinement is a unimodular change of
+    torus coordinates, which leaves every point count unchanged."""
+    counts = [oracle.count_points(prob.p, prob.a, prob.hbar, prob.terms,
+                                  prob.mode, r)
               for r in range(1, r_max + 1)]
     expanded = zf.counts(r_max)
     if counts != expanded:

@@ -12,21 +12,23 @@ The sweep.  Reduction is R-linear and all the images walk the same cone
 monomials, so they are reduced together.  The terms are held per weight
 degree: layer d maps a monomial to its coefficient vector, one entry per
 image (a column of the result).  The sweep runs d from the top degree
-present down to 1, and each step pops monomials of layer d and writes only
+present down to 0, and each step pops monomials of layer d and writes only
 to layer d-1.  So every layer is visited once, and the sweep ends after at
 most as many steps as there are monomials in the layers: no budget needs
 checking.
 
-One rule serves every degree.  The monomials of layer d are visited in
-descending term order, over a snapshot of the layer.  The current monomial
-lm is factored as m * m0 with m0 a column of degree min(d, top): the divisor
-policy picks m0 above the top degree, and at or below it m0 is lm itself
-(m = 1).  The slice of layer d lying in m * (the columns up to m0) goes
-through the columns' operators with cofactor m: the term order is
-translation-invariant within a degree, so a column after m0 gives a
-monomial above lm, popped already, whichever divisor the policy picks.  At
-or below the top degree the first slice clears every column of the layer;
-a nonzero monomial left over breaks the mode restriction.
+One rule serves every degree, 0 included.  The monomials of layer d are
+visited in descending term order, over a snapshot of the layer.  The
+current monomial lm is factored as m * m0 with m0 a column of degree
+min(d, top): the divisor policy picks m0 above the top degree, and at or
+below it m0 is lm itself (m = 1).  The slice of layer d lying in
+m * (the columns up to m0) goes through the columns' operators with
+cofactor m: the term order is translation-invariant within a degree, so a
+column after m0 gives a monomial above lm, popped already, whichever
+divisor the policy picks.  At or below the top degree the first slice
+clears every column of the layer; a nonzero monomial left over breaks the
+mode restriction.  At degree 0 every column is a basis monomial and its
+own residual, so layer 0 lands on V and nothing is written below it.
 
 Lazy sums.  A coordinate of a layer, and of the result, is an unreduced
 int: the sum of the terms coefficient * x pushed into it, each a product of
@@ -84,7 +86,7 @@ def apply_column(ring: RingContext, op: Operator, m: ConeMonomial,
     to out (one list per image, indexed by V) and its image to below.
 
     vec holds elements; m is the cofactor and e its cofactor_exponents
-    (unused when m has degree 0, that is m = 1).
+    (unused, and empty, when m has degree 0, that is m = 1).
     """
     residual, image = op
     for idx, c in residual:
@@ -129,7 +131,7 @@ def reduce(images: Sequence[ConeElement], ech: EchelonData,
                 vec = layer[m] = [0] * width
             vec[col] = c
 
-    for d in range(max(layers, default=0), 0, -1):
+    for d in range(max(layers, default=0), -1, -1):
         de = ech.by_degree[min(d, top)]
         below = layers[d - 1]
         # The layer with each coordinate normalized once.
@@ -152,7 +154,7 @@ def reduce(images: Sequence[ConeElement], ech: EchelonData,
                     f"monomial {lm} violates the mode restriction during "
                     "reduction")
             m = (d - m0[0], tuple(map(sub, lm[1], m0[1])))
-            e = cofactor_exponents(ech, m)
+            e = cofactor_exponents(ech, m) if m[0] else ()
             # The slice of layer d lying in m * (the columns up to m0); the
             # columns above m0 give monomials above lm.
             for j in range(de.col_index[m0] + 1):
@@ -161,12 +163,4 @@ def reduce(images: Sequence[ConeElement], ech: EchelonData,
                 if x is not None:
                     apply_column(ring, de.ops[j], m, e, x, below, out)
 
-    # Degree 0: only the unit monomial can remain (toric mode).
-    for m, vec in layers.pop(0, {}).items():
-        if m not in basis.V:
-            raise PrecisionOrLogicError(
-                f"degree-0 residual {m} lies outside the basis")
-        idx = basis.V.index(m)
-        for x, col in zip(vec, out):
-            col[idx] += x
     return [[normalize(x) for x in col] for col in out]

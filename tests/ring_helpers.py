@@ -19,6 +19,11 @@ def valuation(ring, x):
     return best
 
 
+def from_int(ring, c):
+    """The integer c as an element of ring."""
+    return ring.smul(c, ring.one)
+
+
 def from_coords(ring, coords):
     """The element sum_i coords[i] * t^i of ring, built with ring operations
     only (coords has at most ring.a integer entries)."""

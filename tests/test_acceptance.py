@@ -24,7 +24,7 @@ import pytest
 from cone_helpers import add_term, apply_Di
 from dense_frobenius import use_in_pipeline
 from echelon_reference import echelons
-from ring_helpers import valuation
+from ring_helpers import from_int, valuation
 
 from dworkzeta import gf
 from dworkzeta.cone_algebra import ConeElement
@@ -284,7 +284,7 @@ def test_criterion_08_relations_vanish_200_per_fixture():
                          if lifted.cofactor_allowed(gi, (d, mu))]
                 if cands:
                     add_term(xi, rng.choice(cands),
-                             ring.from_int(rng.randrange(1, ring.modulus)))
+                             from_int(ring, rng.randrange(1, ring.modulus)))
             if not xi.terms:
                 continue
             coords = cone_reduce([apply_Di(lifted, gi, xi)], ech, basis)[0]

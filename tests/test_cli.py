@@ -171,6 +171,18 @@ def test_check_nondegenerate_invalid_input_exit_code(tmp_path, capsys, change,
         assert got == code and err.startswith(f"{name}: "), (extra, err)
 
 
+@pytest.mark.parametrize("command, flags", [
+    (["compute"], ["--verify", "-1"]),
+    (["compute"], ["--check-nondegenerate", "-2"]),
+    (["oracle", "count"], ["--r", "0"]),
+    (["oracle", "count"], ["--r", "-1"]),
+])
+def test_negative_depth_rejected(tmp_path, capsys, command, flags):
+    path = write_input(tmp_path, ELLIPTIC)
+    code, out, err = run(capsys, command + [path] + flags)
+    assert code == 2 and err.startswith("InvalidInput: ") and not out, err
+
+
 @pytest.mark.parametrize("change, code, name", [
     # F_7[t]/(t^2) is not a field
     ({"a": 2, "field_poly": [0, 0, 1]}, 3, "InvalidFieldSpec"),

@@ -1,7 +1,7 @@
 """Jacobian-module tests: lifting, echelon identities (the sparse echelon
 against a dense reference too, each degree row-reduced again through
-echelon_of_degree), and basis extraction on elliptic, Fermat-like, and
-projective fixtures."""
+echelon_of_degree, the transform read from the rows' image blocks), and
+basis extraction on elliptic, Fermat-like, and projective fixtures."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import pytest
 
 from cone_helpers import term_order_key
 from echelon_reference import echelons, solve
+from ring_helpers import from_int
 
 from dworkzeta import gf
 from dworkzeta.errors import InvalidInput, NondegeneracyFailure
@@ -195,6 +196,7 @@ def test_echelon_identities():
     for mode in ("toric", "affine"):
         # 4a^3 + 27b^2 = 59 is a unit mod 7, so the curve is nonsingular
         lifted, poly, (ech, basis) = build(R, elliptic_terms(7, 2, 1), mode)
+        gens = len(lifted.generator_indices)
         for d, de in echelons(lifted, poly, ech.top).items():
             nrows, ncols = len(de.row_meta), len(de.columns)
             J = [densify(R, row, ncols) for row in relation_rows(lifted, de)]
@@ -204,6 +206,14 @@ def test_echelon_identities():
                 for row in rows:
                     assert all(0 <= k < width and not R.is_zero(c)
                                for k, c in row.items())
+            # the raw rows hold only column keys and image keys
+            # (cofactor, slot); M and T above are read from them
+            cofactors = {mr for _, mr in de.row_meta}
+            for row in de.de.M:
+                assert all(not R.is_zero(c) for c in row.values())
+                assert all(isinstance(k, int) or (k[0] in cofactors
+                                                  and 0 <= k[1] <= gens)
+                           for k in row)
             M = [densify(R, row, ncols) for row in de.M]
             T = [densify(R, row, nrows) for row in de.T]
             # M = T*J exactly over R
@@ -219,6 +229,15 @@ def test_echelon_identities():
                 for i in range(nrows):
                     if i != r:
                         assert R.is_zero(M[i][j])
+            # alpha(r, mr) = sum_g beta_g * (-e_g(mr)) in every row
+            for r, row in enumerate(de.de.M):
+                for mr in cofactors:
+                    acc = R.zero
+                    for s, g in enumerate(lifted.generator_indices, 1):
+                        beta = row.get((mr, s), R.zero)
+                        acc = R.add(acc, R.smul(-lifted.var_exponent(g, mr),
+                                                beta))
+                    assert row.get((mr, 0), R.zero) == acc, (mode, d, r, mr)
 
 
 def test_solve_splits_vector():
@@ -230,13 +249,13 @@ def test_solve_splits_vector():
         de = by_degree[d]
         ncols = len(de.columns)
         J = [densify(R, row, ncols) for row in relation_rows(lifted, de)]
-        dense_xi = {j: R.from_int(rng.randrange(R.modulus))
+        dense_xi = {j: from_int(R, rng.randrange(R.modulus))
                     for j in range(ncols)}
-        sparse_xi = {j: R.from_int(rng.randrange(1, R.modulus))
+        sparse_xi = {j: from_int(R, rng.randrange(1, R.modulus))
                      for j in rng.sample(range(ncols), min(3, ncols))}
         for xi in (dense_xi, sparse_xi):
             # xi is the first column; the second is random and sparse
-            second = {j: R.from_int(rng.randrange(1, R.modulus))
+            second = {j: from_int(R, rng.randrange(1, R.modulus))
                       for j in rng.sample(range(ncols), min(2, ncols))}
             cols = (xi, second)
             vec_xi = {j: [x.get(j, R.zero) for x in cols]
@@ -266,7 +285,7 @@ def test_nonpivot_columns_independent_of_row_order():
     for d, de in echelons(lifted, poly, ech.top).items():
         rows = relation_rows(lifted, de)
         rng.shuffle(rows)
-        _, found = _row_reduce(R, rows, len(de.columns), d)
+        found = _row_reduce(R, rows, len(de.columns), d)
         assert {j for _, j in found} == set(de.pivot_rows)
 
 

@@ -156,6 +156,8 @@ def test_confinement_preserves_zeta():
     z2 = compute_zeta(dataclasses.replace(prob, confine=True)).zeta
     assert z1.numerator == z2.numerator and z1.point_counts == z2.point_counts
     verify_against_oracle(confined, z1, 3)
+    # the oracle counts the caller's own, unconfined polynomial
+    verify_against_oracle(dataclasses.replace(prob, confine=True), z2, 3)
 
 
 def structural_rank(prob, v):

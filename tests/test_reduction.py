@@ -12,7 +12,7 @@ import pytest
 
 from cone_helpers import add_term, apply_Di, cone_sum
 from echelon_reference import echelons, solve
-from ring_helpers import from_coords
+from ring_helpers import from_coords, from_int
 
 from dworkzeta import gf, reduction
 from dworkzeta.cone_algebra import ConeElement
@@ -63,16 +63,16 @@ def random_cone_element(rng, R, lifted, poly, gen_i, max_degree=3, k=4):
         if not candidates:
             continue
         m = rng.choice(candidates)
-        add_term(out, m, R.from_int(rng.randrange(1, R.modulus)))
+        add_term(out, m, from_int(R, rng.randrange(1, R.modulus)))
     return out
 
 
 def test_basis_elements_reduce_to_themselves():
     R, lifted, poly, ech, basis = elliptic_fixture()
     for i, m in enumerate(basis.V):
-        G = ConeElement(R, {m: R.from_int(3)})
+        G = ConeElement(R, {m: from_int(R, 3)})
         coords = cone_reduce([G], ech, basis)[0]
-        assert coords[i] == R.from_int(3)
+        assert coords[i] == from_int(R, 3)
         assert all(R.is_zero(c) for j, c in enumerate(coords) if j != i)
 
 
@@ -138,14 +138,14 @@ def test_operator_relations_vanish_a2():
 def test_elliptic_vertical_relation():
     # (pi w)^d x^u y^v is (v-2)/2 times (pi w)^(d-1) x^u y^(v-2) in the quotient.
     R, lifted, poly, ech, basis = elliptic_fixture(p=7, aa=1, bb=1)
-    half = R.inv(R.from_int(2))
+    half = R.inv(from_int(R, 2))
     for d, u, v in [(2, 0, 3), (3, 1, 3), (3, 0, 5), (4, 2, 5)]:
         assert poly.contains((u, v), d) and poly.contains((u, v - 2), d - 1)
         lhs = cone_reduce([ConeElement(R, {(d, (u, v)): R.one})],
                           ech, basis)[0]
         rhs = cone_reduce([ConeElement(R, {(d - 1, (u, v - 2)): R.one})],
                           ech, basis)[0]
-        factor = R.mul(R.from_int(v - 2), half)
+        factor = R.mul(from_int(R, v - 2), half)
         assert lhs == [R.mul(factor, c) for c in rhs], (d, u, v)
 
 
@@ -163,7 +163,7 @@ def test_fermat_like_constant_relation():
                           ech, basis)[0]
         rhs = cone_reduce([ConeElement(R, {(d - 1, (0, 0)): R.one})],
                           ech, basis)[0]
-        factor = R.neg(R.mul(R.from_int(d - 1), R.inv(b)))
+        factor = R.neg(R.mul(from_int(R, d - 1), R.inv(b)))
         assert lhs == [R.mul(factor, c) for c in rhs], d
 
 
@@ -288,7 +288,7 @@ def test_compiled_operator_matches_solve_and_push(make):
 
 def test_top_degree_residual_raises_at_compile():
     R, lifted, poly, ech, basis = elliptic_fixture()
-    top = echelons(lifted, poly, ech.top)[ech.top]
+    top = echelons(lifted, poly, ech.top)[ech.top].de
     j, r = next(iter(top.pivot_rows.items()))
     other = next(k for k in range(len(top.columns)) if k != j)
     top.M[r] = {j: R.one, other: R.one}
@@ -298,9 +298,9 @@ def test_top_degree_residual_raises_at_compile():
 
 def test_mode_restriction_raises_at_and_below_top():
     # affine columns are divisible by xy; (d, (0, 0)) lies in d * Delta but
-    # is not a column, below the top degree and at it
+    # is not a column, below the top degree (degree 0 included) and at it
     R, lifted, poly, ech, basis = elliptic_fixture(mode="affine")
-    for d in (2, ech.top):
+    for d in (0, 2, ech.top):
         m = (d, (0, 0))
         assert poly.contains(m[1], d)
         assert m not in ech.by_degree[d].col_index

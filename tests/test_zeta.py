@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from ring_helpers import from_coords
+from ring_helpers import from_coords, from_int
 
 from dworkzeta import gf
 from dworkzeta.errors import ConsistencyFailure, InsufficientPrecision
@@ -131,7 +131,7 @@ def test_charpoly_matches_interpolation_oracle():
         for _ in range(3):
             M = [[rng.randrange(-9, 10) for _ in range(v)] for _ in range(v)]
             expected = det_one_minus_t_oracle(M)
-            MR = [[R.from_int(x) for x in row] for row in M]
+            MR = [[from_int(R, x) for x in row] for row in M]
             got = charpoly_det_one_minus_t(R, MR)
             modulus = R.modulus
             for c_exp, c_got in zip(expected, got):
@@ -163,13 +163,14 @@ def test_lift_charpoly_centered_and_filtered():
     R = ring(7, 1, 4)
     q, v, weight = 7, 2, 3
     # c_1 = -a_q * q with a_q = 4: stored as modulus - 28
-    coeffs = [R.one, R.from_int(-28), R.from_int(q ** 3)]
+    coeffs = [R.one, from_int(R, -28), from_int(R, q ** 3)]
     res = CharpolyResult(coefficients=coeffs, modulus=R.modulus)
     lifted = lift_charpoly(R, res, q, weight)
     assert lifted == [1, -28, 343]
     # violate the Weil bound for i = 1: |c| > 2 q^(3/2) = 37.0...
-    bad = CharpolyResult(coefficients=[R.one, R.from_int(1000), R.from_int(0)],
-                         modulus=R.modulus)
+    bad = CharpolyResult(
+        coefficients=[R.one, from_int(R, 1000), from_int(R, 0)],
+        modulus=R.modulus)
     with pytest.raises(InsufficientPrecision):
         lift_charpoly(R, bad, q, weight)
 
