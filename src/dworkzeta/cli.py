@@ -40,6 +40,8 @@ def _load_problem(path: str) -> Problem:
         raise InvalidInput(f"cannot read input file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"input is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InvalidInput("input must be a JSON object")
     for key in ("p", "a", "n", "mode", "terms"):
         if key not in data:
             raise InvalidInput(f"missing required input key {key!r}")
@@ -54,6 +56,8 @@ def _load_problem(path: str) -> Problem:
                 or not all(_is_int(c) for c in field_poly)):
             raise InvalidInput("field_poly must be a list of integers or \"conway\"")
         hbar = tuple(field_poly)
+    if not isinstance(data["terms"], list):
+        raise InvalidInput("terms must be a list")
     terms = []
     for entry in data["terms"]:
         if not isinstance(entry, dict) or "exp" not in entry or "coeff" not in entry:

@@ -17,7 +17,7 @@ precision choice and every retry are logged at debug level on the
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from . import oracle
@@ -38,7 +38,7 @@ from .jacobian import (
 )
 from .padic import FieldSpec, make_ring
 from .polytope import confine as confine_support
-from .polytope import faces, hull_and_triangulate
+from .polytope import faces, hull
 from .reduction import reduce as cone_reduce
 from .zeta import (
     ZetaFunction,
@@ -72,7 +72,6 @@ class Problem:
 @dataclass
 class Result:
     zeta: ZetaFunction
-    lifted_charpoly: List[int] = field(default_factory=list)
     matrix: Optional[List[List[List[int]]]] = None  # serialized ring elements
 
 
@@ -143,7 +142,7 @@ def _run_at(prob: Problem, N: int, v: int, emit_matrix: bool) -> Result:
     ring = make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar,
                                N_work=n_work))
     lifted = lift_input(ring, prob.terms, prob.mode)
-    poly = hull_and_triangulate(lifted.support)
+    poly = hull(lifted.support)
     ech, basis = build_jacobian(lifted, poly, v)
     E = truncation_bound(p, lifted.n_eff, n_work)
     series = splitting_for(ring, E)
@@ -155,7 +154,7 @@ def _run_at(prob: Problem, N: int, v: int, emit_matrix: bool) -> Result:
     matrix = None
     if emit_matrix:
         matrix = [[ring.serialize(e) for e in row] for row in A]
-    return Result(zeta=zf, lifted_charpoly=lifted_cp, matrix=matrix)
+    return Result(zeta=zf, matrix=matrix)
 
 
 def compute_zeta(prob: Problem, emit_matrix: bool = False) -> Result:
@@ -209,7 +208,7 @@ def nondegeneracy_witness_search(prob: Problem, k_max: int
     validate_problem(prob)
     work_terms = {working_exponent(prob.mode, nu): c for nu, c in prob.terms}
     exps = sorted(work_terms)
-    poly = hull_and_triangulate(exps)
+    poly = hull(exps)
     m = len(exps[0])
     q = prob.p ** prob.a
     for k in range(1, k_max + 1):

@@ -1,24 +1,26 @@
 """Newton-polytope combinatorics in exact integer arithmetic.
 
-Provides convex hulls with facet inequalities, a pulling triangulation (cone
-from the lexicographically smallest point over the facets that do not contain
-it, each facet triangulated the same way), normalized volumes, lattice-point
-enumeration of dilations via fundamental-parallelepiped residues, Hermite
-normal form with recorded unimodular transform, face enumeration, and the
-orthotope-confinement transform.
+A polytope is its facets.  Provides convex hulls with facet inequalities
+and vertices; the lattice points of a dilation d * Delta, by a scan of its
+bounding box in lexicographic order that takes each coordinate's range from
+the facets of Delta's shadow on the coordinates so far; normalized volumes,
+as the n-th finite difference of the lattice-point counts of the dilations
+0..n; Hermite normal form with recorded unimodular transform; face
+enumeration; and the orthotope-confinement transform, which keeps the box
+small.
 
 No floating point is used anywhere; all predicates are integer determinants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import NotFullDimensional, PrecisionOrLogicError
+from .errors import NotFullDimensional
 
 Point = Tuple[int, ...]
 Facet = Tuple[Tuple[int, ...], int]  # (a, b) meaning <a, x> <= b
@@ -150,19 +152,16 @@ def hull_facets(points: Sequence[Point]) -> List[Facet]:
 
 
 # ---------------------------------------------------------------------------
-# hull + triangulation
+# hull, lattice points of dilations, normalized volume
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LatticePolytope:
-    """Exact Newton-polytope data: vertices, facets, dimension, normalized
-    volume, and the simplices (as vertex tuples) of a triangulation."""
+    """Exact Newton-polytope data: dimension, vertices and facets."""
 
     dim: int
     vertices: Tuple[Point, ...]
     facets: Tuple[Facet, ...]
-    nvol: int
-    simplices: Tuple[Tuple[Point, ...], ...] = field(compare=False)
 
     def contains(self, x: Sequence[int], dilation: int = 1) -> bool:
         """Membership of x in dilation * Delta, via scaled facet inequalities."""
@@ -174,54 +173,8 @@ class LatticePolytope:
         return True
 
 
-def _pulling_triangulation(points: List[Point],
-                           facets: Sequence[Facet]) -> List[Tuple[int, ...]]:
-    """Triangulation of conv(points), full-dimensional with the given facets,
-    as sorted index tuples: cone from the lexicographically smallest point
-    over the facets that do not contain it, each facet triangulated the same
-    way within its own affine span."""
-    k = len(points[0]) - 1  # dimension of a facet
-    apex = min(range(len(points)), key=points.__getitem__)
-    result: List[Tuple[int, ...]] = []
-    for normal, b in facets:
-        if sum(a * x for a, x in zip(normal, points[apex])) == b:
-            continue
-        face_idx = [i for i, p in enumerate(points)
-                    if sum(a * x for a, x in zip(normal, p)) == b]
-        if len(face_idx) == k + 1:
-            subs = [tuple(range(k + 1))]
-        else:
-            proj = _project_to_span([points[i] for i in face_idx], k)
-            subs = _pulling_triangulation(proj, hull_facets(proj))
-        for sub in subs:
-            result.append(tuple(sorted([face_idx[j] for j in sub] + [apex])))
-    return result
-
-
-def _project_to_span(points: List[Point], k: int) -> List[Point]:
-    """Project points to k coordinates on which their affine span is injective."""
-    n = len(points[0])
-    base = points[0]
-    edges = [[p[i] - base[i] for i in range(n)] for p in points[1:]]
-    cols: List[int] = []
-    for c in range(n):
-        trial = cols + [c]
-        sub = [[row[j] for j in trial] for row in edges]
-        if _rank(sub) == len(trial):
-            cols.append(c)
-        if len(cols) == k:
-            break
-    return [tuple(p[j] for j in cols) for p in points]
-
-
-def _simplex_nvol(verts: Sequence[Point]) -> int:
-    base = verts[0]
-    return abs(int_det([[v[j] - base[j] for j in range(len(base))]
-                        for v in verts[1:]]))
-
-
-def hull_and_triangulate(S: Iterable[Point]) -> LatticePolytope:
-    """Convex hull with exact facet description and a pulling triangulation."""
+def hull(S: Iterable[Point]) -> LatticePolytope:
+    """Convex hull of a full-dimensional point set: its facets and vertices."""
     points = sorted(set(tuple(int(c) for c in p) for p in S))
     if not points:
         raise NotFullDimensional("empty point set")
@@ -242,113 +195,65 @@ def hull_and_triangulate(S: Iterable[Point]) -> LatticePolytope:
                  if sum(a * x for a, x in zip(normal, p)) == b]
         if _rank([list(t) for t in tight]) == n:
             vertices.append(p)
+    return LatticePolytope(dim=n, vertices=tuple(vertices), facets=facets)
 
-    simplices = tuple(tuple(points[i] for i in s)
-                      for s in sorted(_pulling_triangulation(points, facets)))
-    return LatticePolytope(dim=n, vertices=tuple(vertices), facets=facets,
-                           nvol=sum(_simplex_nvol(s) for s in simplices),
-                           simplices=simplices)
+
+def lattice_points(poly: LatticePolytope, d: int) -> List[Point]:
+    """All integer points of d * Delta, in lexicographic order.
+
+    A scan of the bounding box that solves for each coordinate's range
+    instead of testing every point of the box.  The shadow of Delta on its
+    first k coordinates is the hull of the vertices cut to length k.  Over an
+    integer point of the shadow of d * Delta on k - 1 coordinates, the facets
+    of the shadow on k coordinates bound the k-th coordinate to an interval;
+    so the scan visits only integer points of the shadows, and a thin Delta
+    in a large box does not pay for the box.
+    """
+    if d < 0:
+        raise ValueError("dilation must be nonnegative")
+    n = poly.dim
+    shadows = [hull_facets(sorted({v[:k] for v in poly.vertices}))
+               for k in range(1, n)] + [poly.facets]
+    # bounds[k]: (c, a, d*b) for each facet <a, y> + c*x_k <= b of the shadow
+    # on k + 1 coordinates with c != 0, y the first k coordinates.
+    bounds = [[(normal[k], normal[:k], d * b) for normal, b in facets
+               if normal[k]] for k, facets in enumerate(shadows)]
+    out: List[Point] = []
+
+    def scan(prefix: Point) -> None:
+        k = len(prefix)
+        rests = [(c, db - sum(map(mul, a, prefix))) for c, a, db in bounds[k]]
+        lo = max(-(rest // -c) for c, rest in rests if c < 0)
+        hi = min(rest // c for c, rest in rests if c > 0)
+        if k == n - 1:
+            out.extend(prefix + (x,) for x in range(lo, hi + 1))
+        else:
+            for x in range(lo, hi + 1):
+                scan(prefix + (x,))
+
+    scan(())
+    return out
 
 
 def normalized_volume(points: Sequence[Point]) -> int:
     """Normalized volume of conv(points) in Z^k, k the length of the points.
 
-    0 for no points or a hull of dimension below k; a nonempty set in Z^0
-    (a point) has volume 1.
+    The Ehrhart count L(j) = #(j * Delta cap Z^k) is a polynomial of degree k
+    in j with leading coefficient vol(Delta), so its k-th finite difference
+    over j = 0..k is k! * vol(Delta) (Beck-Robins, Computing the Continuous
+    Discretely, ch. 3).  0 for no points or a hull of dimension below k; a
+    nonempty set in Z^0 (a point) has volume 1.
     """
     if not points:
         return 0
-    if not points[0]:
+    k = len(points[0])
+    if k == 0:
         return 1
-    if affine_rank(points) < len(points[0]):
+    if affine_rank(points) < k:
         return 0
-    return hull_and_triangulate(points).nvol
-
-
-# ---------------------------------------------------------------------------
-# lattice points of dilations
-# ---------------------------------------------------------------------------
-
-def lattice_points(poly: LatticePolytope, d: int) -> List[Point]:
-    """All integer points of d * Delta, enumerated simplex by simplex through
-    the residues of the fundamental parallelepiped (no bounding-box scan)."""
-    n = poly.dim
-    if d < 0:
-        raise ValueError("dilation must be nonnegative")
-    if d == 0:
-        return [(0,) * n]
-    found: set[Point] = set()
-    for s in poly.simplices:
-        verts = [tuple(d * c for c in v) for v in s]
-        found.update(_simplex_lattice_points(verts))
-    pts = sorted(found)
-    if not all(poly.contains(p, d) for p in pts):
-        raise PrecisionOrLogicError(
-            f"a lattice point of the dilation {d} * Delta lies outside it")
-    return pts
-
-
-def _simplex_lattice_points(verts: List[Point]) -> List[Point]:
-    """Integer points of a full-dimensional simplex with integer vertices.
-
-    Every lattice point is v0 + B*c with c = B^{-1}(y - v0) = adj(B)*r/det for
-    a residue r of Z^n modulo the column lattice of B; it lies in the simplex
-    when the fractional parts of c sum to at most 1.  With D = |det| these
-    fractional parts are fr/D, fr = (sign(det) * adj(B) * r) mod D, so the
-    whole walk stays in integers.
-    """
-    n = len(verts) - 1
-    v0 = verts[0]
-    B = [[verts[j + 1][i] - v0[i] for j in range(n)] for i in range(n)]  # columns w_j
-    det = int_det(B)
-    if det == 0:
-        raise PrecisionOrLogicError("simplex of the triangulation is flat")
-    D = abs(det)
-    adj = _adjugate(B)
-    if det < 0:
-        adj = [[-x for x in row] for row in adj]
-    out: List[Point] = [tuple(v) for v in verts]  # vertices are always included
-
-    # Triangular generator matrix of the column lattice B*Z^n (for residues).
-    _, Ht = hermite_normal_form([[B[j][i] for j in range(n)] for i in range(n)])
-    diag = [abs(Ht[i][i]) for i in range(n)]
-
-    rep = [0] * n
-    while True:
-        fr = [sum(adj[i][j] * rep[j] for j in range(n)) % D for i in range(n)]
-        if sum(fr) <= D:
-            y = []
-            for i in range(n):
-                q, rem = divmod(sum(B[i][j] * fr[j] for j in range(n)), D)
-                if rem:
-                    raise PrecisionOrLogicError(
-                        "lattice point of a simplex is not integral")
-                y.append(v0[i] + q)
-            out.append(tuple(y))
-        # odometer over residue representatives
-        i = 0
-        while i < n:
-            rep[i] += 1
-            if rep[i] < diag[i]:
-                break
-            rep[i] = 0
-            i += 1
-        if i == n:
-            break
-    return sorted(set(out))
-
-
-def _adjugate(m: List[List[int]]) -> List[List[int]]:
-    n = len(m)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[m[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            adj[j][i] = (-1) ** (i + j) * int_det(minor)
-    return adj
+    poly = hull(points)
+    return sum((-1) ** (k - j) * comb(k, j) * len(lattice_points(poly, j))
+               for j in range(k + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,14 @@ def test_exit_code_invalid_json(tmp_path, capsys):
         path = write_input(tmp_path, dict(ELLIPTIC, **{key: value}))
         code, _out, err = run(capsys, ["compute", path])
         assert code == 2 and f"InvalidInput: {message}" in err, (key, value)
+    # JSON of the wrong shape: a top-level value that is not an object (a
+    # string holds every key as a substring), and terms that are not a list
+    for data, message in [("p a n mode terms", "input must be a JSON object"),
+                          (dict(ELLIPTIC, terms=5), "terms must be a list")]:
+        path = write_input(tmp_path, data)
+        for argv in (["compute", path], ["oracle", "count", path]):
+            code, _out, err = run(capsys, argv)
+            assert code == 2 and f"InvalidInput: {message}" in err, argv
 
 
 def test_exit_code_unsupported_characteristic(tmp_path, capsys):

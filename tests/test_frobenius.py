@@ -20,7 +20,7 @@ from dworkzeta.frobenius import (
 )
 from dworkzeta.jacobian import lift_input
 from dworkzeta.padic import FieldSpec, make_ring
-from dworkzeta.polytope import hull_and_triangulate
+from dworkzeta.polytope import hull
 
 
 def ring(p, a, n):
@@ -107,7 +107,7 @@ def elliptic_alpha_oracle(p, aa, bb, N, max_degree):
 
 def expansion_setup(R, terms, mode):
     lifted = lift_input(R, terms, mode)
-    poly = hull_and_triangulate(lifted.support)
+    poly = hull(lifted.support)
     bound = truncation_bound(R.p, lifted.n_eff, R.N)
     series = splitting_for(R, bound)
     return lifted, poly, bound, series

@@ -29,7 +29,7 @@ from dworkzeta.pipeline import (
     nondegeneracy_witness_search,
     verify_against_oracle,
 )
-from dworkzeta.polytope import hull_and_triangulate
+from dworkzeta.polytope import hull
 
 
 def elliptic_affine(p, aa, bb):
@@ -158,6 +158,13 @@ def test_confinement_preserves_zeta():
     verify_against_oracle(confined, z1, 3)
     # the oracle counts the caller's own, unconfined polynomial
     verify_against_oracle(dataclasses.replace(prob, confine=True), z2, 3)
+    # without confinement: a support whose bounding box starts at (2, 2)
+    z0 = compute_zeta(prob).zeta
+    assert (z0.numerator, z0.denominator) == ([1, -3, 3, -1], [1, -5])
+    assert z0.counts(3) == [2, 22, 122]
+    assert (z0.numerator, z0.denominator, z0.point_counts) == (
+        z1.numerator, z1.denominator, z1.point_counts)
+    verify_against_oracle(prob, z0, 3)
 
 
 def structural_rank(prob, v):
@@ -168,7 +175,7 @@ def structural_rank(prob, v):
     """
     ring = make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar, N_work=1))
     lifted = lift_input(ring, prob.terms, prob.mode)
-    poly = hull_and_triangulate(lifted.support)
+    poly = hull(lifted.support)
     _ech, basis = build_jacobian(lifted, poly, v)
     return basis.v
 

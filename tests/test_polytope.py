@@ -1,5 +1,6 @@
-"""Polytope tests: hulls, triangulations, lattice points vs a brute-force
-bounding-box oracle, HNF identities, faces, and confinement."""
+"""Polytope tests: hulls, normalized volumes vs a triangulation reference,
+lattice points vs a brute-force bounding-box oracle, HNF identities, faces,
+and confinement."""
 
 from __future__ import annotations
 
@@ -9,15 +10,18 @@ from math import comb
 
 import pytest
 
+from triangulation_reference import triangulate, triangulated_volume
+
 from dworkzeta.errors import NotFullDimensional
 from dworkzeta.polytope import (
     affine_rank,
     confine,
     faces,
     hermite_normal_form,
-    hull_and_triangulate,
+    hull,
     int_det,
     lattice_points,
+    normalized_volume,
 )
 
 
@@ -38,29 +42,29 @@ def box_filter_oracle(poly, d):
 
 
 def test_unit_simplex():
-    poly = hull_and_triangulate([(0, 0), (1, 0), (0, 1)])
-    assert poly.nvol == 1
-    assert len(poly.simplices) == 1
+    poly = hull([(0, 0), (1, 0), (0, 1)])
+    assert normalized_volume(poly.vertices) == 1
+    assert len(triangulate([(0, 0), (1, 0), (0, 1)])) == 1
     assert sorted(poly.vertices) == [(0, 0), (0, 1), (1, 0)]
     assert lattice_points(poly, 1) == [(0, 0), (0, 1), (1, 0)]
     assert len(lattice_points(poly, 2)) == 6
 
 
 def test_elliptic_triangle_volume_six():
-    poly = hull_and_triangulate([(0, 0), (3, 0), (0, 2)])
-    assert poly.nvol == 6
+    assert normalized_volume([(0, 0), (3, 0), (0, 2)]) == 6
 
 
 def test_cospherical_square():
-    poly = hull_and_triangulate([(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert poly.nvol == 2
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert normalized_volume(square) == 2
     # pulled from (0, 0) over the two edges that miss it
-    assert poly.simplices == (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 0), (1, 1)))
+    assert triangulate(square) == (((0, 0), (0, 1), (1, 1)),
+                                   ((0, 0), (1, 0), (1, 1)))
 
 
 def test_not_full_dimensional():
     with pytest.raises(NotFullDimensional):
-        hull_and_triangulate([(0, 0), (1, 1), (2, 2)])
+        hull([(0, 0), (1, 1), (2, 2)])
 
 
 def random_point_set(rng, n, delta, count):
@@ -77,7 +81,7 @@ def test_lattice_points_vs_box_oracle_random():
         delta = budgets[n]
         pts = random_point_set(rng, n, delta, rng.randrange(n + 1, n + 5))
         try:
-            poly = hull_and_triangulate(pts)
+            poly = hull(pts)
         except NotFullDimensional:
             continue
         cases += 1
@@ -88,8 +92,8 @@ def test_lattice_points_vs_box_oracle_random():
 def test_nvol_is_ehrhart_leading_coefficient():
     # L(d) = #(d*Delta cap Z^n) is a degree-n polynomial with leading
     # coefficient vol(Delta), so its n-th finite difference over d = 0..n is
-    # n! * vol(Delta) = nvol.  The counts come from the box oracle, so this
-    # checks nvol without the triangulation that computes it.
+    # n! * vol(Delta) = nvol.  The counts come from the box oracle, and the
+    # triangulation reference gives the same volume by another rule.
     rng = random.Random(20261018)
     cases = 0
     budgets = {1: 12, 2: 8, 3: 4}
@@ -97,13 +101,15 @@ def test_nvol_is_ehrhart_leading_coefficient():
         n = rng.choice([1, 2, 2, 3, 3])
         pts = random_point_set(rng, n, budgets[n], rng.randrange(n + 1, n + 5))
         try:
-            poly = hull_and_triangulate(pts)
+            poly = hull(pts)
         except NotFullDimensional:
             continue
         cases += 1
+        nvol = normalized_volume(pts)
         counts = [len(box_filter_oracle(poly, d)) for d in range(n + 1)]
         assert sum((-1) ** (n - j) * comb(n, j) * counts[j]
-                   for j in range(n + 1)) == poly.nvol, pts
+                   for j in range(n + 1)) == nvol, pts
+        assert triangulated_volume(pts) == nvol, pts
 
 
 def test_hnf_identity_and_unimodularity():
@@ -141,10 +147,10 @@ def test_hnf_identity_and_singular():
 
 
 def test_faces_segment_and_triangle():
-    poly = hull_and_triangulate([(0,), (1,)])
+    poly = hull([(0,), (1,)])
     fs = faces(poly, [(0,), (1,)])
     assert len(fs) == 3
-    poly = hull_and_triangulate([(0, 0), (1, 0), (0, 1)])
+    poly = hull([(0, 0), (1, 0), (0, 1)])
     fs = faces(poly, [(0, 0), (1, 0), (0, 1)])
     assert len(fs) == 7
     dims = sorted(affine_rank(f) for f in fs)
@@ -157,7 +163,7 @@ def test_faces_vs_bruteforce_random():
         n = rng.choice([2, 3])
         pts = random_point_set(rng, n, 4, n + 4)
         try:
-            poly = hull_and_triangulate(pts)
+            poly = hull(pts)
         except NotFullDimensional:
             continue
         fs = faces(poly, pts)
@@ -192,15 +198,14 @@ def test_confine_sliver():
     U, t = confine([(0, 0), (100, 1), (99, 1)])
     S2 = transformed(U, t, [(0, 0), (100, 1), (99, 1)])
     assert [min(s[i] for s in S2) for i in range(2)] == [0, 0]
-    poly = hull_and_triangulate(S2)
     box = 1
     for i in range(2):
         box *= max(max(p[i] for p in S2) - min(p[i] for p in S2), 1)
-    assert box <= 4 * poly.nvol
+    assert box <= 4 * normalized_volume(S2)
     assert abs(int_det(U)) == 1
     # volume is a unimodular invariant
-    poly0 = hull_and_triangulate([(0, 0), (100, 1), (99, 1)])
-    assert poly.nvol == poly0.nvol
+    assert normalized_volume(S2) == normalized_volume(
+        [(0, 0), (100, 1), (99, 1)])
 
 
 def test_confine_preserves_lattice_point_count():
@@ -210,11 +215,11 @@ def test_confine_preserves_lattice_point_count():
         try:
             U, t = confine(pts)
             S2 = transformed(U, t, pts)
-            poly0 = hull_and_triangulate(pts)
-            poly1 = hull_and_triangulate(S2)
+            poly0 = hull(pts)
+            poly1 = hull(S2)
         except NotFullDimensional:
             continue
-        assert poly0.nvol == poly1.nvol
+        assert normalized_volume(pts) == normalized_volume(S2)
         assert len(lattice_points(poly0, 1)) == len(lattice_points(poly1, 1))
 
 
@@ -229,10 +234,11 @@ def test_confined_bound_lattice_points():
         except NotFullDimensional:
             continue
         S2 = transformed(U, t, pts)
-        poly = hull_and_triangulate(S2)
+        poly = hull(S2)
+        nvol = normalized_volume(S2)
         box = 1
         for i in range(n):
             box *= max(max(p[i] for p in S2) - min(p[i] for p in S2), 1)
-        if box > n ** n * poly.nvol:
+        if box > n ** n * nvol:
             continue  # the greedy simplex did not confine this support
-        assert len(lattice_points(poly, 1)) <= (2 * n) ** n * poly.nvol
+        assert len(lattice_points(poly, 1)) <= (2 * n) ** n * nvol

@@ -24,7 +24,7 @@ from dworkzeta.jacobian import (
     lift_input,
 )
 from dworkzeta.padic import FieldSpec, make_ring
-from dworkzeta.polytope import hull_and_triangulate, lattice_points
+from dworkzeta.polytope import hull, lattice_points
 from dworkzeta.reduction import reduce as cone_reduce
 
 
@@ -47,7 +47,7 @@ def elliptic_f25_fixture(N=4):
 
 def fixture(R, terms, mode):
     lifted = lift_input(R, terms, mode)
-    poly = hull_and_triangulate(lifted.support)
+    poly = hull(lifted.support)
     ech, basis = build_jacobian(lifted, poly,
                                 expected_rank(mode, [nu for nu, _ in terms]))
     return R, lifted, poly, ech, basis
@@ -105,7 +105,7 @@ def test_operator_relations_vanish_projective():
     R = ring(7, 1, 4)
     terms = [((3, 0, 0), (1,)), ((0, 3, 0), (2,)), ((0, 0, 3), (1,))]
     lifted = lift_input(R, terms, "projective")
-    poly = hull_and_triangulate(lifted.support)
+    poly = hull(lifted.support)
     ech, basis = build_jacobian(
         lifted, poly, expected_rank("projective", [nu for nu, _ in terms]))
     rng = random.Random(23)
@@ -154,7 +154,7 @@ def test_fermat_like_constant_relation():
     R = ring(5, 1, 4)
     terms = [((3, 0), (2,)), ((0, 2), (1,)), ((0, 0), (3,))]
     lifted = lift_input(R, terms, "toric")
-    poly = hull_and_triangulate(lifted.support)
+    poly = hull(lifted.support)
     ech, basis = build_jacobian(
         lifted, poly, expected_rank("toric", [nu for nu, _ in terms]))
     b = R.teichmuller_lift((3,))

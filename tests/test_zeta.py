@@ -21,7 +21,7 @@ from dworkzeta.frobenius import (
 )
 from dworkzeta.jacobian import build_jacobian, expected_rank, lift_input
 from dworkzeta.padic import FieldSpec, make_ring
-from dworkzeta.polytope import hull_and_triangulate
+from dworkzeta.polytope import hull
 from dworkzeta.reduction import reduce as cone_reduce
 from dworkzeta.zeta import (
     CharpolyResult,
@@ -260,7 +260,7 @@ def test_end_to_end_single_point_on_torus():
     p, N_work = 5, 4
     R = ring(p, 1, N_work)
     lifted = lift_input(R, [((1,), (1,)), ((0,), (2,))], "toric")
-    poly = hull_and_triangulate(lifted.support)
+    poly = hull(lifted.support)
     ech, basis = build_jacobian(lifted, poly,
                                 expected_rank("toric", lifted.support))
     assert basis.v == 1
