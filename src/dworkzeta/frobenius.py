@@ -10,10 +10,16 @@ at matrix assembly because both sides of the matrix carry the same grading.
 
 expand_frobenius does this by "fewnomial" enumeration.  Write the multi-index
 of F as k + p*e with k in {0..p-1}^s.  Terms survive psi exactly when
-U*k = -(d, mu) mod p, where U has columns (1, nu) over the lifted support.
-For each solution k the e-part is enumerated by a recursive walk over the
-support points, one e_j at a time, with |e| < E and exact pruning on the
-guaranteed p-adic valuation.
+U*k = -(d, mu) mod p, where U has columns (1, nu) over the lifted support;
+then U*k + (d, mu) = p*(bw, base_x).  For each solution k one loop over the
+support points extends a list of partial terms by every choice of e_j, with
+|e| < E, and cuts a choice once
+
+    bw + |e| + e_j - delta - d(p, k_j + p*e_j) >= N_work,
+
+delta being the ell-denominator exponent so far.  The left side bounds the
+net p-power of every completion from below and grows with e_j, because
+d(p, i) = 0 for i < p and d(p, i + p) <= d(p, i) + 1.
 Each term contributes
 
     (-1)^(bw+|e|) * p^(bw+|e|) * prod_i ell_{k_i+p e_i}
@@ -34,6 +40,7 @@ element once, by ring.normalize, at the end.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import ceil
 from operator import add
 from typing import Dict, List, Sequence, Tuple
@@ -41,7 +48,7 @@ from typing import Dict, List, Sequence, Tuple
 from .cone_algebra import ConeElement, ConeMonomial
 from .errors import InternalPrecisionError, PrecisionOrLogicError
 from .jacobian import LiftedInput
-from .padic import RingContext, RingElement
+from .padic import RingContext
 from .polytope import LatticePolytope
 from .splitting import SplittingSeries, compute_splitting, d_bound
 
@@ -73,25 +80,14 @@ def solve_congruence(U: Sequence[Sequence[int]], target: Sequence[int],
             return []  # inconsistent
     free = [j for j in range(s) if j not in pivots]
     solutions: List[Tuple[int, ...]] = []
-    # Enumerate free assignments lexicographically with an odometer.
-    assign = [0] * len(free)
-    while True:
+    for assign in product(range(p), repeat=len(free)):
         e = [0] * s
-        for idx, j in enumerate(free):
-            e[j] = assign[idx]
+        for j, v in zip(free, assign):
+            e[j] = v
         for r, j in enumerate(pivots):
-            val = aug[r][s]
-            for idx, jf in enumerate(free):
-                val -= aug[r][jf] * assign[idx]
-            e[j] = val % p
+            e[j] = (aug[r][s] - sum(aug[r][jf] * v
+                                    for jf, v in zip(free, assign))) % p
         solutions.append(tuple(e))
-        for idx in range(len(free) - 1, -1, -1):
-            assign[idx] += 1
-            if assign[idx] < p:
-                break
-            assign[idx] = 0
-        else:
-            break
     return solutions
 
 
@@ -116,48 +112,54 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
     p, N_work, modulus, mul = ring.p, ring.N, ring.modulus, ring.mul
     d, mu = target
     nus, a_list = lifted.support, lifted.coeffs
-    s, last = len(nus), len(nus) - 1
-    U = [[1] * s] + [[nu[i] for nu in nus] for i in range(lifted.n_eff)]
+    U = [[1] * len(nus)] + [[nu[i] for nu in nus] for i in range(lifted.n_eff)]
     dtab = [d_bound(p, i) for i in range(len(series))]
     p_pows = [p ** net for net in range(N_work)]
 
-    neg_target = tuple((-t) % p for t in (d,) + mu)
+    shift = (d,) + mu
+    neg_target = tuple(-t % p for t in shift)
     # Unreduced sum of each monomial's terms, (scalar mod p^N_work) * apow
     # (see padic.normalize); a monomial enters only after it has been
     # checked against the cone.
     raw: Dict[ConeMonomial, int] = {}
     for k in solve_congruence(U, neg_target, p):
-        total_k = sum(k)
-        bw, rem = divmod(total_k + d, p)
-        if rem:
-            raise PrecisionOrLogicError("congruence solution fails w-divisibility")
-        base_x = []
-        for i in range(lifted.n_eff):
-            num = sum(k[j] * nus[j][i] for j in range(s)) + mu[i]
-            q_, r_ = divmod(num, p)
-            if r_:
-                raise PrecisionOrLogicError("congruence solution fails x-divisibility")
-            base_x.append(q_)
+        image = [sum(u * kj for u, kj in zip(row, k)) + t
+                 for row, t in zip(U, shift)]
+        if any(c % p for c in image):
+            raise PrecisionOrLogicError(
+                f"congruence solution {k} fails divisibility by p")
+        bw, *base_x = (c // p for c in image)
         # sigma^{-1}(a^k) for Teichmueller coefficients is (a^k)^(q/p)
         ak = ring.one
-        for j in range(s):
-            if k[j]:
-                ak = ring.mul(ak, ring.pow(a_list[j], k[j]))
-        prefix = ring.pow(ak, ring.q // p)
+        for aj, kj in zip(a_list, k):
+            if kj:
+                ak = mul(ak, ring.pow(aj, kj))
 
-        # Per-position tail bounds on future ell-denominator exponents at e=0.
-        tail = [0] * (s + 1)
-        for j in range(s - 1, -1, -1):
-            tail[j] = tail[j + 1] + dtab[k[j]]
+        # Partial terms (|e|, delta, numerator product, a^e, exponent) in
+        # lexicographic order of e, cut as the module docstring says.
+        terms = [(0, 0, 1, ring.pow(ak, ring.q // p), tuple(base_x))]
+        for nu, aj, kj in zip(nus, a_list, k):
+            extended = []
+            for esum, delta, numer, apow, exps in terms:
+                for ej in range(E - esum):
+                    idx = kj + p * ej
+                    if bw + esum + ej - delta - dtab[idx] >= N_work:
+                        break
+                    if ej:
+                        apow = mul(apow, aj)
+                        exps = tuple(map(add, exps, nu))
+                    denom_exp, ell = series[idx]
+                    extended.append((esum + ej, delta + denom_exp,
+                                     numer * ell, apow, exps))
+            terms = extended
 
-        def emit(esum: int, delta: int, numer: int, apow: RingElement,
-                 exps: Tuple[int, ...]) -> None:
+        for esum, delta, numer, apow, exps in terms:
             net = bw + esum - delta
             if net < 0:
                 raise InternalPrecisionError(
                     f"negative net p-power {net} at target {target}")
             if net >= N_work:
-                return
+                continue
             mono = (bw + esum, exps)
             acc = raw.get(mono)
             if acc is None:
@@ -166,31 +168,8 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                         f"Frobenius term {mono} escapes the cone over the polytope")
                 acc = 0
             scalar = p_pows[net] * numer
-            if (bw + esum) % 2:
+            if mono[0] % 2:
                 scalar = -scalar
             raw[mono] = acc + scalar % modulus * apow
-
-        def walk(j: int, esum: int, delta: int, numer: int,
-                 apow: RingElement, exps: Tuple[int, ...]) -> None:
-            """Choose e_j, then walk on to j + 1 (or emit, after the last)."""
-            nu, aj, kj, rest = nus[j], a_list[j], k[j], tail[j + 1]
-            for ej in range(E - esum):
-                # Sound monotone cutoff: every completion of this state has
-                # guaranteed valuation >= the bound below.
-                idx = kj + p * ej
-                if bw + esum + ej - delta - dtab[idx] - rest >= N_work:
-                    break
-                if ej:
-                    apow = mul(apow, aj)
-                    exps = tuple(map(add, exps, nu))
-                ell = series[idx]
-                if j == last:
-                    emit(esum + ej, delta + ell.denom_exp, numer * ell.numer,
-                         apow, exps)
-                else:
-                    walk(j + 1, esum + ej, delta + ell.denom_exp,
-                         numer * ell.numer, apow, exps)
-
-        walk(0, 0, 0, 1, prefix, tuple(base_x))
 
     return ConeElement(ring, {m: ring.normalize(acc) for m, acc in raw.items()})

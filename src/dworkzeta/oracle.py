@@ -57,7 +57,6 @@ class ExtensionField:
         log = np.full(Q, -1, dtype=np.int64)
         log[codes] = np.arange(Q - 1, dtype=np.int64)
         self.log = log
-        self._place = place
 
     def _mul_matrix(self, c: gf.Poly) -> "np.ndarray":
         """d x d matrix over F_p of multiplication by c (columns = c*t^j mod h)."""

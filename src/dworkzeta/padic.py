@@ -34,7 +34,7 @@ first folds the digits of t^(2a-2), ..., t^a, top down, by t^a = -(h_0 +
 a - 1 folds in all.  So every digit stays below (K*a + a - 1)*(p^N - 1)^2,
 which the width k keeps below 2^k (checked where k is set).  Then every
 digit is reduced mod p^N.  mul, muladd and the callers' lazy sums (the
-expansion's emit, reduction's layers) all go through it.
+expansion's per-monomial sums, reduction's layers) all go through it.
 
 Elements are canonical, so an element is zero exactly when it is 0, and two
 elements are equal exactly when they are equal ints.  All operations live on
@@ -45,6 +45,7 @@ freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence, Tuple
 
 from . import gf
@@ -65,7 +66,7 @@ class FieldSpec:
     N_work: int
 
     def validate(self) -> None:
-        if self.p < 3 or any(self.p % d == 0 for d in range(2, int(self.p ** 0.5) + 1)):
+        if self.p < 3 or any(self.p % d == 0 for d in range(2, isqrt(self.p) + 1)):
             raise InvalidFieldSpec(f"p = {self.p} is not an odd prime >= 3")
         if self.a < 1:
             raise InvalidFieldSpec("extension degree a must be >= 1")
@@ -76,19 +77,6 @@ class FieldSpec:
             raise InvalidFieldSpec("defining polynomial must be monic of degree a")
         if not gf.is_irreducible(hbar, self.p):
             raise InvalidFieldSpec("defining polynomial is reducible over F_p")
-
-
-@dataclass(frozen=True)
-class ScaledElement:
-    """The value p^(-denom_exp) * numer, with numer held modulo p^(N_work+denom_exp).
-
-    Used to carry the controlled denominators of the splitting-series
-    coefficients; the numerator is a scalar because those coefficients lie
-    in Q_p (never in a proper extension).
-    """
-
-    denom_exp: int
-    numer: int
 
 
 class RingContext:
@@ -211,13 +199,7 @@ class RingContext:
         """Embed an F_q element given by F_p coefficients on the generator."""
         if len(coeffs) > self.a:
             raise InvalidFieldSpec("residue vector longer than extension degree")
-        out = self.zero
-        t_pow = self.one
-        g = self.gen()
-        for c in coeffs:
-            out = self.add(out, self.smul(c % self.p, t_pow))
-            t_pow = self.mul(t_pow, g)
-        return out
+        return self._pack([c % self.p for c in coeffs])
 
     def add(self, x: RingElement, y: RingElement) -> RingElement:
         return self.normalize(x + y)

@@ -25,7 +25,7 @@ M = N_work + D + v_p((L-1)!) leaves every X_i known mod p^(N_work + D).  The
 output needs exactly that: ell_i = p^(-e) * numer has e = D - min(v_p(X_i), D),
 and numer = X_i / p^(D-e) is wanted mod p^(N_work + e).
 
-Each coefficient is packaged as a scaled residue p^(-e) * numer with numer
+Each coefficient is the pair (e, numer), the value p^(-e) * numer with numer
 taken modulo p^(N_work + e), which is precisely the precision needed so that
 any later product multiplied by a compensating p^e is correct modulo
 p^(N_work).  The series is recomputed on every call; it costs a few
@@ -37,10 +37,10 @@ from __future__ import annotations
 from typing import Tuple
 
 from .errors import InternalPrecisionError
-from .padic import ScaledElement
 
-# ell_0..ell_{L-1} as scaled residues p^(-e) * numer, numer mod p^(N_work+e).
-SplittingSeries = Tuple[ScaledElement, ...]
+# ell_0..ell_{L-1} as pairs (e, numer): ell_i = p^(-e) * numer, numer mod
+# p^(N_work+e).
+SplittingSeries = Tuple[Tuple[int, int], ...]
 
 
 def d_bound(p: int, i: int) -> int:
@@ -88,5 +88,5 @@ def compute_splitting(p: int, N_work: int, length: int) -> SplittingSeries:
             raise InternalPrecisionError(
                 f"splitting coefficient ell_{i} has denominator exponent {e} "
                 f"exceeding the bound {d_bound(p, i)}")
-        coeffs.append(ScaledElement(denom_exp=e, numer=x))
+        coeffs.append((e, x))
     return tuple(coeffs)

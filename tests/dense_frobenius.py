@@ -50,10 +50,10 @@ def expand_frobenius_dense(target: ConeMonomial, lifted: LiftedInput,
         factor = []
         apow = ring.one
         for i in range(p * E):
-            ell = series[i]
-            u = ring.smul(ell.numer, apow)
+            denom_exp, numer = series[i]
+            u = ring.smul(numer, apow)
             if not ring.is_zero(u) or i == 0:
-                factor.append((i, tuple(c * i for c in nu), ell.denom_exp,
+                factor.append((i, tuple(c * i for c in nu), denom_exp,
                                u, i // p))
             apow = ring.mul(apow, a)
         new: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, RingElement, int]] = {}

@@ -199,6 +199,8 @@ def test_negative_depth_rejected(tmp_path, capsys, command, flags):
      2, "InvalidInput"),
     # a composite characteristic
     ({"p": 9}, 3, "InvalidFieldSpec"),
+    # a composite characteristic too large for a float square root
+    ({"p": 10 ** 400}, 3, "InvalidFieldSpec"),
 ])
 def test_oracle_count_validates_like_compute(tmp_path, capsys, change, code,
                                              name):

@@ -54,6 +54,8 @@ def test_p2_and_composite_rejected():
         ring(2, 1, 3, hbar=(0, 1))
     with pytest.raises(InvalidFieldSpec):
         ring(9, 1, 3, hbar=(0, 1))
+    with pytest.raises(InvalidFieldSpec):
+        ring(10 ** 400, 1, 3, hbar=(0, 1))
 
 
 def test_lifted_polynomial_divides_xq_minus_x():
