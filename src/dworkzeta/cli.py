@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Optional
 
 from . import gf, oracle
 from .errors import DworkZetaError, InvalidInput, NondegeneracyFailure
+from .padic import check_characteristic
 from .pipeline import (
     Problem,
     compute_zeta,
@@ -50,6 +51,10 @@ def _load_problem(path: str) -> Problem:
         raise InvalidInput("p, a, n must be positive integers")
     field_poly = data.get("field_poly", "conway")
     if field_poly == "conway" or field_poly is None:
+        if a > 1 and p != 2:
+            # The Conway search factors p^m - 1; p = 2 is left to
+            # validate_problem (UnsupportedCharacteristic).
+            check_characteristic(p)
         hbar = (0, 1) if a == 1 else tuple(gf.conway_polynomial(p, a))
     else:
         if (not isinstance(field_poly, list)

@@ -11,44 +11,62 @@ at matrix assembly because both sides of the matrix carry the same grading.
 expand_frobenius does this by "fewnomial" enumeration.  Write the multi-index
 of F as k + p*e with k in {0..p-1}^s.  Terms survive psi exactly when
 U*k = -(d, mu) mod p, where U has columns (1, nu) over the lifted support;
-then U*k + (d, mu) = p*(bw, base_x).  For each solution k one loop over the
-support points extends a list of partial terms by every choice of e_j, with
-|e| < E, and cuts a choice once
-
-    bw + |e| + e_j - delta - d(p, k_j + p*e_j) >= N_work,
-
-delta being the ell-denominator exponent so far.  The left side bounds the
-net p-power of every completion from below and grows with e_j, because
-d(p, i) = 0 for i < p and d(p, i + p) <= d(p, i) + 1.
-Each term contributes
+then U*k + (d, mu) = p*(bw, base_x).  Each term contributes
 
     (-1)^(bw+|e|) * p^(bw+|e|) * prod_i ell_{k_i+p e_i}
-        * sigma^{-1}(a^k) * a^e   on the monomial (bw+|e|, (k.nu+mu)/p + e.nu)
+        * sigma^{-1}(a^k) * a^e   on the monomial (bw+|e|, base_x + e.nu)
 
 with bw = (|k|+d)/p; the p-power always clears the ell denominators (their
 total exponent is at most bw + |e| for p >= 3), and the cleared coefficient
 lies in R.  Only terms that are individually 0 mod p^N_work are dropped, so
 the output is exactly the truncation of alpha.
 
-The enumeration reads the denominator bounds d(p, i) from one table per call.
-Each term, its scalar reduced mod p^N_work times its ring coefficient, is
-added unreduced to one integer per monomial; every monomial is checked
-against the cone once, when it first appears, and each sum becomes a ring
-element once, by ring.normalize, at the end.
+The solutions k fall into image classes, one per (bw, base_x); for each e
+every k of a class lands on the same monomial with the same factor
+(-1)^|e| a^e.  So the ring products are paid once per (class, e) pair, not
+once per term.  For each k one loop over the support points extends a list
+of partial terms (net, numerator product, packed e), with net = bw + |e| -
+delta and delta the ell-denominator exponent so far, by every choice of
+e_j, and cuts a choice once
+
+    net + e_j - d(p, k_j + p*e_j) >= N_work.
+
+The left side bounds the net p-power of every completion from below and
+grows with e_j, because d(p, i) = 0 for i < p and d(p, i + p) <= d(p, i) + 1.
+It also cuts every choice with |e| >= E: since bw >= |k|/p and d(p, i) <=
+i(2p-1)/(p^2(p-1)), it is at least |e|/beta >= N_work + gamma, with beta and
+gamma those of truncation_bound.  ell_{k_j+p*e_j} and its bound are read
+from the column of the residue k_j: the coefficients at k_j, k_j + p, ...,
+k_j + p*(E-1).  The last support point finishes the terms: each adds
+(p^net * numerator mod p^N_work) * (-1)^bw sigma^{-1}(a^k) to its class's
+sum for its e.  Each class sum is normalized once and multiplied once by
+(-1)^|e| a^e, and the product is added unreduced to one integer per
+monomial; every monomial is checked against the cone once, when it first
+appears, and each monomial sum becomes a ring element once, by
+ring.normalize, at the end.  Both kinds of sum stay within the headroom of
+padic.normalize: a class sum has at most one term per solution k, so at
+most p^(s - rank U) terms, and a monomial sum at most one product per
+(class, e) pair; both counts are far below 2^64 - 1.
+
+e is packed into one int, e_j in a slot of E.bit_length() bits, the last
+support point in the lowest slot.  (|e|, (-1)^|e| a^e, e.nu) is kept per
+distinct e in a table shared by the expansions of one lifted input; each
+entry is built from e minus one in its lowest nonzero slot, with one mul.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import ceil
-from operator import add
+from operator import add, mul
 from typing import Dict, List, Sequence, Tuple
 
 from .cone_algebra import ConeElement, ConeMonomial
 from .errors import InternalPrecisionError, PrecisionOrLogicError
 from .jacobian import LiftedInput
-from .padic import RingContext
+from .padic import RingContext, RingElement
 from .polytope import LatticePolytope
 from .splitting import SplittingSeries, compute_splitting, d_bound
 
@@ -103,73 +121,126 @@ def splitting_for(ring: RingContext, E: int) -> SplittingSeries:
     return compute_splitting(ring.p, ring.N, ring.p * E)
 
 
+# The expansions of one lifted input run one after another, so a few power
+# tables cover the inputs in flight.
+POWER_TABLE_SIZE = 4
+
+# packed e -> (|e|, (-1)^|e| a^e, e.nu); see the module docstring.
+PowerTable = Dict[int, Tuple[int, RingElement, Tuple[int, ...]]]
+
+
+@lru_cache(maxsize=POWER_TABLE_SIZE)
+def _power_table(ring: RingContext, coeffs: Tuple[RingElement, ...],
+                 support: Tuple[Tuple[int, ...], ...], width: int
+                 ) -> Tuple[PowerTable, List[Tuple[RingElement, Tuple[int, ...]]]]:
+    """The power table, holding e = 0 until _power_entry fills it in, and the
+    step (-a_j, nu_j) of each slot, lowest slot first.  Two threads may fill
+    one table at once; an entry depends only on its key, so either write is
+    right."""
+    return ({0: (0, ring.one, (0,) * len(support[0]))},
+            [(ring.neg(aj), nu) for aj, nu in zip(coeffs[::-1], support[::-1])])
+
+
+def _power_entry(ring: RingContext, powers: PowerTable, steps,
+                 packed: int, width: int):
+    """powers[packed], built from e minus one in its lowest nonzero slot."""
+    j = ((packed & -packed).bit_length() - 1) // width
+    prev = packed - (1 << width * j)
+    esum, apow, nu_sum = (powers.get(prev)
+                          or _power_entry(ring, powers, steps, prev, width))
+    neg_aj, nu = steps[j]
+    entry = powers[packed] = (esum + 1, ring.mul(apow, neg_aj),
+                              tuple(map(add, nu_sum, nu)))
+    return entry
+
+
 def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                      poly: LatticePolytope, series: SplittingSeries,
                      E: int) -> ConeElement:
     """Fewnomial-enumeration expansion of alpha((pi*w)^d x^mu) mod p^N_work,
     with E = truncation_bound(p, n_eff, N_work)."""
     ring = lifted.ring
-    p, N_work, modulus, mul = ring.p, ring.N, ring.modulus, ring.mul
+    p, N_work, modulus, normalize = ring.p, ring.N, ring.modulus, ring.normalize
     d, mu = target
     nus, a_list = lifted.support, lifted.coeffs
     U = [[1] * len(nus)] + [[nu[i] for nu in nus] for i in range(lifted.n_eff)]
-    dtab = [d_bound(p, i) for i in range(len(series))]
-    p_pows = [p ** net for net in range(N_work)]
-
     shift = (d,) + mu
     neg_target = tuple(-t % p for t in shift)
-    # Unreduced sum of each monomial's terms, (scalar mod p^N_work) * apow
-    # (see padic.normalize); a monomial enters only after it has been
-    # checked against the cone.
-    raw: Dict[ConeMonomial, int] = {}
+
+    classes: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[int, ...]]] = {}
     for k in solve_congruence(U, neg_target, p):
-        image = [sum(u * kj for u, kj in zip(row, k)) + t
-                 for row, t in zip(U, shift)]
+        image = [sum(map(mul, row, k)) + t for row, t in zip(U, shift)]
         if any(c % p for c in image):
             raise PrecisionOrLogicError(
                 f"congruence solution {k} fails divisibility by p")
         bw, *base_x = (c // p for c in image)
-        # sigma^{-1}(a^k) for Teichmueller coefficients is (a^k)^(q/p)
-        ak = ring.one
-        for aj, kj in zip(a_list, k):
-            if kj:
-                ak = mul(ak, ring.pow(aj, kj))
+        classes.setdefault((bw, tuple(base_x)), []).append(k)
 
-        # Partial terms (|e|, delta, numerator product, a^e, exponent) in
-        # lexicographic order of e, cut as the module docstring says.
-        terms = [(0, 0, 1, ring.pow(ak, ring.q // p), tuple(base_x))]
-        for nu, aj, kj in zip(nus, a_list, k):
-            extended = []
-            for esum, delta, numer, apow, exps in terms:
-                for ej in range(E - esum):
-                    idx = kj + p * ej
-                    if bw + esum + ej - delta - dtab[idx] >= N_work:
+    # The column of residue c: (e_j - d(p, i), e_j - denom_exp, numer, e_j)
+    # of ell_i, i = c + p*e_j, for e_j < E (series holds p*E coefficients).
+    columns = {c: [(ej - d_bound(p, c + p * ej), ej - denom_exp, ell, ej)
+                   for ej, (denom_exp, ell) in enumerate(series[c::p])]
+               for c in {kj for ks in classes.values() for k in ks for kj in k}}
+    width = E.bit_length()
+    p_pows = [p ** net for net in range(N_work)]
+    powers, steps = _power_table(ring, a_list, nus, width)
+    # sigma^{-1}(a_j) for Teichmueller coefficients is a_j^(q/p)
+    sigma_a = [ring.pow(aj, ring.q // p) for aj in a_list]
+    # Unreduced sum of each monomial's (class, e) products (see
+    # padic.normalize); a monomial enters only after it has been checked
+    # against the cone.
+    raw: Dict[ConeMonomial, int] = {}
+    for (bw, base_x), ks in classes.items():
+        # packed e -> unreduced sum over the class of
+        # (p^net * numer mod p^N_work) * (-1)^bw sigma^{-1}(a^k), with
+        # sigma^{-1}(a^k) the product of the sigma^{-1}(a_j)^(k_j).
+        sums: Dict[int, int] = {}
+        for k in ks:
+            sak = ring.neg(ring.one) if bw % 2 else ring.one
+            for sj, kj in zip(sigma_a, k):
+                if kj:
+                    sak = ring.mul(sak, ring.pow(sj, kj))
+
+            # Partial terms (net, numerator product, packed e), cut as the
+            # module docstring says; the last support point finishes them.
+            terms = [(bw, 1, 0)]
+            for kj in k[:-1]:
+                col = columns[kj]
+                extended = []
+                for net, numer, packed in terms:
+                    room = N_work - net
+                    packed <<= width
+                    for gain, step, ell, ej in col:
+                        if gain >= room:
+                            break
+                        extended.append((net + step, numer * ell, packed + ej))
+                terms = extended
+            col = columns[k[-1]]
+            for net, numer, packed in terms:
+                room = N_work - net
+                packed <<= width
+                for gain, step, ell, ej in col:
+                    if gain >= room:
                         break
-                    if ej:
-                        apow = mul(apow, aj)
-                        exps = tuple(map(add, exps, nu))
-                    denom_exp, ell = series[idx]
-                    extended.append((esum + ej, delta + denom_exp,
-                                     numer * ell, apow, exps))
-            terms = extended
+                    final = net + step
+                    if final < 0:
+                        raise InternalPrecisionError(
+                            f"negative net p-power {final} at target {target}")
+                    if final < N_work:
+                        key = packed + ej
+                        sums[key] = (sums.get(key, 0) + p_pows[final] * numer
+                                     * ell % modulus * sak)
 
-        for esum, delta, numer, apow, exps in terms:
-            net = bw + esum - delta
-            if net < 0:
-                raise InternalPrecisionError(
-                    f"negative net p-power {net} at target {target}")
-            if net >= N_work:
-                continue
-            mono = (bw + esum, exps)
-            acc = raw.get(mono)
-            if acc is None:
-                if not poly.contains(exps, mono[0]):
+        for packed, acc in sums.items():
+            esum, apow, nu_sum = (powers.get(packed)
+                                  or _power_entry(ring, powers, steps, packed, width))
+            mono = (bw + esum, tuple(map(add, base_x, nu_sum)))
+            prev = raw.get(mono)
+            if prev is None:
+                if not poly.contains(mono[1], mono[0]):
                     raise PrecisionOrLogicError(
                         f"Frobenius term {mono} escapes the cone over the polytope")
-                acc = 0
-            scalar = p_pows[net] * numer
-            if mono[0] % 2:
-                scalar = -scalar
-            raw[mono] = acc + scalar % modulus * apow
+                prev = 0
+            raw[mono] = prev + normalize(acc) * apow
 
-    return ConeElement(ring, {m: ring.normalize(acc) for m, acc in raw.items()})
+    return ConeElement(ring, {m: normalize(acc) for m, acc in raw.items()})

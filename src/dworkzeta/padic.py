@@ -56,6 +56,14 @@ RingElement = int
 HEADROOM_BITS = 64
 
 
+def check_characteristic(p: int) -> None:
+    """Raise InvalidFieldSpec unless p is an odd prime; a p of more than 20
+    digits is named by its bit length."""
+    if p < 3 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        shown = str(p) if p < 10 ** 20 else f"a {p.bit_length()}-bit number"
+        raise InvalidFieldSpec(f"p = {shown} is not an odd prime >= 3")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Description of F_q = F_p[t]/(hbar) together with the working precision."""
@@ -66,8 +74,7 @@ class FieldSpec:
     N_work: int
 
     def validate(self) -> None:
-        if self.p < 3 or any(self.p % d == 0 for d in range(2, isqrt(self.p) + 1)):
-            raise InvalidFieldSpec(f"p = {self.p} is not an odd prime >= 3")
+        check_characteristic(self.p)
         if self.a < 1:
             raise InvalidFieldSpec("extension degree a must be >= 1")
         if self.N_work < 1:

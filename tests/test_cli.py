@@ -201,6 +201,10 @@ def test_negative_depth_rejected(tmp_path, capsys, command, flags):
     ({"p": 9}, 3, "InvalidFieldSpec"),
     # a composite characteristic too large for a float square root
     ({"p": 10 ** 400}, 3, "InvalidFieldSpec"),
+    # the same two characteristics with a Conway polynomial to find: the
+    # prime check comes before the search (which would factor p^m - 1)
+    ({"p": 9, "a": 2}, 3, "InvalidFieldSpec"),
+    ({"p": 10 ** 400, "a": 2}, 3, "InvalidFieldSpec"),
 ])
 def test_oracle_count_validates_like_compute(tmp_path, capsys, change, code,
                                              name):
@@ -209,3 +213,16 @@ def test_oracle_count_validates_like_compute(tmp_path, capsys, change, code,
         got, out, err = run(capsys, argv)
         assert got == code and err.startswith(f"{name}: ") and not out, (
             argv, err)
+
+
+@pytest.mark.parametrize("p, a, shown", [
+    (9, 2, "p = 9 is"),
+    (10 ** 400, 1, "p = a 1329-bit number is"),
+    (10 ** 400, 2, "p = a 1329-bit number is"),
+])
+def test_composite_characteristic_message(tmp_path, capsys, p, a, shown):
+    path = write_input(tmp_path, dict(ELLIPTIC, p=p, a=a))
+    code, out, err = run(capsys, ["compute", path])
+    assert code == 3 and not out
+    assert err.startswith(f"InvalidFieldSpec: {shown} not an odd prime"), err
+    assert len(err) < 80, err

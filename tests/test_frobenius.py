@@ -1,17 +1,22 @@
 """Frobenius-expansion tests: congruence solving, the elliptic double-sum
 oracle evaluated independently with exact rationals, and agreement of the
-fewnomial expansion with the test-side dense reference (dense_frobenius.py)."""
+fewnomial expansion with the test-side dense reference (dense_frobenius.py)
+and, where the dense product is too slow, with the per-term reference
+(fewnomial_reference.py)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
 
+import pytest
+
 from cone_helpers import term_order_key
 from dense_frobenius import expand_frobenius_dense
+from fewnomial_reference import expand_frobenius_per_term
 from splitting_oracle import ell_fraction
 
-from dworkzeta import gf
+from dworkzeta import Problem, gf, pipeline
 from dworkzeta.frobenius import (
     expand_frobenius,
     solve_congruence,
@@ -175,3 +180,46 @@ def test_projective_expansion_paths_agree():
     dense = expand_frobenius_dense(target, lifted, poly, series, bound)
     assert few.terms == dense.terms
     assert few.terms  # nonempty
+
+
+def elliptic_problem(p, aa, bb, a=1, hbar=(0, 1)):
+    one, minus_one = (1,) + (0,) * (a - 1), (p - 1,) + (0,) * (a - 1)
+    return Problem(p=p, a=a, hbar=hbar, n=2, mode="affine",
+                   terms=[((3, 0), one), ((1, 0), aa), ((0, 0), bb),
+                          ((0, 2), minus_one)])
+
+
+@pytest.mark.parametrize("prob", [
+    # p in the hundreds: about p solutions in 10 image classes per target
+    elliptic_problem(13, (2,), (6,)),
+    elliptic_problem(101, (1,), (1,)),
+    elliptic_problem(271, (1,), (1,)),
+    # a = 2, over F_25 = F_5[t]/(t^2 + 4t + 2)
+    elliptic_problem(5, (1, 1), (0, 1), a=2, hbar=(2, 4, 1)),
+    # genus 2, y^2 = x^5 + 3x + 1
+    Problem(p=7, a=1, hbar=(0, 1), n=2, mode="affine",
+            terms=[((5, 0), (1,)), ((1, 0), (3,)), ((0, 0), (1,)),
+                   ((0, 2), (6,))]),
+    # one solution per target: every class a singleton
+    Problem(p=7, a=1, hbar=(0, 1), n=3, mode="projective",
+            terms=[((4, 0, 0), (1,)), ((0, 4, 0), (2,)), ((0, 0, 4), (3,))]),
+    Problem(p=3, a=1, hbar=(0, 1), n=2, mode="toric",
+            terms=[((1, 0), (1,)), ((0, 1), (1,)), ((-1, -1), (1,)),
+                   ((0, 0), (1,))], confine=True),
+], ids=["elliptic-p13", "elliptic-p101", "elliptic-p271", "elliptic-F25",
+        "genus2-p7", "proj-quartic-p7", "torus-p3-confined"])
+def test_class_expansion_equals_per_term_reference(monkeypatch, prob):
+    """Every basis monomial's image, in the pipeline's own setting, equals
+    the per-term reference's."""
+    targets = []
+
+    def checked(target, lifted, poly, series, E):
+        got = expand_frobenius(target, lifted, poly, series, E)
+        want = expand_frobenius_per_term(target, lifted, poly, series, E)
+        assert got.terms == want.terms, target
+        targets.append(target)
+        return got
+
+    monkeypatch.setattr(pipeline, "expand_frobenius", checked)
+    pipeline.compute_zeta(prob)
+    assert targets
