@@ -39,7 +39,9 @@ def _load_problem(path: str) -> Problem:
             data = json.load(fh)
     except OSError as exc:
         raise InvalidInput(f"cannot read input file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError (a file that is not UTF-8) and
+        # the ValueError of an integer past the int-string digit limit.
         raise InvalidInput(f"input is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidInput("input must be a JSON object")

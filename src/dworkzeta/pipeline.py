@@ -45,6 +45,7 @@ from .zeta import (
     assemble_and_charpoly,
     assemble_zeta,
     lift_charpoly,
+    lift_weight,
     precision_bound,
 )
 
@@ -73,21 +74,6 @@ class Problem:
 class Result:
     zeta: ZetaFunction
     matrix: Optional[List[List[List[int]]]] = None  # serialized ring elements
-
-
-def _lift_weight(mode: str, n: int) -> int:
-    """Weight w such that the lifted charpoly obeys |c_i| <= C(v,i) q^(iw/2).
-
-    The toric charpoly is taken after the unit-block split and the division
-    by q (inverse roots of weight <= n); the affine determinant has inverse
-    roots q * (weight <= n-1); the projective determinant is P(qT) with P of
-    weight n - 2.
-    """
-    if mode == "toric":
-        return n
-    if mode == "affine":
-        return n + 1
-    return n  # projective: n ambient variables
 
 
 def validate_problem(prob: Problem) -> None:
@@ -149,7 +135,7 @@ def _run_at(prob: Problem, N: int, v: int, emit_matrix: bool) -> Result:
     images = [expand_frobenius(m, lifted, poly, series, E) for m in basis.V]
     columns = cone_reduce(images, ech, basis)
     A, charpoly = assemble_and_charpoly(ring, columns, prob.mode, a)
-    lifted_cp = lift_charpoly(ring, charpoly, q, _lift_weight(prob.mode, prob.n))
+    lifted_cp = lift_charpoly(ring, charpoly, q, lift_weight(prob.mode, prob.n))
     zf = assemble_zeta(lifted_cp, prob.mode, prob.n, q, basis.v, p, a, N)
     matrix = None
     if emit_matrix:
@@ -167,7 +153,7 @@ def compute_zeta(prob: Problem, emit_matrix: bool = False) -> Result:
         log.debug("precision: N = %d (override)", N)
     else:
         N = precision_bound(v, prob.p ** prob.a,
-                            _lift_weight(prob.mode, prob.n), prob.p)
+                            lift_weight(prob.mode, prob.n), prob.p)
         log.debug("precision: v = %d -> N = %d", v, N)
     for attempt in range(MAX_RETRIES + 1):
         try:

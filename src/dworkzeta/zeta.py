@@ -5,8 +5,9 @@ monomials.  The q-power Frobenius acts through the a-fold twisted product
 A_a = A * A^(sigma^-1) * ... * A^(sigma^-(a-1)).  Its characteristic
 polynomial has Z_p coefficients; lifting them centered modulo the working
 power of p and filtering with the Weil-type bound |c_i| <= C(v,i) q^(i*w/2)
-recovers the exact integer polynomial, from which the zeta function follows
-by mode-specific bookkeeping over exact integer polynomial arithmetic:
+(lift_weight gives w) recovers the exact integer polynomial, from which the
+zeta function follows by mode-specific bookkeeping over exact integer
+polynomial arithmetic:
 
 * toric:      Z(V,qT) = det(1-T A_a)^((-1)^n) * Z(G_m^n, T); the unit block
               of A contributes an exact factor (1-T) that cancels the i = 0
@@ -20,15 +21,20 @@ by mode-specific bookkeeping over exact integer polynomial arithmetic:
 * projective: det(1-T A_a) = P(qT) and
               Z = P^((-1)^(n-1)) / prod_{i=0}^{n-2} (1-q^i T).
 
-All T -> T/q substitutions are exact integer divisions of coefficients
-(checked).  Point counts come from the integer log-derivative series of the
-assembled rational function and must be nonnegative.
+Each entry of a matrix product and each charpoly coefficient is one
+unreduced sum of at most v + 1 products of two elements, normalized once
+(the ledger of padic.normalize).  All T -> T/q substitutions are exact
+integer divisions of coefficients (checked).  Point counts come from the
+integer log-derivative series of the assembled rational function and must
+be nonnegative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import comb
+from operator import mul
 from typing import List, Tuple
 
 from .errors import (
@@ -43,6 +49,11 @@ Matrix = List[List[RingElement]]
 POINT_COUNT_DEPTH = 4  # ZetaFunction.point_counts holds N_r for r = 1..4
 
 
+def _weil_square(v: int, i: int, q: int, weight: int) -> int:
+    """C(v,i)^2 q^(weight*i): the square of the Weil bound on |c_i|."""
+    return comb(v, i) ** 2 * q ** (weight * i)
+
+
 def precision_bound(v: int, q: int, weight: int, p: int) -> int:
     """Smallest N with p^N >= 2 C(v,m) q^(weight*m/2) for every m <= v.
 
@@ -50,38 +61,24 @@ def precision_bound(v: int, q: int, weight: int, p: int) -> int:
     """
     if v < 0:
         raise ValueError("negative basis cardinality")
-    need = max(4 * comb(v, m) ** 2 * q ** (weight * m) for m in range(v + 1))
+    need = max(4 * _weil_square(v, m, q, weight) for m in range(v + 1))
     N = 1
     while (p ** N) ** 2 < need:
         N += 1
     return N
 
 
-def sigma_inverse_matrix(ring: RingContext, A: Matrix) -> Matrix:
-    return [[ring.sigma_inverse(e) for e in row] for row in A]
-
-
 def matrix_mul(ring: RingContext, A: Matrix, B: Matrix) -> Matrix:
-    n = len(A)
-    m = len(B[0]) if B else 0
-    k = len(B)
-    out = [[ring.zero] * m for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            e = A[i][l]
-            if ring.is_zero(e):
-                continue
-            for j in range(m):
-                out[i][j] = ring.muladd(e, B[l][j], out[i][j])
-    return out
+    norm = ring.normalize
+    cols = list(zip(*B))
+    return [[norm(sum(map(mul, row, col))) for col in cols] for row in A]
 
 
 def twisted_product(ring: RingContext, A: Matrix, a: int) -> Matrix:
     """A_a = A * A^(sigma^-1) * ... * A^(sigma^-(a-1))."""
-    result = A
-    twisted = A
+    result = twisted = A
     for _ in range(1, a):
-        twisted = sigma_inverse_matrix(ring, twisted)
+        twisted = [[ring.sigma_inverse(e) for e in row] for row in twisted]
         result = matrix_mul(ring, result, twisted)
     return result
 
@@ -92,40 +89,26 @@ def charpoly_det_one_minus_t(ring: RingContext, M: Matrix) -> List[RingElement]:
     v = len(M)
     if v == 0:
         return [ring.one]
+    norm, neg = ring.normalize, ring.neg
     # C holds the descending coefficients of det(lambda*I - M_k) for the
     # leading principal k x k block.
-    C = [ring.one, ring.neg(M[0][0])]
+    C = [ring.one, neg(M[0][0])]
     for k in range(2, v + 1):
-        a = M[k - 1][k - 1]
-        row = M[k - 1][:k - 1]
-        col = [M[i][k - 1] for i in range(k - 1)]
-        sub = [r[:k - 1] for r in M[:k - 1]]
-        t = [ring.one, ring.neg(a)]
-        cur = col
-        for _ in range(2, k + 1):
-            t.append(ring.neg(_dot_row(ring, row, cur)))
-            cur = [_dot_row(ring, sub[i], cur) for i in range(k - 1)]
-        C = [_convolve_at(ring, t, C, i) for i in range(k + 1)]
+        # t = (1, -a, -R c, -R S c, ..., -R S^(k-2) c) for the block
+        # [[S, c], [R, a]]; map stops at cur, so a full row of M times cur
+        # (k - 1 entries) is a row of S or R times it.
+        rows, last = M[:k - 1], M[k - 1]
+        cur = [r[k - 1] for r in rows]
+        t = [ring.one, neg(last[k - 1])]
+        for _ in range(k - 1):
+            t.append(neg(norm(sum(map(mul, last, cur)))))
+            cur = [norm(sum(map(mul, r, cur))) for r in rows]
+        # The convolution of t (k + 1 entries) and C, padded to k + 1.
+        C.append(ring.zero)
+        C = [norm(sum(map(mul, t[:i + 1], C[i::-1]))) for i in range(k + 1)]
     # C[k] is the coefficient of lambda^(v-k) in det(lambda I - M), i.e.
     # (-1)^k e_k(M), which is exactly the T^k coefficient of det(1 - T M).
-    return list(C)
-
-
-def _dot_row(ring: RingContext, row: List[RingElement],
-             vec: List[RingElement]) -> RingElement:
-    acc = ring.zero
-    for x, y in zip(row, vec):
-        acc = ring.muladd(x, y, acc)
-    return acc
-
-
-def _convolve_at(ring: RingContext, t: List[RingElement],
-                 C: List[RingElement], i: int) -> RingElement:
-    acc = ring.zero
-    for j in range(min(i, len(t) - 1) + 1):
-        if i - j < len(C):
-            acc = ring.muladd(t[j], C[i - j], acc)
-    return acc
+    return C
 
 
 @dataclass
@@ -149,23 +132,20 @@ def assemble_and_charpoly(ring: RingContext, columns: List[List[RingElement]],
     """
     v = len(columns)
     A = [[columns[j][i] for j in range(v)] for i in range(v)]
-    p = ring.p
+    M, modulus = A, ring.modulus
     if mode == "toric":
         if v < 1 or A[0][0] != ring.one or any(
                 not ring.is_zero(A[0][j]) for j in range(1, v)):
             raise PrecisionOrLogicError(
                 "Frobenius matrix lacks the exact unit row on the monomial 1")
         try:
-            Q = [[ring.divide_exact_by_p(e) for e in row[1:]] for row in A[1:]]
+            M = [[ring.divide_exact_by_p(e) for e in row[1:]] for row in A[1:]]
         except ZeroDivisionError:
             raise PrecisionOrLogicError(
                 "non-unit block entry not divisible by p") from None
-        coeffs = charpoly_det_one_minus_t(ring, twisted_product(ring, Q, a))
-        return A, CharpolyResult(coefficients=coeffs,
-                                 modulus=p ** (ring.N - 1))
-    Aa = twisted_product(ring, A, a)
-    coeffs = charpoly_det_one_minus_t(ring, Aa)
-    return A, CharpolyResult(coefficients=coeffs, modulus=p ** ring.N)
+        modulus //= ring.p
+    coeffs = charpoly_det_one_minus_t(ring, twisted_product(ring, M, a))
+    return A, CharpolyResult(coefficients=coeffs, modulus=modulus)
 
 
 def lift_charpoly(ring: RingContext, result: CharpolyResult, q: int,
@@ -187,7 +167,7 @@ def lift_charpoly(ring: RingContext, result: CharpolyResult, q: int,
             raise PrecisionOrLogicError(
                 f"charpoly coefficient {i}: {exc}") from None
         centered = r if 2 * r <= modulus else r - modulus
-        if centered * centered > comb(v, i) ** 2 * q ** (weight * i):
+        if centered * centered > _weil_square(v, i, q, weight):
             raise InsufficientPrecision(
                 f"lifted coefficient {centered} of T^{i} violates the "
                 f"weight-{weight} bound; rerun with higher precision")
@@ -266,42 +246,37 @@ class ZetaFunction:
         return counts
 
 
+def lift_weight(mode: str, n: int) -> int:
+    """Weight w such that the lifted charpoly obeys |c_i| <= C(v,i) q^(iw/2).
+
+    The toric charpoly is taken after the unit-block split and the division
+    by q (inverse roots of weight <= n); the affine determinant has inverse
+    roots q * (weight <= n-1); the projective determinant is P(qT) with P of
+    weight n - 2.
+    """
+    return n + 1 if mode == "affine" else n
+
+
 def assemble_zeta(lifted: List[int], mode: str, n_vars: int, q: int, v: int,
                   p: int, a: int, N_used: int) -> ZetaFunction:
     """Build Z(f, T) from the lifted integer charpoly, per mode; in toric mode
-    the charpoly is the one with the (1-T) factor split off."""
-    num: List[int] = [1]
-    den: List[int] = [1]
-
-    def apply(f: List[int], exponent: int) -> None:
-        nonlocal num, den
-        for _ in range(abs(exponent)):
-            if exponent > 0:
-                num = poly_mul(num, f)
-            else:
-                den = poly_mul(den, f)
-
+    the charpoly is the one with the (1-T) factor split off.  Each mode is a
+    list of (factor, exponent) pairs, multiplied out into num / den."""
+    n = n_vars
     if mode == "toric":
-        n = n_vars
-        P = lifted
-        apply(P, 1 if n % 2 == 0 else -1)
-        for i in range(1, n + 1):
-            e = comb(n, i) * (-1) ** (i + n + 1)
-            apply([1, -(q ** (i - 1))], e)
+        factors = [(lifted, (-1) ** n)] + [
+            ([1, -(q ** (i - 1))], comb(n, i) * (-1) ** (i + n + 1))
+            for i in range(1, n + 1)]
     elif mode == "affine":
-        n = n_vars
-        P = substitute_t_over_q(lifted, q)
-        apply(P, 1 if n % 2 == 0 else -1)
-        apply([1, -(q ** (n - 1))], -1)
+        factors = [(substitute_t_over_q(lifted, q), (-1) ** n),
+                   ([1, -(q ** (n - 1))], -1)]
     elif mode == "projective":
-        n = n_vars
-        P = substitute_t_over_q(lifted, q)
-        apply(P, 1 if (n - 1) % 2 == 0 else -1)
-        for i in range(0, n - 1):
-            apply([1, -(q ** i)], -1)
+        factors = [(substitute_t_over_q(lifted, q), (-1) ** (n - 1))] + [
+            ([1, -(q ** i)], -1) for i in range(n - 1)]
     else:
         raise PrecisionOrLogicError(f"unknown mode {mode!r}")
-
+    num = reduce(poly_mul, [f for f, e in factors for _ in range(e)], [1])
+    den = reduce(poly_mul, [f for f, e in factors for _ in range(-e)], [1])
     zf = ZetaFunction(mode=mode, p=p, a=a, q=q, n=n_vars, v=v, N_used=N_used,
                       numerator=num, denominator=den)
     zf.point_counts = zf.counts(POINT_COUNT_DEPTH)

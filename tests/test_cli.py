@@ -215,6 +215,26 @@ def test_oracle_count_validates_like_compute(tmp_path, capsys, change, code,
             argv, err)
 
 
+@pytest.mark.parametrize("text, message", [
+    # an integer of 5,001 digits, past the int-string conversion limit
+    # (json.dumps cannot write it either, so the text is edited)
+    (json.dumps(ELLIPTIC).replace('"p": 7', '"p": 1' + "0" * 5000).encode(),
+     "Exceeds the limit"),
+    # a file that is not UTF-8 (a Latin-1 key)
+    (json.dumps(ELLIPTIC).replace('"mode"', '"modé"', 1)
+     .encode("latin-1"), "can't decode byte 0xe9"),
+], ids=["huge-integer", "latin-1"])
+def test_undecodable_input_is_invalid(tmp_path, capsys, text, message):
+    path = tmp_path / "in.json"
+    path.write_bytes(text)
+    for argv in (["compute", str(path)],
+                 ["oracle", "count", str(path), "--r", "1"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out, (argv, err)
+        assert err.startswith("InvalidInput: input is not valid JSON: ")
+        assert message in err, err
+
+
 @pytest.mark.parametrize("p, a, shown", [
     (9, 2, "p = 9 is"),
     (10 ** 400, 1, "p = a 1329-bit number is"),

@@ -30,6 +30,7 @@ from dworkzeta.pipeline import (
     verify_against_oracle,
 )
 from dworkzeta.polytope import hull
+from dworkzeta.zeta import substitute_t_over_q
 
 
 def elliptic_affine(p, aa, bb):
@@ -129,6 +130,43 @@ def test_extension_field_a3_against_oracle(prob, r_max, numerator):
     counts = verify_against_oracle(prob, zf, r_max)
     if prob.mode == "projective":
         assert counts == [126]
+
+
+def diagonal_cubic_surface(p):
+    """x^3 + y^3 + z^3 + w^3, smooth for p != 3."""
+    return Problem(p=p, a=1, hbar=(0, 1), n=4, mode="projective",
+                   terms=[(tuple(3 * (i == j) for j in range(4)), (1,))
+                          for i in range(4)])
+
+
+@pytest.mark.parametrize("prob, v, N_used, counts", [
+    # x + y + z + 1/(xyz): the toric assembly at n = 3
+    (Problem(p=5, a=1, hbar=(0, 1), n=3, mode="toric",
+             terms=[((1, 0, 0), (1,)), ((0, 1, 0), (1,)), ((0, 0, 1), (1,)),
+                    ((-1, -1, -1), (1,))]), 4, 7, [12, 564]),
+    (diagonal_cubic_surface(5), 6, 13, [31, 801]),
+    (diagonal_cubic_surface(7), 6, 13, [99]),
+], ids=["toric-n3-p5", "cubic-surface-p5", "cubic-surface-p7"])
+def test_surfaces_against_oracle(monkeypatch, prob, v, N_used, counts):
+    lifted = []
+    lift_charpoly = pipeline.lift_charpoly
+
+    def capture(*args):
+        lifted.append(lift_charpoly(*args))
+        return lifted[-1]
+
+    monkeypatch.setattr(pipeline, "lift_charpoly", capture)
+    zf = compute_zeta(prob).zeta
+    assert (zf.v, zf.N_used) == (v, N_used)
+    assert verify_against_oracle(prob, zf, len(counts)) == counts
+    if prob.mode == "projective":
+        # The smooth surface's P (det(1 - T A) = P(qT)) is pure of weight 2:
+        # P(T) = eps q^v T^v P(1/(q^2 T)), i.e. c_(v-i) q^(2i) = eps q^v c_i.
+        q = prob.p
+        c = substitute_t_over_q(lifted[-1], q)
+        eps = -1 if prob.p == 5 else 1
+        assert all(c[v - i] * q ** (2 * i) == eps * q ** v * c[i]
+                   for i in range(v + 1)), c
 
 
 def test_precision_stability():

@@ -1,9 +1,11 @@
 """Zeta-assembly tests: precision bound, division-free charpoly against an
-interpolation oracle, sigma-invariance of twisted-product charpolys, lifting
-and Weil filtering, mode assembly formulas, and a tiny end-to-end toric case."""
+interpolation oracle, charpoly and twisted product against their definitions
+at a = 1, 2, 3, sigma-invariance of twisted-product charpolys, lifting and
+Weil filtering, mode assembly formulas, and a tiny end-to-end toric case."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -141,6 +143,49 @@ def test_charpoly_matches_interpolation_oracle():
 def test_charpoly_empty_matrix():
     R = ring(5, 1, 3)
     assert charpoly_det_one_minus_t(R, []) == [R.one]
+
+
+def det_cofactor(R, M):
+    """det(M) by cofactor expansion along the first row, in ring operations."""
+    if not M:
+        return R.one
+    out = R.zero
+    for j, x in enumerate(M[0]):
+        minor = det_cofactor(R, [row[:j] + row[j + 1:] for row in M[1:]])
+        term = R.mul(x, minor)
+        out = R.add(out, term if j % 2 == 0 else R.neg(term))
+    return out
+
+
+@pytest.mark.parametrize("p, a, N", [(7, 1, 6), (5, 2, 5), (3, 3, 4)])
+def test_charpoly_and_twisted_product_by_definition(p, a, N):
+    # c_k = (-1)^k sum over k-subsets S of det(M_S), and A_a multiplied out
+    # entry by entry as sum A[i][l1] s(A)[l1][l2] ... s^(a-1)(A)[l(a-1)][j]
+    # with s = sigma^-1.
+    rng = random.Random(33 + a)
+    R = ring(p, a, N)
+    for v in range(1, 6):
+        A = [[from_coords(R, [rng.randrange(R.modulus) for _ in range(a)])
+              for _ in range(v)] for _ in range(v)]
+        twists = [A]
+        for _ in range(1, a):
+            twists.append([[R.sigma_inverse(x) for x in row]
+                           for row in twists[-1]])
+        expected = [[R.zero] * v for _ in range(v)]
+        for path in itertools.product(range(v), repeat=a + 1):
+            x = R.one
+            for f, i, j in zip(twists, path, path[1:]):
+                x = R.mul(x, f[i][j])
+            i, j = path[0], path[-1]
+            expected[i][j] = R.add(expected[i][j], x)
+        assert twisted_product(R, A, a) == expected
+        for M in (A, expected):
+            coeffs = [R.zero] * (v + 1)
+            for k in range(v + 1):
+                for S in itertools.combinations(range(v), k):
+                    d = det_cofactor(R, [[M[i][j] for j in S] for i in S])
+                    coeffs[k] = R.add(coeffs[k], d if k % 2 == 0 else R.neg(d))
+            assert charpoly_det_one_minus_t(R, M) == coeffs, (v, M is A)
 
 
 def test_twisted_product_charpoly_is_scalar():
