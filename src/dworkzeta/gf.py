@@ -108,6 +108,39 @@ def is_irreducible(f: Poly, p: int) -> bool:
     return True
 
 
+# The primes 2, ..., 41.  Every odd composite below PRIME_TEST_LIMIT fails
+# the strong test to one of them; PRIME_TEST_LIMIT itself is the least
+# composite that passes all thirteen.
+PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test to the bases PRIME_TEST_BASES, exact
+    for p < PRIME_TEST_LIMIT; a larger p that passes every base raises
+    InvalidFieldSpec, since the test cannot tell it from a composite."""
+    if p < 2 or any(p % b == 0 for b in PRIME_TEST_BASES):
+        return p in PRIME_TEST_BASES
+    d, s = p - 1, 0  # p - 1 = d * 2^s with d odd
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in PRIME_TEST_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    if p >= PRIME_TEST_LIMIT:
+        raise InvalidFieldSpec(
+            f"p = a {p.bit_length()}-bit number is too large for the "
+            "deterministic prime test (p < 3.3e24)")
+    return True
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (desk scale)."""
     out: dict[int, int] = {}
@@ -161,23 +194,12 @@ def _conway_candidates(p: int, m: int) -> Iterator[Poly]:
 
     A candidate x^m + c_{m-1}x^{m-1} + ... + c_0 is identified with the word
     (a_{m-1}, ..., a_0) where a_i = (-1)^(m-i) c_i mod p; candidates are
-    enumerated in ascending lexicographic word order.
+    enumerated in ascending lexicographic word order, which is the order in
+    which _monic_polys enumerates (a_0, ..., a_{m-1}).
     """
-    for word_code in range(p ** m):
-        digits = []
-        c = word_code
-        for _ in range(m):
-            digits.append(c % p)
-            c //= p
-        # digits[0] is least significant = a_0; word order is lex on
-        # (a_{m-1}, ..., a_0), i.e. a_{m-1} most significant.
-        a = digits[::-1]  # (a_{m-1}, ..., a_0)
-        coeffs = [0] * m
-        for i in range(m):
-            ai = a[m - 1 - i]  # a_i
-            sign = -1 if ((m - i) % 2) else 1
-            coeffs[i] = (sign * ai) % p
-        yield tuple(coeffs) + (1,)
+    for word in _monic_polys(p, m):
+        yield tuple((-1) ** (m - i) * ai % p
+                    for i, ai in enumerate(word[:-1])) + (1,)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -6,7 +6,8 @@ realized as F_p[t]/(h) with h the lexicographically smallest monic
 irreducible of degree a*r, elements are encoded as base-p integer codes,
 and multiplication goes through discrete exp/log tables built once per
 field.  The embedding of F_q is fixed by mapping its generator to the
-smallest root of its defining polynomial found by exhaustive search.
+root of its defining polynomial with the smallest code; the roots are
+searched among the q - 1 nonzero elements of the subfield F_q only.
 """
 
 from __future__ import annotations
@@ -101,23 +102,6 @@ class ExtensionField:
             place *= self.p
         return out
 
-    def all_roots(self, poly_coeffs: List[int]) -> List[int]:
-        """Roots (as codes) of a polynomial whose coefficients are codes."""
-        Q = self.Q
-        val = np.zeros(Q, dtype=np.int64)
-        x = np.arange(Q, dtype=np.int64)
-        for c in reversed(poly_coeffs):
-            # val <- val * x + c, elementwise via the log tables
-            nz = (val != 0) & (x != 0)
-            prod = np.zeros(Q, dtype=np.int64)
-            prod[nz] = self.exp_codes[(self.log[val[nz]] + self.log[x[nz]])
-                                      % (Q - 1)]
-            val = prod
-            if c:
-                d0 = val % self.p
-                val = val - d0 + (d0 + c % self.p) % self.p
-        return sorted(int(r) for r in np.nonzero(val == 0)[0])
-
 
 # Fields kept, least recently used first out; one pass of the small-p
 # benchmark uses 16.
@@ -144,24 +128,30 @@ def get_field(p: int, d: int) -> ExtensionField:
 def embed_coefficients(field: ExtensionField, p: int, a: int,
                        hbar: Sequence[int],
                        coeff_vectors: List[Sequence[int]]) -> List[int]:
-    """Map F_q elements (F_p-vectors on the F_q generator) into the field."""
+    """Map F_q elements (F_p-vectors on the F_q generator t) into the field.
+
+    For a > 1, t goes to the root of hbar with the smallest code.  The roots
+    lie in the subfield F_q, whose nonzero elements are g^(j(Q-1)/(q-1)) for
+    the generator g and j < q - 1, so only those q - 1 elements are tried.
+    """
     if a == 1:
         return [field.encode([vec[0] if vec else 0]) for vec in coeff_vectors]
-    hb = [c % p for c in hbar]
-    codes = [field.encode([c]) for c in hb]
-    roots = field.all_roots(codes)
+
+    def evaluate(vec: Sequence[int], x: int) -> int:
+        acc = 0
+        for c in reversed(vec):
+            acc = field.add(field.mul(acc, x), field.encode([c]))
+        return acc
+
+    step, rest = divmod(field.Q - 1, p ** a - 1)
+    roots = [] if rest else [x for x in map(int, field.exp_codes[::step])
+                             if evaluate(hbar, x) == 0]
     if not roots:
         raise ConsistencyFailure(
             "the defining polynomial of F_q has no root in the extension; "
             "the extension degree is not a multiple of a")
-    tau = roots[0]
-    out = []
-    for vec in coeff_vectors:
-        acc = 0
-        for c in reversed(list(vec)):
-            acc = field.add(field.mul(acc, tau), field.encode([c]))
-        out.append(acc)
-    return out
+    tau = min(roots)
+    return [evaluate(vec, tau) for vec in coeff_vectors]
 
 
 def _torus_zero_masks(field: ExtensionField, polys: Sequence[Sequence[Term]],

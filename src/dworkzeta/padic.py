@@ -9,10 +9,12 @@ every extension degree a:
   the Teichmueller representative, tau^q = tau and (1 + p*y)^(q^(N-1)) = 1
   mod p^(1 + a(N-1)), so the power is tau mod p^N; a residue divisible by p
   goes to 0.
-* h: the product of (x - tau^(p^i)) over the conjugates of tau = teich(t)
-  in a scratch ring over an arbitrary lift of hbar.
-* Inverse Frobenius: sigma^-1 is the substitution t -> t^(q/p), precomputed
-  as an a x a linear map (the identity at a = 1).
+* h: the context first reduces by the plain lift of hbar.  There it
+  computes tau = teich(t), its conjugates tau^(p^i) and the product h of the
+  (x - tau^(p^i)), whose coefficients are scalars; then it reduces by h.
+* Inverse Frobenius: sigma^-1 is the substitution t -> s = t^(q/p), so
+  sigma^-1(x) is one normalize of sum_i x_i s^i over the precomputed powers
+  s^i: a elements times integers in [0, p^N) (the identity at a = 1).
 * Inverse of a unit: pow(u, -1, p^N) at a = 1; for a > 1, u^(q-2) inverts u
   mod p and Newton's iteration v -> v(2 - uv) lifts that inverse.
 
@@ -33,9 +35,9 @@ first folds the digits of t^(2a-2), ..., t^a, top down, by t^a = -(h_0 +
 ... + h_(a-1) t^(a-1)): each fold adds at most (p^N - 1)^2 to a lower digit,
 a - 1 folds in all.  So every digit stays below (K*a + a - 1)*(p^N - 1)^2,
 which the width k keeps below 2^k (checked where k is set).  Then every
-digit is reduced mod p^N.  mul, muladd and the callers' lazy sums (the
-expansion's per-monomial sums, reduction's layers, the charpoly's sums) all
-go through it.
+digit is reduced mod p^N.  mul, muladd, sigma^-1 and the callers' lazy
+sums (the expansion's per-monomial sums, reduction's layers, the charpoly's
+sums) all go through it.
 
 Elements are canonical, so an element is zero exactly when it is 0, and two
 elements are equal exactly when they are equal ints.  All operations live on
@@ -46,8 +48,8 @@ freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
-from typing import Sequence, Tuple
+from operator import mul
+from typing import Sequence
 
 from . import gf
 from .errors import InvalidFieldSpec, PrecisionOrLogicError
@@ -58,9 +60,9 @@ HEADROOM_BITS = 64
 
 
 def check_characteristic(p: int) -> None:
-    """Raise InvalidFieldSpec unless p is an odd prime; a p of more than 20
-    digits is named by its bit length."""
-    if p < 3 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    """Raise InvalidFieldSpec unless p is an odd prime (gf.is_prime); a p of
+    more than 20 digits is named by its bit length."""
+    if p < 3 or not gf.is_prime(p):
         shown = str(p) if p < 10 ** 20 else f"a {p.bit_length()}-bit number"
         raise InvalidFieldSpec(f"p = {shown} is not an odd prime >= 3")
 
@@ -93,15 +95,7 @@ class RingContext:
     def __init__(self, spec: FieldSpec):
         spec.validate()
         self.spec = spec
-        self._set_precision(spec.p, spec.a, spec.N_work)
-        self._set_defining_polynomial(self._lift_defining_polynomial())
-        # sigma^{-1} is the substitution t -> t^(q/p).
-        self._sigma_inv_mat = self._substitution_matrix(
-            self.pow(self.gen(), self.q // self.p))
-
-    def _set_precision(self, p: int, a: int, n: int) -> None:
-        """The constants of Z_q/p^n and the packing width k."""
-        self.p, self.a, self.N = p, a, n
+        self.p, self.a, self.N = p, a, n = spec.p, spec.a, spec.N_work
         self.q = p ** a
         self.modulus = m = p ** n
         self.k = k = (a * (m - 1) ** 2).bit_length() + HEADROOM_BITS
@@ -119,55 +113,31 @@ class RingContext:
         self._m_digits = self._pack([m] * a)
         self.zero: RingElement = 0
         self.one: RingElement = 1
-
-    def _set_defining_polynomial(self, h_low: Sequence[int]) -> None:
-        """h = t^a + h_(a-1) t^(a-1) + ... + h_0; _t_to_a packs the
-        coordinates of t^a = -(h_0 + ... + h_(a-1) t^(a-1)) in [0, p^N)."""
-        m = self.modulus
-        self._h = tuple(c % m for c in h_low)
-        self._t_to_a = self._pack([-c % m for c in self._h])
-
-    # ---- construction helpers -------------------------------------------------
-
-    def _lift_defining_polynomial(self) -> Tuple[int, ...]:
-        """Monic h over Z/p^N with h == hbar mod p and h | x^q - x.
-
-        Computed by taking the Teichmueller lift tau of the generator inside a
-        scratch ring over an arbitrary lift of hbar and forming the product of
-        (x - tau^(p^i)) over the conjugates; the symmetric functions land in
-        Z/p^N, which is checked.  Returns the non-leading coefficients
-        (h_0, ..., h_{a-1}).
-        """
-        p, a = self.p, self.a
-        hbar = gf.trim(c % p for c in self.spec.hbar)
-        scratch_h = tuple(int(c) for c in hbar[:-1])
-        scratch = _RawRing(p, a, self.N, scratch_h)
-        tau = scratch.teich(scratch.gen())
-        conj = [tau]
+        # Reduce by the plain lift of hbar until h is known.
+        self._reduce_by(gf.trim(c % p for c in spec.hbar)[:-1])
+        conjugates = [self.teich(self.gen())]
         for _ in range(a - 1):
-            conj.append(scratch.pow(conj[-1], p))
-        # h(x) = prod (x - conj_i), coefficients computed in the scratch ring.
-        coeffs = [scratch.one]  # ascending, current product = 1
-        for c in conj:
-            nxt = [scratch.zero] * (len(coeffs) + 1)
-            for i, ci in enumerate(coeffs):
-                nxt[i + 1] = scratch.add(nxt[i + 1], ci)
-                nxt[i] = scratch.sub(nxt[i], scratch.mul(ci, c))
-            coeffs = nxt
+            conjugates.append(self.pow(conjugates[-1], p))
+        h = [self.one]  # ascending coefficients of prod (x - tau^(p^i))
+        for c in conjugates:
+            neg_c = self.neg(c)
+            h = [self.muladd(hi, neg_c, lo) for lo, hi in zip([0] + h, h + [0])]
         try:
-            return tuple(scratch.scalar(ci, self.modulus) for ci in coeffs[:-1])
+            self._reduce_by([self.scalar(hi, m) for hi in h[:-1]])
         except ValueError:
             raise InvalidFieldSpec(
                 "defining-polynomial lift produced non-scalar symmetric functions"
             ) from None
+        # sigma^-1 is the substitution t -> s = t^(q/p).
+        s = self.pow(self.gen(), self.q // p)
+        self._s_powers = [self.pow(s, i) for i in range(a)]
 
-    def _substitution_matrix(self, image_of_t: RingElement) -> list[list[int]]:
-        """Matrix (columns = images of t^i) of the substitution t -> image_of_t."""
-        cols = [self.one]
-        for _ in range(self.a - 1):
-            cols.append(self.mul(cols[-1], image_of_t))
-        digits = [self._digits(c) for c in cols]
-        return [[digits[j][i] for j in range(self.a)] for i in range(self.a)]
+    def _reduce_by(self, h_low: Sequence[int]) -> None:
+        """Reduce by h = t^a + h_(a-1) t^(a-1) + ... + h_0; _t_to_a packs the
+        coordinates of t^a = -(h_0 + ... + h_(a-1) t^(a-1)) in [0, p^N)."""
+        m = self.modulus
+        self._h = tuple(c % m for c in h_low)
+        self._t_to_a = self._pack([-c % m for c in self._h])
 
     # ---- packing ----------------------------------------------------------------
 
@@ -287,9 +257,8 @@ class RingContext:
     # ---- Frobenius and Teichmueller -------------------------------------------
 
     def sigma_inverse(self, x: RingElement) -> RingElement:
-        v, m = self._digits(x), self.modulus
-        return self._pack([sum(r * c for r, c in zip(row, v)) % m
-                           for row in self._sigma_inv_mat])
+        """sum_i x_i s^i for the coordinates x_i of x and s = t^(q/p)."""
+        return self.normalize(sum(map(mul, self._digits(x), self._s_powers)))
 
     def teich(self, x: RingElement) -> RingElement:
         """Teichmueller representative congruent to x mod p (0 maps to 0):
@@ -310,16 +279,6 @@ class RingContext:
     def serialize(self, x: RingElement) -> list[int]:
         """Little-endian list of the a base-p^N residues (JSON-friendly)."""
         return self._digits(x)
-
-
-class _RawRing(RingContext):
-    """Scratch context over an arbitrary monic lift (no sigma^-1 precompute)."""
-
-    def __init__(self, p: int, a: int, n: int, h_low: Tuple[int, ...]):
-        # Bypass RingContext.__init__: no Frobenius machinery is available
-        # before the special defining polynomial has been constructed.
-        self._set_precision(p, a, n)
-        self._set_defining_polynomial(h_low)
 
 
 def make_ring(spec: FieldSpec) -> RingContext:

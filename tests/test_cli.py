@@ -246,3 +246,13 @@ def test_composite_characteristic_message(tmp_path, capsys, p, a, shown):
     assert code == 3 and not out
     assert err.startswith(f"InvalidFieldSpec: {shown} not an odd prime"), err
     assert len(err) < 80, err
+
+
+def test_oracle_count_large_prime_exceeds_budget(tmp_path, capsys):
+    # A 61-bit prime passes the input check at once (the prime test is
+    # Miller-Rabin, not trial division), and the count over p^2 points is
+    # refused by the budget.
+    path = write_input(tmp_path, dict(ELLIPTIC, p=2 ** 61 - 1))
+    code, out, err = run(capsys, ["oracle", "count", path, "--r", "1"])
+    assert code == 13 and not out
+    assert err.startswith("BudgetExceeded: "), err

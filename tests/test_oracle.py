@@ -94,6 +94,40 @@ def test_embedding_extension_coefficients():
         assert count_points(p, a, hbar, terms, "toric", r) == 1
 
 
+@pytest.mark.parametrize("p, a", [(3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("choice", ["conway", "smallest"])
+def test_embedding_is_a_field_map(p, a, r, choice):
+    # The embedding of F_q = F_p[t]/(hbar) into F_(q^r) is additive and
+    # multiplicative, and sends t to the root of hbar with the smallest code
+    # among all elements of F_(q^r).
+    hbar = (gf.conway_polynomial(p, a) if choice == "conway"
+            else gf.smallest_irreducible(p, a))
+    F = get_field(p, a * r)
+    elements = [tuple((code // p ** i) % p for i in range(a))
+                for code in range(p ** a)]
+    image = dict(zip(elements, oracle.embed_coefficients(F, p, a, hbar,
+                                                         elements)))
+    for x in elements:
+        for y in elements:
+            s = tuple((u + v) % p for u, v in zip(x, y))
+            xy = gf.mod(gf.mul(gf.trim(x), gf.trim(y), p), hbar, p)
+            xy = tuple(xy) + (0,) * (a - len(xy))
+            assert image[s] == F.add(image[x], image[y])
+            assert image[xy] == F.mul(image[x], image[y])
+
+    def hbar_at(z):
+        acc = 0
+        for c in reversed(hbar):
+            acc = F.add(F.mul(acc, z), F.encode([c]))
+        return acc
+
+    t = (0, 1) + (0,) * (a - 2)
+    assert image[t] == min(z for z in range(F.Q) if hbar_at(z) == 0)
+    with pytest.raises(ConsistencyFailure):
+        oracle.embed_coefficients(get_field(p, a * r + 1), p, a, hbar, [t])
+
+
 def test_budget_guard():
     terms = [((1, 1), (1,)), ((0, 0), (1,))]
     with pytest.raises(BudgetExceeded):

@@ -13,7 +13,8 @@ from ring_helpers import TupleRing, from_coords, from_int, valuation
 
 from dworkzeta import gf
 from dworkzeta.errors import InvalidFieldSpec
-from dworkzeta.padic import HEADROOM_BITS, FieldSpec, make_ring
+from dworkzeta.padic import (HEADROOM_BITS, FieldSpec, check_characteristic,
+                             make_ring)
 
 
 def ring(p, a, n, hbar=None):
@@ -56,6 +57,32 @@ def test_p2_and_composite_rejected():
         ring(9, 1, 3, hbar=(0, 1))
     with pytest.raises(InvalidFieldSpec):
         ring(10 ** 400, 1, 3, hbar=(0, 1))
+
+
+@pytest.mark.parametrize("p", [3, 7, 2 ** 31 - 1, 2 ** 61 - 1])
+def test_primes_accepted(p):
+    check_characteristic(p)
+
+
+@pytest.mark.parametrize("p", [
+    1, 2, 9, 561, 2047, 3215031751,
+    # 149491 * 747451 * 34233211: a strong pseudoprime to every prime base
+    # up to 23
+    3825123056546413051,
+])
+def test_composites_rejected(p):
+    with pytest.raises(InvalidFieldSpec, match="not an odd prime"):
+        check_characteristic(p)
+
+
+@pytest.mark.parametrize("p", [
+    # the least strong pseudoprime to every base 2..41
+    gf.PRIME_TEST_LIMIT,
+    2 ** 89 - 1,  # a prime past the limit
+])
+def test_prime_test_beyond_its_limit_rejected(p):
+    with pytest.raises(InvalidFieldSpec, match="too large"):
+        check_characteristic(p)
 
 
 def test_lifted_polynomial_divides_xq_minus_x():
@@ -205,7 +232,10 @@ def test_lifted_polynomial_and_sigma_inverse_pinned(key):
     h, sigma_inv = PINNED_RINGS[key]
     R = ring(*key)
     assert R._h == h
-    assert R._sigma_inv_mat == sigma_inv
+    # Column j of the matrix holds the coordinates of sigma^-1(t^j).
+    columns = [R.serialize(R.sigma_inverse(R.pow(R.gen(), j)))
+               for j in range(R.a)]
+    assert [list(row) for row in zip(*columns)] == sigma_inv
 
 
 def test_teichmuller_power_frobenius_inverse():
