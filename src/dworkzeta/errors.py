@@ -85,7 +85,12 @@ class ConsistencyFailure(DworkZetaError):
     exit_code = 12
 
 
+# The package's one enumeration budget: the most points, candidates,
+# congruence solutions or series coefficients one enumeration may visit.
+DEFAULT_BUDGET = 10 ** 8
+
+
 class BudgetExceeded(DworkZetaError):
-    """A brute-force enumeration would exceed the configured budget."""
+    """An enumeration would visit more than DEFAULT_BUDGET items."""
 
     exit_code = 13

@@ -24,8 +24,8 @@ the output is exactly the truncation of alpha.
 The solutions k fall into image classes, one per (bw, base_x); for each e
 every k of a class lands on the same monomial with the same factor
 (-1)^|e| a^e.  So the ring products are paid once per (class, e) pair, not
-once per term.  For each k one loop over the support points extends a list
-of partial terms (net, numerator product, packed e), with net = bw + |e| -
+once per term.  For a group of k, one loop over the support points extends
+a list of partial terms (net, numerator, packed e), with net = bw + |e| -
 delta and delta the ell-denominator exponent so far, by every choice of
 e_j, and cuts a choice once
 
@@ -36,77 +36,132 @@ grows with e_j, because d(p, i) = 0 for i < p and d(p, i + p) <= d(p, i) + 1.
 It also cuts every choice with |e| >= E: since bw >= |k|/p and d(p, i) <=
 i(2p-1)/(p^2(p-1)), it is at least |e|/beta >= N_work + gamma, with beta and
 gamma those of truncation_bound.  ell_{k_j+p*e_j} and its bound are read
-from the column of the residue k_j: the coefficients at k_j, k_j + p, ...,
-k_j + p*(E-1).  The last support point finishes the terms: each adds
-(p^net * numerator mod p^N_work) * (-1)^bw sigma^{-1}(a^k) to its class's
-sum for its e.  Each class sum is normalized once and multiplied once by
-(-1)^|e| a^e, and the product is added unreduced to one integer per
-monomial; every monomial is checked against the cone once, when it first
-appears, and each monomial sum becomes a ring element once, by
-ring.normalize, at the end.  Both kinds of sum stay within the headroom of
-padic.normalize: a class sum has at most one term per solution k, so at
-most p^(s - rank U) terms, and a monomial sum at most one product per
+from the column of the residue k_j: for e_j = 0, 1, ..., E-1 the gain
+e_j - d(p, k_j + p*e_j), the step e_j - (denominator exponent of the ell),
+and the ell numerator.  The gains and steps of a column are its profile.
+
+A group is the solutions of one class whose residues have the same profile
+in every slot.  Its members see the same cuts, nets and e, so the walk runs
+once per group, and only the numerators differ: the numerator product X_k
+of each member.  A group of one member, the rule at small p (every group
+of the small-p benchmark), carries X as a plain int.  A larger group, the
+rule at large p (at p = 271 each of a target's 5 classes is one group, of
+up to 90 members), carries the vector of its members' X_k, and an
+extension is one map(mul, ...) against their ell numerators.  The last
+support point finishes the terms: a term of net p-power final adds
+
+    p^final * sum_k (X_k mod p^(N_work - final)) * (-1)^bw sigma^{-1}(a^k)
+
+over the members k to its class's sum for its e; for one member that is
+(p^final * X mod p^N_work) * (-1)^bw sigma^{-1}(a^k), the same integer.
+Each class sum is normalized once and multiplied once by (-1)^|e| a^e, and
+the product is added unreduced to one integer per monomial; every monomial
+is checked against the cone once, when it first appears, and each monomial
+sum becomes a ring element once, by ring.normalize, at the end.  Both kinds
+of sum stay within the headroom of padic.normalize.  Since p^final * (X mod
+p^(N_work - final)) = (p^final * X) mod p^N_work lies in [0, p^N_work), a
+class sum has at most one element-times-integer term per solution k, so at
+most p^(s - rank U) terms; a monomial sum has at most one product per
 (class, e) pair; both counts are far below 2^64 - 1.
 
-e is packed into one int, e_j in a slot of E.bit_length() bits, the last
-support point in the lowest slot.  (|e|, (-1)^|e| a^e, e.nu) is kept per
-distinct e in a table shared by the expansions of one lifted input; each
-entry is built from e minus one in its lowest nonzero slot, with one mul.
+Two LRU caches hold what the expansions of one input share.  The columns of
+all p residues, their numerators and profile ids depend only on p and the
+series, so they are keyed by both; one entry is kept.  Per lifted input
+(ring, coefficients, support, slot width), for the last POWER_TABLE_SIZE
+inputs, the power table holds sigma^{-1}(a_j)^c for c < p, one incremental
+list per slot, and (|e|, (-1)^|e| a^e, e.nu) per distinct e.  e is packed
+into one int, e_j in a slot of E.bit_length() bits, the last support point
+in the lowest slot; each entry is built from e minus one in its lowest
+nonzero slot, with one mul.
+
+check_enumeration refuses, with BudgetExceeded, an expansion whose
+congruence solutions or series coefficients exceed DEFAULT_BUDGET.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product, repeat
 from math import ceil
-from operator import add, mul
+from operator import add, mod, mul, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .cone_algebra import ConeElement, ConeMonomial
-from .errors import InternalPrecisionError, PrecisionOrLogicError
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    InternalPrecisionError,
+    PrecisionOrLogicError,
+)
 from .jacobian import LiftedInput
 from .padic import RingContext, RingElement
 from .polytope import LatticePolytope
 from .splitting import SplittingSeries, compute_splitting, d_bound
 
 
+def _support_matrix(lifted: LiftedInput) -> List[List[int]]:
+    """U: one column (1, nu) per point nu of the lifted support."""
+    nus = lifted.support
+    return [[1] * len(nus)] + [[nu[i] for nu in nus] for i in range(lifted.n_eff)]
+
+
+def _row_reduce(rows: List[List[int]], ncols: int, p: int) -> List[int]:
+    """Bring rows (entries in [0, p)) to reduced row echelon form mod p on
+    their first ncols columns, in place; row r holds the pivot in column
+    pivots[r], and the pivots are returned."""
+    pivots: List[int] = []
+    for j in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][j], -1, p)
+        pivot_row = rows[rank] = [c * inv % p for c in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[j]:
+                c = row[j]
+                rows[i] = [(x - c * y) % p for x, y in zip(row, pivot_row)]
+        pivots.append(j)
+    return pivots
+
+
 def solve_congruence(U: Sequence[Sequence[int]], target: Sequence[int],
                      p: int) -> List[Tuple[int, ...]]:
     """All e in {0..p-1}^s with U*e = target mod p, in lexicographic order of
     the free-coordinate assignment; empty if the system is inconsistent."""
-    nrows = len(U)
     s = len(U[0])
-    aug = [[U[i][j] % p for j in range(s)] + [target[i] % p] for i in range(nrows)]
-    pivots: List[int] = []
-    rank = 0
-    for j in range(s):
-        piv = next((i for i in range(rank, nrows) if aug[i][j] % p), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][j], -1, p)
-        aug[rank] = [(c * inv) % p for c in aug[rank]]
-        for i in range(nrows):
-            if i != rank and aug[i][j]:
-                c = aug[i][j]
-                aug[i] = [(a - c * b) % p for a, b in zip(aug[i], aug[rank])]
-        pivots.append(j)
-        rank += 1
-    for i in range(rank, nrows):
-        if aug[i][s] % p:
-            return []  # inconsistent
+    aug = [[u % p for u in row] + [t % p] for row, t in zip(U, target)]
+    pivots = _row_reduce(aug, s, p)
+    if any(row[s] for row in aug[len(pivots):]):
+        return []  # inconsistent
     free = [j for j in range(s) if j not in pivots]
-    solutions: List[Tuple[int, ...]] = []
-    for assign in product(range(p), repeat=len(free)):
-        e = [0] * s
-        for j, v in zip(free, assign):
-            e[j] = v
-        for r, j in enumerate(pivots):
-            e[j] = (aug[r][s] - sum(aug[r][jf] * v
-                                    for jf, v in zip(free, assign))) % p
-        solutions.append(tuple(e))
-    return solutions
+    assigns = list(product(range(p), repeat=len(free)))
+    # Coordinate j of every solution, in the order of assigns.
+    coords: List[Sequence[int]] = [()] * s
+    for j, col in zip(free, zip(*assigns)):
+        coords[j] = col
+    for row, j in zip(aug, pivots):
+        weights = [row[jf] for jf in free]
+        coords[j] = [(row[s] - sum(map(mul, weights, a))) % p for a in assigns]
+    return list(zip(*coords))
+
+
+def check_enumeration(lifted: LiftedInput, v: int, E: int) -> None:
+    """Raise BudgetExceeded unless the expansions of v basis monomials fit
+    DEFAULT_BUDGET: at most v * p^(s - rank U) congruence solutions, and the
+    p*E splitting coefficients they read."""
+    p = lifted.ring.p
+    U = _support_matrix(lifted)
+    s = len(U[0])
+    rank = len(_row_reduce([[u % p for u in row] for row in U], s, p))
+    for count, what in ((v * p ** (s - rank), "congruence solutions"),
+                        (p * E, "splitting coefficients")):
+        if count > DEFAULT_BUDGET:
+            raise BudgetExceeded(
+                f"the Frobenius expansion needs {count} {what}, more than "
+                f"the budget of {DEFAULT_BUDGET}")
 
 
 def truncation_bound(p: int, n_eff: int, N_work: int) -> int:
@@ -121,6 +176,33 @@ def splitting_for(ring: RingContext, E: int) -> SplittingSeries:
     return compute_splitting(ring.p, ring.N, ring.p * E)
 
 
+# (gain, step, ell numerator, e_j) for e_j = 0, 1, ...; see the docstring.
+Column = List[Tuple[int, int, int, int]]
+
+
+# The expansions of one solve read one series, and so does the next solve at
+# the same p, N_work and E.  An entry keeps its series and p*E column entries
+# alive, so only the last is kept.
+@lru_cache(maxsize=1)
+def _columns(p: int, series: SplittingSeries
+             ) -> Tuple[List[Column], List[Tuple[int, ...]], List[int]]:
+    """The column of each residue c < p, the ell numerators of each column,
+    and each residue's profile: an id that residues with equal gains and
+    steps share."""
+    bounds = [d_bound(p, i) for i in range(len(series))]
+    columns, ells, profiles = [], [], []
+    ids: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+    for c in range(p):
+        denom_exps, numers = zip(*series[c::p])
+        ej = range(len(numers))
+        gains = tuple(map(sub, ej, bounds[c::p]))
+        steps = tuple(map(sub, ej, denom_exps))
+        columns.append(list(zip(gains, steps, numers, ej)))
+        ells.append(numers)
+        profiles.append(ids.setdefault((gains, steps), len(ids)))
+    return columns, ells, profiles
+
+
 # The expansions of one lifted input run one after another, so a few power
 # tables cover the inputs in flight.
 POWER_TABLE_SIZE = 4
@@ -131,14 +213,17 @@ PowerTable = Dict[int, Tuple[int, RingElement, Tuple[int, ...]]]
 
 @lru_cache(maxsize=POWER_TABLE_SIZE)
 def _power_table(ring: RingContext, coeffs: Tuple[RingElement, ...],
-                 support: Tuple[Tuple[int, ...], ...], width: int
-                 ) -> Tuple[PowerTable, List[Tuple[RingElement, Tuple[int, ...]]]]:
-    """The power table, holding e = 0 until _power_entry fills it in, and the
-    step (-a_j, nu_j) of each slot, lowest slot first.  Two threads may fill
-    one table at once; an entry depends only on its key, so either write is
-    right."""
+                 support: Tuple[Tuple[int, ...], ...], width: int):
+    """The power table, holding e = 0 until _power_entry fills it in; the
+    step (-a_j, nu_j) of each slot, lowest slot first; and the powers
+    sigma^{-1}(a_j)^c, c < p, of each slot.  Two threads may fill one table
+    at once; an entry depends only on its key, so either write is right."""
+    # sigma^{-1}(a_j) for Teichmueller coefficients is a_j^(q/p)
+    roots = [ring.pow(aj, ring.q // ring.p) for aj in coeffs]
     return ({0: (0, ring.one, (0,) * len(support[0]))},
-            [(ring.neg(aj), nu) for aj, nu in zip(coeffs[::-1], support[::-1])])
+            [(ring.neg(aj), nu) for aj, nu in zip(coeffs[::-1], support[::-1])],
+            [list(accumulate(repeat(sj, ring.p - 1), ring.mul,
+                             initial=ring.one)) for sj in roots])
 
 
 def _power_entry(ring: RingContext, powers: PowerTable, steps,
@@ -162,76 +247,100 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
     ring = lifted.ring
     p, N_work, modulus, normalize = ring.p, ring.N, ring.modulus, ring.normalize
     d, mu = target
-    nus, a_list = lifted.support, lifted.coeffs
-    U = [[1] * len(nus)] + [[nu[i] for nu in nus] for i in range(lifted.n_eff)]
     shift = (d,) + mu
-    neg_target = tuple(-t % p for t in shift)
-
-    classes: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[int, ...]]] = {}
-    for k in solve_congruence(U, neg_target, p):
-        image = [sum(map(mul, row, k)) + t for row, t in zip(U, shift)]
-        if any(c % p for c in image):
-            raise PrecisionOrLogicError(
-                f"congruence solution {k} fails divisibility by p")
-        bw, *base_x = (c // p for c in image)
-        classes.setdefault((bw, tuple(base_x)), []).append(k)
-
-    # The column of residue c: (e_j - d(p, i), e_j - denom_exp, numer, e_j)
-    # of ell_i, i = c + p*e_j, for e_j < E (series holds p*E coefficients).
-    columns = {c: [(ej - d_bound(p, c + p * ej), ej - denom_exp, ell, ej)
-                   for ej, (denom_exp, ell) in enumerate(series[c::p])]
-               for c in {kj for ks in classes.values() for k in ks for kj in k}}
+    U = _support_matrix(lifted)
     width = E.bit_length()
-    p_pows = [p ** net for net in range(N_work)]
-    powers, steps = _power_table(ring, a_list, nus, width)
-    # sigma^{-1}(a_j) for Teichmueller coefficients is a_j^(q/p)
-    sigma_a = [ring.pow(aj, ring.q // p) for aj in a_list]
-    # Unreduced sum of each monomial's (class, e) products (see
-    # padic.normalize); a monomial enters only after it has been checked
-    # against the cone.
-    raw: Dict[ConeMonomial, int] = {}
-    for (bw, base_x), ks in classes.items():
-        # packed e -> unreduced sum over the class of
-        # (p^net * numer mod p^N_work) * (-1)^bw sigma^{-1}(a^k), with
-        # sigma^{-1}(a^k) the product of the sigma^{-1}(a_j)^(k_j).
-        sums: Dict[int, int] = {}
-        for k in ks:
-            sak = ring.neg(ring.one) if bw % 2 else ring.one
-            for sj, kj in zip(sigma_a, k):
-                if kj:
-                    sak = ring.mul(sak, ring.pow(sj, kj))
+    columns, ells, profiles = _columns(p, series)
+    powers, steps, sigma_powers = _power_table(ring, lifted.coeffs,
+                                               lifted.support, width)
 
-            # Partial terms (net, numerator product, packed e), cut as the
-            # module docstring says; the last support point finishes them.
-            terms = [(bw, 1, 0)]
-            for kj in k[:-1]:
-                col = columns[kj]
-                extended = []
-                for net, numer, packed in terms:
-                    room = N_work - net
-                    packed <<= width
-                    for gain, step, ell, ej in col:
-                        if gain >= room:
-                            break
-                        extended.append((net + step, numer * ell, packed + ej))
-                terms = extended
-            col = columns[k[-1]]
+    solutions = solve_congruence(U, [-t % p for t in shift], p)
+    # (U*k + (d, mu))/p = (bw, base_x), one coordinate for all k at a time.
+    image = []
+    for row, t in zip(U, shift):
+        coord = [sum(map(mul, row, k)) + t for k in solutions]
+        for k, c in zip(solutions, coord):
+            if c % p:
+                raise PrecisionOrLogicError(
+                    f"congruence solution {k} fails divisibility by p")
+        image.append([c // p for c in coord])
+    # The groups: the solutions of one image class (bw, *base_x) whose
+    # residues have the same profile in every slot, in order of appearance.
+    groups: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]],
+                 List[Tuple[int, ...]]] = {}
+    for group, k in zip(zip(zip(*image), zip(*[map(profiles.__getitem__, kjs)
+                                               for kjs in zip(*solutions)])),
+                        solutions):
+        groups.setdefault(group, []).append(k)
+
+    # Per class: packed e -> unreduced sum over the class of
+    # (p^final * numer mod p^N_work) * (-1)^bw sigma^{-1}(a^k), with
+    # sigma^{-1}(a^k) the product of the sigma^{-1}(a_j)^(k_j).
+    sums: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    p_pows = [p ** net for net in range(N_work)]
+    p_rest = [p ** (N_work - net) for net in range(N_work)]
+    signs = (ring.one, ring.neg(ring.one))
+    for (image_k, _), ks in groups.items():
+        class_sums = sums.setdefault(image_k, {})
+        bw = image_k[0]
+        kjs_by_slot = list(zip(*ks))
+        saks = [signs[bw % 2]] * len(ks)
+        for row, kjs in zip(sigma_powers, kjs_by_slot):
+            saks = list(map(ring.mul, saks, map(row.__getitem__, kjs)))
+        vector = len(ks) > 1
+        if vector:
+            # The members' numerators ride along as one vector.
+            cols = [[(gain, step, ell, ej) for (gain, step, _, ej), ell in
+                     zip(columns[kjs[0]], zip(*map(ells.__getitem__, kjs)))]
+                    for kjs in kjs_by_slot]
+            numer0 = [1] * len(ks)
+        else:
+            cols = [columns[kj] for kj in ks[0]]
+            sak, = saks
+            numer0 = 1
+
+        # Partial terms (net, numerator, packed e), cut as the module
+        # docstring says; the last support point finishes them.
+        terms = [(bw, numer0, 0)]
+        for col in cols[:-1]:
+            extended = []
             for net, numer, packed in terms:
                 room = N_work - net
                 packed <<= width
                 for gain, step, ell, ej in col:
                     if gain >= room:
                         break
-                    final = net + step
-                    if final < 0:
-                        raise InternalPrecisionError(
-                            f"negative net p-power {final} at target {target}")
-                    if final < N_work:
-                        key = packed + ej
-                        sums[key] = (sums.get(key, 0) + p_pows[final] * numer
-                                     * ell % modulus * sak)
+                    extended.append((net + step, list(map(mul, numer, ell))
+                                     if vector else numer * ell, packed + ej))
+            terms = extended
+        for net, numer, packed in terms:
+            room = N_work - net
+            packed <<= width
+            for gain, step, ell, ej in cols[-1]:
+                if gain >= room:
+                    break
+                final = net + step
+                if final < 0:
+                    raise InternalPrecisionError(
+                        f"negative net p-power {final} at target {target}")
+                if final >= N_work:
+                    continue
+                key = packed + ej
+                if vector:
+                    # p^final * the sum of (X_k mod p^(N_work - final)) * sak_k
+                    xs = map(mod, map(mul, numer, ell), repeat(p_rest[final]))
+                    class_sums[key] = (class_sums.get(key, 0) + p_pows[final]
+                                       * sum(map(mul, xs, saks)))
+                else:
+                    class_sums[key] = (class_sums.get(key, 0) + p_pows[final]
+                                       * numer * ell % modulus * sak)
 
-        for packed, acc in sums.items():
+    # Unreduced sum of each monomial's (class, e) products (see
+    # padic.normalize); a monomial enters only after it has been checked
+    # against the cone.
+    raw: Dict[ConeMonomial, int] = {}
+    for (bw, *base_x), class_sums in sums.items():
+        for packed, acc in class_sums.items():
             esum, apow, nu_sum = (powers.get(packed)
                                   or _power_entry(ring, powers, steps, packed, width))
             mono = (bw + esum, tuple(map(add, base_x, nu_sum)))

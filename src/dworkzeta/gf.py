@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Tuple
 
-from .errors import InvalidFieldSpec
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InvalidFieldSpec
 
 Poly = Tuple[int, ...]
 
@@ -208,8 +208,13 @@ def conway_polynomial(p: int, m: int) -> Poly:
 
     the word-order-minimal monic primitive polynomial of degree m over F_p
     compatible with all proper subfields, i.e. C_{p,k}(x^((p^m-1)/(p^k-1)))
-    vanishes modulo the candidate for every proper divisor k of m.
+    vanishes modulo the candidate for every proper divisor k of m.  A search
+    over more than DEFAULT_BUDGET candidates raises BudgetExceeded.
     """
+    if p ** m > DEFAULT_BUDGET:
+        raise BudgetExceeded(
+            f"the Conway search over p^m = {p}^{m} candidates exceeds the "
+            f"budget of {DEFAULT_BUDGET}")
     order_factors = factorize(p ** m - 1)
     subs = [(k, conway_polynomial(p, k)) for k in range(1, m) if m % k == 0]
     x: Poly = (0, 1)

@@ -20,9 +20,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf
-from .errors import BudgetExceeded, ConsistencyFailure, InvalidInput
-
-DEFAULT_BUDGET = 10 ** 8
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    ConsistencyFailure,
+    InvalidInput,
+)
 
 Term = Tuple[Tuple[int, ...], int]  # (exponent vector, coefficient code)
 

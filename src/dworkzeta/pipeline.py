@@ -4,7 +4,8 @@ Order of operations: validate (validate_problem, the one input gate) ->
 (optional confinement, toric only) -> rank v from the support by its closed
 formula (jacobian.expected_rank), once per run and also under a precision
 override -> choose N (or take the override)
--> working ring at N_work = N + a + 1 -> hull -> quotient basis (the one
+-> working ring at N_work = N + a + 1 -> the expansion's enumeration
+checked against the budget -> hull -> quotient basis (the one
 Jacobian build of each attempt, given v, which checks |V| = v) -> Frobenius
 expansion of each basis monomial -> one reduction of all v images together
 -> matrix assembly and charpoly
@@ -27,7 +28,12 @@ from .errors import (
     InvalidInput,
     UnsupportedCharacteristic,
 )
-from .frobenius import expand_frobenius, splitting_for, truncation_bound
+from .frobenius import (
+    check_enumeration,
+    expand_frobenius,
+    splitting_for,
+    truncation_bound,
+)
 from .jacobian import (
     MODES,
     build_jacobian,
@@ -128,9 +134,10 @@ def _run_at(prob: Problem, N: int, v: int, emit_matrix: bool) -> Result:
     ring = make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar,
                                N_work=n_work))
     lifted = lift_input(ring, prob.terms, prob.mode)
+    E = truncation_bound(p, lifted.n_eff, n_work)
+    check_enumeration(lifted, v, E)
     poly = hull(lifted.support)
     ech, basis = build_jacobian(lifted, poly, v)
-    E = truncation_bound(p, lifted.n_eff, n_work)
     series = splitting_for(ring, E)
     images = [expand_frobenius(m, lifted, poly, series, E) for m in basis.V]
     columns = cone_reduce(images, ech, basis)

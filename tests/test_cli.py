@@ -4,11 +4,16 @@ test-side dense reference expansion, and the error -> exit-code mapping."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dense_frobenius import use_in_pipeline
 
+import dworkzeta
 from dworkzeta.cli import main
 
 ELLIPTIC = {
@@ -256,3 +261,36 @@ def test_oracle_count_large_prime_exceeds_budget(tmp_path, capsys):
     code, out, err = run(capsys, ["oracle", "count", path, "--r", "1"])
     assert code == 13 and not out
     assert err.startswith("BudgetExceeded: "), err
+
+
+def run_within(seconds, argv):
+    """The CLI in a fresh interpreter; a run that outlasts `seconds` fails
+    the test with TimeoutExpired instead of holding it."""
+    src = str(Path(dworkzeta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "dworkzeta.cli", *argv],
+                          capture_output=True, text=True, timeout=seconds,
+                          env=env)
+
+
+TORIC_SIMPLEX = {"p": 7, "a": 1, "n": 2, "mode": "toric",
+                 "terms": [{"exp": [1, 0], "coeff": [1]},
+                           {"exp": [0, 1], "coeff": [1]},
+                           {"exp": [-1, -1], "coeff": [1]}]}
+
+
+@pytest.mark.parametrize("data, command, what", [
+    # v * p congruence solutions
+    (dict(ELLIPTIC, a=1), ["compute"], "congruence solutions"),
+    # a simplex has one solution per target, but p*E series coefficients
+    (TORIC_SIMPLEX, ["compute"], "splitting coefficients"),
+    # the Conway search over p^2 candidates, before either command's own check
+    (dict(ELLIPTIC, a=2), ["compute"], "Conway search"),
+    (dict(ELLIPTIC, a=2), ["oracle", "count"], "Conway search"),
+], ids=["compute-a1", "compute-simplex", "compute-a2", "oracle-count-a2"])
+def test_large_prime_refused_by_budget_at_once(tmp_path, data, command, what):
+    path = write_input(tmp_path, dict(data, p=2 ** 61 - 1))
+    proc = run_within(5, [*command, path])
+    assert proc.returncode == 13 and not proc.stdout, proc.stderr
+    assert proc.stderr.startswith("BudgetExceeded: "), proc.stderr
+    assert what in proc.stderr, proc.stderr

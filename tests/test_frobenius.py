@@ -6,8 +6,10 @@ and, where the dense product is too slow, with the per-term reference
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import mul
 
 import pytest
 
@@ -16,7 +18,7 @@ from dense_frobenius import expand_frobenius_dense
 from fewnomial_reference import expand_frobenius_per_term
 from splitting_oracle import ell_fraction
 
-from dworkzeta import Problem, gf, pipeline
+from dworkzeta import Problem, frobenius, gf, pipeline
 from dworkzeta.frobenius import (
     expand_frobenius,
     solve_congruence,
@@ -189,37 +191,72 @@ def elliptic_problem(p, aa, bb, a=1, hbar=(0, 1)):
                           ((0, 2), minus_one)])
 
 
-@pytest.mark.parametrize("prob", [
+def group_sizes(target, lifted, series):
+    """The largest image class and the largest group among the solutions of
+    one target: a group is the solutions of one class whose residues share
+    their column profile (gain and step lists) in every slot."""
+    p = lifted.ring.p
+    _, _, profiles = frobenius._columns(p, series)
+    U = frobenius._support_matrix(lifted)
+    shift = (target[0],) + target[1]
+    classes, groups = Counter(), Counter()
+    for k in solve_congruence(U, [-t % p for t in shift], p):
+        image = tuple((sum(map(mul, row, k)) + t) // p
+                      for row, t in zip(U, shift))
+        classes[image] += 1
+        groups[image, tuple(profiles[kj] for kj in k)] += 1
+    return max(classes.values(), default=0), max(groups.values(), default=0)
+
+
+@pytest.mark.parametrize("prob, grouping", [
     # p in the hundreds: about p solutions in 10 image classes per target
-    elliptic_problem(13, (2,), (6,)),
-    elliptic_problem(101, (1,), (1,)),
-    elliptic_problem(271, (1,), (1,)),
+    (elliptic_problem(13, (2,), (6,)), None),
+    (elliptic_problem(101, (1,), (1,)), None),
+    (elliptic_problem(271, (1,), (1,)), None),
+    # groups of 34 members
+    (elliptic_problem(101, (3,), (7,)), "vectors"),
+    # classes of two members, split into one-member groups by the
+    # denominators of the series
+    (elliptic_problem(7, (2,), (1,)), "split"),
     # a = 2, over F_25 = F_5[t]/(t^2 + 4t + 2)
-    elliptic_problem(5, (1, 1), (0, 1), a=2, hbar=(2, 4, 1)),
+    (elliptic_problem(5, (1, 1), (0, 1), a=2, hbar=(2, 4, 1)), None),
+    # a = 2 with groups of up to 4 members, over F_289
+    (elliptic_problem(17, (2, 1), (1, 1), a=2,
+                      hbar=tuple(gf.conway_polynomial(17, 2))), "vectors"),
     # genus 2, y^2 = x^5 + 3x + 1
-    Problem(p=7, a=1, hbar=(0, 1), n=2, mode="affine",
-            terms=[((5, 0), (1,)), ((1, 0), (3,)), ((0, 0), (1,)),
-                   ((0, 2), (6,))]),
+    (Problem(p=7, a=1, hbar=(0, 1), n=2, mode="affine",
+             terms=[((5, 0), (1,)), ((1, 0), (3,)), ((0, 0), (1,)),
+                    ((0, 2), (6,))]), None),
     # one solution per target: every class a singleton
-    Problem(p=7, a=1, hbar=(0, 1), n=3, mode="projective",
-            terms=[((4, 0, 0), (1,)), ((0, 4, 0), (2,)), ((0, 0, 4), (3,))]),
-    Problem(p=3, a=1, hbar=(0, 1), n=2, mode="toric",
-            terms=[((1, 0), (1,)), ((0, 1), (1,)), ((-1, -1), (1,)),
-                   ((0, 0), (1,))], confine=True),
-], ids=["elliptic-p13", "elliptic-p101", "elliptic-p271", "elliptic-F25",
-        "genus2-p7", "proj-quartic-p7", "torus-p3-confined"])
-def test_class_expansion_equals_per_term_reference(monkeypatch, prob):
+    (Problem(p=7, a=1, hbar=(0, 1), n=3, mode="projective",
+             terms=[((4, 0, 0), (1,)), ((0, 4, 0), (2,)),
+                    ((0, 0, 4), (3,))]), None),
+    (Problem(p=3, a=1, hbar=(0, 1), n=2, mode="toric",
+             terms=[((1, 0), (1,)), ((0, 1), (1,)), ((-1, -1), (1,)),
+                    ((0, 0), (1,))], confine=True), None),
+], ids=["elliptic-p13", "elliptic-p101", "elliptic-p271",
+        "elliptic-p101-groups", "elliptic-p7-split", "elliptic-F25",
+        "elliptic-F289-groups", "genus2-p7", "proj-quartic-p7",
+        "torus-p3-confined"])
+def test_class_expansion_equals_per_term_reference(monkeypatch, prob,
+                                                   grouping):
     """Every basis monomial's image, in the pipeline's own setting, equals
     the per-term reference's."""
-    targets = []
+    sizes = []
 
     def checked(target, lifted, poly, series, E):
         got = expand_frobenius(target, lifted, poly, series, E)
         want = expand_frobenius_per_term(target, lifted, poly, series, E)
         assert got.terms == want.terms, target
-        targets.append(target)
+        sizes.append(group_sizes(target, lifted, series))
         return got
 
     monkeypatch.setattr(pipeline, "expand_frobenius", checked)
     pipeline.compute_zeta(prob)
-    assert targets
+    assert sizes
+    largest_class = max(c for c, _ in sizes)
+    largest_group = max(g for _, g in sizes)
+    if grouping == "vectors":
+        assert largest_group >= 2, sizes
+    elif grouping == "split":
+        assert largest_class >= 2 and largest_group == 1, sizes
