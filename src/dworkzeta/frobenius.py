@@ -44,11 +44,14 @@ A group is the solutions of one class whose residues have the same profile
 in every slot.  Its members see the same cuts, nets and e, so the walk runs
 once per group, and only the numerators differ: the numerator product X_k
 of each member.  A group of one member, the rule at small p (every group
-of the small-p benchmark), carries X as a plain int.  A larger group, the
-rule at large p (at p = 271 each of a target's 5 classes is one group, of
-up to 90 members), carries the vector of its members' X_k, and an
-extension is one map(mul, ...) against their ell numerators.  The last
-support point finishes the terms: a term of net p-power final adds
+of the small-p benchmark), carries X as a plain int.  Carried as a vector
+of one, it cost the small-p benchmark 8.5% of problems_per_s (lower in 10
+of 10 pairs) and 3.9% of solve_s.p50 (higher in 8 of 10; BENCH_20.json,
+vector_only_small_p).  A larger group, the rule at large p (at p = 271
+each of a target's 5 classes is one group, of up to 90 members), carries
+the vector of its members' X_k, and an extension is one map(mul, ...)
+against their ell numerators.  The last support point finishes the
+terms: a term of net p-power final adds
 
     p^final * sum_k (X_k mod p^(N_work - final)) * (-1)^bw sigma^{-1}(a^k)
 
@@ -64,12 +67,14 @@ class sum has at most one element-times-integer term per solution k, so at
 most p^(s - rank U) terms; a monomial sum has at most one product per
 (class, e) pair; both counts are far below 2^64 - 1.
 
-Two LRU caches hold what the expansions of one input share.  The columns of
-all p residues, their numerators and profile ids depend only on p and the
-series, so they are keyed by both; one entry is kept.  Per lifted input
-(ring, coefficients, support, slot width), for the last POWER_TABLE_SIZE
-inputs, the power table holds sigma^{-1}(a_j)^c for c < p, one incremental
-list per slot, and (|e|, (-1)^|e| a^e, e.nu) per distinct e.  e is packed
+Two caches hold what the expansions share.  The column tables of the last
+series read hold the column, numerators and profile id of each residue
+that an expansion has read, built when it is first read; the expansions of
+a solve, and of the next solve at the same p, N_work and E, all read one
+series.  An LRU cache holds the power table of each of the last
+POWER_TABLE_SIZE lifted inputs (ring, coefficients, support, slot width):
+sigma^{-1}(a_j)^c for c < p, one incremental list per slot, and (|e|,
+(-1)^|e| a^e, e.nu) per distinct e.  e is packed
 into one int, e_j in a slot of E.bit_length() bits, the last support point
 in the lowest slot; each entry is built from e minus one in its lowest
 nonzero slot, with one mul.
@@ -82,7 +87,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product, repeat
+from itertools import accumulate, count, product, repeat
 from math import ceil
 from operator import add, mod, mul, sub
 from typing import Dict, List, Sequence, Tuple
@@ -176,31 +181,36 @@ def splitting_for(ring: RingContext, E: int) -> SplittingSeries:
     return compute_splitting(ring.p, ring.N, ring.p * E)
 
 
-# (gain, step, ell numerator, e_j) for e_j = 0, 1, ...; see the docstring.
+# (gain, step, ell numerator, e_j) for e_j = 0, 1, ..., E-1; see the
+# module docstring.
 Column = List[Tuple[int, int, int, int]]
 
 
 # The expansions of one solve read one series, and so does the next solve at
-# the same p, N_work and E.  An entry keeps its series and p*E column entries
-# alive, so only the last is kept.
-@lru_cache(maxsize=1)
-def _columns(p: int, series: SplittingSeries
-             ) -> Tuple[List[Column], List[Tuple[int, ...]], List[int]]:
-    """The column of each residue c < p, the ell numerators of each column,
-    and each residue's profile: an id that residues with equal gains and
-    steps share."""
-    bounds = [d_bound(p, i) for i in range(len(series))]
-    columns, ells, profiles = [], [], []
-    ids: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    for c in range(p):
-        denom_exps, numers = zip(*series[c::p])
-        ej = range(len(numers))
-        gains = tuple(map(sub, ej, bounds[c::p]))
-        steps = tuple(map(sub, ej, denom_exps))
-        columns.append(list(zip(gains, steps, numers, ej)))
-        ells.append(numers)
-        profiles.append(ids.setdefault((gains, steps), len(ids)))
-    return columns, ells, profiles
+# the same p, N_work and E: the last series read, with its tables.  A series
+# is matched by identity, then by equality, never hashed: hashing it cost
+# about 30 us per expansion at p = 271, a seventh of the expansions of a
+# one-solution input there.
+_last_tables: tuple = (0, (), None)
+
+
+def _column_tables(p: int, series: SplittingSeries):
+    """The tables that expand_frobenius fills for the residues c < p it
+    reads: the column of c, its ell numerators and its profile id (residues
+    with equal gains and steps share one), plus the ids given out so far and
+    a counter for new ones; empty for a series not seen last.  Threads may
+    fill the tables at once: every write for c stores the same value, and
+    next() hands out distinct ids."""
+    global _last_tables
+    last_p, last_series, tables = _last_tables
+    if p != last_p or (series is not last_series and series != last_series):
+        columns: Dict[int, Column] = {}
+        ells: Dict[int, Tuple[int, ...]] = {}
+        profiles: Dict[int, int] = {}
+        ids: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+        tables = (columns, ells, profiles, ids, count())
+    _last_tables = (p, series, tables)
+    return tables
 
 
 # The expansions of one lifted input run one after another, so a few power
@@ -250,7 +260,6 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
     shift = (d,) + mu
     U = _support_matrix(lifted)
     width = E.bit_length()
-    columns, ells, profiles = _columns(p, series)
     powers, steps, sigma_powers = _power_table(ring, lifted.coeffs,
                                                lifted.support, width)
 
@@ -264,6 +273,15 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                 raise PrecisionOrLogicError(
                     f"congruence solution {k} fails divisibility by p")
         image.append([c // p for c in coord])
+    columns, ells, profiles, ids, new_id = _column_tables(p, series)
+    ejs = range(E)
+    # profiles[c] is written last: a residue in profiles is complete.
+    for c in set().union(*solutions).difference(profiles):
+        denom_exps, ells[c] = zip(*series[c::p])
+        gains = tuple([ej - d_bound(p, c + p * ej) for ej in ejs])
+        net_steps = tuple(map(sub, ejs, denom_exps))
+        columns[c] = list(zip(gains, net_steps, ells[c], ejs))
+        profiles[c] = ids.setdefault((gains, net_steps), next(new_id))
     # The groups: the solutions of one image class (bw, *base_x) whose
     # residues have the same profile in every slot, in order of appearance.
     groups: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]],

@@ -208,17 +208,27 @@ def conway_polynomial(p: int, m: int) -> Poly:
 
     the word-order-minimal monic primitive polynomial of degree m over F_p
     compatible with all proper subfields, i.e. C_{p,k}(x^((p^m-1)/(p^k-1)))
-    vanishes modulo the candidate for every proper divisor k of m.  A search
-    over more than DEFAULT_BUDGET candidates raises BudgetExceeded.
+    vanishes modulo the candidate for every proper divisor k of m.
+
+    The search stops at the first such candidate and raises BudgetExceeded
+    once it has tried more than DEFAULT_BUDGET.  For m > 1 compatibility with
+    C_{p,1} fixes the constant term, which varies fastest in the word order,
+    so every value of the higher words that fails costs p candidates; a p
+    above DEFAULT_BUDGET is refused before the search starts.
     """
-    if p ** m > DEFAULT_BUDGET:
+    if m > 1 and p > DEFAULT_BUDGET:
         raise BudgetExceeded(
-            f"the Conway search over p^m = {p}^{m} candidates exceeds the "
-            f"budget of {DEFAULT_BUDGET}")
+            f"the Conway search over degree-{m} polynomials mod p tries up to "
+            f"p candidates per higher word, more than the budget of "
+            f"{DEFAULT_BUDGET}")
     order_factors = factorize(p ** m - 1)
     subs = [(k, conway_polynomial(p, k)) for k in range(1, m) if m % k == 0]
     x: Poly = (0, 1)
-    for f in _conway_candidates(p, m):
+    for tried, f in enumerate(_conway_candidates(p, m), 1):
+        if tried > DEFAULT_BUDGET:
+            raise BudgetExceeded(
+                f"the Conway search for p = {p}, m = {m} tried more than the "
+                f"budget of {DEFAULT_BUDGET} candidates")
         if not is_irreducible(f, p):
             continue
         if not is_primitive(x, f, p, order_factors):

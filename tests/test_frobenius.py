@@ -28,6 +28,7 @@ from dworkzeta.frobenius import (
 from dworkzeta.jacobian import lift_input
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.polytope import hull
+from dworkzeta.splitting import d_bound
 
 
 def ring(p, a, n):
@@ -196,7 +197,13 @@ def group_sizes(target, lifted, series):
     one target: a group is the solutions of one class whose residues share
     their column profile (gain and step lists) in every slot."""
     p = lifted.ring.p
-    _, _, profiles = frobenius._columns(p, series)
+    E = len(series) // p
+
+    def profile(c):
+        return tuple((e - d_bound(p, c + p * e), e - series[c + p * e][0])
+                     for e in range(E))
+
+    profiles = [profile(c) for c in range(p)]
     U = frobenius._support_matrix(lifted)
     shift = (target[0],) + target[1]
     classes, groups = Counter(), Counter()

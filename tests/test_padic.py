@@ -12,7 +12,7 @@ import pytest
 from ring_helpers import TupleRing, from_coords, from_int, valuation
 
 from dworkzeta import gf
-from dworkzeta.errors import InvalidFieldSpec
+from dworkzeta.errors import DEFAULT_BUDGET, BudgetExceeded, InvalidFieldSpec
 from dworkzeta.padic import (HEADROOM_BITS, FieldSpec, check_characteristic,
                              make_ring)
 
@@ -262,6 +262,28 @@ def test_conway_polynomials_known_values():
     assert gf.conway_polynomial(3, 2) == (2, 2, 1)       # x^2 + 2x + 2
     assert gf.conway_polynomial(5, 2) == (2, 4, 1)       # x^2 + 4x + 2
     assert gf.conway_polynomial(7, 2) == (3, 6, 1)       # x^2 + 6x + 3
+
+
+def test_conway_search_budget_counts_candidates_tried(monkeypatch):
+    # C_{7,2} = x^2 + 6x + 3 is the word (1, 3), the 11th candidate tried.
+    search = gf.conway_polynomial.__wrapped__
+    monkeypatch.setattr(gf, "DEFAULT_BUDGET", 11)
+    assert search(7, 2) == (3, 6, 1)
+    monkeypatch.setattr(gf, "DEFAULT_BUDGET", 10)
+    with pytest.raises(BudgetExceeded):
+        search(7, 2)
+
+
+def test_conway_search_past_budget_p_squared():
+    # p^2 exceeds DEFAULT_BUDGET, but the search ends after p + 4
+    # candidates: the word (1, 3), with 3 = C_{p,1}'s root (the norm of x).
+    p = 10039
+    assert p ** 2 > DEFAULT_BUDGET
+    assert gf.conway_polynomial(p, 1) == (p - 3, 1)     # x - 3
+    assert gf.conway_polynomial(p, 2) == (3, p - 1, 1)  # x^2 - x + 3
+    # A p above the budget is refused before any candidate is tried.
+    with pytest.raises(BudgetExceeded):
+        gf.conway_polynomial(2 ** 61 - 1, 2)
 
 
 @pytest.mark.parametrize("search", [gf.smallest_irreducible,
