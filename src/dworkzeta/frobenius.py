@@ -39,6 +39,11 @@ gamma those of truncation_bound.  ell_{k_j+p*e_j} and its bound are read
 from the column of the residue k_j: for e_j = 0, 1, ..., E-1 the gain
 e_j - d(p, k_j + p*e_j), the step e_j - (denominator exponent of the ell),
 and the ell numerator.  The gains and steps of a column are its profile.
+Before the last support point a choice is also dropped once net + step >=
+N_work.  Every step is >= 0: it is at least the gain, since compute_splitting
+keeps each denominator exponent within d, and d(p, k + p*e) <= e for k < p
+and p >= 3.  So every completion of such a term ends at a net p-power >=
+N_work, and the last support point would drop it anyway.
 
 A group is the solutions of one class whose residues have the same profile
 in every slot.  Its members see the same cuts, nets and e, so the walk runs
@@ -328,6 +333,8 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                 for gain, step, ell, ej in col:
                     if gain >= room:
                         break
+                    if step >= room:
+                        continue
                     extended.append((net + step, list(map(mul, numer, ell))
                                      if vector else numer * ell, packed + ej))
             terms = extended

@@ -189,17 +189,21 @@ def smallest_irreducible(p: int, m: int) -> Poly:
     raise InvalidFieldSpec(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
-def _conway_candidates(p: int, m: int) -> Iterator[Poly]:
-    """Monic degree-m polynomials in the Conway word order.
+def _conway_candidates(p: int, m: int, a0s) -> Iterator[Poly]:
+    """Monic degree-m polynomials whose word ends in a value of a0s, in the
+    Conway word order.
 
     A candidate x^m + c_{m-1}x^{m-1} + ... + c_0 is identified with the word
     (a_{m-1}, ..., a_0) where a_i = (-1)^(m-i) c_i mod p; candidates are
-    enumerated in ascending lexicographic word order, which is the order in
-    which _monic_polys enumerates (a_0, ..., a_{m-1}).
+    enumerated in ascending lexicographic word order, in which a_0 varies
+    fastest: the higher words (a_{m-1}, ..., a_1) come in the order in which
+    _monic_polys enumerates (a_1, ..., a_{m-1}).
     """
-    for word in _monic_polys(p, m):
-        yield tuple((-1) ** (m - i) * ai % p
-                    for i, ai in enumerate(word[:-1])) + (1,)
+    for high in _monic_polys(p, m - 1):
+        for a0 in a0s:
+            word = (a0,) + high[:-1]
+            yield tuple((-1) ** (m - i) * ai % p
+                        for i, ai in enumerate(word)) + (1,)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -210,21 +214,25 @@ def conway_polynomial(p: int, m: int) -> Poly:
     compatible with all proper subfields, i.e. C_{p,k}(x^((p^m-1)/(p^k-1)))
     vanishes modulo the candidate for every proper divisor k of m.
 
-    The search stops at the first such candidate and raises BudgetExceeded
-    once it has tried more than DEFAULT_BUDGET.  For m > 1 compatibility with
-    C_{p,1} fixes the constant term, which varies fastest in the word order,
-    so every value of the higher words that fails costs p candidates; a p
-    above DEFAULT_BUDGET is refused before the search starts.
+    For m > 1 compatibility with C_{p,1} = x - r fixes the constant term:
+    x^((p^m-1)/(p-1)) is the norm of x, (-1)^m c_0 = a_0, so it must be r.
+    Only the candidates with a_0 = r are tried, one per higher word.  The
+    search stops at the first candidate that passes and raises
+    BudgetExceeded once it has tried more than DEFAULT_BUDGET.  For m > 1
+    a p above DEFAULT_BUDGET is refused before the search starts: the
+    trial division that factors p^m - 1 may take p^(m/2) steps.
     """
     if m > 1 and p > DEFAULT_BUDGET:
         raise BudgetExceeded(
-            f"the Conway search over degree-{m} polynomials mod p tries up to "
-            f"p candidates per higher word, more than the budget of "
-            f"{DEFAULT_BUDGET}")
+            f"the Conway search over degree-{m} polynomials mod p factors "
+            f"p^{m} - 1 by trial division, up to p^({m}/2) steps, more than "
+            f"the budget of {DEFAULT_BUDGET}")
     order_factors = factorize(p ** m - 1)
     subs = [(k, conway_polynomial(p, k)) for k in range(1, m) if m % k == 0]
+    # For m > 1, a_0 is the root r of C_{p,1} = subs[0][1] (docstring).
+    a0s = range(p) if m == 1 else (-subs[0][1][0] % p,)
     x: Poly = (0, 1)
-    for tried, f in enumerate(_conway_candidates(p, m), 1):
+    for tried, f in enumerate(_conway_candidates(p, m, a0s), 1):
         if tried > DEFAULT_BUDGET:
             raise BudgetExceeded(
                 f"the Conway search for p = {p}, m = {m} tried more than the "

@@ -9,6 +9,20 @@ degree d-1.  Row-reducing the coefficient matrix J_d to M_d, with unit
 pivots, yields both the reduction machinery and, through the non-pivot
 columns, the basis V.
 
+The pivot rule.  _row_reduce scans the columns from the largest monomial
+down, and column j takes as its pivot the unused row with a unit entry there
+and the fewest entries, ties to the lowest index: the row operations copy
+the pivot row into every other row holding j, so sparse pivots keep the fill
+and the compiled operators small.  The choice changes neither V nor the
+Frobenius matrix.  R is local, so column j gets a pivot exactly when some
+relation that vanishes on the earlier pivot columns is a unit at j, a
+property of the row module rather than of the rows chosen: the pivot columns,
+and V, are fixed.  So are the column entries of each pivot row: of the
+column parts of the row module, only one is 1 at its pivot and 0 at the
+other pivot columns.  Only the image blocks depend on the choice, through the relations
+among the rows, whose images vanish in the quotient; and the quotient is free
+on V, so a class has one set of coordinates whichever operators reduce it.
+
 Each relation row has at most as many nonzero entries as its generator has
 terms, so rows are kept sparse ({key: entry}) throughout:
 echelon_of_degree builds every row of J_d once, directly as the sparse row
@@ -18,9 +32,11 @@ kept.
 Rows carry their images.  In the quotient m * (pi*w) f_g is congruent to
 -e_g(m) m, one degree lower (reduction module docstring), and e_g is linear
 in the monomial.  So the row of generator g and cofactor mr carries, beside
-its column entries J_i, an image block: the key (mr, 0) with entry
--e_g(mr) and the key (mr, s) with entry 1, s the slot of g in
-generator_indices (from 1).  The row reduction treats the block like the
+its column entries J_i, an image block: the key of (mr, 0) with entry
+-e_g(mr) and the key of (mr, s) with entry 1, s the slot of g in
+generator_indices (from 1).  Keys are plain ints: the columns are 0..ncols-1
+and (mr, s) is ncols + width * c + s, for mr the c-th cofactor and width =
+len(generator_indices) + 1.  The row reduction treats the block like the
 other entries, so reduced row r is sum_i T[r][i] (row i) for a transform T
 that is never formed.  If row r is the pivot row of column c_j, its column
 entries say c_j = sum_i T[r][i] J_i - sum_{k != j} M[r][k] c_k, each c_k a
@@ -64,7 +80,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .cone_algebra import ConeMonomial
 from .errors import InvalidInput, NondegeneracyFailure, PrecisionOrLogicError
@@ -74,8 +90,9 @@ from .polytope import LatticePolytope, lattice_points, normalized_volume
 MODES = ("toric", "affine", "projective")
 
 # A sparse matrix row: key -> nonzero ring element.  A key is a column index
-# or, in the image block of a relation row, (mr, slot) (module docstring).
-SparseRow = Dict[Union[int, Tuple[ConeMonomial, int]], RingElement]
+# or, past the columns, the key of an image entry (mr, slot) (module
+# docstring).
+SparseRow = Dict[int, RingElement]
 # A column's reduction operator (module docstring): the residual
 # [(V index, coefficient)] and the image [(mr, alpha, [beta_g])].
 Operator = Tuple[List[Tuple[int, RingElement]],
@@ -254,14 +271,20 @@ class DegreeEchelon:
     """Relation matrix of one weight degree, row-reduced, each row with its
     image block (module docstring).
 
-    Rows are sparse: M[i] maps a column index, or an image key (mr, slot), to
-    a nonzero entry.  pivot_rows maps each pivot column to its row of M, in
-    the order the pivots were found; a pivot entry is 1 and its column has no
-    other nonzero entry.
+    Rows are sparse: M[i] maps a column index, or the key ncols + width * c +
+    slot of an image entry (cofactors[c], slot), to a nonzero entry.  The rows
+    stay in the order they were built.  pivot_rows maps each pivot column to
+    its row of M, in the order the pivots were found; a pivot entry is 1 and
+    its column has no other nonzero entry.  Each pivot row is the sparsest
+    unused row with a unit entry in its column when that column is reached;
+    another choice gives other image blocks, but the same pivot columns, the
+    same column entries and so the same V and Frobenius matrix (module
+    docstring).
     """
 
     columns: List[ConeMonomial]
     col_index: Dict[ConeMonomial, int]
+    cofactors: Sequence[ConeMonomial]
     M: List[SparseRow]
     pivot_rows: Dict[int, int]
 
@@ -299,69 +322,65 @@ class MonomialBasis:
         return len(self.V)
 
 
-def _combine(ring: RingContext, dst: SparseRow, c: RingElement,
-             src: SparseRow) -> None:
-    """dst[k] += c * src[k] for every k in src, in place.
-
-    Ring elements are canonical, so an entry is zero exactly when it equals
-    ring.zero; such entries are dropped.
-    """
-    zero, muladd, get = ring.zero, ring.muladd, dst.get
-    for k, b in src.items():
-        x = muladd(c, b, get(k, zero))
-        if x != zero:
-            dst[k] = x
-        else:
-            dst.pop(k, None)
-
-
 def _row_reduce(ring: RingContext, rows: List[SparseRow], ncols: int,
                 degree: int) -> List[Tuple[int, int]]:
     """In-place reduced row echelon form with unit pivots on the columns
-    0..ncols-1; returns the (row, column) pivots in the order found.
+    0..ncols-1; returns the (row, column) pivots in the order found.  Rows
+    keep their places.
 
-    rows are sparse; keys other than the columns are carried along by every
-    row operation.  Entries that cancel are dropped.
+    rows are sparse; keys from ncols on are carried along by every row
+    operation.  Entries that cancel are dropped.
+
+    Columns are scanned from the largest monomial down, so that the free
+    (non-pivot) columns, which become the quotient basis, are the smallest
+    monomials.  The pivot of column j is the unused row with a unit entry
+    there and the fewest entries, ties to the lowest index (module
+    docstring).  holders[j], the rows with a nonzero entry in column j, is
+    kept up to date by the row operations, so no pivot scans every row.
 
     R is local: a column whose remaining entries are nonzero but all divisible
     by p admits no unit pivot, which is exactly the degeneracy signal.
     """
-    mul = ring.mul
-    nrows = len(rows)
+    zero, mul, muladd, is_unit = ring.zero, ring.mul, ring.muladd, ring.is_unit
+    holders: List[Set[int]] = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for k in row:
+            if k < ncols:
+                holders[k].add(i)
+    used: Set[int] = set()
     pivots: List[Tuple[int, int]] = []
-    r = 0
-    # Scan columns from the largest monomial down so that the free (non-pivot)
-    # columns, which become the quotient basis, are the smallest monomials.
-    # The first unit entry at or below row r is the pivot.
     for j in range(ncols - 1, -1, -1):
-        unit_row = None
-        saw_nonzero = False
-        for i in range(r, nrows):
-            e = rows[i].get(j)
-            if e is not None:
-                saw_nonzero = True
-                if ring.is_unit(e):
-                    unit_row = i
-                    break
-        if unit_row is None:
-            if saw_nonzero:
-                raise NondegeneracyFailure(
-                    f"relation matrix in degree {degree}: column {j} has only "
-                    "p-divisible entries left, so no unit pivot exists; the "
-                    "input fails the face-wise nondegeneracy condition at the "
-                    "working precision")
+        free = holders[j] - used
+        if not free:
             continue
-        rows[r], rows[unit_row] = rows[unit_row], rows[r]
+        units = [i for i in free if is_unit(rows[i][j])]
+        if not units:
+            raise NondegeneracyFailure(
+                f"relation matrix in degree {degree}: column {j} has only "
+                "p-divisible entries left, so no unit pivot exists; the "
+                "input fails the face-wise nondegeneracy condition at the "
+                "working precision")
+        r = min(units, key=lambda i: (len(rows[i]), i))
         inv = ring.inv(rows[r][j])
         prow = rows[r] = {k: mul(inv, e) for k, e in rows[r].items()}
-        for i in range(nrows):
-            if i == r:
-                continue
-            c = rows[i].get(j)
-            if c is not None:
-                _combine(ring, rows[i], ring.neg(c), prow)
+        for i in holders[j] - {r}:
+            row = rows[i]
+            c = ring.neg(row[j])
+            get = row.get
+            for k, b in prow.items():
+                old = get(k)
+                x = mul(c, b) if old is None else muladd(c, b, old)
+                if x != zero:
+                    row[k] = x
+                    if old is None and k < ncols:
+                        holders[k].add(i)
+                elif old is not None:
+                    del row[k]
+                    if k < ncols:
+                        holders[k].discard(i)
+        holders[j] = {r}
+        used.add(r)
         pivots.append((r, j))
-        r += 1
     return pivots
 
 
@@ -378,10 +397,11 @@ def echelon_of_degree(lifted: LiftedInput, d: int,
     ring = lifted.ring
     columns = [m for m in layer if lifted.cofactor_allowed(0, m)]
     col_index = {m: k for k, m in enumerate(columns)}
+    ncols, width = len(columns), len(lifted.generator_indices) + 1
     M: List[SparseRow] = []
     for s, gi in enumerate(lifted.generator_indices, 1):
         terms = lifted.generator(gi)
-        for m in cofactors:
+        for ci, m in enumerate(cofactors):
             if not lifted.cofactor_allowed(gi, m):
                 continue
             mu = m[1]
@@ -393,13 +413,15 @@ def echelon_of_degree(lifted: LiftedInput, d: int,
                         f"relation row {m} * generator {gi} leaves the "
                         f"restricted monomial span in degree {d}")
                 row[j] = c
+            key = ncols + ci * width
             alpha = ring.smul(-lifted.var_exponent(gi, m), ring.one)
             if not ring.is_zero(alpha):
-                row[(m, 0)] = alpha
-            row[(m, s)] = ring.one
+                row[key] = alpha
+            row[key + s] = ring.one
             M.append(row)
-    pivots = _row_reduce(ring, M, len(columns), d)
-    return DegreeEchelon(columns=columns, col_index=col_index, M=M,
+    pivots = _row_reduce(ring, M, ncols, d)
+    return DegreeEchelon(columns=columns, col_index=col_index,
+                         cofactors=cofactors, M=M,
                          pivot_rows={j: r for r, j in pivots})
 
 
@@ -427,20 +449,21 @@ def compile_column(lifted: LiftedInput, de: DegreeEchelon, j: int,
     if r is None:
         return [(index_in_V(j), ring.one)], []
     residual = []
-    width = len(lifted.generator_indices) + 1
-    # mr -> [alpha, beta_g for g in generator_indices]
-    image: Dict[ConeMonomial, List[RingElement]] = {}
+    ncols, width = len(de.columns), len(lifted.generator_indices) + 1
+    # cofactor index -> [alpha, beta_g for g in generator_indices]
+    image: Dict[int, List[RingElement]] = {}
     for k, c in de.M[r].items():
-        if isinstance(k, int):
+        if k < ncols:
             if k != j:
                 residual.append((index_in_V(k), ring.neg(c)))
             continue
-        mr, s = k
-        acc = image.get(mr)
+        ci, s = divmod(k - ncols, width)
+        acc = image.get(ci)
         if acc is None:
-            acc = image[mr] = [ring.zero] * width
+            acc = image[ci] = [ring.zero] * width
         acc[s] = c
-    return residual, [(mr, acc[0], acc[1:]) for mr, acc in image.items()]
+    return residual, [(de.cofactors[ci], acc[0], acc[1:])
+                      for ci, acc in image.items()]
 
 
 def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int

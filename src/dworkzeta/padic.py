@@ -219,8 +219,12 @@ class RingContext:
         return not x
 
     def is_unit(self, x: RingElement) -> bool:
+        """Is some coordinate of x prime to p?"""
         p = self.p
-        return any(d % p for d in self._digits(x))
+        if self.a == 1:
+            return x % p != 0
+        mask = self._mask
+        return any((x >> s & mask) % p for s in self._shifts)
 
     def inv(self, u: RingElement) -> RingElement:
         """Inverse of a unit; see the module docstring."""

@@ -6,13 +6,19 @@ build_jacobian keeps only the compiled operators; echelons row-reduces the
 same relation rows again, through the same jacobian.echelon_of_degree, and
 splits each reduced row into its column entries M and the transform T that
 its image block records, so a test can read M, T, row_meta and
-pivot_rows."""
+pivot_rows.
+
+first_unit_row_reduce is another valid pivot rule, the first unused row
+with a unit entry: it picks other pivot rows than jacobian._row_reduce, so
+it shows that the choice changes the operators but not what they
+compute."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from dworkzeta.errors import NondegeneracyFailure
 from dworkzeta.jacobian import DegreeEchelon, echelon_of_degree
 from dworkzeta.polytope import lattice_points
 
@@ -44,21 +50,30 @@ def row_meta(lifted, cofactors):
             if lifted.cofactor_allowed(g, m)]
 
 
+def image_keys(lifted, de, meta):
+    """The key of the image entry (cofactor, slot of the generator) of each
+    relation row described by meta, in the rows of the DegreeEchelon de."""
+    ncols, width = len(de.columns), len(lifted.generator_indices) + 1
+    slot = {g: s for s, g in enumerate(lifted.generator_indices, 1)}
+    index = {m: c for c, m in enumerate(de.cofactors)}
+    return [ncols + width * index[mr] + slot[g] for g, mr in meta]
+
+
 def echelons(lifted, poly, top):
     """Degree -> ReferenceEchelon for degrees 0..top, as build_jacobian
     row-reduces them before compiling."""
     def layer(d):
         return [(d, mu) for mu in lattice_points(poly, d)] if d >= 0 else []
 
-    slot = {g: s for s, g in enumerate(lifted.generator_indices, 1)}
     out = {}
     for d in range(top + 1):
         de = echelon_of_degree(lifted, d, layer(d - 1), layer(d))
         meta = row_meta(lifted, layer(d - 1))
-        M = [{k: c for k, c in row.items() if isinstance(k, int)}
+        ncols = len(de.columns)
+        M = [{k: c for k, c in row.items() if k < ncols} for row in de.M]
+        keys = image_keys(lifted, de, meta)
+        T = [{i: row[k] for i, k in enumerate(keys) if k in row}
              for row in de.M]
-        T = [{i: row[(mr, slot[g])] for i, (g, mr) in enumerate(meta)
-              if (mr, slot[g]) in row} for row in de.M]
         out[d] = ReferenceEchelon(de=de, columns=de.columns,
                                   col_index=de.col_index,
                                   pivot_rows=de.pivot_rows, row_meta=meta,
@@ -104,3 +119,44 @@ def _combine_vectors(ring, dst: Dict[int, Vector],
             vec = dst[k] = [zero] * width
         for i, x in coords:
             vec[i] = muladd(x, b, vec[i])
+
+
+def first_unit_row_reduce(ring, rows, ncols, degree):
+    """jacobian._row_reduce with the first-unit pivot rule: column j takes
+    the first unused row with a unit entry there, swapped up to the next
+    pivot position, and every other row holding j is found by a scan."""
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for j in range(ncols - 1, -1, -1):
+        unit_row = None
+        saw_nonzero = False
+        for i in range(r, nrows):
+            e = rows[i].get(j)
+            if e is not None:
+                saw_nonzero = True
+                if ring.is_unit(e):
+                    unit_row = i
+                    break
+        if unit_row is None:
+            if saw_nonzero:
+                raise NondegeneracyFailure(
+                    f"degree {degree}, column {j}: no unit pivot")
+            continue
+        rows[r], rows[unit_row] = rows[unit_row], rows[r]
+        inv = ring.inv(rows[r][j])
+        prow = rows[r] = {k: ring.mul(inv, e) for k, e in rows[r].items()}
+        for i in range(nrows):
+            c = rows[i].get(j)
+            if i == r or c is None:
+                continue
+            dst, c = rows[i], ring.neg(c)
+            for k, b in prow.items():
+                x = ring.muladd(c, b, dst.get(k, ring.zero))
+                if x != ring.zero:
+                    dst[k] = x
+                else:
+                    dst.pop(k, None)
+        pivots.append((r, j))
+        r += 1
+    return pivots

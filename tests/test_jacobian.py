@@ -1,7 +1,8 @@
 """Jacobian-module tests: lifting, echelon identities (the sparse echelon
 against a dense reference too, each degree row-reduced again through
-echelon_of_degree, the transform read from the rows' image blocks), and
-basis extraction on elliptic, Fermat-like, and projective fixtures."""
+echelon_of_degree, the transform read from the rows' image blocks), basis
+extraction on elliptic, Fermat-like, and projective fixtures, and the pivot
+row choice, which changes the operators but not the Frobenius matrix."""
 
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ from operator import add
 import pytest
 
 from cone_helpers import term_order_key
-from echelon_reference import echelons, solve
+from echelon_reference import echelons, first_unit_row_reduce, solve
 from ring_helpers import from_int
 
-from dworkzeta import gf
+from dworkzeta import gf, jacobian, pipeline
 from dworkzeta.errors import InvalidInput, NondegeneracyFailure
 from dworkzeta.jacobian import (
     _row_reduce,
@@ -24,7 +25,9 @@ from dworkzeta.jacobian import (
     lift_input,
 )
 from dworkzeta.padic import FieldSpec, make_ring
+from dworkzeta.pipeline import Problem, compute_zeta
 from dworkzeta.polytope import hull, normalized_volume
+from dworkzeta.reduction import reduce as cone_reduce
 
 
 def ring(p=7, a=1, n=5):
@@ -148,47 +151,34 @@ def densify(R, row, n):
 
 
 def dense_row_reduce(ring, rows, ncols, degree):
-    """Dense reference for _row_reduce: the same pivot rule on dense rows.
-
-    Returns (T, pivots) and reduces rows in place.
-    """
+    """Dense reference for _row_reduce: the same pivot rule on dense rows,
+    whose entries from ncols on are carried along.  Column j's pivot is the
+    unused row with a unit entry there and the fewest nonzero entries, ties
+    to the lowest index.  Reduces rows in place and returns the pivots."""
     nrows = len(rows)
-    T = [[ring.one if i == j else ring.zero for j in range(nrows)]
-         for i in range(nrows)]
+    used = set()
     pivots = []
-    r = 0
     for j in range(ncols - 1, -1, -1):
-        unit_row = None
-        saw_nonzero = False
-        for i in range(r, nrows):
-            e = rows[i][j]
-            if not ring.is_zero(e):
-                saw_nonzero = True
-                if ring.is_unit(e):
-                    unit_row = i
-                    break
-        if unit_row is None:
-            if saw_nonzero:
-                raise NondegeneracyFailure(
-                    f"degree {degree}, column {j}: no unit pivot")
+        free = [i for i in range(nrows)
+                if i not in used and not ring.is_zero(rows[i][j])]
+        if not free:
             continue
-        rows[r], rows[unit_row] = rows[unit_row], rows[r]
-        T[r], T[unit_row] = T[unit_row], T[r]
+        units = [i for i in free if ring.is_unit(rows[i][j])]
+        if not units:
+            raise NondegeneracyFailure(
+                f"degree {degree}, column {j}: no unit pivot")
+        r = min(units, key=lambda i: (
+            sum(not ring.is_zero(e) for e in rows[i]), i))
         inv = ring.inv(rows[r][j])
         rows[r] = [ring.mul(inv, e) for e in rows[r]]
-        T[r] = [ring.mul(inv, e) for e in T[r]]
-        prow, ptrow = rows[r], T[r]
         for i in range(nrows):
-            if i == r:
-                continue
             c = rows[i][j]
-            if ring.is_zero(c):
-                continue
-            rows[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(rows[i], prow)]
-            T[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(T[i], ptrow)]
+            if i != r and not ring.is_zero(c):
+                rows[i] = [ring.sub(a, ring.mul(c, b))
+                           for a, b in zip(rows[i], rows[r])]
+        used.add(r)
         pivots.append((r, j))
-        r += 1
-    return T, pivots
+    return pivots
 
 
 def test_echelon_identities():
@@ -206,13 +196,13 @@ def test_echelon_identities():
                 for row in rows:
                     assert all(0 <= k < width and not R.is_zero(c)
                                for k, c in row.items())
-            # the raw rows hold only column keys and image keys
-            # (cofactor, slot); M and T above are read from them
-            cofactors = {mr for _, mr in de.row_meta}
+            # the raw rows hold only column keys and image keys, one per
+            # (cofactor, slot) after the columns; M and T above are read
+            # from them
+            cofactors = de.de.cofactors
             for row in de.de.M:
                 assert all(not R.is_zero(c) for c in row.values())
-                assert all(isinstance(k, int) or (k[0] in cofactors
-                                                  and 0 <= k[1] <= gens)
+                assert all(0 <= k < ncols + (gens + 1) * len(cofactors)
                            for k in row)
             M = [densify(R, row, ncols) for row in de.M]
             T = [densify(R, row, nrows) for row in de.T]
@@ -231,13 +221,14 @@ def test_echelon_identities():
                         assert R.is_zero(M[i][j])
             # alpha(r, mr) = sum_g beta_g * (-e_g(mr)) in every row
             for r, row in enumerate(de.de.M):
-                for mr in cofactors:
+                for c, mr in enumerate(cofactors):
+                    key = ncols + (gens + 1) * c
                     acc = R.zero
                     for s, g in enumerate(lifted.generator_indices, 1):
-                        beta = row.get((mr, s), R.zero)
+                        beta = row.get(key + s, R.zero)
                         acc = R.add(acc, R.smul(-lifted.var_exponent(g, mr),
                                                 beta))
-                    assert row.get((mr, 0), R.zero) == acc, (mode, d, r, mr)
+                    assert row.get(key, R.zero) == acc, (mode, d, r, mr)
 
 
 def test_solve_splits_vector():
@@ -302,17 +293,87 @@ def test_nonpivot_columns_independent_of_row_order():
     (5, 2, [((3, 0), (1, 0)), ((1, 0), (1, 0)), ((0, 0), (0, 1)),
             ((0, 2), (4, 0))], "affine"),
 ])
-def test_sparse_row_reduce_matches_dense_reference(p, a, terms, mode):
+def test_sparse_row_reduce_matches_dense_reference(p, a, terms, mode,
+                                                   monkeypatch):
     R = ring(p, a, 6)
     lifted, poly, (ech, basis) = build(R, terms, mode)
     # build_jacobian appends each degree's non-pivot columns in ascending
     # order and does not sort V
     assert basis.V == sorted(basis.V, key=term_order_key)
+    given = []  # the rows of each degree as _row_reduce receives them
+
+    def row_reduce(ring, rows, ncols, degree):
+        given.append([dict(row) for row in rows])
+        return _row_reduce(ring, rows, ncols, degree)
+
+    monkeypatch.setattr(jacobian, "_row_reduce", row_reduce)
     for d, de in echelons(lifted, poly, ech.top).items():
         assert de.columns == ech.by_degree[d].columns, (mode, d)
-        nrows, ncols = len(de.row_meta), len(de.columns)
-        M = [densify(R, row, ncols) for row in relation_rows(lifted, de)]
-        T, dense_pivots = dense_row_reduce(R, M, ncols, d)
-        assert pivots(de) == dense_pivots, (mode, d)
-        assert [densify(R, row, ncols) for row in de.M] == M, (mode, d)
-        assert [densify(R, row, nrows) for row in de.T] == T, (mode, d)
+        ncols = len(de.columns)
+        # the rows handed over are J, each with its image block
+        assert [{k: c for k, c in row.items() if k < ncols}
+                for row in given[d]] == relation_rows(lifted, de), (mode, d)
+        width = ncols + (len(lifted.generator_indices) + 1) * len(
+            de.de.cofactors)
+        rows = [densify(R, row, width) for row in given[d]]
+        assert pivots(de) == dense_row_reduce(R, rows, ncols, d), (mode, d)
+        assert [densify(R, row, width) for row in de.de.M] == rows, (mode, d)
+
+
+def shuffled_row_reduce(seed):
+    """_row_reduce on the relation rows in a shuffled order, which moves
+    the ties of the pivot rule."""
+    rng = random.Random(seed)
+
+    def row_reduce(ring, rows, ncols, degree):
+        rng.shuffle(rows)
+        return _row_reduce(ring, rows, ncols, degree)
+    return row_reduce
+
+
+@pytest.mark.parametrize("prob", [
+    Problem(p=7, a=1, hbar=(0, 1), n=2, mode="toric",
+            terms=elliptic_terms(7, 2, 1)),
+    # genus 2: y^2 = x^5 + 3x + 1
+    Problem(p=7, a=1, hbar=(0, 1), n=2, mode="affine",
+            terms=[((5, 0), (1,)), ((1, 0), (3,)), ((0, 0), (1,)),
+                   ((0, 2), (6,))]),
+    # the projective cubic x^3 + 2y^3 + z^3
+    Problem(p=7, a=1, hbar=(0, 1), n=3, mode="projective",
+            terms=[((3, 0, 0), (1,)), ((0, 3, 0), (2,)), ((0, 0, 3), (1,))]),
+    # y^2 = x^3 + x + t over F_25 = F_5[t]/(t^2 + 4t + 2)
+    Problem(p=5, a=2, hbar=(2, 4, 1), n=2, mode="affine",
+            terms=[((3, 0), (1, 0)), ((1, 0), (1, 0)), ((0, 0), (0, 1)),
+                   ((0, 2), (4, 0))]),
+], ids=["toric", "affine", "projective", "affine-a2"])
+def test_pivot_row_choice_changes_operators_not_matrix(prob, monkeypatch):
+    """The coordinates on V of a class are unique, so other valid pivot
+    rows (the first-unit rule, or this rule on shuffled rows) compile other
+    operators that reduce the Frobenius images to the same coordinates."""
+    def run():
+        seen = {}
+
+        def build(*args):
+            out = build_jacobian(*args)
+            by_degree = out[0].by_degree
+            seen["ops"] = [by_degree[d].ops for d in sorted(by_degree)]
+            return out
+
+        def reduce(*args):
+            seen["reduced"] = out = cone_reduce(*args)
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(pipeline, "build_jacobian", build)
+            mp.setattr(pipeline, "cone_reduce", reduce)
+            matrix = compute_zeta(prob, emit_matrix=True).matrix
+        return seen["ops"], seen["reduced"], matrix
+
+    ops, reduced, matrix = run()
+    for rule in (first_unit_row_reduce, shuffled_row_reduce(3)):
+        with monkeypatch.context() as mp:
+            mp.setattr(jacobian, "_row_reduce", rule)
+            other_ops, other_reduced, other_matrix = run()
+        assert other_ops != ops, rule
+        assert other_reduced == reduced, rule
+        assert other_matrix == matrix, rule

@@ -264,19 +264,38 @@ def test_conway_polynomials_known_values():
     assert gf.conway_polynomial(7, 2) == (3, 6, 1)       # x^2 + 6x + 3
 
 
-def test_conway_search_budget_counts_candidates_tried(monkeypatch):
-    # C_{7,2} = x^2 + 6x + 3 is the word (1, 3), the 11th candidate tried.
+# C_{p,m} for p <= 11, m <= 4, as the search over every word finds them
+# (they agree with the published tables of Conway polynomials).
+CONWAY_TABLE = {
+    (3, 1): (1, 1), (3, 2): (2, 2, 1), (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 0, 0, 2, 1), (5, 1): (3, 1), (5, 2): (2, 4, 1),
+    (5, 3): (3, 3, 0, 1), (5, 4): (2, 4, 4, 0, 1), (7, 1): (4, 1),
+    (7, 2): (3, 6, 1), (7, 3): (4, 0, 6, 1), (7, 4): (3, 4, 5, 0, 1),
+    (11, 1): (9, 1), (11, 2): (2, 7, 1), (11, 3): (9, 2, 0, 1),
+    (11, 4): (2, 10, 8, 0, 1),
+}
+
+
+def test_conway_search_on_constant_term_matches_table():
     search = gf.conway_polynomial.__wrapped__
-    monkeypatch.setattr(gf, "DEFAULT_BUDGET", 11)
-    assert search(7, 2) == (3, 6, 1)
-    monkeypatch.setattr(gf, "DEFAULT_BUDGET", 10)
+    for (p, m), f in CONWAY_TABLE.items():
+        assert search(p, m) == f, (p, m)
+
+
+def test_conway_search_budget_counts_candidates_tried(monkeypatch):
+    # Only the words ending in C_{7,1}'s root 3 are tried: C_{7,3} =
+    # x^3 + 6x^2 + 4 is the word (1, 0, 3), the 8th candidate tried.
+    search = gf.conway_polynomial.__wrapped__
+    monkeypatch.setattr(gf, "DEFAULT_BUDGET", 8)
+    assert search(7, 3) == (4, 0, 6, 1)
+    monkeypatch.setattr(gf, "DEFAULT_BUDGET", 7)
     with pytest.raises(BudgetExceeded):
-        search(7, 2)
+        search(7, 3)
 
 
 def test_conway_search_past_budget_p_squared():
-    # p^2 exceeds DEFAULT_BUDGET, but the search ends after p + 4
-    # candidates: the word (1, 3), with 3 = C_{p,1}'s root (the norm of x).
+    # p^2 exceeds DEFAULT_BUDGET, but the search ends after 2 candidates:
+    # the word (1, 3), with 3 = C_{p,1}'s root (the norm of x).
     p = 10039
     assert p ** 2 > DEFAULT_BUDGET
     assert gf.conway_polynomial(p, 1) == (p - 3, 1)     # x - 3

@@ -490,6 +490,22 @@ def matrix_digest(matrix):
     # an n = 2, a = 2 toric case at the default N = 7
     (TORIC_F9_N2,
      "fbff74b6f07c33afbbb8f3c8ea4fbdc8b69f8656d1efb0bc39eabe206a4517f7"),
+    # Three inputs on which the choice of pivot rows changes the most
+    # operators.  x + y + z + 1/(xyz) over F_3
+    (Problem(p=3, a=1, hbar=(0, 1), n=3, mode="toric",
+             terms=[((1, 0, 0), (1,)), ((0, 1, 0), (1,)), ((0, 0, 1), (1,)),
+                    ((-1, -1, -1), (1,))]),
+     "f50de0e275e6ce8240c601fc1d2e806793a3d204f8d696b82621a54b46872e47"),
+    # the cubic surface x^3 + y^3 + z^3 + w^3 over F_5
+    (Problem(p=5, a=1, hbar=(0, 1), n=4, mode="projective",
+             terms=[((3, 0, 0, 0), (1,)), ((0, 3, 0, 0), (1,)),
+                    ((0, 0, 3, 0), (1,)), ((0, 0, 0, 3), (1,))]),
+     "c02b3ce90a1e15518155be490837e6bc09ed4854c342c5fab6f3b51680b2a516"),
+    # x^3 + y^3 + t*z^3 over F_125 = F_5[t]/(t^3 + 3t + 3) (Conway)
+    (Problem(p=5, a=3, hbar=(3, 3, 0, 1), n=3, mode="projective",
+             terms=[((3, 0, 0), (1, 0, 0)), ((0, 3, 0), (1, 0, 0)),
+                    ((0, 0, 3), (0, 1, 0))]),
+     "634a0bd3e6fb5cc7b2b3e45babf0853ec483b6c2fb84188a20c6b6a95d26cd74"),
 ])
 def test_frobenius_matrix_pinned(prob, digest):
     # Pinned bits: any change to the echelon, the expansion or the reduction
