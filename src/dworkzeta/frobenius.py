@@ -48,41 +48,64 @@ N_work, and the last support point would drop it anyway.
 A group is the solutions of one class whose residues have the same profile
 in every slot.  Its members see the same cuts, nets and e, so the walk runs
 once per group, and only the numerators differ: the numerator product X_k
-of each member.  A group of one member, the rule at small p (every group
-of the small-p benchmark), carries X as a plain int.  Carried as a vector
-of one, it cost the small-p benchmark 8.5% of problems_per_s (lower in 10
-of 10 pairs) and 3.9% of solve_s.p50 (higher in 8 of 10; BENCH_20.json,
-vector_only_small_p).  A larger group, the rule at large p (at p = 271
-each of a target's 5 classes is one group, of up to 90 members), carries
-the vector of its members' X_k, and an extension is one map(mul, ...)
-against their ell numerators.  The last support point finishes the
-terms: a term of net p-power final adds
+of each member.  Each term of net p-power final that the last support
+point finishes adds
 
-    p^final * sum_k (X_k mod p^(N_work - final)) * (-1)^bw sigma^{-1}(a^k)
+    p^final * X_k * (-1)^bw sigma^{-1}(a^k)   mod p^N_work
 
-over the members k to its class's sum for its e; for one member that is
-(p^final * X mod p^N_work) * (-1)^bw sigma^{-1}(a^k), the same integer.
+per member k to its class's sum for its e.  A group of one member, the rule
+at small p (every group of the small-p benchmark), carries X as a plain
+int, and its leaf adds (p^final * X mod p^N_work) * (-1)^bw sigma^{-1}(a^k).
+Carried as a vector of one, it cost the small-p benchmark 8.5% of
+problems_per_s (lower in 10 of 10 pairs) and 3.9% of solve_s.p50 (higher in
+8 of 10; BENCH_20.json, vector_only_small_p).  A larger group, the rule at
+large p (at p = 271 each of a target's 5 classes is one group, of up to 90
+members), carries sigma^{-1}(a^k) inside its vector.  The vector starts as
+the coordinates s_(i,k) in [0, p^N_work) of each member's (-1)^bw
+sigma^{-1}(a^k), a per member: first coordinate 0 of every member, then
+coordinate 1, and so on (at a = 1 the one coordinate is the element).  An
+extension is one map(mul, ...) against the members' ell numerators,
+repeated a times to match, so entry (i, k) of a partial term is s_(i,k)
+times the numerator product so far.  A leaf is one dot product per
+coordinate, D_i = sum_k numer_(i,k) * ell_k against the last slot's ell
+numerators, and adds to the class sum the one element whose coordinate i is
+p^final * D_i mod p^N_work; D_i = sum_k X_k * s_(i,k), so that element is
+the sum of the members' terms above.  Reducing is exact however large D_i
+grows: p^f * (X mod p^(N-f)) * s = p^f * X * s mod p^N for every integer
+s.  The image classes themselves come from the slot columns: coordinate r
+of (U*k + (d, mu))/p for every solution k is one map per support point
+over k_j of every solution, not one sum per solution.
+
 Each class sum is normalized once and multiplied once by (-1)^|e| a^e, and
-the product is added unreduced to one integer per monomial; every monomial
-is checked against the cone once, when it first appears, and each monomial
+the product is added unreduced to one integer per monomial; each monomial
 sum becomes a ring element once, by ring.normalize, at the end.  Both kinds
-of sum stay within the headroom of padic.normalize.  Since p^final * (X mod
-p^(N_work - final)) = (p^final * X) mod p^N_work lies in [0, p^N_work), a
-class sum has at most one element-times-integer term per solution k, so at
-most p^(s - rank U) terms; a monomial sum has at most one product per
-(class, e) pair; both counts are far below 2^64 - 1.
+of sum stay within the headroom of padic.normalize: a class sum receives at
+most one term per group and e, an element (a vector leaf) or an element
+times an integer in [0, p^N_work) (a scalar leaf), so at most p^(s - rank
+U) terms; a monomial sum has at most one product per (class, e) pair; both
+counts are far below 2^64 - 1.
+
+Every monomial lies in the cone over the polytope, and the expansion checks
+that without testing each monomial.  A monomial is (bw + |e|, base_x +
+e.nu): a class point (bw, base_x) plus a power-table entry (|e|, e.nu).  The
+class point of each class is checked once per expansion, and each entry
+once, when the power table builds it; the cone is convex and closed under
+sums, so the monomial is in it.  Either check raises PrecisionOrLogicError.
+For valid input neither can fail: e.nu is a sum of |e| support points, and
+p*base_x = sum_j k_j nu_j + mu lies in (|k| + d) Delta = p*bw*Delta.
 
 Two caches hold what the expansions share.  The column tables of the last
 series read hold the column, numerators and profile id of each residue
 that an expansion has read, built when it is first read; the expansions of
 a solve, and of the next solve at the same p, N_work and E, all read one
-series.  An LRU cache holds the power table of each of the last
-POWER_TABLE_SIZE lifted inputs (ring, coefficients, support, slot width):
+series, the very tuple that splitting.compute_splitting keeps.  An LRU
+cache holds the power table of each of the last POWER_TABLE_SIZE lifted
+inputs (ring, coefficients, support, slot width, polytope):
 sigma^{-1}(a_j)^c for c < p, one incremental list per slot, and (|e|,
-(-1)^|e| a^e, e.nu) per distinct e.  e is packed
-into one int, e_j in a slot of E.bit_length() bits, the last support point
-in the lowest slot; each entry is built from e minus one in its lowest
-nonzero slot, with one mul.
+(-1)^|e| a^e, e.nu) per distinct e.  e is packed into one int, e_j in a
+slot of E.bit_length() bits, the last support point in the lowest slot;
+each entry is built from e minus one in its lowest nonzero slot, with one
+mul.
 
 check_enumeration refuses, with BudgetExceeded, an expansion whose
 congruence solutions or series coefficients exceed DEFAULT_BUDGET.
@@ -92,9 +115,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count, product, repeat
+from itertools import accumulate, count, islice, product, repeat
 from math import ceil
-from operator import add, mod, mul, sub
+from operator import add, mul, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .cone_algebra import ConeElement, ConeMonomial
@@ -192,10 +215,10 @@ Column = List[Tuple[int, int, int, int]]
 
 
 # The expansions of one solve read one series, and so does the next solve at
-# the same p, N_work and E: the last series read, with its tables.  A series
-# is matched by identity, then by equality, never hashed: hashing it cost
-# about 30 us per expansion at p = 271, a seventh of the expansions of a
-# one-solution input there.
+# the same p, N_work and E: compute_splitting hands back the one object it
+# keeps, so the last series read is matched by identity and never hashed
+# (hashing it cost about 30 us per expansion at p = 271, a seventh of the
+# expansions of a one-solution input there).
 _last_tables: tuple = (0, (), None)
 
 
@@ -208,7 +231,7 @@ def _column_tables(p: int, series: SplittingSeries):
     next() hands out distinct ids."""
     global _last_tables
     last_p, last_series, tables = _last_tables
-    if p != last_p or (series is not last_series and series != last_series):
+    if p != last_p or series is not last_series:
         columns: Dict[int, Column] = {}
         ells: Dict[int, Tuple[int, ...]] = {}
         profiles: Dict[int, int] = {}
@@ -228,11 +251,14 @@ PowerTable = Dict[int, Tuple[int, RingElement, Tuple[int, ...]]]
 
 @lru_cache(maxsize=POWER_TABLE_SIZE)
 def _power_table(ring: RingContext, coeffs: Tuple[RingElement, ...],
-                 support: Tuple[Tuple[int, ...], ...], width: int):
+                 support: Tuple[Tuple[int, ...], ...], width: int,
+                 poly: LatticePolytope):
     """The power table, holding e = 0 until _power_entry fills it in; the
     step (-a_j, nu_j) of each slot, lowest slot first; and the powers
-    sigma^{-1}(a_j)^c, c < p, of each slot.  Two threads may fill one table
-    at once; an entry depends only on its key, so either write is right."""
+    sigma^{-1}(a_j)^c, c < p, of each slot.  poly is part of the key
+    because _power_entry checks each entry against its cone.  Two threads
+    may fill one table at once; an entry depends only on its key, so either
+    write is right."""
     # sigma^{-1}(a_j) for Teichmueller coefficients is a_j^(q/p)
     roots = [ring.pow(aj, ring.q // ring.p) for aj in coeffs]
     return ({0: (0, ring.one, (0,) * len(support[0]))},
@@ -241,16 +267,22 @@ def _power_table(ring: RingContext, coeffs: Tuple[RingElement, ...],
                              initial=ring.one)) for sj in roots])
 
 
-def _power_entry(ring: RingContext, powers: PowerTable, steps,
-                 packed: int, width: int):
-    """powers[packed], built from e minus one in its lowest nonzero slot."""
+def _power_entry(ring: RingContext, poly: LatticePolytope,
+                 powers: PowerTable, steps, packed: int, width: int):
+    """powers[packed], built from e minus one in its lowest nonzero slot,
+    once (|e|, e.nu) is checked to lie in the cone over poly."""
     j = ((packed & -packed).bit_length() - 1) // width
     prev = packed - (1 << width * j)
     esum, apow, nu_sum = (powers.get(prev)
-                          or _power_entry(ring, powers, steps, prev, width))
+                          or _power_entry(ring, poly, powers, steps, prev,
+                                          width))
     neg_aj, nu = steps[j]
-    entry = powers[packed] = (esum + 1, ring.mul(apow, neg_aj),
-                              tuple(map(add, nu_sum, nu)))
+    esum, nu_sum = esum + 1, tuple(map(add, nu_sum, nu))
+    if not poly.contains(nu_sum, esum):
+        raise PrecisionOrLogicError(
+            f"power-table entry {(esum, nu_sum)} escapes the cone over the "
+            "polytope")
+    entry = powers[packed] = (esum, ring.mul(apow, neg_aj), nu_sum)
     return entry
 
 
@@ -261,27 +293,34 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
     with E = truncation_bound(p, n_eff, N_work)."""
     ring = lifted.ring
     p, N_work, modulus, normalize = ring.p, ring.N, ring.modulus, ring.normalize
+    a, shifts = ring.a, ring.shifts
     d, mu = target
-    shift = (d,) + mu
+    offset = (d,) + mu
     U = _support_matrix(lifted)
     width = E.bit_length()
     powers, steps, sigma_powers = _power_table(ring, lifted.coeffs,
-                                               lifted.support, width)
+                                               lifted.support, width, poly)
 
-    solutions = solve_congruence(U, [-t % p for t in shift], p)
-    # (U*k + (d, mu))/p = (bw, base_x), one coordinate for all k at a time.
+    solutions = solve_congruence(U, [-t % p for t in offset], p)
+    # slots[j]: k_j of every solution.
+    slots = list(zip(*solutions))
+    # (U*k + (d, mu))/p = (bw, base_x) for every k, one coordinate at a
+    # time, as a combination of the slot columns.
     image = []
-    for row, t in zip(U, shift):
-        coord = [sum(map(mul, row, k)) + t for k in solutions]
-        for k, c in zip(solutions, coord):
-            if c % p:
-                raise PrecisionOrLogicError(
-                    f"congruence solution {k} fails divisibility by p")
-        image.append([c // p for c in coord])
+    for row, t in zip(U, offset):
+        coord = [t] * len(solutions)
+        for u, kjs in zip(row, slots):
+            if u:
+                coord = list(map(add, coord, map(u.__mul__, kjs)))
+        if any(map(p.__rmod__, coord)):
+            k = next(k for k, c in zip(solutions, coord) if c % p)
+            raise PrecisionOrLogicError(
+                f"congruence solution {k} fails divisibility by p")
+        image.append(list(map(p.__rfloordiv__, coord)))
     columns, ells, profiles, ids, new_id = _column_tables(p, series)
     ejs = range(E)
     # profiles[c] is written last: a residue in profiles is complete.
-    for c in set().union(*solutions).difference(profiles):
+    for c in set().union(*slots).difference(profiles):
         denom_exps, ells[c] = zip(*series[c::p])
         gains = tuple([ej - d_bound(p, c + p * ej) for ej in ejs])
         net_steps = tuple(map(sub, ejs, denom_exps))
@@ -292,31 +331,32 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
     groups: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]],
                  List[Tuple[int, ...]]] = {}
     for group, k in zip(zip(zip(*image), zip(*[map(profiles.__getitem__, kjs)
-                                               for kjs in zip(*solutions)])),
+                                               for kjs in slots])),
                         solutions):
         groups.setdefault(group, []).append(k)
 
-    # Per class: packed e -> unreduced sum over the class of
-    # (p^final * numer mod p^N_work) * (-1)^bw sigma^{-1}(a^k), with
-    # sigma^{-1}(a^k) the product of the sigma^{-1}(a_j)^(k_j).
+    # Per class: packed e -> unreduced sum of the elements its leaves add.
     sums: Dict[Tuple[int, ...], Dict[int, int]] = {}
     p_pows = [p ** net for net in range(N_work)]
-    p_rest = [p ** (N_work - net) for net in range(N_work)]
     signs = (ring.one, ring.neg(ring.one))
     for (image_k, _), ks in groups.items():
         class_sums = sums.setdefault(image_k, {})
         bw = image_k[0]
         kjs_by_slot = list(zip(*ks))
-        saks = [signs[bw % 2]] * len(ks)
+        size = len(ks)
+        # (-1)^bw sigma^{-1}(a^k), the product of the sigma^{-1}(a_j)^(k_j).
+        saks = [signs[bw % 2]] * size
         for row, kjs in zip(sigma_powers, kjs_by_slot):
             saks = list(map(ring.mul, saks, map(row.__getitem__, kjs)))
-        vector = len(ks) > 1
+        vector = size > 1
         if vector:
-            # The members' numerators ride along as one vector.
+            # Coordinate i of every member's sak, for i = 0, ..., a-1 in
+            # turn; the members' ell numerators are repeated a times to match.
             cols = [[(gain, step, ell, ej) for (gain, step, _, ej), ell in
-                     zip(columns[kjs[0]], zip(*map(ells.__getitem__, kjs)))]
+                     zip(columns[kjs[0]], zip(*map(ells.__getitem__, kjs * a)))]
                     for kjs in kjs_by_slot]
-            numer0 = [1] * len(ks)
+            numer0 = [x for coord in zip(*map(ring.serialize, saks))
+                      for x in coord]
         else:
             cols = [columns[kj] for kj in ks[0]]
             sak, = saks
@@ -351,30 +391,33 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                 if final >= N_work:
                     continue
                 key = packed + ej
+                pf = p_pows[final]
                 if vector:
-                    # p^final * the sum of (X_k mod p^(N_work - final)) * sak_k
-                    xs = map(mod, map(mul, numer, ell), repeat(p_rest[final]))
-                    class_sums[key] = (class_sums.get(key, 0) + p_pows[final]
-                                       * sum(map(mul, xs, saks)))
+                    # The element with coordinates p^final * D_i mod p^N_work,
+                    # D_i the dot product of coordinate i's block with ell.
+                    prods = map(mul, numer, ell)
+                    element = 0
+                    for s in shifts:
+                        element += pf * sum(islice(prods, size)) % modulus << s
+                    class_sums[key] = class_sums.get(key, 0) + element
                 else:
-                    class_sums[key] = (class_sums.get(key, 0) + p_pows[final]
-                                       * numer * ell % modulus * sak)
+                    class_sums[key] = (class_sums.get(key, 0)
+                                       + pf * numer * ell % modulus * sak)
 
     # Unreduced sum of each monomial's (class, e) products (see
-    # padic.normalize); a monomial enters only after it has been checked
-    # against the cone.
+    # padic.normalize).  A monomial is a class point plus a power-table
+    # entry, each checked against the cone, so it lies in the cone.
     raw: Dict[ConeMonomial, int] = {}
     for (bw, *base_x), class_sums in sums.items():
+        if not poly.contains(base_x, bw):
+            raise PrecisionOrLogicError(
+                f"Frobenius class point {(bw, tuple(base_x))} escapes the "
+                "cone over the polytope")
         for packed, acc in class_sums.items():
             esum, apow, nu_sum = (powers.get(packed)
-                                  or _power_entry(ring, powers, steps, packed, width))
+                                  or _power_entry(ring, poly, powers, steps,
+                                                  packed, width))
             mono = (bw + esum, tuple(map(add, base_x, nu_sum)))
-            prev = raw.get(mono)
-            if prev is None:
-                if not poly.contains(mono[1], mono[0]):
-                    raise PrecisionOrLogicError(
-                        f"Frobenius term {mono} escapes the cone over the polytope")
-                prev = 0
-            raw[mono] = prev + normalize(acc) * apow
+            raw[mono] = raw.get(mono, 0) + normalize(acc) * apow
 
     return ConeElement(ring, {m: normalize(acc) for m, acc in raw.items()})

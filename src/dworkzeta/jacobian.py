@@ -78,8 +78,9 @@ Three modes share this machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from operator import add
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .cone_algebra import ConeMonomial
@@ -153,16 +154,22 @@ class LiftedInput:
                 out.append((nu, c))
         return out
 
+    def lacking_variables(self, m: ConeMonomial) -> Tuple[int, ...]:
+        """The variables i >= 1 (the implicit one included) that do not
+        divide m; none in toric mode, which restricts no divisibility."""
+        if self.mode == "toric":
+            return ()
+        return tuple(i for i in range(1, self.n_vars + 1)
+                     if self.var_exponent(i, m) < 1)
+
     def cofactor_allowed(self, gen: int, m: ConeMonomial) -> bool:
-        """May m multiply generator gen as a relation row?
+        """May m multiply generator gen as a relation row?  Every variable
+        but x_gen must divide it.
 
         The cofactors of w*f (gen = 0) obey the divisibility restriction of
         the columns themselves, so gen = 0 also tells the allowed columns.
         """
-        if self.mode == "toric":
-            return True
-        return all(self.var_exponent(i, m) >= 1
-                   for i in range(1, self.n_vars + 1) if i != gen)
+        return self.lacking_variables(m) in ((), (gen,))
 
 
 def check_terms(terms: Sequence[Tuple[Sequence[int], Sequence[int]]], mode: str,
@@ -309,6 +316,15 @@ class EchelonData:
     top: int
     by_degree: Dict[int, DegreeReduction]
 
+    @cached_property
+    def top_heights(self) -> List[Tuple[int, ...]]:
+        """For each top-degree column (top, mu0), in order, the heights
+        n.mu0 over the facets (n, b) of poly, in order: reduction's divisor
+        policy compares them with the facet bounds."""
+        normals = [n for n, _ in self.poly.facets]
+        return [tuple(sum(map(mul, n, mu0)) for n in normals)
+                for _, mu0 in self.by_degree[self.top].columns]
+
 
 @dataclass
 class MonomialBasis:
@@ -399,10 +415,13 @@ def echelon_of_degree(lifted: LiftedInput, d: int,
     col_index = {m: k for k, m in enumerate(columns)}
     ncols, width = len(columns), len(lifted.generator_indices) + 1
     M: List[SparseRow] = []
+    # cofactor_allowed, with the variables each cofactor lacks found once.
+    lacking = [lifted.lacking_variables(m) for m in cofactors]
     for s, gi in enumerate(lifted.generator_indices, 1):
         terms = lifted.generator(gi)
+        allowed = ((), (gi,))
         for ci, m in enumerate(cofactors):
-            if not lifted.cofactor_allowed(gi, m):
+            if lacking[ci] not in allowed:
                 continue
             mu = m[1]
             row: SparseRow = {}

@@ -104,7 +104,8 @@ class RingContext:
             raise PrecisionOrLogicError(
                 f"packing width {k} leaves a carry at p^N = {m}, a = {a}")
         self._mask = (1 << k) - 1
-        self._shifts = [k * i for i in range(a)]
+        # The bit offset of coordinate i in the packing.
+        self.shifts = [k * i for i in range(a)]
         # The folds of the digits of t^(2a-2), ..., t^a: (shift, mask below
         # it, shift of t^(i-a)).
         self._folds = [(k * i, (1 << k * i) - 1, k * (i - a))
@@ -144,10 +145,10 @@ class RingContext:
     def _digits(self, x: int) -> list[int]:
         """The a base-2^k digits of x."""
         mask = self._mask
-        return [(x >> s) & mask for s in self._shifts]
+        return [(x >> s) & mask for s in self.shifts]
 
     def _pack(self, digits: Sequence[int]) -> int:
-        return sum(d << s for d, s in zip(digits, self._shifts))
+        return sum(d << s for d, s in zip(digits, self.shifts))
 
     def normalize(self, x: int) -> RingElement:
         """The element of a sum x of at most 2^HEADROOM_BITS - 1 terms, each
@@ -161,7 +162,7 @@ class RingContext:
         for s, low, back in self._folds:
             x = (x & low) + ((x >> s) % m * t_to_a << back)
         mask, out = self._mask, 0
-        for s in self._shifts:
+        for s in self.shifts:
             out |= ((x >> s) & mask) % m << s
         return out
 
@@ -224,7 +225,7 @@ class RingContext:
         if self.a == 1:
             return x % p != 0
         mask = self._mask
-        return any((x >> s & mask) % p for s in self._shifts)
+        return any((x >> s & mask) % p for s in self.shifts)
 
     def inv(self, u: RingElement) -> RingElement:
         """Inverse of a unit; see the module docstring."""

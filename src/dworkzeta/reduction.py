@@ -45,7 +45,7 @@ than reducing each alone.
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import add, mul, sub
+from operator import add, ge, mul, sub
 from typing import Dict, List, Optional, Sequence
 
 from .cone_algebra import ConeElement, ConeMonomial
@@ -61,12 +61,17 @@ Vector = List[int]
 def _default_divisor_policy(candidates: List[ConeMonomial],
                             lm: ConeMonomial, ech: EchelonData
                             ) -> Optional[ConeMonomial]:
-    """First monomial m0 of top degree with lm - m0 still in the cone."""
+    """First monomial m0 of top degree with lm - m0 still in the cone.
+
+    candidates are the top-degree columns.  lm - m0 has degree k = d - top
+    >= 1, and lies in the cone when n.(mu - mu0) <= k*b for every facet
+    (n, b) of the polytope, that is when each height n.mu0
+    (ech.top_heights) reaches n.mu - k*b."""
     d, mu = lm
     k = d - ech.top
-    contains = ech.poly.contains
-    for m0 in candidates:
-        if contains(tuple(map(sub, mu, m0[1])), k):
+    floors = [sum(map(mul, n, mu)) - k * b for n, b in ech.poly.facets]
+    for m0, heights in zip(candidates, ech.top_heights):
+        if all(map(ge, heights, floors)):
             return m0
     return None
 

@@ -19,6 +19,7 @@ from fewnomial_reference import expand_frobenius_per_term
 from splitting_oracle import ell_fraction
 
 from dworkzeta import Problem, frobenius, gf, pipeline
+from dworkzeta.errors import PrecisionOrLogicError
 from dworkzeta.frobenius import (
     expand_frobenius,
     solve_congruence,
@@ -156,6 +157,24 @@ def test_cone_support_invariant():
     for (d, mu), c in alpha.terms.items():
         assert poly.contains(mu, d)
         assert not R.is_zero(c)
+
+
+@pytest.mark.parametrize("omit, target, escapes", [
+    # a polytope without the support point (3, 0): e = 1 there escapes
+    ((3, 0), (1, (1, 1)), "power-table entry"),
+    ((3, 0), (0, (0, 0)), "power-table entry"),
+    # a target outside the cone: the class point (1, (4, 0)) escapes
+    (None, (1, (20, 0)), "class point"),
+])
+def test_cone_guard_raises(omit, target, escapes):
+    p, N = 7, 4
+    R = ring(p, 1, N)
+    lifted, poly, bound, series = expansion_setup(
+        R, elliptic_terms(p, 3, 2), "toric")
+    if omit is not None:
+        poly = hull([nu for nu in lifted.support if nu != omit])
+    with pytest.raises(PrecisionOrLogicError, match=escapes):
+        expand_frobenius(target, lifted, poly, series, bound)
 
 
 def test_fewnomial_equals_dense():

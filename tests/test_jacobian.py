@@ -26,7 +26,7 @@ from dworkzeta.jacobian import (
 )
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.pipeline import Problem, compute_zeta
-from dworkzeta.polytope import hull, normalized_volume
+from dworkzeta.polytope import hull, lattice_points, normalized_volume
 from dworkzeta.reduction import reduce as cone_reduce
 
 
@@ -58,6 +58,27 @@ def test_lift_input_elliptic_generators():
     assert lifted.generator(2) == [((0, 2), R.smul(-2, R.one))]
     # w*f carries every term with its lifted coefficient
     assert lifted.generator(0) == list(zip(lifted.support, lifted.coeffs))
+
+
+@pytest.mark.parametrize("mode, terms", [
+    ("affine", [((3, 0), (1,)), ((1, 0), (2,)), ((0, 0), (3,)),
+                ((0, 2), (6,))]),
+    ("projective", [((3, 0, 0), (1,)), ((0, 3, 0), (2,)), ((0, 0, 3), (1,))]),
+    ("toric", [((1, 0), (1,)), ((0, 1), (1,)), ((-1, -1), (1,))]),
+])
+def test_cofactor_allowed_by_lacking_variables(mode, terms):
+    # cofactor_allowed(gen, m): every variable but x_gen divides m
+    R = ring()
+    lifted = lift_input(R, terms, mode)
+    poly = hull(lifted.support)
+    for d in range(4):
+        for mu in lattice_points(poly, d):
+            m = (d, mu)
+            for gen in lifted.generator_indices:
+                want = mode == "toric" or all(
+                    lifted.var_exponent(i, m) >= 1
+                    for i in range(1, lifted.n_vars + 1) if i != gen)
+                assert lifted.cofactor_allowed(gen, m) == want, (m, gen)
 
 
 def test_check_terms_validation():

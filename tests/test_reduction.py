@@ -192,6 +192,36 @@ def test_divisor_policy_independence(monkeypatch):
     assert first == last
 
 
+def first_fit(candidates, lm, ech):
+    """The first top-degree column m0 with lm - m0 in the cone, by
+    LatticePolytope.contains: the rule _default_divisor_policy computes
+    from facet heights."""
+    k = lm[0] - ech.top
+    for m0 in candidates:
+        if ech.poly.contains(tuple(a - b for a, b in zip(lm[1], m0[1])), k):
+            return m0
+    return None
+
+
+@pytest.mark.parametrize("make", [
+    elliptic_fixture,
+    lambda: elliptic_fixture(mode="affine"),
+    lambda: fixture(ring(5, 1, 4), [((3, 0, 0), (1,)), ((0, 3, 0), (2,)),
+                                    ((0, 0, 3), (1,))], "projective"),
+], ids=["toric", "affine", "projective"])
+def test_divisor_policy_is_first_fit(make):
+    R, lifted, poly, ech, basis = make()
+    candidates = ech.by_degree[ech.top].columns
+    checked = 0
+    for d in range(ech.top + 1, ech.top + 4):
+        for mu in lattice_points(poly, d):
+            lm = (d, mu)
+            want = first_fit(candidates, lm, ech)
+            assert reduction._default_divisor_policy(candidates, lm, ech) == want
+            checked += want is not None
+    assert checked
+
+
 @pytest.mark.parametrize("make", [elliptic_fixture, elliptic_f25_fixture],
                          ids=["a1", "a2"])
 def test_columns_together_match_columns_alone(make):

@@ -144,6 +144,17 @@ def test_prefix_bit_identical_and_thread_safe():
         assert r[:10] == short
 
 
+def test_last_series_is_kept():
+    first = compute_splitting(7, 4, 50)
+    assert compute_splitting(7, 4, 50) is first
+    other = compute_splitting(7, 4, 51)
+    assert other[:50] == first
+    # the new arguments replaced the kept series: an equal tuple, computed
+    # again
+    again = compute_splitting(7, 4, 50)
+    assert again == first and again is not first
+
+
 @pytest.mark.parametrize("lowered", ["everywhere", "below_the_last_index"])
 def test_denominator_bound_violation_raises(monkeypatch, lowered):
     # At p = 5, ell_25 has denominator exponent 2.  Lowering d_bound to 0
