@@ -8,6 +8,16 @@ and multiplication goes through discrete exp/log tables built once per
 field.  The embedding of F_q is fixed by mapping its generator to the
 root of its defining polynomial with the smallest code; the roots are
 searched among the q - 1 nonzero elements of the subfield F_q only.
+
+On the torus every value is a power of the generator g, so a sum is
+evaluated on logs: adding g^L to g^S gives g^(L + zech[S - L]) with the
+Zech logarithm zech[k] = log(1 + g^k), and a sum that vanishes becomes a
+zero mark.  The field keeps zech padded so that this is one table lookup,
+with no reduction mod Q - 1 and no test for zero.  The torus is evaluated
+a block of exponent heads at a time, about BLOCK_POINTS points, in
+lexicographic order.  Affine space is the union of tori over the subsets
+of zeroed coordinates, and P^(n-1) the union of the affine charts
+x_0 = ... = x_(i-1) = 0, x_i = 1.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from itertools import product as iproduct
+from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,9 +40,25 @@ from .errors import (
 
 Term = Tuple[Tuple[int, ...], int]  # (exponent vector, coefficient code)
 
+# Points of the torus evaluated at once: a block of exponent heads, each
+# with every value of the last exponent.
+BLOCK_POINTS = 8192
+# Rows of the digit table multiplied at once while the field tables are built.
+CHUNK_ROWS = 8192
+
 
 class ExtensionField:
-    """F_{p^d} with exp/log tables; elements are base-p integer codes."""
+    """F_{p^d} with exp, log and Zech tables; elements are base-p integer
+    codes.
+
+    exp_codes[k] is the code of g^k for the generator g, k < Q - 1, and
+    log its inverse, with log[0] = -1.  zech[k] = log(1 + g^k) for
+    k < Q - 1, padded so that a sum of logs on the torus needs neither a
+    reduction mod Q - 1 nor a test for zero (see _torus_zero_masks): the
+    first 3(Q - 1) entries and the last 2(Q - 1) repeat it with period
+    Q - 1, the entries in between are 0, and where 1 + g^k = 0 it holds
+    zero_mark = 5(Q - 1).
+    """
 
     def __init__(self, p: int, d: int):
         self.p = p
@@ -42,35 +69,57 @@ class ExtensionField:
 
     def _build_tables(self) -> None:
         p, d, Q = self.p, self.d, self.Q
+        n = Q - 1
         g = self._find_generator()
-        # exp_digits[k] = digit vector of g^k; built by doubling blocks,
-        # each extension being one vectorized multiply-by-g^m linear map.
-        E = np.zeros((Q - 1, d), dtype=np.int64)
-        E[0, 0] = 1
+        # digits[k] = digit vector of g^k; built by doubling blocks, each
+        # extension being one multiply-by-g^m linear map, in row chunks.
+        # A product sums d terms below p^2, so int32 holds it while
+        # d (p - 1)^2 < 2^31.
+        wide = np.int32 if d * (p - 1) ** 2 < 2 ** 31 else np.int64
+        digits = np.zeros((n, d), dtype=wide)
+        digits[0, 0] = 1
         m = 1
-        while m < Q - 1:
-            step = min(m, Q - 1 - m)
-            c = gf.powmod(g, m, self.h, p)
-            M = self._mul_matrix(c)
-            E[m:m + step] = (E[:step] @ M.T) % p
+        while m < n:
+            step = min(m, n - m)
+            M = self._mul_matrix(gf.powmod(g, m, self.h, p), wide)
+            for lo in range(0, step, CHUNK_ROWS):
+                hi = min(lo + CHUNK_ROWS, step)
+                np.remainder(digits[lo:hi] @ M, p, out=digits[m + lo:m + hi])
             m += step
-        self.exp_digits = E.astype(np.int16)
-        place = np.array([p ** i for i in range(d)], dtype=np.int64)
-        codes = E @ place
+        # Every table entry and torus sum stays below 9(Q - 1), the length
+        # of the padded zech.
+        dtype = np.int32 if 9 * Q < 2 ** 31 else np.int64
+        place = np.array([p ** i for i in range(d)], dtype=dtype)
+        codes = np.empty(n, dtype=dtype)
+        for lo in range(0, n, CHUNK_ROWS):
+            codes[lo:lo + CHUNK_ROWS] = digits[lo:lo + CHUNK_ROWS] @ place
+        del digits
         self.exp_codes = codes
-        log = np.full(Q, -1, dtype=np.int64)
-        log[codes] = np.arange(Q - 1, dtype=np.int64)
+        log = np.full(Q, -1, dtype=dtype)
+        log[codes] = np.arange(n, dtype=dtype)
         self.log = log
+        # Adding 1 to an element steps the lowest base-p digit of its code,
+        # a roll by one place within each row of the (Q/p) x p view of the
+        # codes: zech[log c] = log of that stepped code.  1 + g^k = 0 where
+        # g^k = -1, whose code is p - 1.
+        zech = np.zeros(9 * n, dtype=dtype)
+        base = zech[:n]
+        base[log[1:]] = np.roll(log.reshape(-1, p), -1, axis=1).ravel()[1:]
+        self.zero_mark = 5 * n
+        base[log[p - 1]] = self.zero_mark
+        for k in (1, 2, 7, 8):
+            zech[k * n:(k + 1) * n] = base
+        self.zech = zech
 
-    def _mul_matrix(self, c: gf.Poly) -> "np.ndarray":
-        """d x d matrix over F_p of multiplication by c (columns = c*t^j mod h)."""
-        p, d = self.p, self.d
-        M = np.zeros((d, d), dtype=np.int64)
-        col = list(c)
-        for j in range(d):
-            for i, x in enumerate(col):
-                M[i, j] = x % p
-            col = list(gf.mod(gf.mul((0, 1), gf.trim(col), p), self.h, p))
+    def _mul_matrix(self, c: gf.Poly, dtype) -> "np.ndarray":
+        """d x d matrix over F_p of multiplication by c: row j holds the
+        digits of c*t^j mod h, so a digit row vector times it gives the
+        digits of the product, before reduction mod p."""
+        M = np.zeros((self.d, self.d), dtype=dtype)
+        row = gf.trim(c)
+        for j in range(self.d):
+            M[j, :len(row)] = row
+            row = gf.mod(gf.mul((0, 1), row, self.p), self.h, self.p)
         return M
 
     def _find_generator(self) -> gf.Poly:
@@ -158,43 +207,74 @@ def embed_coefficients(field: ExtensionField, p: int, a: int,
 
 
 def _torus_zero_masks(field: ExtensionField, polys: Sequence[Sequence[Term]],
-                      m: int) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
+                      m: int) -> Iterator[Tuple[int, np.ndarray]]:
     """Common zeros of Laurent polynomials on the m-torus (F^x)^m, m >= 1.
 
     Each polynomial is a sequence of (exponent vector, coefficient code)
     terms; one with no nonzero coefficient vanishes everywhere.  A torus
-    point is (g^e_1, ..., g^e_m) for the generator g.  For each exponent
-    head (e_1, ..., e_(m-1)), in lexicographic order, yields the head and
-    the boolean mask over e_m of the points where every polynomial vanishes.
+    point is (g^e_1, ..., g^e_m) for the generator g, and the points are
+    taken in lexicographic order of (e_1, ..., e_m), a block of exponent
+    heads (e_1, ..., e_(m-1)) at a time: up to BLOCK_POINTS // (Q - 1)
+    consecutive values of e_(m-1) after one prefix (e_1, ..., e_(m-2)).
+    Yields, per block, the position in that order of its first point and
+    the boolean mask, one row per head and one column per e_m, of the
+    points where every polynomial vanishes.
+
+    Term c x^nu has the value g^L, L = log c + nu.e.  Over a block, L is a
+    scalar for the block plus nu_(m-1) r + nu_m e_m for the head's row r,
+    each reduced mod n = Q - 1, so L < 2n.  A partial sum is kept as a log
+    S < 3n, or as a zero mark of at least 5n: adding g^L makes it
+    L + zech[S - L], a negative index reading the table from its end.  The
+    padding of field.zech covers every S - L that occurs: from a zero mark
+    the index lands on its zeros and gives L, and 1 + g^k = 0 gives a zero
+    mark.
     """
-    Q, p, d = field.Q, field.p, field.d
-    e_last = np.arange(Q - 1, dtype=np.int64)
-    # Per term: the head part of its exponent and the log of c * x_m^nu_m
-    # along the last coordinate.
-    live = [[(nu[:-1], int(field.log[c]) + nu[-1] * e_last)
-             for nu, c in terms if c != 0] for terms in polys]
-    live = [terms for terms in live if terms]
-    for e_head in iproduct(range(Q - 1), repeat=m - 1):
-        mask = np.ones(Q - 1, dtype=bool)
-        for terms in live:
-            acc = np.zeros((Q - 1, d), dtype=np.int64)
-            for head, tail in terms:
-                shift = sum(nh * eh for nh, eh in zip(head, e_head))
-                acc += field.exp_digits[(tail + shift) % (Q - 1)]
-            np.remainder(acc, p, out=acc)
-            mask &= ~acc.any(axis=1)
-        yield e_head, mask
+    n = field.Q - 1
+    zech, zero_mark = field.zech, field.zero_mark
+    heads = n if m > 1 else 1  # values of e_(m-1); the one empty head at m = 1
+    rows = min(heads, max(1, BLOCK_POINTS // n))
+    row = np.arange(rows, dtype=np.int64)[:, None]
+    e_last = np.arange(n, dtype=np.int64)
+    live = []
+    for terms in polys:
+        # per term: its prefix exponents, nu_(m-1), log c and the block
+        # part of L, rows by e_m
+        block = []
+        for nu, c in terms:
+            if c != 0:
+                step = nu[-2] if m > 1 else 0
+                part = (step % n * row + nu[-1] % n * e_last) % n
+                block.append((nu[:m - 2], step, int(field.log[c]),
+                              part.astype(zech.dtype)))
+        if block:
+            live.append(block)
+    for i, prefix in enumerate(iproduct(range(n), repeat=max(m - 2, 0))):
+        for r0 in range(0, heads, rows):
+            k = min(rows, heads - r0)
+            mask = np.ones((k, n), dtype=bool)
+            for terms in live:
+                acc = None
+                for pre, step, log_c, part in terms:
+                    L = part[:k] + (log_c + sum(map(mul, pre, prefix))
+                                    + step * r0) % n
+                    acc = L if acc is None else L + zech.take(acc - L)
+                mask &= acc >= zero_mark
+            yield (i * heads + r0) * n, mask
 
 
 def torus_common_zero(field: ExtensionField, polys: Sequence[Sequence[Term]],
                       m: int) -> Optional[Tuple[int, ...]]:
     """Codes of the first torus point (lexicographic in the exponents of the
     generator) where every polynomial of polys vanishes, or None."""
-    for e_head, mask in _torus_zero_masks(field, polys, m):
+    for start, mask in _torus_zero_masks(field, polys, m):
         hits = np.flatnonzero(mask)
         if hits.size:
-            return tuple(int(field.exp_codes[e])
-                         for e in e_head + (int(hits[0]),))
+            # the base-(Q - 1) digits of the hit's position are its exponents
+            position, point = start + int(hits[0]), []
+            for _ in range(m):
+                position, e = divmod(position, field.Q - 1)
+                point.append(int(field.exp_codes[e]))
+            return tuple(reversed(point))
     return None
 
 
@@ -255,7 +335,13 @@ def count_points(p: int, a: int, hbar: Sequence[int],
         if len(degs) != 1 or min(d for d in degs) < 1:
             raise InvalidInput("projective mode requires a homogeneous "
                                "polynomial of positive degree")
-        cone = _affine_zero_count(field, exps, codes, n)
-        # the origin is always a zero of a homogeneous polynomial
-        return (cone - 1) // (field.Q - 1)
+        # P^(n-1) is the disjoint union of the charts x_0 = ... = x_(i-1)
+        # = 0, x_i = 1, each an affine space in x_(i+1), ..., x_(n-1).
+        total = 0
+        for i in range(n):
+            chart = [(nu[i + 1:], c) for nu, c in zip(exps, codes)
+                     if not any(nu[:i])]
+            total += _affine_zero_count(field, [nu for nu, _ in chart],
+                                        [c for _, c in chart], n - 1 - i)
+        return total
     raise InvalidInput(f"unknown mode {mode!r}")

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+from itertools import product
 
 import pytest
 
@@ -31,6 +32,116 @@ def test_field_tables_match_polynomial_arithmetic():
             assert F.mul(x, y) == F.encode(list(prod) + [0] * d)
             s = [(u + v) % p for u, v in zip(fx, fy)]
             assert F.add(x, y) == F.encode(s)
+
+
+@pytest.mark.parametrize("p, d", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 4), (13, 1)])
+def test_zech_is_log_of_one_plus(p, d):
+    # zech[k] = log(1 + g^k); 1 + g^k = 0 exactly at k = (Q - 1)/2, where
+    # the table holds the zero mark.  The padding repeats the first Q - 1
+    # entries three times at the start and twice at the end, 0 between.
+    F = get_field(p, d)
+    n = F.Q - 1
+    for k in range(n):
+        s = F.add(int(F.exp_codes[k]), 1)
+        if k == n // 2:
+            assert s == 0 and F.zech[k] == F.zero_mark
+        else:
+            assert s != 0 and F.zech[k] == F.log[s]
+    base = F.zech[:n].tolist()
+    assert len(F.zech) == 9 * n and F.zero_mark == 5 * n
+    assert F.zech[:3 * n].tolist() == base * 3
+    assert F.zech[7 * n:].tolist() == base * 2
+    assert not F.zech[3 * n:7 * n].any()
+
+
+def pointwise_value(F, terms, point, powers):
+    """sum c x^nu at a torus point of codes, by F.mul and F.add alone;
+    powers memoizes x^k."""
+    acc = 0
+    for nu, c in terms:
+        for x, k in zip(point, nu):
+            key = (x, k % (F.Q - 1))
+            if key not in powers:
+                y, e, base = 1, key[1], x
+                while e:
+                    if e & 1:
+                        y = F.mul(y, base)
+                    base, e = F.mul(base, base), e >> 1
+                powers[key] = y
+            c = F.mul(c, powers[key])
+        acc = F.add(acc, c)
+    return acc
+
+
+@pytest.mark.parametrize("p, a, r, m", [
+    (5, 1, 3, 1), (3, 2, 2, 1), (5, 1, 2, 2), (7, 2, 1, 2), (97, 1, 1, 2),
+    (5, 1, 1, 3), (3, 2, 1, 3)])
+def test_toric_count_matches_pointwise_loop(p, a, r, m):
+    # Seeded random Laurent polynomials: a zero coefficient, negative
+    # exponents, a pair of terms that cancels (so a partial sum is zero
+    # everywhere) and partial sums that vanish at some points.  F_97 at
+    # m = 2 has two blocks of heads, the second one short.
+    rng = random.Random(f"{p}-{a}-{r}-{m}")
+    hbar = gf.conway_polynomial(p, a) if a > 1 else (0, 1)
+    F = get_field(p, a * r)
+
+    def coeff():
+        return tuple(rng.randrange(p) for _ in range(a))
+
+    def exponent():
+        return tuple(rng.randint(-3, 3) for _ in range(m))
+
+    nu, c = exponent(), coeff()
+    cancel = [(nu, c), (nu, tuple((-x) % p for x in c))]
+    polys = [cancel,
+             cancel + [(exponent(), coeff()) for _ in range(3)]
+             + [(exponent(), (0,) * a)],
+             [(exponent(), coeff()) for _ in range(4)]]
+    torus = list(product(range(1, F.Q), repeat=m))
+    for terms in polys:
+        codes = oracle.embed_coefficients(F, p, a, hbar,
+                                          [c for _, c in terms])
+        coded = [(nu, c) for (nu, _), c in zip(terms, codes)]
+        powers = {}
+        naive = sum(pointwise_value(F, coded, x, powers) == 0 for x in torus)
+        assert count_points(p, a, hbar, terms, "toric", r) == naive
+
+
+@pytest.mark.parametrize("p, d, m, roots", [(7, 2, 3, (5, 9)),
+                                             (3, 5, 2, (40, 100))])
+def test_torus_common_zero_is_first_in_lexicographic_order(p, d, m, roots):
+    # f vanishes only where x_1 = g^e, e in roots, so the first common zero
+    # of f and h lies past the first block of heads: F_49 at m = 3 has one
+    # block per e_1, F_243 at m = 2 one per 33 values of e_1.
+    # h = x_m^2 - s x^(2 mu) with s a square has two zeros at every head.
+    F = get_field(p, d)
+    rng = random.Random(p)
+    minus_one = F.encode([p - 1])
+    f = {0: 1}  # f = prod (x_1 - g^e), as x_1 exponent -> coefficient code
+    for e in roots:
+        root = F.mul(int(F.exp_codes[e]), minus_one)
+        prod = {}
+        for k, c in f.items():
+            prod[k + 1] = F.add(prod.get(k + 1, 0), c)
+            prod[k] = F.add(prod.get(k, 0), F.mul(c, root))
+        f = prod
+    f = [((k,) + (0,) * (m - 1), c) for k, c in f.items()]
+    mu = tuple(2 * rng.randint(-2, 2) for _ in range(m - 1))
+    s = F.mul(int(F.exp_codes[2 * rng.randrange(F.Q // 2)]), minus_one)
+    h = [((0,) * (m - 1) + (2,), 1), (mu + (0,), s)]
+    powers = {}
+    want = None
+    for e in product(range(F.Q - 1), repeat=m):
+        point = tuple(int(F.exp_codes[k]) for k in e)
+        if all(pointwise_value(F, terms, point, powers) == 0
+               for terms in (f, h)):
+            want = point
+            break
+    assert want is not None and F.log[want[0]] == roots[0]
+    assert oracle.torus_common_zero(F, [f, h], m) == want
+    other = [((1,) + (0,) * (m - 1), 1),
+             ((0,) * m, F.mul(int(F.exp_codes[roots[0] + 1]), minus_one))]
+    assert oracle.torus_common_zero(F, [f, other, h], m) is None
 
 
 def test_single_torus_point_counts():
@@ -67,6 +178,37 @@ def test_elliptic_projective_count_matches_naive():
                  ((1, 0, 2), (aa,)), ((0, 0, 3), (bb,))]
         got = count_points(p, 1, (0, 1), terms, "projective", 1)
         assert got == naive_elliptic_projective_count(p, aa, bb)
+
+
+def cone_count(p, a, hbar, terms, r):
+    """#V(F_(q^r)) in P^(n-1) from the affine cone: its zeros but the
+    origin, over Q - 1 (the reference for the count by charts)."""
+    F = get_field(p, a * r)
+    codes = oracle.embed_coefficients(F, p, a, hbar, [c for _, c in terms])
+    cone = oracle._affine_zero_count(F, [nu for nu, _ in terms], codes,
+                                     len(terms[0][0]))
+    return (cone - 1) // (F.Q - 1)
+
+
+@pytest.mark.parametrize("p, a, terms, r_max", [
+    # y^2 z = x^3 + 2 x z^2 + z^3
+    (5, 1, [((0, 2, 1), (4,)), ((3, 0, 0), (1,)), ((1, 0, 2), (2,)),
+            ((0, 0, 3), (1,))], 3),
+    (7, 1, [((4, 0, 0), (1,)), ((0, 4, 0), (2,)), ((0, 0, 4), (3,))], 2),
+    # x y: two lines through (0:0:1)
+    (3, 1, [((1, 1, 0), (1,))], 3),
+    # x^3 + t y^3 + z^3 over F_9
+    (3, 2, [((3, 0, 0), (1, 0)), ((0, 3, 0), (0, 1)), ((0, 0, 3), (1, 0))], 2),
+    # the cubic surface x^3 + y^3 + z^3 + w^3
+    (5, 1, [((3, 0, 0, 0), (1,)), ((0, 3, 0, 0), (1,)), ((0, 0, 3, 0), (1,)),
+            ((0, 0, 0, 3), (1,))], 2),
+], ids=["elliptic-p5", "quartic-p7", "two-lines-p3", "cubic-F9",
+        "cubic-surface-p5"])
+def test_projective_count_by_charts_matches_cone(p, a, terms, r_max):
+    hbar = gf.conway_polynomial(p, a) if a > 1 else (0, 1)
+    for r in range(1, r_max + 1):
+        assert (count_points(p, a, hbar, terms, "projective", r)
+                == cone_count(p, a, hbar, terms, r))
 
 
 def test_laurent_toric_count_matches_naive():
