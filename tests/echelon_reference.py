@@ -65,13 +65,9 @@ def echelons(lifted, poly, top):
     def layer(d):
         return [(d, mu) for mu in lattice_points(poly, d)] if d >= 0 else []
 
-    def lacking(d):
-        return [lifted.lacking_variables(m) for m in layer(d)]
-
     out = {}
     for d in range(top + 1):
-        de = echelon_of_degree(lifted, d, layer(d - 1), layer(d),
-                               lacking(d - 1), lacking(d))
+        de = echelon_of_degree(lifted, d, layer(d - 1), layer(d))
         meta = row_meta(lifted, layer(d - 1))
         ncols = len(de.columns)
         M = [{k: c for k, c in row.items() if k < ncols} for row in de.M]

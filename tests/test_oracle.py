@@ -34,13 +34,23 @@ def test_field_tables_match_polynomial_arithmetic():
             assert F.add(x, y) == F.encode(s)
 
 
-@pytest.mark.parametrize("p, d", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 4), (13, 1)])
+# F_65521 is built with int64 digits: its products reach (p - 1)^2 >= 2^31.
+@pytest.mark.parametrize("p, d", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 4), (13, 1),
+                                  (65521, 1)])
 def test_zech_is_log_of_one_plus(p, d):
-    # zech[k] = log(1 + g^k); 1 + g^k = 0 exactly at k = (Q - 1)/2, where
-    # the table holds the zero mark.  The padding repeats the first Q - 1
-    # entries three times at the start and twice at the end, 0 between.
+    # exp_codes[k] is g^k, each the previous one times g by polynomial
+    # arithmetic, and log its inverse.  zech[k] = log(1 + g^k); 1 + g^k = 0
+    # exactly at k = (Q - 1)/2, where the table holds the zero mark.  The
+    # padding repeats the first Q - 1 entries three times at the start and
+    # twice at the end, 0 between.
     F = get_field(p, d)
     n = F.Q - 1
+    g = gf.trim(F._decode(int(F.exp_codes[1])))
+    power = (1,)
+    for k in range(n):
+        assert F.exp_codes[k] == F.encode(power) and F.log[F.exp_codes[k]] == k
+        power = gf.mod(gf.mul(power, g, p), F.h, p)
+    assert power == (1,) and F.log[0] == -1
     for k in range(n):
         s = F.add(int(F.exp_codes[k]), 1)
         if k == n // 2:
