@@ -156,15 +156,16 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_primitive(f: Poly, g: Poly, p: int, q_minus_1_factors: dict[int, int]) -> bool:
-    """Is f a generator of (F_p[x]/g)^x ?  g irreducible of degree m, |group| = p^m - 1."""
-    m = len(g) - 1
-    order = p ** m - 1
-    if not f or powmod(f, order, g, p) != (1,):
+    """Is f a generator of (F_p[x]/g)^x ?  g must be irreducible, of degree
+    m: then the group is cyclic of order p^m - 1, so f^(p^m - 1) = 1 for
+    every f not divisible by g, and f generates it unless
+    f^((p^m - 1)/l) = 1 for a prime l of q_minus_1_factors, those of
+    p^m - 1."""
+    order = p ** (len(g) - 1) - 1
+    if not mod(f, g, p):
         return False
-    for ell in q_minus_1_factors:
-        if powmod(f, order // ell, g, p) == (1,):
-            return False
-    return True
+    return all(powmod(f, order // ell, g, p) != (1,)
+               for ell in q_minus_1_factors)
 
 
 def _monic_polys(p: int, m: int) -> Iterator[Poly]:

@@ -5,9 +5,13 @@ polynomial arithmetic (gf) and numpy table lookups are used.  F_{q^r} is
 realized as F_p[t]/(h) with h the lexicographically smallest monic
 irreducible of degree a*r, elements are encoded as base-p integer codes,
 and multiplication goes through discrete exp/log tables built once per
-field.  The embedding of F_q is fixed by mapping its generator to the
-root of its defining polynomial with the smallest code; the roots are
-searched among the q - 1 nonzero elements of the subfield F_q only.
+field.  The generator g is the element of order Q - 1 with the smallest
+code, and its powers are read off one linear recurring sequence, the
+lowest digit of g^k, extended by doubling: every other digit of g^k is
+that sequence shifted, so no table of digits is kept.  The embedding of
+F_q is fixed by mapping its generator to the root of its defining
+polynomial with the smallest code; the roots are searched among the
+q - 1 nonzero elements of the subfield F_q only.
 
 On the torus every value is a power of the generator g, so a sum is
 evaluated on logs: adding g^L to g^S gives g^(L + zech[S - L]) with the
@@ -43,15 +47,14 @@ Term = Tuple[Tuple[int, ...], int]  # (exponent vector, coefficient code)
 # Points of the torus evaluated at once: a block of exponent heads, each
 # with every value of the last exponent.
 BLOCK_POINTS = 8192
-# Rows of the digit table multiplied at once while the field tables are built.
-CHUNK_ROWS = 8192
 
 
 class ExtensionField:
     """F_{p^d} with exp, log and Zech tables; elements are base-p integer
     codes.
 
-    exp_codes[k] is the code of g^k for the generator g, k < Q - 1, and
+    exp_codes[k] is the code of g^k for the generator g, the element of
+    order Q - 1 with the smallest code, k < Q - 1 (see _exp_codes), and
     log its inverse, with log[0] = -1.  zech[k] = log(1 + g^k) for
     k < Q - 1, padded so that a sum of logs on the torus needs neither a
     reduction mod Q - 1 nor a test for zero (see _torus_zero_masks): the
@@ -68,31 +71,13 @@ class ExtensionField:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        p, d, Q = self.p, self.d, self.Q
+        p, Q = self.p, self.Q
         n = Q - 1
-        g = self._find_generator()
-        # digits[k] = digit vector of g^k; built by doubling blocks, each
-        # extension being one multiply-by-g^m linear map, in row chunks.
-        # A product sums d terms below p^2, so int32 holds it while
-        # d (p - 1)^2 < 2^31.
-        wide = np.int32 if d * (p - 1) ** 2 < 2 ** 31 else np.int64
-        digits = np.zeros((n, d), dtype=wide)
-        digits[0, 0] = 1
-        m = 1
-        while m < n:
-            step = min(m, n - m)
-            M = self._mul_matrix(gf.powmod(g, m, self.h, p), wide)
-            for lo in range(0, step, CHUNK_ROWS):
-                hi = min(lo + CHUNK_ROWS, step)
-                np.remainder(digits[lo:hi] @ M, p, out=digits[m + lo:m + hi])
-            m += step
+        codes = self._exp_codes(self._find_generator())
         # Every table entry and torus sum stays below 9(Q - 1), the length
         # of the padded zech, and the oracle's budget keeps Q <= 10^8, so
         # int32 holds them.
         dtype = np.int32
-        place = np.array([p ** i for i in range(d)], dtype=wide)
-        codes = (digits @ place).astype(dtype, copy=False)
-        del digits
         self.exp_codes = codes
         log = np.full(Q, -1, dtype=dtype)
         log[codes] = np.arange(n, dtype=dtype)
@@ -110,23 +95,88 @@ class ExtensionField:
             zech[k * n:(k + 1) * n] = base
         self.zech = zech
 
-    def _mul_matrix(self, c: gf.Poly, dtype) -> "np.ndarray":
-        """d x d matrix over F_p of multiplication by c: row j holds the
-        digits of c*t^j mod h, so a digit row vector times it gives the
-        digits of the product, before reduction mod p."""
-        M = np.zeros((self.d, self.d), dtype=dtype)
-        row = gf.trim(c)
-        for j in range(self.d):
-            M[j, :len(row)] = row
-            row = gf.mod(gf.mul((0, 1), row, self.p), self.h, self.p)
-        return M
+    def _exp_codes(self, g: gf.Poly) -> "np.ndarray":
+        """Codes of g^0, ..., g^(Q - 2), int32, for a generator g.
+
+        The digits s_k = digit_0(g^k) are a linear recurring sequence: with
+        y^d - sum_i c_i y^i the minimal polynomial f_g of g, and
+        y^L = sum_i e_i y^i mod f_g, s_(L+j) = sum_i e_i s_(i+j).  s is
+        extended by doubling L, d numpy axpys a round.  Every digit j of
+        g^k follows the same recurrence, and as g is a generator, every
+        nonzero such sequence is s shifted: digit_j(g^k) = s_(k+c_j), where
+        c_j is the place of the window digit_j(g^0), ..., digit_j(g^(d-1))
+        among the d-windows of s.
+        """
+        p, d, n = self.p, self.d, self.Q - 1
+        powers = [(1,)]
+        for _ in range(d):
+            powers.append(gf.mod(gf.mul(powers[-1], g, p), self.h, p))
+        digits = [list(f) + [0] * (d - len(f)) for f in powers]
+        c = _solve_mod_p([[digits[i][r] for i in range(d + 1)]
+                          for r in range(d)], p)
+        if c is None:
+            raise ConsistencyFailure(
+                f"the generator of F_{p}^{d} lies in a proper subfield")
+        f_g = tuple(-x % p for x in c) + (1,)
+        # y^-1 = (y^(d-1) - sum_(i>=1) c_i y^(i-1)) / c_0 mod f_g
+        inv = pow(c[0], -1, p)
+        back = gf.powmod(tuple(-x * inv % p for x in c[1:]) + (inv,), d - 1,
+                         f_g, p)
+        # A step sums d products, each at most (p - 1)^2.  int8 holds that
+        # sum for the small p of the large fields; the prime fields go to
+        # int32, the type the torus loops already use, as int16 would gain
+        # them nothing.
+        wide = next(t for t in (np.int8, np.int32, np.int64)
+                    if d * (p - 1) ** 2 <= np.iinfo(t).max)
+        size = n + d - 1  # s_(n-1) starts the last window
+        s = np.empty(size, dtype=wide)
+        s[:d] = [digits[i][0] for i in range(d)]
+        # e = y^L mod f_g gives s_(L+j) from s_j, ..., s_(j+d-1) for
+        # j <= L - d, so a round extends s from L to 2L - d + 1 terms, and
+        # y^(2L-d+1) = (y^L)^2 y^-(d-1).
+        L, e = d, gf.trim(c)
+        while L < size:
+            k = min(L - d + 1, size - L)
+            acc = np.zeros(k, dtype=wide)
+            for i, ei in enumerate(e):
+                if ei:
+                    acc += ei * s[i:i + k]
+            np.remainder(acc, p, out=s[L:L + k])
+            L += k
+            e = gf.mod(gf.mul(gf.mul(e, e, p), back, p), f_g, p)
+        # the window code sum_i p^i s_(k+i), and codes = sum_j p^j s
+        # rolled back by c_j, both in Horner form
+        windows = s[d - 1:d - 1 + n].astype(np.int32)
+        for i in range(d - 2, -1, -1):
+            windows *= p
+            windows += s[i:i + n]
+        start = np.full(n + 1, -1, dtype=np.int32)
+        start[windows] = np.arange(n, dtype=np.int32)
+        if start[1:].min() < 0:
+            raise ConsistencyFailure(
+                f"the generator of F_{p}^{d} has order below {n}: some "
+                "window of its digit sequence never occurs")
+        codes = np.zeros(n, dtype=np.int32)
+        for j in range(d - 1, -1, -1):
+            c_j = int(start[sum(digits[i][j] * p ** i for i in range(d))])
+            codes *= p
+            codes[:n - c_j] += s[c_j:n]
+            codes[n - c_j:] += s[:c_j]
+        return codes
 
     def _find_generator(self) -> gf.Poly:
-        factors = gf.factorize(self.Q - 1)
-        for code in range(1, self.Q):
-            cand = gf.trim(self._decode(code))
-            if gf.is_primitive(cand, self.h, self.p, factors):
-                return cand
+        """The element of order Q - 1 with the smallest code."""
+        p, n = self.p, self.Q - 1
+        factors = gf.factorize(n)
+        if self.d == 1:
+            for c in range(1, p):
+                if all(pow(c, n // ell, p) != 1 for ell in factors):
+                    return (c,)
+        else:
+            for code in range(1, self.Q):
+                cand = gf.trim(self._decode(code))
+                if gf.is_primitive(cand, self.h, p, factors):
+                    return cand
         raise ConsistencyFailure("no multiplicative generator found")
 
     def _decode(self, code: int) -> List[int]:
@@ -152,6 +202,25 @@ class ExtensionField:
             y //= self.p
             place *= self.p
         return out
+
+
+def _solve_mod_p(rows: List[List[int]], p: int) -> Optional[List[int]]:
+    """x with sum_i row[i] x_i = row[-1] mod p for each of the d rows of the
+    d x (d + 1) matrix rows, or None where its d x d part is singular."""
+    rows = [list(row) for row in rows]
+    d = len(rows)
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        rows[col] = [x * inv % p for x in rows[col]]
+        for r in range(d):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
 
 
 # Fields kept, least recently used first out; one pass of the small-p

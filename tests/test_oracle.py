@@ -7,11 +7,14 @@ from __future__ import annotations
 import random
 import sys
 import threading
+from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
 
 from counts_oracle import UnderDetermined, zeta_from_counts
+from field_reference import reference_tables
 
 from dworkzeta import gf, oracle
 from dworkzeta.errors import BudgetExceeded, ConsistencyFailure
@@ -62,6 +65,80 @@ def test_zech_is_log_of_one_plus(p, d):
     assert F.zech[:3 * n].tolist() == base * 3
     assert F.zech[7 * n:].tolist() == base * 2
     assert not F.zech[3 * n:7 * n].any()
+
+
+# The shift-register sequence is extended in int8 at (3, 12), int32 at
+# (5, 8), (7, 6) and (997, 2), and int64 at (46349, 1), where
+# d (p - 1)^2 >= 2^31.
+@pytest.mark.parametrize("p, d", [(3, 12), (5, 8), (7, 6), (997, 2),
+                                  (46349, 1)])
+def test_field_tables_equal_digit_table_reference(p, d):
+    F = ExtensionField(p, d)
+    codes, log, zech, zero_mark = reference_tables(p, d)
+    for got, want in [(F.exp_codes, codes), (F.log, log), (F.zech, zech)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert F.zero_mark == zero_mark
+
+
+SMALL_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]
+
+
+def decode(code, p, d):
+    return gf.trim((code // p ** i) % p for i in range(d))
+
+
+@lru_cache(maxsize=None)
+def element_orders(p, d):
+    """{code: multiplicative order} over the nonzero elements of
+    F_p[t]/(h), h = gf.smallest_irreducible(p, d), by repeated products."""
+    h = gf.smallest_irreducible(p, d)
+    orders = {}
+    for code in range(1, p ** d):
+        f = decode(code, p, d)
+        power, k = f, 1
+        while power != (1,):
+            power, k = gf.mod(gf.mul(power, f, p), h, p), k + 1
+        orders[code] = k
+    return orders
+
+
+@pytest.mark.parametrize("p, d", SMALL_FIELDS)
+def test_generator_is_smallest_code_of_full_order(p, d):
+    orders = element_orders(p, d)
+    assert get_field(p, d).exp_codes[1] == min(
+        code for code, k in orders.items() if k == p ** d - 1)
+
+
+@pytest.mark.parametrize("p, d", SMALL_FIELDS)
+def test_is_primitive_agrees_with_brute_force_order(p, d):
+    h = gf.smallest_irreducible(p, d)
+    factors = gf.factorize(p ** d - 1)
+    for code, k in element_orders(p, d).items():
+        assert gf.is_primitive(decode(code, p, d), h, p, factors) == (
+            k == p ** d - 1), code
+    for zero in [(), h, gf.mul(h, (1, 1), p)]:
+        assert not gf.is_primitive(zero, h, p, factors)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_is_primitive_rejects_x_modulo_x(p):
+    # x is 0 modulo x, and 0^((p - 1)/l) is never 1: without the test for a
+    # multiple of the modulus, the Conway search at m = 1 would take x - 0.
+    assert not gf.is_primitive((0, 1), (0, 1), p, gf.factorize(p - 1))
+    root = -gf.conway_polynomial(p, 1)[0] % p
+    assert element_orders(p, 1)[root] == p - 1
+
+
+# 2 has order 3 in F_7; t has order 4 in F_9 = F_3[t]/(t^2 + 1), so only
+# half of the nonzero windows occur in its digit sequence; 2 lies in the
+# prime field of F_9, so its powers below the second are dependent.
+@pytest.mark.parametrize("p, d, g", [(7, 1, (2,)), (3, 2, (0, 1)),
+                                     (3, 2, (2,))])
+def test_non_primitive_generator_raises_consistency_failure(monkeypatch,
+                                                            p, d, g):
+    monkeypatch.setattr(ExtensionField, "_find_generator", lambda self: g)
+    with pytest.raises(ConsistencyFailure):
+        ExtensionField(p, d)
 
 
 def pointwise_value(F, terms, point, powers):
