@@ -127,6 +127,7 @@ from .errors import (
     InternalPrecisionError,
     PrecisionOrLogicError,
 )
+from .gf import row_reduce
 from .jacobian import LiftedInput
 from .padic import RingContext, RingElement
 from .polytope import LatticePolytope
@@ -139,34 +140,13 @@ def _support_matrix(lifted: LiftedInput) -> List[List[int]]:
     return [[1] * len(nus)] + [[nu[i] for nu in nus] for i in range(lifted.n_eff)]
 
 
-def _row_reduce(rows: List[List[int]], ncols: int, p: int) -> List[int]:
-    """Bring rows (entries in [0, p)) to reduced row echelon form mod p on
-    their first ncols columns, in place; row r holds the pivot in column
-    pivots[r], and the pivots are returned."""
-    pivots: List[int] = []
-    for j in range(ncols):
-        rank = len(pivots)
-        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][j], -1, p)
-        pivot_row = rows[rank] = [c * inv % p for c in rows[rank]]
-        for i, row in enumerate(rows):
-            if i != rank and row[j]:
-                c = row[j]
-                rows[i] = [(x - c * y) % p for x, y in zip(row, pivot_row)]
-        pivots.append(j)
-    return pivots
-
-
 def solve_congruence(U: Sequence[Sequence[int]], target: Sequence[int],
                      p: int) -> List[Tuple[int, ...]]:
     """All e in {0..p-1}^s with U*e = target mod p, in lexicographic order of
     the free-coordinate assignment; empty if the system is inconsistent."""
     s = len(U[0])
     aug = [[u % p for u in row] + [t % p] for row, t in zip(U, target)]
-    pivots = _row_reduce(aug, s, p)
+    pivots = row_reduce(aug, s, p)
     if any(row[s] for row in aug[len(pivots):]):
         return []  # inconsistent
     free = [j for j in range(s) if j not in pivots]
@@ -188,7 +168,7 @@ def check_enumeration(lifted: LiftedInput, v: int, E: int) -> None:
     p = lifted.ring.p
     U = _support_matrix(lifted)
     s = len(U[0])
-    rank = len(_row_reduce([[u % p for u in row] for row in U], s, p))
+    rank = len(row_reduce([[u % p for u in row] for row in U], s, p))
     for count, what in ((v * p ** (s - rank), "congruence solutions"),
                         (p * E, "splitting coefficients")):
         if count > DEFAULT_BUDGET:

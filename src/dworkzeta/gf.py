@@ -1,16 +1,17 @@
-"""Polynomial arithmetic over the prime field F_p.
+"""Polynomial arithmetic and row reduction over the prime field F_p.
 
 Polynomials are tuples of coefficients in ascending degree order with no
 trailing zeros (the zero polynomial is the empty tuple).  This module supplies
 the small amount of characteristic-p plumbing needed elsewhere: irreducibility
-and primitivity tests, deterministic choices of defining polynomials, and
-Conway polynomials computed from their defining property.
+and primitivity tests, deterministic choices of defining polynomials, Conway
+polynomials computed from their defining property, and the one dense row
+reduction mod p.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InvalidFieldSpec
 
@@ -83,6 +84,27 @@ def powmod(f: Poly, e: int, g: Poly, p: int) -> Poly:
         f = mod(mul(f, f, p), g, p)
         e >>= 1
     return result
+
+
+def row_reduce(rows: List[List[int]], ncols: int, p: int) -> List[int]:
+    """Bring rows (entries in [0, p)) to reduced row echelon form mod p on
+    their first ncols columns, in place; row r holds the pivot in column
+    pivots[r], and the pivots are returned."""
+    pivots: List[int] = []
+    for j in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][j], -1, p)
+        pivot_row = rows[rank] = [c * inv % p for c in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[j]:
+                c = row[j]
+                rows[i] = [(x - c * y) % p for x, y in zip(row, pivot_row)]
+        pivots.append(j)
+    return pivots
 
 
 def is_irreducible(f: Poly, p: int) -> bool:

@@ -1,17 +1,17 @@
 """Brute-force point counting.
 
 Entirely independent of the cohomological pipeline: only finite-field
-polynomial arithmetic (gf) and numpy table lookups are used.  F_{q^r} is
-realized as F_p[t]/(h) with h the lexicographically smallest monic
-irreducible of degree a*r, elements are encoded as base-p integer codes,
-and multiplication goes through discrete exp/log tables built once per
-field.  The generator g is the element of order Q - 1 with the smallest
-code, and its powers are read off one linear recurring sequence, the
-lowest digit of g^k, extended by doubling: every other digit of g^k is
-that sequence shifted, so no table of digits is kept.  The embedding of
-F_q is fixed by mapping its generator to the root of its defining
-polynomial with the smallest code; the roots are searched among the
-q - 1 nonzero elements of the subfield F_q only.
+arithmetic (gf: polynomials and row reduction mod p) and numpy table
+lookups are used.  F_{q^r} is realized as F_p[t]/(h) with h the
+lexicographically smallest monic irreducible of degree a*r, elements are
+encoded as base-p integer codes, and multiplication goes through discrete
+exp/log tables built once per field.  The generator g is the element of
+order Q - 1 with the smallest code, and its powers are read off one linear
+recurring sequence, the lowest digit of g^k, extended by doubling: every
+other digit of g^k is that sequence shifted, so no table of digits is kept.
+The embedding of F_q is fixed by mapping its generator to the root of its
+defining polynomial with the smallest code; the roots are searched among
+the q - 1 nonzero elements of the subfield F_q only.
 
 On the torus every value is a power of the generator g, so a sum is
 evaluated on logs: adding g^L to g^S gives g^(L + zech[S - L]) with the
@@ -112,11 +112,11 @@ class ExtensionField:
         for _ in range(d):
             powers.append(gf.mod(gf.mul(powers[-1], g, p), self.h, p))
         digits = [list(f) + [0] * (d - len(f)) for f in powers]
-        c = _solve_mod_p([[digits[i][r] for i in range(d + 1)]
-                          for r in range(d)], p)
-        if c is None:
+        rows = [[digits[i][r] for i in range(d + 1)] for r in range(d)]
+        if len(gf.row_reduce(rows, d, p)) < d:
             raise ConsistencyFailure(
                 f"the generator of F_{p}^{d} lies in a proper subfield")
+        c = [row[d] for row in rows]
         f_g = tuple(-x % p for x in c) + (1,)
         # y^-1 = (y^(d-1) - sum_(i>=1) c_i y^(i-1)) / c_0 mod f_g
         inv = pow(c[0], -1, p)
@@ -202,25 +202,6 @@ class ExtensionField:
             y //= self.p
             place *= self.p
         return out
-
-
-def _solve_mod_p(rows: List[List[int]], p: int) -> Optional[List[int]]:
-    """x with sum_i row[i] x_i = row[-1] mod p for each of the d rows of the
-    d x (d + 1) matrix rows, or None where its d x d part is singular."""
-    rows = [list(row) for row in rows]
-    d = len(rows)
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = pow(rows[col][col], -1, p)
-        rows[col] = [x * inv % p for x in rows[col]]
-        for r in range(d):
-            f = rows[r][col]
-            if r != col and f:
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
-    return [row[-1] for row in rows]
 
 
 # Fields kept, least recently used first out; one pass of the small-p

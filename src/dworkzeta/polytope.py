@@ -9,7 +9,8 @@ as the n-th finite difference of the lattice-point counts of the dilations
 enumeration; and the orthotope-confinement transform, which keeps the box
 small.
 
-No floating point is used anywhere; all predicates are integer determinants.
+No floating point is used anywhere; all predicates are integer determinants,
+and rank and determinant come from one fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import comb, gcd
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import NotFullDimensional
+from .errors import DEFAULT_BUDGET, BudgetExceeded, NotFullDimensional
 
 Point = Tuple[int, ...]
 Facet = Tuple[Tuple[int, ...], int]  # (a, b) meaning <a, x> <= b
@@ -32,29 +33,43 @@ MAX_DIM = 6
 # exact linear algebra helpers
 # ---------------------------------------------------------------------------
 
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
+def rank_det(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
+    """(rank, det) of an integer matrix by one fraction-free (Bareiss)
+    elimination with row swaps that skips the columns without a pivot.
+
+    After k pivots every entry is a (k + 1)-minor of the input, so each
+    division by the previous pivot is exact (Bareiss, Math. Comp. 22,
+    1968).  det is 0 unless the matrix is square and of full rank; the
+    empty matrix has det 1.
+    """
     m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for j in range(ncols):
+        for piv in range(rank, nrows):
+            if m[piv][j]:
+                break
+        else:
+            continue
+        top = m[piv]
+        if piv != rank:
+            m[piv], m[rank] = m[rank], top
+            sign = -sign
+        pv = top[j]
+        # Rows below the pivot, right of column j; column j itself is not
+        # read again.
+        for row in m[rank + 1:]:
+            a = row[j]
+            for k in range(j + 1, ncols):
+                row[k] = (row[k] * pv - a * top[k]) // prev
+        prev = pv
+        rank += 1
+    return rank, (sign * prev if rank == nrows == ncols else 0)
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix."""
+    return rank_det(rows)[1]
 
 
 def affine_rank(points: Sequence[Point]) -> int:
@@ -62,33 +77,7 @@ def affine_rank(points: Sequence[Point]) -> int:
     if len(points) <= 1:
         return 0
     base = points[0]
-    vecs = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    return _rank(vecs)
-
-
-def _rank(vecs: List[List[int]]) -> int:
-    m = [row[:] for row in vecs if any(row)]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                f1, f2 = m[rank][c], m[r][c]
-                m[r] = [f1 * m[r][j] - f2 * m[rank][j] for j in range(cols)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    return rank_det([[x - b for x, b in zip(p, base)] for p in points[1:]])[0]
 
 
 def _primitive(vec: Sequence[int]) -> Tuple[int, ...]:
@@ -193,7 +182,7 @@ def hull(S: Iterable[Point]) -> LatticePolytope:
     for p in points:
         tight = [normal for normal, b in facets
                  if sum(a * x for a, x in zip(normal, p)) == b]
-        if _rank([list(t) for t in tight]) == n:
+        if rank_det(tight)[0] == n:
             vertices.append(p)
     return LatticePolytope(dim=n, vertices=tuple(vertices), facets=facets)
 
@@ -207,7 +196,8 @@ def lattice_points(poly: LatticePolytope, d: int) -> List[Point]:
     integer point of the shadow of d * Delta on k - 1 coordinates, the facets
     of the shadow on k coordinates bound the k-th coordinate to an interval;
     so the scan visits only integer points of the shadows, and a thin Delta
-    in a large box does not pay for the box.
+    in a large box does not pay for the box.  Raises BudgetExceeded before
+    the list would pass DEFAULT_BUDGET points.
     """
     if d < 0:
         raise ValueError("dilation must be nonnegative")
@@ -226,6 +216,10 @@ def lattice_points(poly: LatticePolytope, d: int) -> List[Point]:
         lo = max(-(rest // -c) for c, rest in rests if c < 0)
         hi = min(rest // c for c, rest in rests if c > 0)
         if k == n - 1:
+            if len(out) + hi - lo + 1 > DEFAULT_BUDGET:
+                raise BudgetExceeded(
+                    f"the lattice points of {d} * Delta number more than the "
+                    f"budget of {DEFAULT_BUDGET}")
             out.extend(prefix + (x,) for x in range(lo, hi + 1))
         else:
             for x in range(lo, hi + 1):

@@ -15,6 +15,8 @@ from dense_frobenius import use_in_pipeline
 
 import dworkzeta
 from dworkzeta.cli import main
+from dworkzeta.errors import BudgetExceeded
+from dworkzeta.jacobian import expected_rank
 
 ELLIPTIC = {
     "p": 7, "a": 1, "field_poly": "conway", "n": 2, "mode": "affine",
@@ -294,3 +296,18 @@ def test_large_prime_refused_by_budget_at_once(tmp_path, data, command, what):
     assert proc.returncode == 13 and not proc.stdout, proc.stderr
     assert proc.stderr.startswith("BudgetExceeded: "), proc.stderr
     assert what in proc.stderr, proc.stderr
+
+
+def test_huge_exponent_refused_by_budget_at_once(tmp_path):
+    # x^(10^30) + 1 over F_5: its rank 10^30, the normalized volume of the
+    # segment [0, 10^30], is read off its 10^30 + 1 lattice points, which
+    # the budget refuses to list.
+    with pytest.raises(BudgetExceeded):
+        expected_rank("toric", [(10 ** 30,), (0,)])
+    data = {"p": 5, "a": 1, "n": 1, "mode": "toric",
+            "terms": [{"exp": [10 ** 30], "coeff": [1]},
+                      {"exp": [0], "coeff": [1]}]}
+    proc = run_within(5, ["compute", write_input(tmp_path, data)])
+    assert proc.returncode == 13 and not proc.stdout, proc.stderr
+    assert proc.stderr.startswith("BudgetExceeded: "), proc.stderr
+    assert "lattice points" in proc.stderr, proc.stderr

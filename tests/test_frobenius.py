@@ -6,6 +6,7 @@ and, where the dense product is too slow, with the per-term reference
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
@@ -66,6 +67,37 @@ def test_solve_congruence_basics():
     assert K1 == [(2, 3)]
     # inconsistent system: empty
     assert solve_congruence([[1, 1], [2, 2]], [0, 1], 5) == []
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_solve_congruence_vs_brute_force(p):
+    # Seeded random systems of up to 3 rows in s <= 5 unknowns, some with a
+    # last row that combines the rows before it (rank deficiency), whose
+    # targets then may break it (inconsistency).  The rank of U mod p is
+    # read off the brute-force kernel, of size p^(s - rank).
+    rng = random.Random(p)
+    seen_empty = seen_deficient = 0
+    for _ in range(40):
+        s, nrows = rng.randint(1, 5), rng.randint(1, 3)
+        U = [[rng.randrange(-p, 2 * p) for _ in range(s)]
+             for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.5:
+            U[-1] = [rng.randrange(p) * x + y for x, y in zip(U[0], U[-2])]
+        target = [rng.randrange(-p, 2 * p) for _ in range(nrows)]
+
+        def scan(t):
+            return [k for k in iproduct(range(p), repeat=s)
+                    if all((sum(map(mul, row, k)) - c) % p == 0
+                           for row, c in zip(U, t))]
+
+        brute, kernel = scan(target), len(scan([0] * nrows))
+        rank = s - next(r for r in range(s + 1) if p ** r == kernel)
+        K = solve_congruence(U, target, p)
+        assert set(K) == set(brute), (U, target)
+        assert len(K) == (p ** (s - rank) if brute else 0)
+        seen_empty += not brute
+        seen_deficient += rank < nrows
+    assert seen_empty and seen_deficient
 
 
 def teich_int(c, p, modulus):

@@ -5,6 +5,7 @@ and confinement."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -22,6 +23,7 @@ from dworkzeta.polytope import (
     int_det,
     lattice_points,
     normalized_volume,
+    rank_det,
 )
 
 
@@ -39,6 +41,55 @@ def box_filter_oracle(poly, d):
                for normal, b in poly.facets):
             out.append(pt)
     return sorted(out)
+
+
+def gauss_rank_det(rows):
+    """Reference rank and determinant by Gauss elimination over Q."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    rank, det = 0, Fraction(1)
+    for j in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        det *= m[rank][j]
+        for i in range(rank + 1, len(m)):
+            f = m[i][j] / m[rank][j]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    square = len(m) == ncols
+    return rank, int(det) if square and rank == ncols else 0
+
+
+def test_rank_det_vs_fraction_reference_random():
+    rng = random.Random(25)
+    cases = [[], [[0]], [[7]], [[-3]], [[0, 0]], [[0], [0]], [[2, 4], [1, 2]],
+             [[0, 0, 0], [1, 2, 3], [0, 0, 0]]]
+    for _ in range(1500):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if rng.random() < 0.4 and nrows > 1:
+            # rank deficiency: a combination of the other rows, or a zero row
+            i = rng.randrange(nrows)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[i] = [a * x + b * y for x, y in
+                       zip(rows[i - 1], rows[(i + 1) % nrows])]
+        if rng.random() < 0.3:
+            # small entries make zero pivots and row swaps common
+            rows = [[x % 3 - 1 for x in row] for row in rows]
+        cases.append(rows)
+    assert any(len(r) == len(r[0]) and gauss_rank_det(r)[0] < len(r)
+               for r in cases[1:])
+    for rows in cases:
+        assert rank_det(rows) == gauss_rank_det(rows), rows
+        if not rows or len(rows) == len(rows[0]):
+            assert int_det(rows) == gauss_rank_det(rows)[1]
+    assert rank_det([]) == (0, 1)
 
 
 def test_unit_simplex():
