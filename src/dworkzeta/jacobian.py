@@ -48,11 +48,19 @@ m * c_j is
   is no residual);
 * plus the image: on m * mr, the coefficient alpha - sum_g beta_g e_g(m),
   alpha and beta_g the entries of row r at (mr, 0) and (mr, slot of g).
+  Each e_g is a linear form on the coordinates (d, mu) of the monomial
+  (LiftedInput.exponent_forms), so the coefficient is alpha + sum_k gamma_k
+  * (-m_k), with gamma = sum_g beta_g e_g computed once per entry and m_k
+  the coordinates of m.
 
-compile_column splits the pivot row into these two parts; a non-pivot
-column is its own residual, (its V index, 1), with no image.  build_jacobian
-compiles every column of each degree, 0 to top, once the degree is
-row-reduced, and keeps only the columns and their operators (EchelonData).
+compile_column splits the pivot row into these two parts, in the form the
+reduction sweep reads: monomials as their codes (cone_algebra), an image
+entry as (code(mr) - code(c_j), alpha, gamma), so that the image monomial's
+code is the code of m * c_j plus that offset, and gamma as () when it is
+zero.  A non-pivot column is its own residual, (its V index, 1), with no
+image.  build_jacobian codes each lattice point once, compiles every column
+of each degree, 0 to top, once the degree is row-reduced, and keeps only
+the columns, their codes and their operators (EchelonData).
 
 The rank v = |V| of the quotient has a closed formula in the support
 (expected_rank), which the caller passes to build_jacobian; a basis of any
@@ -80,10 +88,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from operator import add, mul
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .cone_algebra import ConeMonomial
+from .cone_algebra import ConeMonomial, check_code_bound, encode
 from .errors import InvalidInput, NondegeneracyFailure, PrecisionOrLogicError
 from .padic import RingContext, RingElement
 from .polytope import LatticePolytope, lattice_points, normalized_volume
@@ -95,9 +103,9 @@ MODES = ("toric", "affine", "projective")
 # docstring).
 SparseRow = Dict[int, RingElement]
 # A column's reduction operator (module docstring): the residual
-# [(V index, coefficient)] and the image [(mr, alpha, [beta_g])].
+# [(V index, coefficient)] and the image [(code offset, alpha, gamma)].
 Operator = Tuple[List[Tuple[int, RingElement]],
-                 List[Tuple[ConeMonomial, RingElement, List[RingElement]]]]
+                 List[Tuple[int, RingElement, Tuple[RingElement, ...]]]]
 
 
 def working_exponent(mode: str, nu: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -142,6 +150,29 @@ class LiftedInput:
         if self.mode == "projective" and i == self.n_vars:
             return d * self.degree - sum(mu)
         return mu[i - 1]
+
+    @cached_property
+    def exponent_forms(self) -> Tuple[Tuple[int, ...], ...]:
+        """var_exponent(g, .) as linear forms on the coordinates (d, mu_1,
+        ..., mu_n_eff) of a cone monomial, mod p^N and by coordinate: entry
+        [k][s] is the coefficient of coordinate k in the form of the s-th
+        generator index.  The form of g is a unit vector, or (D, -1, ..., -1)
+        for the implicit projective variable."""
+        n, modulus = self.n_eff, self.ring.modulus
+        forms = [[int(k == g) for k in range(n + 1)] if g <= n
+                 else [self.degree] + [-1] * n
+                 for g in self.generator_indices]
+        return tuple(tuple(form[k] % modulus for form in forms)
+                     for k in range(n + 1))
+
+    @cached_property
+    def coded_generators(self) -> Tuple[List[Tuple[int, RingElement]], ...]:
+        """generator(g) for each g in generator_indices, each exponent nu
+        as the offset code((1, nu)) - code(1), which takes the code of a
+        monomial to the code of its product with w x^nu (cone_algebra)."""
+        one = encode((0, (0,) * self.n_eff))
+        return tuple([(encode((1, nu)) - one, c) for nu, c in self.generator(g)]
+                     for g in self.generator_indices)
 
     def generator(self, i: int) -> List[Tuple[Tuple[int, ...], RingElement]]:
         """The degree-one generator w*x_i df/dx_i (x_0 = w, so i = 0 gives
@@ -278,8 +309,10 @@ class DegreeEchelon:
     """Relation matrix of one weight degree, row-reduced, each row with its
     image block (module docstring).
 
-    Rows are sparse: M[i] maps a column index, or the key ncols + width * c +
-    slot of an image entry (cofactors[c], slot), to a nonzero entry.  The rows
+    codes and cofactor_codes are the codes of columns and cofactors, and
+    index maps the code of each column to its position.  Rows are sparse:
+    M[i] maps a column index, or the key ncols + width * c + slot of an
+    image entry (cofactors[c], slot), to a nonzero entry.  The rows
     stay in the order they were built.  pivot_rows maps each pivot column to
     its row of M, in the order the pivots were found; a pivot entry is 1 and
     its column has no other nonzero entry.  Each pivot row is the sparsest
@@ -290,19 +323,24 @@ class DegreeEchelon:
     """
 
     columns: List[ConeMonomial]
-    col_index: Dict[ConeMonomial, int]
+    codes: List[int]
+    index: Dict[int, int]
     cofactors: Sequence[ConeMonomial]
+    cofactor_codes: Sequence[int]
     M: List[SparseRow]
     pivot_rows: Dict[int, int]
 
 
 @dataclass
 class DegreeReduction:
-    """The columns of one weight degree and the reduction operator of each,
-    ops[j] for columns[j] (module docstring)."""
+    """The columns of one weight degree, their codes (ascending, as the
+    columns are in term order), the position of each code, and the
+    reduction operator of each column, ops[j] for columns[j] (module
+    docstring)."""
 
     columns: List[ConeMonomial]
-    col_index: Dict[ConeMonomial, int]
+    codes: List[int]
+    index: Dict[int, int]
     ops: List[Operator]
 
 
@@ -402,31 +440,38 @@ def _row_reduce(ring: RingContext, rows: List[SparseRow], ncols: int,
 
 def echelon_of_degree(lifted: LiftedInput, d: int,
                       cofactors: Sequence[ConeMonomial],
-                      layer: Sequence[ConeMonomial]) -> DegreeEchelon:
+                      layer: Sequence[ConeMonomial],
+                      cofactor_codes: Sequence[int],
+                      layer_codes: Sequence[int]) -> DegreeEchelon:
     """Build and row-reduce the relation rows of degree d, each with its
     image block (module docstring).
 
     cofactors and layer are the cone monomials of degrees d-1 and d in the
-    term order (no cofactors at d = 0); the columns are those of layer that
-    the mode allows.  Every generator term has degree 1: the row of cofactor
-    (d-1, mu) has its terms at (d, mu+nu)."""
+    term order (no cofactors at d = 0), with their codes; the columns are
+    those of layer that the mode allows.  Every generator term has degree 1:
+    the row of cofactor (d-1, mu) has its terms at (d, mu+nu)."""
     ring = lifted.ring
-    columns = [m for m in layer if lifted.cofactor_allowed(0, m)]
-    col_index = {m: k for k, m in enumerate(columns)}
+    columns: List[ConeMonomial] = []
+    codes: List[int] = []
+    for m, code in zip(layer, layer_codes):
+        if lifted.cofactor_allowed(0, m):
+            columns.append(m)
+            codes.append(code)
+    index = dict(zip(codes, range(len(codes))))
     ncols, width = len(columns), len(lifted.generator_indices) + 1
     M: List[SparseRow] = []
     # cofactor_allowed, with the variables each cofactor lacks found once.
     lacking = [lifted.lacking_variables(m) for m in cofactors]
-    for s, gi in enumerate(lifted.generator_indices, 1):
-        terms = lifted.generator(gi)
+    for s, (gi, terms) in enumerate(
+            zip(lifted.generator_indices, lifted.coded_generators), 1):
         allowed = ((), (gi,))
         for ci, m in enumerate(cofactors):
             if lacking[ci] not in allowed:
                 continue
-            mu = m[1]
+            code = cofactor_codes[ci]
             row: SparseRow = {}
-            for nu, c in terms:
-                j = col_index.get((d, tuple(map(add, mu, nu))))
+            for off, c in terms:
+                j = index.get(code + off)
                 if j is None:
                     raise NondegeneracyFailure(
                         f"relation row {m} * generator {gi} leaves the "
@@ -439,16 +484,18 @@ def echelon_of_degree(lifted: LiftedInput, d: int,
             row[key + s] = ring.one
             M.append(row)
     pivots = _row_reduce(ring, M, ncols, d)
-    return DegreeEchelon(columns=columns, col_index=col_index,
-                         cofactors=cofactors, M=M,
+    return DegreeEchelon(columns=columns, codes=codes, index=index,
+                         cofactors=cofactors, cofactor_codes=cofactor_codes,
+                         M=M,
                          pivot_rows={j: r for r, j in pivots})
 
 
 def compile_column(lifted: LiftedInput, de: DegreeEchelon, j: int,
                    position: Dict[int, int]) -> Operator:
-    """The reduction operator of column j of de (module docstring): the
-    column entries of its pivot row besides j give the residual, the image
-    keys, grouped by cofactor, the image.
+    """The reduction operator of column j of de, in the form the reduction
+    sweep reads (module docstring): the column entries of its pivot row
+    besides j give the residual, the image keys, grouped by cofactor mr,
+    the image entries (code(mr) - code(column j), alpha, gamma).
 
     position maps each non-pivot column of de that lies in V to its index in
     V.  A residual on any other column (a top-degree column without a pivot,
@@ -481,8 +528,17 @@ def compile_column(lifted: LiftedInput, de: DegreeEchelon, j: int,
         if acc is None:
             acc = image[ci] = [ring.zero] * width
         acc[s] = c
-    return residual, [(de.cofactors[ci], acc[0], acc[1:])
-                      for ci, acc in image.items()]
+    normalize, forms = ring.normalize, lifted.exponent_forms
+    at, cofactor_codes = de.codes[j], de.cofactor_codes
+    entries = []
+    for ci, (alpha, *beta) in image.items():
+        # gamma is beta read through the forms, which are the unit vectors
+        # outside projective mode.
+        gamma = tuple(beta) if lifted.mode != "projective" else tuple(
+            normalize(sum(map(mul, beta, form))) for form in forms)
+        entries.append((cofactor_codes[ci] - at, alpha,
+                        gamma if any(gamma) else ()))
+    return residual, entries
 
 
 def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
@@ -497,16 +553,20 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
     v, the expected_rank of the input, or the input is degenerate.
     """
     top = lifted.n_eff + 2
+    check_code_bound(top, poly.vertices)
     by_degree: Dict[int, DegreeReduction] = {}
     # Each degree appends its non-pivot columns in ascending order, so V
     # comes out in the term order.
     V: List[ConeMonomial] = []
     layer: List[ConeMonomial] = []
+    layer_codes: List[int] = []
 
     for d in range(top + 1):
         # Sorted lattice points are already in the term order within a degree.
         cofactors, layer = layer, [(d, mu) for mu in lattice_points(poly, d)]
-        de = echelon_of_degree(lifted, d, cofactors, layer)
+        cofactor_codes, layer_codes = layer_codes, list(map(encode, layer))
+        de = echelon_of_degree(lifted, d, cofactors, layer, cofactor_codes,
+                               layer_codes)
         nonpivot = [j for j in range(len(de.columns))
                     if j not in de.pivot_rows]
         if d == top and nonpivot:
@@ -517,7 +577,7 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
         position = {j: len(V) + i for i, j in enumerate(nonpivot)}
         V.extend(de.columns[j] for j in nonpivot)
         by_degree[d] = DegreeReduction(
-            columns=de.columns, col_index=de.col_index,
+            columns=de.columns, codes=de.codes, index=de.index,
             ops=[compile_column(lifted, de, j, position)
                  for j in range(len(de.columns))])
 

@@ -36,8 +36,10 @@ first folds the digits of t^(2a-2), ..., t^a, top down, by t^a = -(h_0 +
 a - 1 folds in all.  So every digit stays below (K*a + a - 1)*(p^N - 1)^2,
 which the width k keeps below 2^k (checked where k is set).  Then every
 digit is reduced mod p^N.  mul, muladd, sigma^-1 and the callers' lazy
-sums (the expansion's per-monomial sums, reduction's layers, the charpoly's
-sums) all go through it.
+sums all go through it: the expansion's per-monomial sums, the charpoly's
+sums, and in reduction each image coefficient and each slot of a packed
+vector, 2a - 1 digits wide, that holds one image's sum of products (the
+reduction module docstring).
 
 Elements are canonical, so an element is zero exactly when it is 0, and two
 elements are equal exactly when they are equal ints.  All operations live on

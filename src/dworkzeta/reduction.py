@@ -30,38 +30,56 @@ clears every column of the layer; a nonzero monomial left over breaks the
 mode restriction.  At degree 0 every column is a basis monomial and its
 own residual, so layer 0 lands on V and nothing is written below it.
 
-Lazy sums.  A coordinate of a layer, and of the result, is an unreduced
-int: the sum of the terms coefficient * x pushed into it, each a product of
-two elements.  It is normalized once, when its layer is popped (the result
-at the end).  A coordinate receives at most one term per pushed vector and
-image entry, far fewer than the 2^HEADROOM_BITS - 1 terms that
-padic.normalize accepts.  An image coefficient alpha - sum_g beta_g e_g(m)
-is a sum of elements times the integers -e_g(m) mod p^N
-(cofactor_exponents), normalized once per application.  Every vector update
-skips zero coordinates, so images that share few monomials cost little more
-than reducing each alone.
+Codes and packed vectors.  A layer is keyed by monomial codes
+(cone_algebra), so the term order is the order of the keys, and the slice
+monomial m * c_j is codes[j] plus the code offset of m, and its image
+monomial m * mr that plus the compiled offset of the entry.  The codes keep
+their fields apart for every monomial of the sweep: reduce checks the bound
+once, from the images' top degree and the largest vertex coordinate of the
+polytope, and build_jacobian checks it at the top degree.  A coefficient
+vector is one int: the entry of image i sits in slot i, at bit S*i with
+S = (2a-1)*k (k = ring.k), the width of a product of two elements.  So a
+push of a vector X on the image monomial c with coefficient coef is one
+below[c] += coef * X, and a residual one out[idx] += c * X: each slot
+receives the product of two elements, digits and all, and no slot carries
+into the next while its digits stay below 2^k.
+
+Lazy sums.  A slot of a layer, and of the result, is an unreduced sum of
+the products pushed into it.  It is normalized once, when its layer is
+popped (the result at the end), by padic.normalize.  A slot receives at
+most one product per pushed vector and image entry, far fewer than the
+2^HEADROOM_BITS - 1 terms that normalize accepts, and each of its 2a - 1
+digits then stays below 2^k (padic module docstring), so the headroom that
+keeps one element's digits apart also keeps the slots apart, for every a.
+An image coefficient alpha + sum_k gamma_k * (-m_k) is a sum of elements
+times the integers -m_k mod p^N, m_k the coordinates of the cofactor m,
+normalized once per application; at and below the top degree m = 1 and the
+coefficient is alpha itself, as it is for an entry whose gamma is zero.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import add, ge, mul, sub
+from operator import ge, mul
 from typing import Dict, List, Optional, Sequence
 
-from .cone_algebra import ConeElement, ConeMonomial
+from .cone_algebra import (
+    ConeElement,
+    ConeMonomial,
+    check_code_bound,
+    decode,
+    encode,
+)
 from .errors import DecompositionError, PrecisionOrLogicError
 from .jacobian import EchelonData, MonomialBasis, Operator
 from .padic import RingContext, RingElement
 
-# A coefficient vector, one entry per image; in a layer the entries are
-# unreduced sums (see the module docstring).
-Vector = List[int]
-
 
 def _default_divisor_policy(candidates: List[ConeMonomial],
                             lm: ConeMonomial, ech: EchelonData
-                            ) -> Optional[ConeMonomial]:
-    """First monomial m0 of top degree with lm - m0 still in the cone.
+                            ) -> Optional[int]:
+    """Position in candidates of the first monomial m0 of top degree with
+    lm - m0 still in the cone.
 
     candidates are the top-degree columns.  lm - m0 has degree k = d - top
     >= 1, and lies in the cone when n.(mu - mu0) <= k*b for every facet
@@ -70,51 +88,38 @@ def _default_divisor_policy(candidates: List[ConeMonomial],
     d, mu = lm
     k = d - ech.top
     floors = [sum(map(mul, n, mu)) - k * b for n, b in ech.poly.facets]
-    for m0, heights in zip(candidates, ech.top_heights):
+    for j, heights in enumerate(ech.top_heights):
         if all(map(ge, heights, floors)):
-            return m0
+            return j
     return None
 
 
-def cofactor_exponents(ech: EchelonData, m: ConeMonomial) -> List[int]:
-    """-e_g(m) mod p^N for g in LiftedInput.generator_indices."""
-    lifted = ech.lifted
-    modulus = lifted.ring.modulus
-    return [-lifted.var_exponent(g, m) % modulus
-            for g in lifted.generator_indices]
+def slot_bits(ring: RingContext) -> int:
+    """The width of one image's slot in a packed vector: a product of two
+    elements, 2a - 1 digits of k bits."""
+    return (2 * ring.a - 1) * ring.k
 
 
-def apply_column(ring: RingContext, op: Operator, m: ConeMonomial,
-                 e: Sequence[int], vec: Vector,
-                 below: Dict[ConeMonomial, Vector], out: List[Vector]) -> None:
-    """Add the class of m * (the column of op) * vec as raw sums: its residual
-    to out (one list per image, indexed by V) and its image to below.
+def apply_column(ring: RingContext, op: Operator, key: int,
+                 e: Optional[Sequence[int]], x: int,
+                 below: Dict[int, int], out: List[int]) -> None:
+    """Add the class of the packed vector x on the monomial of code key,
+    m * (the column of op), as raw sums: its residual to out (one packed
+    vector per index of V) and its image to below.
 
-    vec holds elements; m is the cofactor and e its cofactor_exponents
-    (unused, and empty, when m has degree 0, that is m = 1).
+    e holds -m_k mod p^N for the coordinates (d, mu) of the cofactor m, or
+    is None when m = 1.
     """
     residual, image = op
     for idx, c in residual:
-        for x, col in zip(vec, out):
-            if x:
-                col[idx] += c * x
-    d, mu = m
+        out[idx] += c * x
     normalize = ring.normalize
-    for mr, alpha, beta in image:
-        if d:
-            coef = normalize(alpha + sum(map(mul, beta, e)))
-            mono = (d + mr[0], tuple(map(add, mu, mr[1])))
-        else:
-            coef, mono = alpha, mr
-        if not coef:
-            continue
-        dst = below.get(mono)
-        if dst is None:
-            below[mono] = [coef * x for x in vec]
-            continue
-        for i, x in enumerate(vec):
-            if x:
-                dst[i] += coef * x
+    for off, alpha, gamma in image:
+        coef = normalize(alpha + sum(map(mul, gamma, e))) if e and gamma \
+            else alpha
+        if coef:
+            c = key + off
+            below[c] = below.get(c, 0) + coef * x
 
 
 def reduce(images: Sequence[ConeElement], ech: EchelonData,
@@ -123,49 +128,64 @@ def reduce(images: Sequence[ConeElement], ech: EchelonData,
     one list per image."""
     ring = ech.lifted.ring
     top = ech.top
-    normalize = ring.normalize
-    width = len(images)
-    out: List[Vector] = [[0] * basis.v for _ in range(width)]
+    n = ech.lifted.n_eff
+    normalize, modulus = ring.normalize, ring.modulus
+    bits = slot_bits(ring)
+    mask = (1 << bits) - 1
+    shifts = [bits * i for i in range(len(images))]
+    out = [0] * basis.v
 
-    layers: Dict[int, Dict[ConeMonomial, Vector]] = defaultdict(dict)
-    for col, G in enumerate(images):
+    layers: Dict[int, Dict[int, int]] = defaultdict(dict)
+    for shift, G in zip(shifts, images):
         for m, c in G.terms.items():
             layer = layers[m[0]]
-            vec = layer.get(m)
-            if vec is None:
-                vec = layer[m] = [0] * width
-            vec[col] = c
+            key = encode(m)
+            layer[key] = layer.get(key, 0) + (c << shift)
+    top_degree = max(layers, default=0)
+    check_code_bound(top_degree, ech.poly.vertices)
 
-    for d in range(max(layers, default=0), -1, -1):
+    candidates = ech.by_degree[top].columns
+    for d in range(top_degree, -1, -1):
         de = ech.by_degree[min(d, top)]
+        codes, ops = de.codes, de.ops
         below = layers[d - 1]
-        # The layer with each coordinate normalized once.
-        layer = {m: [normalize(x) if x else 0 for x in vec]
-                 for m, vec in layers.pop(d, {}).items()}
+        # The layer with each slot normalized once.
+        layer = {}
+        for key, x in layers.pop(d, {}).items():
+            y = 0
+            for s in shifts:
+                z = x >> s & mask
+                if z:
+                    y |= normalize(z) << s
+            layer[key] = y
         for lm in sorted(layer, reverse=True):
-            vec = layer.get(lm)
-            if vec is None or not any(vec):
+            if not layer.get(lm):
                 continue
             if d > top:
-                m0 = _default_divisor_policy(de.columns, lm, ech)
-                if m0 is None:
+                mu = decode(lm, n)[1]
+                j0 = _default_divisor_policy(candidates, (d, mu), ech)
+                if j0 is None:
                     raise DecompositionError(
-                        f"no top-degree divisor monomial for {lm}: the cone "
-                        "decomposition has no factor available")
-            elif lm in de.col_index:
-                m0 = lm
+                        f"no top-degree divisor monomial for {(d, mu)}: the "
+                        "cone decomposition has no factor available")
+                # m = lm / m0: its code offset and its -m_k mod p^N.
+                off = lm - codes[j0]
+                e = [(top - d) % modulus]
+                e.extend((y - x) % modulus
+                         for x, y in zip(mu, candidates[j0][1]))
             else:
-                raise PrecisionOrLogicError(
-                    f"monomial {lm} violates the mode restriction during "
-                    "reduction")
-            m = (d - m0[0], tuple(map(sub, lm[1], m0[1])))
-            e = cofactor_exponents(ech, m) if m[0] else ()
+                j0 = de.index.get(lm)
+                if j0 is None:
+                    raise PrecisionOrLogicError(
+                        f"monomial {decode(lm, n)} violates the mode "
+                        "restriction during reduction")
+                off, e = 0, None
             # The slice of layer d lying in m * (the columns up to m0); the
             # columns above m0 give monomials above lm.
-            for j in range(de.col_index[m0] + 1):
-                x = layer.pop((d, tuple(map(add, m[1], de.columns[j][1]))),
-                              None)
-                if x is not None:
-                    apply_column(ring, de.ops[j], m, e, x, below, out)
+            for j in range(j0 + 1):
+                key = codes[j] + off
+                x = layer.pop(key, None)
+                if x:
+                    apply_column(ring, ops[j], key, e, x, below, out)
 
-    return [[normalize(x) for x in col] for col in out]
+    return [[normalize(x >> s & mask) for x in out] for s in shifts]

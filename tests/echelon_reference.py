@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from dworkzeta.cone_algebra import encode
 from dworkzeta.errors import NondegeneracyFailure
 from dworkzeta.jacobian import DegreeEchelon, echelon_of_degree
 from dworkzeta.polytope import lattice_points
@@ -67,7 +68,10 @@ def echelons(lifted, poly, top):
 
     out = {}
     for d in range(top + 1):
-        de = echelon_of_degree(lifted, d, layer(d - 1), layer(d))
+        cofactors, columns = layer(d - 1), layer(d)
+        de = echelon_of_degree(lifted, d, cofactors, columns,
+                               list(map(encode, cofactors)),
+                               list(map(encode, columns)))
         meta = row_meta(lifted, layer(d - 1))
         ncols = len(de.columns)
         M = [{k: c for k, c in row.items() if k < ncols} for row in de.M]
@@ -75,7 +79,8 @@ def echelons(lifted, poly, top):
         T = [{i: row[k] for i, k in enumerate(keys) if k in row}
              for row in de.M]
         out[d] = ReferenceEchelon(de=de, columns=de.columns,
-                                  col_index=de.col_index,
+                                  col_index={m: k for k, m in
+                                             enumerate(de.columns)},
                                   pivot_rows=de.pivot_rows, row_meta=meta,
                                   M=M, T=T)
     return out

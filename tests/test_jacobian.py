@@ -16,6 +16,7 @@ from echelon_reference import echelons, first_unit_row_reduce, solve
 from ring_helpers import from_int
 
 from dworkzeta import gf, jacobian, pipeline
+from dworkzeta.cone_algebra import encode
 from dworkzeta.errors import InvalidInput, NondegeneracyFailure
 from dworkzeta.jacobian import (
     _row_reduce,
@@ -45,6 +46,38 @@ def build(R, terms, mode):
     poly = hull(lifted.support)
     v = expected_rank(mode, [nu for nu, _ in terms])
     return lifted, poly, build_jacobian(lifted, poly, v)
+
+
+@pytest.mark.parametrize("terms, mode", [
+    (elliptic_terms(7, 2, 3), "toric"),
+    (elliptic_terms(7, 2, 3), "affine"),
+    ([((4, 0, 0), (1,)), ((0, 4, 0), (2,)), ((0, 0, 4), (3,))], "projective"),
+])
+def test_exponent_forms_and_coded_generators(terms, mode):
+    """exponent_forms read at a monomial is var_exponent mod p^N, and the
+    offset of each coded generator term takes the code of a monomial to
+    the code of its product with that term."""
+    R = ring()
+    lifted = lift_input(R, terms, mode)
+    poly = hull(lifted.support)
+    rng = random.Random(31)
+    forms = lifted.exponent_forms
+    for d in range(4):
+        for mu in lattice_points(poly, d):
+            m = (d, mu)
+            coords = (d,) + mu
+            for s, g in enumerate(lifted.generator_indices):
+                value = sum(row[s] * x for row, x in zip(forms, coords))
+                assert value % R.modulus == lifted.var_exponent(g, m) % R.modulus
+    for g, coded in zip(lifted.generator_indices, lifted.coded_generators):
+        terms_g = lifted.generator(g)
+        assert [c for _, c in coded] == [c for _, c in terms_g]
+        for _ in range(5):
+            k = rng.randrange(4)
+            m = (k, rng.choice(lattice_points(poly, k)))
+            for (off, _), (nu, _) in zip(coded, terms_g):
+                prod = (k + 1, tuple(map(add, m[1], nu)))
+                assert encode(m) + off == encode(prod)
 
 
 def test_lift_input_elliptic_generators():

@@ -1,21 +1,24 @@
 """Reduction tests: linearity, vanishing of the operator relations (the
 strongest oracle), the elliptic vertical/constant relations, independence
 of the divisor-choice policy, images reduced together against each
-reduced alone, the mode restriction, and each column operator that
-build_jacobian compiles against the echelon solve it replaces."""
+reduced alone, the mode restriction, each column operator that
+build_jacobian compiles against the echelon solve it replaces, and the
+coded sweep against the tuple-keyed one (reduction_reference)."""
 
 from __future__ import annotations
 
 import random
+from operator import add
 
 import pytest
 
+import reduction_reference
 from cone_helpers import add_term, apply_Di, cone_sum
 from echelon_reference import echelons, solve
 from ring_helpers import from_coords, from_int
 
 from dworkzeta import gf, reduction
-from dworkzeta.cone_algebra import ConeElement
+from dworkzeta.cone_algebra import CODE_BITS, ConeElement, decode, encode
 from dworkzeta.errors import PrecisionOrLogicError
 from dworkzeta.jacobian import (
     build_jacobian,
@@ -65,6 +68,20 @@ def random_cone_element(rng, R, lifted, poly, gen_i, max_degree=3, k=4):
         m = rng.choice(candidates)
         add_term(out, m, from_int(R, rng.randrange(1, R.modulus)))
     return out
+
+
+def pack(R, vec):
+    """The packed vector of the elements vec, entry i in slot i (reduction
+    module docstring)."""
+    bits = reduction.slot_bits(R)
+    return sum(x << bits * i for i, x in enumerate(vec))
+
+
+def unpack(R, x, width):
+    """The width slots of the packed vector x, each normalized."""
+    bits = reduction.slot_bits(R)
+    return [R.normalize(x >> bits * i & (1 << bits) - 1)
+            for i in range(width)]
 
 
 def test_basis_elements_reduce_to_themselves():
@@ -176,10 +193,10 @@ def test_divisor_policy_independence(monkeypatch):
         calls.append(lm)
         k = lm[0] - e.top
         chosen = None
-        for m0 in candidates:
+        for j, m0 in enumerate(candidates):
             diff = tuple(a - b for a, b in zip(lm[1], m0[1]))
             if e.poly.contains(diff, k):
-                chosen = m0
+                chosen = j
         return chosen
 
     rng = random.Random(24)
@@ -193,13 +210,13 @@ def test_divisor_policy_independence(monkeypatch):
 
 
 def first_fit(candidates, lm, ech):
-    """The first top-degree column m0 with lm - m0 in the cone, by
-    LatticePolytope.contains: the rule _default_divisor_policy computes
-    from facet heights."""
+    """The position of the first top-degree column m0 with lm - m0 in the
+    cone, by LatticePolytope.contains: the rule _default_divisor_policy
+    computes from facet heights."""
     k = lm[0] - ech.top
-    for m0 in candidates:
+    for j, m0 in enumerate(candidates):
         if ech.poly.contains(tuple(a - b for a, b in zip(lm[1], m0[1])), k):
-            return m0
+            return j
     return None
 
 
@@ -269,7 +286,7 @@ def test_compiled_operator_matches_solve_and_push(make):
     R, lifted, poly, ech, basis = make()
     rng = random.Random(26)
     basis_index = {m: i for i, m in enumerate(basis.V)}
-    width = 3
+    width, n = 3, lifted.n_eff
 
     def element():
         if rng.random() < 0.2:
@@ -282,18 +299,19 @@ def test_compiled_operator_matches_solve_and_push(make):
     for d, de in echelons(lifted, poly, ech.top).items():
         for j in range(len(de.columns)):
             vec = [element() for _ in range(width)]
-            m = (0, ())
+            m = (0, (0,) * n)
             if d == ech.top:
                 k = rng.randrange(3)
                 m = (k, rng.choice(lattice_points(poly, k)))
-            # the compiled operator, its sums normalized
-            below, out = {}, [[0] * basis.v for _ in range(width)]
+            # the compiled operator on m * (column j), its sums normalized
+            below, out = {}, [0] * basis.v
             op = ech.by_degree[d].ops[j]
-            e = reduction.cofactor_exponents(ech, m) if m[0] else ()
-            reduction.apply_column(R, op, m, e, vec, below, out)
-            below = {mono: [R.normalize(x) for x in v]
-                     for mono, v in below.items()}
-            out = [[R.normalize(x) for x in col] for col in out]
+            key = encode((m[0] + d, tuple(map(add, m[1], de.columns[j][1]))))
+            e = ([-c % R.modulus for c in (m[0], *m[1])] if m[0] else None)
+            reduction.apply_column(R, op, key, e, pack(R, vec), below, out)
+            below = {decode(c, n): unpack(R, x, width)
+                     for c, x in below.items()}
+            out = [list(col) for col in zip(*(unpack(R, x, width) for x in out))]
             # the reference: solve, then push each relation row on its own
             eta, v = solve(R, de, {j: vec})
             if d == ech.top:
@@ -306,8 +324,7 @@ def test_compiled_operator_matches_solve_and_push(make):
             for i, er in eta.items():
                 g, mr = de.row_meta[i]
                 k, mu = m
-                mono = (k + mr[0], tuple(a + b for a, b in zip(mu, mr[1])) if k
-                        else mr[1])
+                mono = (k + mr[0], tuple(a + b for a, b in zip(mu, mr[1])))
                 mult = lifted.var_exponent(g, mono)
                 acc = ref_below.setdefault(mono, [R.zero] * width)
                 for col in range(width):
@@ -333,6 +350,122 @@ def test_mode_restriction_raises_at_and_below_top():
     for d in (0, 2, ech.top):
         m = (d, (0, 0))
         assert poly.contains(m[1], d)
-        assert m not in ech.by_degree[d].col_index
+        assert m not in ech.by_degree[d].columns
         with pytest.raises(PrecisionOrLogicError):
             cone_reduce([ConeElement(R, {m: R.one})], ech, basis)
+
+
+def allowed_points(lifted, poly, d):
+    """The monomials of degree d that the mode allows as columns: the
+    support of a Frobenius image."""
+    return [(d, mu) for mu in lattice_points(poly, d)
+            if lifted.cofactor_allowed(0, (d, mu))]
+
+
+# x + y + 1/(xy) + 1 and 2x + 2t*y + 1/(xy) + t over F_9: negative toric
+# coordinates; y^2 = x^3 + x + t over F_25; x^3 + 2y^3 + z^3 over F_25.
+REFERENCE_FIXTURES = {
+    "toric-a1": lambda: fixture(ring(3, 1, 4), [
+        ((1, 0), (1,)), ((0, 1), (1,)), ((-1, -1), (1,)), ((0, 0), (1,))],
+        "toric"),
+    "toric-a2": lambda: fixture(ring(3, 2, 4), [
+        ((1, 0), (2, 0)), ((0, 1), (0, 2)), ((-1, -1), (1, 0)),
+        ((0, 0), (0, 1))], "toric"),
+    "affine-a1": lambda: elliptic_fixture(mode="affine"),
+    "affine-a2": lambda: fixture(ring(5, 2, 4), [
+        ((3, 0), (1, 0)), ((1, 0), (1, 0)), ((0, 0), (0, 1)),
+        ((0, 2), (4, 0))], "affine"),
+    "projective-a1": projective_cubic_fixture,
+    "projective-a2": lambda: fixture(ring(5, 2, 4), [
+        ((3, 0, 0), (1, 0)), ((0, 3, 0), (2, 0)), ((0, 0, 3), (1, 0))],
+        "projective"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_FIXTURES))
+def test_reduce_matches_tuple_reference(name):
+    """The coded sweep equals the tuple-keyed sweep of reduction_reference
+    bit for bit, on seeded random images of widths 1, 2, 5 and 9 with terms
+    up to degree top + 6, zero and negated images among them."""
+    R, lifted, poly, ech, basis = REFERENCE_FIXTURES[name]()
+    ref = reduction_reference.reference_reduction(lifted, poly, ech.top,
+                                                  basis)
+    rng = random.Random(28)
+    points = {d: allowed_points(lifted, poly, d)
+              for d in range(ech.top + 7)}
+    points = {d: ms for d, ms in points.items() if ms}
+    if name.startswith("toric"):
+        assert any(c < 0 for _, mu in points[ech.top + 6] for c in mu)
+
+    def random_image():
+        out = ConeElement(R)
+        for _ in range(rng.randrange(1, 9)):
+            d = rng.choice(list(points))
+            coords = [rng.randrange(R.modulus) for _ in range(R.a)]
+            add_term(out, rng.choice(points[d]), from_coords(R, coords))
+        return out
+
+    for width in (1, 2, 5, 9):
+        images = [random_image() for _ in range(width)]
+        add_term(images[0], rng.choice(points[ech.top + 6]), R.one)
+        if width > 1:
+            images[-1] = ConeElement(
+                R, {m: R.neg(c) for m, c in images[0].terms.items()})
+        if width > 2:
+            images[1] = ConeElement(R)
+        got = cone_reduce(images, ech, basis)
+        assert got == reduction_reference.reduce(images, ref, basis), width
+        if width > 1:
+            assert got[-1] == [R.neg(c) for c in got[0]]
+        if width > 2:
+            assert got[1] == [R.zero] * basis.v
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_FIXTURES))
+def test_coded_operators_match_tuple_operators(name):
+    """Every compiled image entry is the tuple-keyed entry (mr, alpha,
+    beta) read through the codes and the exponent forms: its offset added
+    to the code of m * c_j is the code of m * mr, for random cofactors m,
+    and gamma is beta read through the forms (empty when zero)."""
+    R, lifted, poly, ech, basis = REFERENCE_FIXTURES[name]()
+    ref = reduction_reference.reference_reduction(lifted, poly, ech.top,
+                                                  basis)
+    rng = random.Random(29)
+    forms = lifted.exponent_forms
+    for d in range(ech.top + 1):
+        coded, tupled = ech.by_degree[d], ref.by_degree[d]
+        assert coded.columns == tupled.columns
+        assert coded.codes == [encode(m) for m in coded.columns]
+        assert coded.index == {c: j for j, c in enumerate(coded.codes)}
+        for j, (c_j, (res, image), (ref_res, ref_image)) in enumerate(
+                zip(coded.columns, coded.ops, tupled.ops)):
+            assert res == ref_res, (d, j)
+            assert len(image) == len(ref_image), (d, j)
+            for (off, alpha, gamma), (mr, ref_alpha, beta) in zip(
+                    image, ref_image):
+                assert alpha == ref_alpha
+                want = tuple(R.normalize(sum(b * f for b, f in zip(beta, form)))
+                             for form in forms)
+                assert gamma == (want if any(want) else ())
+                for _ in range(2):
+                    k = rng.randrange(3)
+                    m = (k, rng.choice(lattice_points(poly, k)))
+                    at = (k + d, tuple(map(add, m[1], c_j[1])))
+                    to = (k + mr[0], tuple(map(add, m[1], mr[1])))
+                    assert encode(at) + off == encode(to)
+
+
+def test_code_bound_checked_once_per_reduce():
+    """An image whose degree times the largest vertex coordinate reaches
+    2^(CODE_BITS - 1) raises before any code is read, where its fields
+    would spill into each other."""
+    R, lifted, poly, ech, basis = REFERENCE_FIXTURES["toric-a1"]()
+    vertex = max(abs(c) for v in poly.vertices for c in v)
+    assert vertex == 1
+    d = 1 << (CODE_BITS - 1)
+    far = (d, (d, 0))
+    assert decode(encode(far), 2) != far
+    with pytest.raises(PrecisionOrLogicError):
+        cone_reduce([ConeElement(R, {far: R.one})], ech, basis)
+    near = (d - 1, (d - 1, 0))
+    assert decode(encode(near), 2) == near
