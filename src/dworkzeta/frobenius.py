@@ -94,18 +94,17 @@ sums, so the monomial is in it.  Either check raises PrecisionOrLogicError.
 For valid input neither can fail: e.nu is a sum of |e| support points, and
 p*base_x = sum_j k_j nu_j + mu lies in (|k| + d) Delta = p*bw*Delta.
 
-Two caches hold what the expansions share.  The column tables of the last
-series read hold the column, numerators and profile id of each residue
-that an expansion has read, built when it is first read; the expansions of
-a solve, and of the next solve at the same p, N_work and E, all read one
-series, the very tuple that splitting.compute_splitting keeps.  An LRU
-cache holds the power table of each of the last POWER_TABLE_SIZE lifted
-inputs (ring, coefficients, support, slot width, polytope):
-sigma^{-1}(a_j)^c for c < p, one incremental list per slot, and (|e|,
-(-1)^|e| a^e, e.nu) per distinct e.  e is packed into one int, e_j in a
-slot of E.bit_length() bits, the last support point in the lowest slot;
-each entry is built from e minus one in its lowest nonzero slot, with one
-mul.
+One cache holds what the expansions share: splitting_for keeps the
+SeriesTables of the last (p, N_work, E), the series and the column, ell
+numerators and profile id of every residue c < p.  They hold no coefficient
+of the input, so the expansions of a solve, and of the next solve at the
+same p, N_work and E, read one value.  What depends on the input is built
+once per solve by power_table: U, sigma^{-1}(a_j)^c for c < p, one
+incremental list per slot, and the entries (|e|, (-1)^|e| a^e, e.nu), one
+per distinct e, filled as the expansions reach them.  e is packed into one
+int, e_j in a slot of E.bit_length() bits, the last support point in the
+lowest slot; each entry is built from e minus one in its lowest nonzero
+slot, with one mul.
 
 check_enumeration refuses, with BudgetExceeded, an expansion whose
 congruence solutions or series coefficients exceed DEFAULT_BUDGET.
@@ -115,10 +114,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count, islice, product, repeat
+from itertools import accumulate, islice, product, repeat
 from math import ceil
 from operator import add, mul, sub
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .cone_algebra import ConeElement, ConeMonomial
 from .errors import (
@@ -184,102 +183,104 @@ def truncation_bound(p: int, n_eff: int, N_work: int) -> int:
     return ceil(beta * (N_work + gamma))
 
 
-def splitting_for(ring: RingContext, E: int) -> SplittingSeries:
-    """Splitting coefficients are consumed at indices k + p*e < p*E."""
-    return compute_splitting(ring.p, ring.N, ring.p * E)
-
-
 # (gain, step, ell numerator, e_j) for e_j = 0, 1, ..., E-1; see the
 # module docstring.
-Column = List[Tuple[int, int, int, int]]
+Column = Tuple[Tuple[int, int, int, int], ...]
 
 
-# The expansions of one solve read one series, and so does the next solve at
-# the same p, N_work and E: compute_splitting hands back the one object it
-# keeps, so the last series read is matched by identity and never hashed
-# (hashing it cost about 30 us per expansion at p = 271, a seventh of the
-# expansions of a one-solution input there).
-_last_tables: tuple = (0, (), None)
+class SeriesTables(NamedTuple):
+    """The splitting coefficients ell_i, i < p*E, and for every residue c < p
+    its column, its ell numerators and its profile id (residues with equal
+    gains and steps share one)."""
+
+    series: SplittingSeries
+    E: int
+    columns: Tuple[Column, ...]
+    ells: Tuple[Tuple[int, ...], ...]
+    profiles: Tuple[int, ...]
 
 
-def _column_tables(p: int, series: SplittingSeries):
-    """The tables that expand_frobenius fills for the residues c < p it
-    reads: the column of c, its ell numerators and its profile id (residues
-    with equal gains and steps share one), plus the ids given out so far and
-    a counter for new ones; empty for a series not seen last.  Threads may
-    fill the tables at once: every write for c stores the same value, and
-    next() hands out distinct ids."""
-    global _last_tables
-    last_p, last_series, tables = _last_tables
-    if p != last_p or series is not last_series:
-        columns: Dict[int, Column] = {}
-        ells: Dict[int, Tuple[int, ...]] = {}
-        profiles: Dict[int, int] = {}
-        ids: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-        tables = (columns, ells, profiles, ids, count())
-    _last_tables = (p, series, tables)
-    return tables
+def splitting_for(ring: RingContext, E: int) -> SeriesTables:
+    """The tables of the expansions mod p^N_work with cutoff E."""
+    return _series_tables(ring.p, ring.N, E)
 
 
-# The expansions of one lifted input run one after another, so a few power
-# tables cover the inputs in flight.
-POWER_TABLE_SIZE = 4
+@lru_cache(maxsize=1)
+def _series_tables(p: int, N_work: int, E: int) -> SeriesTables:
+    # Splitting coefficients are consumed at indices k + p*e < p*E.
+    series = compute_splitting(p, N_work, p * E)
+    ejs = range(E)
+    columns, ells, profiles = [], [], []
+    ids: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+    for c in range(p):
+        denom_exps, ell = zip(*series[c::p])
+        gains = tuple([ej - d_bound(p, c + p * ej) for ej in ejs])
+        net_steps = tuple(map(sub, ejs, denom_exps))
+        columns.append(tuple(zip(gains, net_steps, ell, ejs)))
+        ells.append(ell)
+        profiles.append(ids.setdefault((gains, net_steps), len(ids)))
+    return SeriesTables(series, E, tuple(columns), tuple(ells),
+                        tuple(profiles))
 
-# packed e -> (|e|, (-1)^|e| a^e, e.nu); see the module docstring.
-PowerTable = Dict[int, Tuple[int, RingElement, Tuple[int, ...]]]
+
+class PowerTable(NamedTuple):
+    """U; the step (-a_j, nu_j) of each slot, lowest slot first; the powers
+    sigma^{-1}(a_j)^c, c < p, of each slot; and the entries, packed e ->
+    (|e|, (-1)^|e| a^e, e.nu), holding e = 0 until _power_entry fills them
+    in.  The expansions of one solve share one table; they share one E too,
+    whose bit length is the slot width of packed e."""
+
+    U: List[List[int]]
+    steps: List[Tuple[RingElement, Tuple[int, ...]]]
+    sigma_powers: List[List[RingElement]]
+    entries: Dict[int, Tuple[int, RingElement, Tuple[int, ...]]]
 
 
-@lru_cache(maxsize=POWER_TABLE_SIZE)
-def _power_table(ring: RingContext, coeffs: Tuple[RingElement, ...],
-                 support: Tuple[Tuple[int, ...], ...], width: int,
-                 poly: LatticePolytope):
-    """The power table, holding e = 0 until _power_entry fills it in; the
-    step (-a_j, nu_j) of each slot, lowest slot first; and the powers
-    sigma^{-1}(a_j)^c, c < p, of each slot.  poly is part of the key
-    because _power_entry checks each entry against its cone.  Two threads
-    may fill one table at once; an entry depends only on its key, so either
-    write is right."""
+def power_table(lifted: LiftedInput) -> PowerTable:
+    """The power table of one solve's lifted input."""
+    ring, coeffs, support = lifted.ring, lifted.coeffs, lifted.support
     # sigma^{-1}(a_j) for Teichmueller coefficients is a_j^(q/p)
     roots = [ring.pow(aj, ring.q // ring.p) for aj in coeffs]
-    return ({0: (0, ring.one, (0,) * len(support[0]))},
-            [(ring.neg(aj), nu) for aj, nu in zip(coeffs[::-1], support[::-1])],
-            [list(accumulate(repeat(sj, ring.p - 1), ring.mul,
-                             initial=ring.one)) for sj in roots])
+    return PowerTable(
+        _support_matrix(lifted),
+        [(ring.neg(aj), nu) for aj, nu in zip(coeffs[::-1], support[::-1])],
+        [list(accumulate(repeat(sj, ring.p - 1), ring.mul, initial=ring.one))
+         for sj in roots],
+        {0: (0, ring.one, (0,) * len(support[0]))})
 
 
 def _power_entry(ring: RingContext, poly: LatticePolytope,
-                 powers: PowerTable, steps, packed: int, width: int):
-    """powers[packed], built from e minus one in its lowest nonzero slot,
-    once (|e|, e.nu) is checked to lie in the cone over poly."""
+                 powers: PowerTable, packed: int, width: int):
+    """The entry of packed e, built from e minus one in its lowest nonzero
+    slot, once (|e|, e.nu) is checked to lie in the cone over poly."""
     j = ((packed & -packed).bit_length() - 1) // width
     prev = packed - (1 << width * j)
-    esum, apow, nu_sum = (powers.get(prev)
-                          or _power_entry(ring, poly, powers, steps, prev,
-                                          width))
-    neg_aj, nu = steps[j]
+    esum, apow, nu_sum = (powers.entries.get(prev)
+                          or _power_entry(ring, poly, powers, prev, width))
+    neg_aj, nu = powers.steps[j]
     esum, nu_sum = esum + 1, tuple(map(add, nu_sum, nu))
     if not poly.contains(nu_sum, esum):
         raise PrecisionOrLogicError(
             f"power-table entry {(esum, nu_sum)} escapes the cone over the "
             "polytope")
-    entry = powers[packed] = (esum, ring.mul(apow, neg_aj), nu_sum)
+    entry = powers.entries[packed] = (esum, ring.mul(apow, neg_aj), nu_sum)
     return entry
 
 
 def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
-                     poly: LatticePolytope, series: SplittingSeries,
-                     E: int) -> ConeElement:
+                     poly: LatticePolytope, tables: SeriesTables,
+                     powers: PowerTable) -> ConeElement:
     """Fewnomial-enumeration expansion of alpha((pi*w)^d x^mu) mod p^N_work,
-    with E = truncation_bound(p, n_eff, N_work)."""
+    with tables = splitting_for(ring, truncation_bound(p, n_eff, N_work))
+    and powers = power_table(lifted)."""
     ring = lifted.ring
     p, N_work, modulus, normalize = ring.p, ring.N, ring.modulus, ring.normalize
     a, shifts = ring.a, ring.shifts
     d, mu = target
     offset = (d,) + mu
-    U = _support_matrix(lifted)
-    width = E.bit_length()
-    powers, steps, sigma_powers = _power_table(ring, lifted.coeffs,
-                                               lifted.support, width, poly)
+    U, entries = powers.U, powers.entries
+    columns, ells, profiles = tables.columns, tables.ells, tables.profiles
+    width = tables.E.bit_length()
 
     solutions = solve_congruence(U, [-t % p for t in offset], p)
     # slots[j]: k_j of every solution.
@@ -297,15 +298,6 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
             raise PrecisionOrLogicError(
                 f"congruence solution {k} fails divisibility by p")
         image.append(list(map(p.__rfloordiv__, coord)))
-    columns, ells, profiles, ids, new_id = _column_tables(p, series)
-    ejs = range(E)
-    # profiles[c] is written last: a residue in profiles is complete.
-    for c in set().union(*slots).difference(profiles):
-        denom_exps, ells[c] = zip(*series[c::p])
-        gains = tuple([ej - d_bound(p, c + p * ej) for ej in ejs])
-        net_steps = tuple(map(sub, ejs, denom_exps))
-        columns[c] = list(zip(gains, net_steps, ells[c], ejs))
-        profiles[c] = ids.setdefault((gains, net_steps), next(new_id))
     # The groups: the solutions of one image class (bw, *base_x) whose
     # residues have the same profile in every slot, in order of appearance.
     groups: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]],
@@ -326,7 +318,7 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
         size = len(ks)
         # (-1)^bw sigma^{-1}(a^k), the product of the sigma^{-1}(a_j)^(k_j).
         saks = [signs[bw % 2]] * size
-        for row, kjs in zip(sigma_powers, kjs_by_slot):
+        for row, kjs in zip(powers.sigma_powers, kjs_by_slot):
             saks = list(map(ring.mul, saks, map(row.__getitem__, kjs)))
         vector = size > 1
         if vector:
@@ -394,9 +386,9 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                 f"Frobenius class point {(bw, tuple(base_x))} escapes the "
                 "cone over the polytope")
         for packed, acc in class_sums.items():
-            esum, apow, nu_sum = (powers.get(packed)
-                                  or _power_entry(ring, poly, powers, steps,
-                                                  packed, width))
+            esum, apow, nu_sum = (entries.get(packed)
+                                  or _power_entry(ring, poly, powers, packed,
+                                                  width))
             mono = (bw + esum, tuple(map(add, base_x, nu_sum)))
             raw[mono] = raw.get(mono, 0) + normalize(acc) * apow
 

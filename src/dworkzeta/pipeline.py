@@ -31,6 +31,7 @@ from .errors import (
 from .frobenius import (
     check_enumeration,
     expand_frobenius,
+    power_table,
     splitting_for,
     truncation_bound,
 )
@@ -138,8 +139,10 @@ def _run_at(prob: Problem, N: int, v: int, emit_matrix: bool) -> Result:
     check_enumeration(lifted, v, E)
     poly = hull(lifted.support)
     ech, basis = build_jacobian(lifted, poly, v)
-    series = splitting_for(ring, E)
-    images = [expand_frobenius(m, lifted, poly, series, E) for m in basis.V]
+    tables = splitting_for(ring, E)
+    powers = power_table(lifted)
+    images = [expand_frobenius(m, lifted, poly, tables, powers)
+              for m in basis.V]
     columns = cone_reduce(images, ech, basis)
     A, charpoly = assemble_and_charpoly(ring, columns, prob.mode, a)
     lifted_cp = lift_charpoly(ring, charpoly, q, lift_weight(prob.mode, prob.n))

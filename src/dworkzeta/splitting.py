@@ -30,16 +30,12 @@ taken modulo p^(N_work + e), which is precisely the precision needed so that
 any later product multiplied by a compensating p^e is correct modulo
 p^(N_work).
 
-The last series computed is kept (an LRU cache of one entry, keyed by p,
-N_work and the length): the expansions of a solve all read one series, and
-the next solve at the same p, N_work and E, such as a second curve over the
-same field, reads the same one again.  A caller gets that very tuple back,
-so the expansion matches its column tables to a series by identity.
+compute_splitting keeps nothing; frobenius.splitting_for keeps the last
+series it asked for, with the tables the expansion reads off it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Tuple
 
 from .errors import InternalPrecisionError
@@ -63,7 +59,6 @@ def _vp_factorial(p: int, n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=1)
 def compute_splitting(p: int, N_work: int, length: int) -> SplittingSeries:
     """Splitting coefficients ell_0..ell_{length-1} for the prime p."""
     if length <= 0:

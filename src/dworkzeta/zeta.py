@@ -31,9 +31,10 @@ be nonnegative.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
-from math import comb
+from math import comb, log2
 from operator import mul
 from typing import List, Tuple
 
@@ -57,13 +58,20 @@ def _weil_square(v: int, i: int, q: int, weight: int) -> int:
 def precision_bound(v: int, q: int, weight: int, p: int) -> int:
     """Smallest N with p^N >= 2 C(v,m) q^(weight*m/2) for every m <= v.
 
-    Comparisons involving q^(m/2) are made exactly by squaring.
+    Comparisons involving q^(m/2) are made exactly by squaring.  The squares
+    C(v,m)^2 q^(weight*m) are log-concave in m: term m+1 over term m is
+    (v-m)^2 q^weight / (m+1)^2, which falls as m grows, so the largest term
+    is term m for the first m whose ratio is at most 1 (m = v has 0).
     """
     if v < 0:
         raise ValueError("negative basis cardinality")
-    need = max(4 * _weil_square(v, m, q, weight) for m in range(v + 1))
-    N = 1
-    while (p ** N) ** 2 < need:
+    qw = q ** weight
+    top = bisect_left(range(v), True,
+                      key=lambda m: (v - m) ** 2 * qw <= (m + 1) ** 2)
+    need = 4 * _weil_square(v, top, q, weight)
+    # log2(need) >= bit_length - 1, so this N is not above the answer.
+    N = max(1, int((need.bit_length() - 1) / (2 * log2(p))))
+    while p ** (2 * N) < need:
         N += 1
     return N
 

@@ -18,23 +18,26 @@ from cone_helpers import add_term
 from dworkzeta.cone_algebra import ConeElement, ConeMonomial
 from dworkzeta.errors import InternalPrecisionError, PrecisionOrLogicError
 from dworkzeta import pipeline
+from dworkzeta.frobenius import PowerTable, SeriesTables
 from dworkzeta.jacobian import LiftedInput
 from dworkzeta.padic import RingElement
 from dworkzeta.polytope import LatticePolytope
-from dworkzeta.splitting import SplittingSeries
 
 
 def expand_frobenius_dense(target: ConeMonomial, lifted: LiftedInput,
-                           poly: LatticePolytope, series: SplittingSeries,
-                           E: int) -> ConeElement:
+                           poly: LatticePolytope, tables: SeriesTables,
+                           powers: PowerTable) -> ConeElement:
     """Dense-product expansion: multiply out the factors of F, then apply psi.
 
     Running-product coefficients are triples (delta, u, be): the true value is
     p^(-delta) * u with u in R, and be lower-bounds the total e-budget
     sum_j floor(i_j / p) over every index decomposition merged into the term
-    (terms with be >= E vanish mod p^N_work and are dropped).
+    (terms with be >= E vanish mod p^N_work and are dropped).  It reads
+    tables.series and tables.E and ignores powers, which it takes so that it
+    can stand in for expand_frobenius.
     """
     ring = lifted.ring
+    series, E = tables.series, tables.E
     p, N_work = ring.p, ring.N
     d, mu = target
 
@@ -111,9 +114,9 @@ def use_in_pipeline(monkeypatch) -> List[ConeMonomial]:
     check that the substitution took effect."""
     targets: List[ConeMonomial] = []
 
-    def dense(target, lifted, poly, series, E):
+    def dense(target, lifted, poly, tables, powers):
         targets.append(target)
-        return expand_frobenius_dense(target, lifted, poly, series, E)
+        return expand_frobenius_dense(target, lifted, poly, tables, powers)
 
     monkeypatch.setattr(pipeline, "expand_frobenius", dense)
     return targets

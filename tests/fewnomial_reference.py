@@ -18,17 +18,19 @@ from typing import Dict
 
 from dworkzeta.cone_algebra import ConeElement, ConeMonomial
 from dworkzeta.errors import InternalPrecisionError, PrecisionOrLogicError
-from dworkzeta.frobenius import solve_congruence
+from dworkzeta.frobenius import PowerTable, SeriesTables, solve_congruence
 from dworkzeta.jacobian import LiftedInput
 from dworkzeta.polytope import LatticePolytope
-from dworkzeta.splitting import SplittingSeries, d_bound
+from dworkzeta.splitting import d_bound
 
 
 def expand_frobenius_per_term(target: ConeMonomial, lifted: LiftedInput,
-                              poly: LatticePolytope, series: SplittingSeries,
-                              E: int) -> ConeElement:
-    """alpha((pi*w)^d x^mu) mod p^N_work, one ring product per partial term."""
+                              poly: LatticePolytope, tables: SeriesTables,
+                              powers: PowerTable) -> ConeElement:
+    """alpha((pi*w)^d x^mu) mod p^N_work, one ring product per partial term.
+    It reads tables.series and tables.E and ignores powers."""
     ring = lifted.ring
+    series, E = tables.series, tables.E
     p, N_work, modulus, mul = ring.p, ring.N, ring.modulus, ring.mul
     d, mu = target
     nus, a_list = lifted.support, lifted.coeffs

@@ -31,6 +31,7 @@ from dworkzeta.cone_algebra import ConeElement
 from dworkzeta.errors import NondegeneracyFailure
 from dworkzeta.frobenius import (
     expand_frobenius,
+    power_table,
     splitting_for,
     truncation_bound,
 )
@@ -236,10 +237,10 @@ def test_criterion_05_integrality_and_unit_pivots():
                 assert de.M[r][c] == ring.one, (name, d)
         if prob.mode == "toric":
             assert basis.v == normalized_volume(poly.vertices), name
-        bound = truncation_bound(prob.p, lifted.n_eff, 4)
-        series = splitting_for(ring, bound)
+        tables = splitting_for(ring, truncation_bound(prob.p, lifted.n_eff, 4))
+        powers = power_table(lifted)
         for m in basis.V:
-            alpha = expand_frobenius(m, lifted, poly, series, bound)
+            alpha = expand_frobenius(m, lifted, poly, tables, powers)
             coords = cone_reduce([alpha], ech, basis)[0]
             for c in coords:
                 # representable in R means p-integral; 0 <= valuation holds

@@ -23,6 +23,7 @@ from dworkzeta import Problem, frobenius, gf, pipeline
 from dworkzeta.errors import PrecisionOrLogicError
 from dworkzeta.frobenius import (
     expand_frobenius,
+    power_table,
     solve_congruence,
     splitting_for,
     truncation_bound,
@@ -149,17 +150,16 @@ def elliptic_alpha_oracle(p, aa, bb, N, max_degree):
 def expansion_setup(R, terms, mode):
     lifted = lift_input(R, terms, mode)
     poly = hull(lifted.support)
-    bound = truncation_bound(R.p, lifted.n_eff, R.N)
-    series = splitting_for(R, bound)
-    return lifted, poly, bound, series
+    tables = splitting_for(R, truncation_bound(R.p, lifted.n_eff, R.N))
+    return lifted, poly, tables, power_table(lifted)
 
 
 def test_elliptic_alpha_wxy_against_paper_series():
     p, aa, bb, N = 5, 2, 1, 4
     R = ring(p, 1, N)
-    lifted, poly, bound, series = expansion_setup(
+    lifted, poly, tables, powers = expansion_setup(
         R, elliptic_terms(p, aa, bb), "affine")
-    alpha = expand_frobenius((1, (1, 1)), lifted, poly, series, bound)
+    alpha = expand_frobenius((1, (1, 1)), lifted, poly, tables, powers)
     oracle = elliptic_alpha_oracle(p, aa, bb, N, max_degree=3)
     got = {m: R.serialize(c)[0] for m, c in alpha.terms.items() if m[0] <= 3}
     checked = sorted(oracle, key=term_order_key)
@@ -175,17 +175,17 @@ def test_unit_monomial_constant_term_is_one():
     p, N = 5, 4
     R = ring(p, 1, N)
     terms = [((1,), (1,)), ((0,), (2,))]  # x + 2 on G_m
-    lifted, poly, bound, series = expansion_setup(R, terms, "toric")
-    alpha = expand_frobenius((0, (0,)), lifted, poly, series, bound)
+    lifted, poly, tables, powers = expansion_setup(R, terms, "toric")
+    alpha = expand_frobenius((0, (0,)), lifted, poly, tables, powers)
     assert alpha.terms[(0, (0,))] == R.one
 
 
 def test_cone_support_invariant():
     p, N = 7, 4
     R = ring(p, 1, N)
-    lifted, poly, bound, series = expansion_setup(
+    lifted, poly, tables, powers = expansion_setup(
         R, elliptic_terms(p, 3, 2), "toric")
-    alpha = expand_frobenius((1, (1, 1)), lifted, poly, series, bound)
+    alpha = expand_frobenius((1, (1, 1)), lifted, poly, tables, powers)
     for (d, mu), c in alpha.terms.items():
         assert poly.contains(mu, d)
         assert not R.is_zero(c)
@@ -201,12 +201,12 @@ def test_cone_support_invariant():
 def test_cone_guard_raises(omit, target, escapes):
     p, N = 7, 4
     R = ring(p, 1, N)
-    lifted, poly, bound, series = expansion_setup(
+    lifted, poly, tables, powers = expansion_setup(
         R, elliptic_terms(p, 3, 2), "toric")
     if omit is not None:
         poly = hull([nu for nu in lifted.support if nu != omit])
     with pytest.raises(PrecisionOrLogicError, match=escapes):
-        expand_frobenius(target, lifted, poly, series, bound)
+        expand_frobenius(target, lifted, poly, tables, powers)
 
 
 def test_fewnomial_equals_dense():
@@ -219,19 +219,19 @@ def test_fewnomial_equals_dense():
                          ((0, 0), (1, 1)), ((1, 1), (2, 0))], "affine", (1, (1, 1))),
     ]
     for R, terms, mode, target in cases:
-        lifted, poly, bound, series = expansion_setup(R, terms, mode)
-        few = expand_frobenius(target, lifted, poly, series, bound)
-        dense = expand_frobenius_dense(target, lifted, poly, series, bound)
+        lifted, poly, tables, powers = expansion_setup(R, terms, mode)
+        few = expand_frobenius(target, lifted, poly, tables, powers)
+        dense = expand_frobenius_dense(target, lifted, poly, tables, powers)
         assert few.terms == dense.terms, (R.p, mode, target)
 
 
 def test_projective_expansion_paths_agree():
     R = ring(7, 1, 3)
     terms = [((3, 0, 0), (1,)), ((0, 3, 0), (2,)), ((0, 0, 3), (1,))]
-    lifted, poly, bound, series = expansion_setup(R, terms, "projective")
+    lifted, poly, tables, powers = expansion_setup(R, terms, "projective")
     target = (1, (1, 1))  # w * xyz with z implicit
-    few = expand_frobenius(target, lifted, poly, series, bound)
-    dense = expand_frobenius_dense(target, lifted, poly, series, bound)
+    few = expand_frobenius(target, lifted, poly, tables, powers)
+    dense = expand_frobenius_dense(target, lifted, poly, tables, powers)
     assert few.terms == dense.terms
     assert few.terms  # nonempty
 
@@ -302,11 +302,11 @@ def test_class_expansion_equals_per_term_reference(monkeypatch, prob,
     the per-term reference's."""
     sizes = []
 
-    def checked(target, lifted, poly, series, E):
-        got = expand_frobenius(target, lifted, poly, series, E)
-        want = expand_frobenius_per_term(target, lifted, poly, series, E)
+    def checked(target, lifted, poly, tables, powers):
+        got = expand_frobenius(target, lifted, poly, tables, powers)
+        want = expand_frobenius_per_term(target, lifted, poly, tables, powers)
         assert got.terms == want.terms, target
-        sizes.append(group_sizes(target, lifted, series))
+        sizes.append(group_sizes(target, lifted, tables.series))
         return got
 
     monkeypatch.setattr(pipeline, "expand_frobenius", checked)

@@ -5,10 +5,14 @@ search."""
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import logging
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,8 @@ from dworkzeta.pipeline import (
 )
 from dworkzeta.polytope import hull
 from dworkzeta.zeta import substitute_t_over_q
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def elliptic_affine(p, aa, bb):
@@ -513,6 +519,47 @@ def test_frobenius_matrix_pinned(prob, digest):
     # zeta function.
     res = compute_zeta(prob, emit_matrix=True)
     assert matrix_digest(res.matrix) == digest
+
+
+def load_perfbench(name):
+    """A module of the benchmark's perfbench/ directory, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_results_do_not_depend_on_cache_state():
+    # The seed-1 problems of the three workloads, solved forward and then in
+    # reverse in one process, so that each solve meets the kept tables of
+    # another neighbour; every matrix must equal its pin.
+    workloads, worker = load_perfbench("workloads"), load_perfbench("worker")
+    pins = json.loads((PERFBENCH / "pins.json").read_text())
+    probs = [prob for name in ("small-p", "curve-sweep", "large-p")
+             for _, prob, _ in workloads.generate(name, 1)]
+    for prob in probs + probs[::-1]:
+        pin = pins[worker.problem_key(prob)]
+        res = compute_zeta(prob, emit_matrix=True)
+        assert matrix_digest(res.matrix) == pin["matrix_sha256"], pin["label"]
+
+
+def test_concurrent_solves_match_sequential():
+    # Two curves at p = 101 and one at p = 13 on 4 threads: solves at the
+    # two primes replace each other's kept tables while others read them.
+    probs = [elliptic_affine(101, 1, 1), elliptic_affine(101, 3, 7),
+             elliptic_affine(13, 2, 6)]
+    want = [compute_zeta(prob, emit_matrix=True).matrix for prob in probs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(
+                lambda prob: compute_zeta(prob, emit_matrix=True).matrix,
+                probs * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 4
 
 
 def test_precision_choice_and_retry_logged(monkeypatch, caplog):

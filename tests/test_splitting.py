@@ -9,6 +9,7 @@ recurrence that compute_splitting runs on truncated integers.
 
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
 from math import factorial
@@ -17,8 +18,9 @@ import pytest
 
 from splitting_oracle import ell_fraction, scaled_residue
 
-from dworkzeta import splitting
+from dworkzeta import frobenius, splitting
 from dworkzeta.errors import InternalPrecisionError
+from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.splitting import compute_splitting, d_bound
 
 
@@ -125,34 +127,60 @@ def test_scaled_residues_match_exact_values():
             assert all(e <= d_bound(p, i) for i, (e, _) in enumerate(got))
 
 
-def test_prefix_bit_identical_and_thread_safe():
+def test_concurrent_callers_get_equal_tables():
+    # Threads ask for two keys at once, so each fill races a replacement of
+    # the one kept entry; every caller still gets the tables of its key.
+    R = make_ring(FieldSpec(p=3, a=1, hbar=(0, 1), N_work=5))
     short = compute_splitting(3, 5, 10)
+    fresh = {E: frobenius._series_tables.__wrapped__(3, 5, E) for E in (4, 9)}
     results = []
 
-    def worker():
-        results.append(compute_splitting(3, 5, 25))
+    def worker(E):
+        results.append((E, frobenius.splitting_for(R, E)))
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
+    threads = [threading.Thread(target=worker, args=(4 if i % 2 else 9,))
+               for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     assert len(results) == 8
-    for r in results:
-        assert r == results[0]
-        assert r[:10] == short
+    for E, tables in results:
+        assert tables == fresh[E]
+        assert tables.series[:10] == short
 
 
-def test_last_series_is_kept():
-    first = compute_splitting(7, 4, 50)
-    assert compute_splitting(7, 4, 50) is first
-    other = compute_splitting(7, 4, 51)
-    assert other[:50] == first
-    # the new arguments replaced the kept series: an equal tuple, computed
-    # again
-    again = compute_splitting(7, 4, 50)
+def test_last_tables_are_kept():
+    R = make_ring(FieldSpec(p=7, a=1, hbar=(0, 1), N_work=4))
+    first = frobenius.splitting_for(R, 7)
+    assert frobenius.splitting_for(R, 7) is first
+    # the key is (p, N_work, E): another ring with them shares the tables
+    twin = make_ring(FieldSpec(p=7, a=1, hbar=(0, 1), N_work=4))
+    assert frobenius.splitting_for(twin, 7) is first
+    other = frobenius.splitting_for(R, 8)
+    assert other.series[:49] == first.series
+    # the new key replaced the kept tables: equal ones, computed again
+    again = frobenius.splitting_for(R, 7)
     assert again == first and again is not first
+    # every residue's column is built, read off the series
+    series = compute_splitting(7, 4, 49)
+    assert first.series == series
+    for c in range(7):
+        assert first.ells[c] == tuple(x for _, x in series[c::7])
+        assert first.columns[c] == tuple(
+            (ej - d_bound(7, c + 7 * ej), ej - e, x, ej)
+            for ej, (e, x) in enumerate(series[c::7]))
+        # residues share a profile id exactly when gains and steps agree
+        for b in range(7):
+            same = ([t[:2] for t in first.columns[b]]
+                    == [t[:2] for t in first.columns[c]])
+            assert (first.profiles[b] == first.profiles[c]) == same
 
 
 @pytest.mark.parametrize("lowered", ["everywhere", "below_the_last_index"])

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -18,6 +19,7 @@ from dworkzeta import gf
 from dworkzeta.errors import ConsistencyFailure, InsufficientPrecision
 from dworkzeta.frobenius import (
     expand_frobenius,
+    power_table,
     splitting_for,
     truncation_bound,
 )
@@ -67,6 +69,33 @@ def test_precision_bound_large_x_is_top_coefficient():
     # need = 2 q^(w v / 2) = 2 * 25^4
     need = 2 * q ** (w * v // 2)
     assert p ** N >= need and p ** (N - 1) < need
+
+
+def precision_bound_reference(v, q, weight, p):
+    """The bound by its definition: the largest squared Weil bound over
+    every m <= v, then N by single steps from 1."""
+    need = max(4 * comb(v, m) ** 2 * q ** (weight * m) for m in range(v + 1))
+    N = 1
+    while (p ** N) ** 2 < need:
+        N += 1
+    return N
+
+
+@pytest.mark.parametrize("q, p", [(3, 3), (5, 5), (9, 3), (25, 5), (125, 5),
+                                  (101, 101)])
+def test_precision_bound_equals_reference(q, p):
+    for weight in range(4):
+        for v in range(301):
+            assert (precision_bound(v, q, weight, p)
+                    == precision_bound_reference(v, q, weight, p)), (v, weight)
+
+
+def test_precision_bound_of_a_large_basis_is_quick():
+    start = time.perf_counter()
+    N = precision_bound(10_000, 5, 0, 5)
+    assert time.perf_counter() - start < 2
+    # 5^N >= 2 C(10000, 5000) > 5^(N-1)
+    assert 5 ** N >= 2 * comb(10_000, 5_000) > 5 ** (N - 1)
 
 
 # ---- charpoly oracle ---------------------------------------------------------
@@ -309,11 +338,11 @@ def test_end_to_end_single_point_on_torus():
     ech, basis = build_jacobian(lifted, poly,
                                 expected_rank("toric", lifted.support))
     assert basis.v == 1
-    bound = truncation_bound(p, lifted.n_eff, N_work)
-    series = splitting_for(R, bound)
+    tables = splitting_for(R, truncation_bound(p, lifted.n_eff, N_work))
+    powers = power_table(lifted)
     columns = []
     for m in basis.V:
-        alpha = expand_frobenius(m, lifted, poly, series, bound)
+        alpha = expand_frobenius(m, lifted, poly, tables, powers)
         columns.append(cone_reduce([alpha], ech, basis)[0])
     A, res = assemble_and_charpoly(R, columns, "toric", 1)
     # the (1-T) factor of the unit row is split off: degree v - 1 = 0
