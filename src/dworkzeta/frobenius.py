@@ -94,14 +94,18 @@ sums, so the monomial is in it.  Either check raises PrecisionOrLogicError.
 For valid input neither can fail: e.nu is a sum of |e| support points, and
 p*base_x = sum_j k_j nu_j + mu lies in (|k| + d) Delta = p*bw*Delta.
 
-One cache holds what the expansions share: splitting_for keeps the
-SeriesTables of the last (p, N_work, E), the series and the column, ell
-numerators and profile id of every residue c < p.  They hold no coefficient
-of the input, so the expansions of a solve, and of the next solve at the
-same p, N_work and E, read one value.  What depends on the input is built
-once per solve by power_table: U, sigma^{-1}(a_j)^c for c < p, one
-incremental list per slot, and the entries (|e|, (-1)^|e| a^e, e.nu), one
-per distinct e, filled as the expansions reach them.  e is packed into one
+Two bounded caches hold what depends on no coefficient of the input, as
+immutable values.  splitting_for keeps the SeriesTables of the last
+(p, N_work, E): the series and the column, ell numerators and profile id of
+every residue c < p.  target_plan keeps the groups of the last
+TARGET_PLANS keys (working support, p, N_work, E, target): the congruence
+solutions, each checked for divisibility when its key is first built,
+split by image class and profiles.  So the expansions of a solve, and of
+the next solve of the same support at the same p, N_work and E, read the
+same values.  What depends on the input is built once per solve by
+power_table: sigma^{-1}(a_j)^c for c < p, one incremental list per slot,
+and the entries (|e|, (-1)^|e| a^e, e.nu), one per distinct e, filled as
+the expansions reach them.  e is packed into one
 int, e_j in a slot of E.bit_length() bits, the last support point in the
 lowest slot; each entry is built from e minus one in its lowest nonzero
 slot, with one mul.
@@ -133,10 +137,12 @@ from .polytope import LatticePolytope
 from .splitting import SplittingSeries, compute_splitting, d_bound
 
 
-def _support_matrix(lifted: LiftedInput) -> List[List[int]]:
-    """U: one column (1, nu) per point nu of the lifted support."""
-    nus = lifted.support
-    return [[1] * len(nus)] + [[nu[i] for nu in nus] for i in range(lifted.n_eff)]
+TARGET_PLANS = 64  # (support, p, N_work, E, target) keys kept by target_plan
+
+
+def _support_matrix(support: Sequence[Sequence[int]]) -> List[List[int]]:
+    """U: one column (1, nu) per point nu of the working support."""
+    return [[1] * len(support)] + [list(row) for row in zip(*support)]
 
 
 def solve_congruence(U: Sequence[Sequence[int]], target: Sequence[int],
@@ -165,7 +171,7 @@ def check_enumeration(lifted: LiftedInput, v: int, E: int) -> None:
     DEFAULT_BUDGET: at most v * p^(s - rank U) congruence solutions, and the
     p*E splitting coefficients they read."""
     p = lifted.ring.p
-    U = _support_matrix(lifted)
+    U = _support_matrix(lifted.support)
     s = len(U[0])
     rank = len(row_reduce([[u % p for u in row] for row in U], s, p))
     for count, what in ((v * p ** (s - rank), "congruence solutions"),
@@ -224,13 +230,12 @@ def _series_tables(p: int, N_work: int, E: int) -> SeriesTables:
 
 
 class PowerTable(NamedTuple):
-    """U; the step (-a_j, nu_j) of each slot, lowest slot first; the powers
+    """The step (-a_j, nu_j) of each slot, lowest slot first; the powers
     sigma^{-1}(a_j)^c, c < p, of each slot; and the entries, packed e ->
     (|e|, (-1)^|e| a^e, e.nu), holding e = 0 until _power_entry fills them
     in.  The expansions of one solve share one table; they share one E too,
     whose bit length is the slot width of packed e."""
 
-    U: List[List[int]]
     steps: List[Tuple[RingElement, Tuple[int, ...]]]
     sigma_powers: List[List[RingElement]]
     entries: Dict[int, Tuple[int, RingElement, Tuple[int, ...]]]
@@ -242,7 +247,6 @@ def power_table(lifted: LiftedInput) -> PowerTable:
     # sigma^{-1}(a_j) for Teichmueller coefficients is a_j^(q/p)
     roots = [ring.pow(aj, ring.q // ring.p) for aj in coeffs]
     return PowerTable(
-        _support_matrix(lifted),
         [(ring.neg(aj), nu) for aj, nu in zip(coeffs[::-1], support[::-1])],
         [list(accumulate(repeat(sj, ring.p - 1), ring.mul, initial=ring.one))
          for sj in roots],
@@ -267,21 +271,22 @@ def _power_entry(ring: RingContext, poly: LatticePolytope,
     return entry
 
 
-def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
-                     poly: LatticePolytope, tables: SeriesTables,
-                     powers: PowerTable) -> ConeElement:
-    """Fewnomial-enumeration expansion of alpha((pi*w)^d x^mu) mod p^N_work,
-    with tables = splitting_for(ring, truncation_bound(p, n_eff, N_work))
-    and powers = power_table(lifted)."""
-    ring = lifted.ring
-    p, N_work, modulus, normalize = ring.p, ring.N, ring.modulus, ring.normalize
-    a, shifts = ring.a, ring.shifts
+# A group (module docstring): its class point (bw, *base_x) and, per slot
+# j, k_j of each member.
+Group = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
+
+
+@lru_cache(maxsize=TARGET_PLANS)
+def target_plan(support: Tuple[Tuple[int, ...], ...], p: int, N_work: int,
+                E: int, target: ConeMonomial) -> Tuple[Group, ...]:
+    """The groups of the expansion of target over this working support at
+    p, N_work and E, in order of appearance: the solutions k of
+    U*k = -(d, mu) mod p, split by image class and by the profiles of their
+    residues in the SeriesTables of (p, N_work, E)."""
+    profiles = _series_tables(p, N_work, E).profiles
+    U = _support_matrix(support)
     d, mu = target
     offset = (d,) + mu
-    U, entries = powers.U, powers.entries
-    columns, ells, profiles = tables.columns, tables.ells, tables.profiles
-    width = tables.E.bit_length()
-
     solutions = solve_congruence(U, [-t % p for t in offset], p)
     # slots[j]: k_j of every solution.
     slots = list(zip(*solutions))
@@ -306,16 +311,32 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                                                for kjs in slots])),
                         solutions):
         groups.setdefault(group, []).append(k)
+    return tuple((image_k, tuple(zip(*ks)))
+                 for (image_k, _), ks in groups.items())
+
+
+def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
+                     poly: LatticePolytope, tables: SeriesTables,
+                     powers: PowerTable) -> ConeElement:
+    """Fewnomial-enumeration expansion of alpha((pi*w)^d x^mu) mod p^N_work,
+    with tables = splitting_for(ring, truncation_bound(p, n_eff, N_work))
+    and powers = power_table(lifted)."""
+    ring = lifted.ring
+    p, N_work, modulus, normalize = ring.p, ring.N, ring.modulus, ring.normalize
+    a, shifts = ring.a, ring.shifts
+    entries = powers.entries
+    columns, ells = tables.columns, tables.ells
+    width = tables.E.bit_length()
 
     # Per class: packed e -> unreduced sum of the elements its leaves add.
     sums: Dict[Tuple[int, ...], Dict[int, int]] = {}
     p_pows = [p ** net for net in range(N_work)]
     signs = (ring.one, ring.neg(ring.one))
-    for (image_k, _), ks in groups.items():
+    for image_k, kjs_by_slot in target_plan(lifted.support, p, N_work,
+                                            tables.E, target):
         class_sums = sums.setdefault(image_k, {})
         bw = image_k[0]
-        kjs_by_slot = list(zip(*ks))
-        size = len(ks)
+        size = len(kjs_by_slot[0])
         # (-1)^bw sigma^{-1}(a^k), the product of the sigma^{-1}(a_j)^(k_j).
         saks = [signs[bw % 2]] * size
         for row, kjs in zip(powers.sigma_powers, kjs_by_slot):
@@ -330,7 +351,7 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
             numer0 = [x for coord in zip(*map(ring.serialize, saks))
                       for x in coord]
         else:
-            cols = [columns[kj] for kj in ks[0]]
+            cols = [columns[kjs[0]] for kjs in kjs_by_slot]
             sak, = saks
             numer0 = 1
 

@@ -58,13 +58,21 @@ reduction sweep reads: monomials as their codes (cone_algebra), an image
 entry as (code(mr) - code(c_j), alpha, gamma), so that the image monomial's
 code is the code of m * c_j plus that offset, and gamma as () when it is
 zero.  A non-pivot column is its own residual, (its V index, 1), with no
-image.  build_jacobian codes each lattice point once, compiles every column
-of each degree, 0 to top, once the degree is row-reduced, and keeps only
-the columns, their codes and their operators (EchelonData).
+image.  build_jacobian compiles every column of each degree, 0 to top,
+once the degree is row-reduced, and keeps only the columns, their codes
+and their operators (EchelonData).
 
-The rank v = |V| of the quotient has a closed formula in the support
-(expected_rank), which the caller passes to build_jacobian; a basis of any
-other size means the input is degenerate.
+What depends on the support alone is built once per support shape.
+support_plan(mode, exponents), a bounded cache keyed by the mode and the
+input exponents, returns an immutable SupportPlan: the rank v = |V| of the
+quotient, which has a closed formula in the support (expected_rank); the
+hull of the working support; and per degree 0..top the lattice points,
+their codes, the variables each lacks, and the columns the mode allows
+with the position of each column code.  Inputs of different modes never
+share a plan, even on one working support: x^3 + y^3 + 1 has v = 4 as an
+affine and v = 9 as a toric input.  build_jacobian and echelon_of_degree
+read the plan; a basis of a size other than v means the input is
+degenerate.
 
 Three modes share this machinery:
 
@@ -86,17 +94,20 @@ Three modes share this machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .cone_algebra import ConeMonomial, check_code_bound, encode
 from .errors import InvalidInput, NondegeneracyFailure, PrecisionOrLogicError
 from .padic import RingContext, RingElement
-from .polytope import LatticePolytope, lattice_points, normalized_volume
+from .polytope import LatticePolytope, hull, lattice_points, normalized_volume
 
 MODES = ("toric", "affine", "projective")
+SHAPE_PLANS = 16  # support shapes kept by support_plan
 
 # A sparse matrix row: key -> nonzero ring element.  A key is a column index
 # or, past the columns, the key of an image entry (mr, slot) (module
@@ -185,14 +196,6 @@ class LiftedInput:
                 out.append((nu, c))
         return out
 
-    def lacking_variables(self, m: ConeMonomial) -> Tuple[int, ...]:
-        """The variables i >= 1 (the implicit one included) that do not
-        divide m; none in toric mode, which restricts no divisibility."""
-        if self.mode == "toric":
-            return ()
-        return tuple(i for i in range(1, self.n_vars + 1)
-                     if self.var_exponent(i, m) < 1)
-
     def cofactor_allowed(self, gen: int, m: ConeMonomial) -> bool:
         """May m multiply generator gen as a relation row?  Every variable
         but x_gen must divide it.
@@ -200,7 +203,20 @@ class LiftedInput:
         The cofactors of w*f (gen = 0) obey the divisibility restriction of
         the columns themselves, so gen = 0 also tells the allowed columns.
         """
-        return self.lacking_variables(m) in ((), (gen,))
+        return lacking_variables(self.mode, self.degree, m) in ((), (gen,))
+
+
+def lacking_variables(mode: str, degree: Optional[int],
+                      m: ConeMonomial) -> Tuple[int, ...]:
+    """The variables i >= 1 (the implicit one included) that do not divide
+    the cone monomial m; none in toric mode, which restricts no
+    divisibility.  degree is the homogeneity degree D in projective mode."""
+    if mode == "toric":
+        return ()
+    d, mu = m
+    if mode == "projective":
+        mu += (d * degree - sum(mu),)
+    return tuple(i for i, x in enumerate(mu, 1) if x < 1)
 
 
 def check_terms(terms: Sequence[Tuple[Sequence[int], Sequence[int]]], mode: str,
@@ -304,6 +320,63 @@ def expected_rank(mode: str, exponents: Iterable[Sequence[int]]) -> int:
     return v
 
 
+class Layer(NamedTuple):
+    """The cone monomials of one weight degree d: the lattice points of
+    d * Delta in the term order, their codes and the variables each lacks
+    (lacking_variables); and the columns, the monomials that lack none (the
+    ones the mode allows), their codes and the position of each column
+    code."""
+
+    monomials: Tuple[ConeMonomial, ...]
+    codes: Tuple[int, ...]
+    lacking: Tuple[Tuple[int, ...], ...]
+    columns: Tuple[ConeMonomial, ...]
+    column_codes: Tuple[int, ...]
+    index: Mapping[int, int]
+
+
+class SupportPlan(NamedTuple):
+    """What the solves of one support shape share, whatever p and the
+    coefficients: the rank v (expected_rank), the hull of the working
+    support and the Layer of each degree 0..top, top = n_eff + 2."""
+
+    v: int
+    poly: LatticePolytope
+    layers: Tuple[Layer, ...]
+
+
+def support_plan(mode: str, exponents: Iterable[Sequence[int]]) -> SupportPlan:
+    """The plan of an input with these exponents in this mode; the input
+    must satisfy check_terms.  Plans are kept per (mode, exponents), so
+    inputs of different modes never share one, even on one working
+    support."""
+    return _support_plan(mode, tuple(sorted(tuple(int(c) for c in nu)
+                                            for nu in exponents)))
+
+
+@lru_cache(maxsize=SHAPE_PLANS)
+def _support_plan(mode: str, exps: Tuple[Tuple[int, ...], ...]
+                  ) -> SupportPlan:
+    v = expected_rank(mode, exps)
+    degree = sum(exps[0]) if mode == "projective" else None
+    poly = hull(working_exponent(mode, nu) for nu in exps)
+    top = poly.dim + 2
+    check_code_bound(top, poly.vertices)
+    layers = []
+    for d in range(top + 1):
+        # Sorted lattice points are already in the term order.
+        monomials = tuple((d, mu) for mu in lattice_points(poly, d))
+        codes = tuple(map(encode, monomials))
+        lacking = tuple(lacking_variables(mode, degree, m) for m in monomials)
+        keep = [i for i, lack in enumerate(lacking) if not lack]
+        column_codes = tuple(codes[i] for i in keep)
+        layers.append(Layer(
+            monomials, codes, lacking, tuple(monomials[i] for i in keep),
+            column_codes,
+            MappingProxyType(dict(zip(column_codes, range(len(keep)))))))
+    return SupportPlan(v, poly, tuple(layers))
+
+
 @dataclass
 class DegreeEchelon:
     """Relation matrix of one weight degree, row-reduced, each row with its
@@ -322,8 +395,8 @@ class DegreeEchelon:
     docstring).
     """
 
-    columns: List[ConeMonomial]
-    codes: List[int]
+    columns: Sequence[ConeMonomial]
+    codes: Sequence[int]
     index: Dict[int, int]
     cofactors: Sequence[ConeMonomial]
     cofactor_codes: Sequence[int]
@@ -338,8 +411,8 @@ class DegreeReduction:
     reduction operator of each column, ops[j] for columns[j] (module
     docstring)."""
 
-    columns: List[ConeMonomial]
-    codes: List[int]
+    columns: Sequence[ConeMonomial]
+    codes: Sequence[int]
     index: Dict[int, int]
     ops: List[Operator]
 
@@ -438,30 +511,26 @@ def _row_reduce(ring: RingContext, rows: List[SparseRow], ncols: int,
     return pivots
 
 
-def echelon_of_degree(lifted: LiftedInput, d: int,
-                      cofactors: Sequence[ConeMonomial],
-                      layer: Sequence[ConeMonomial],
-                      cofactor_codes: Sequence[int],
-                      layer_codes: Sequence[int]) -> DegreeEchelon:
+def echelon_of_degree(lifted: LiftedInput, plan: SupportPlan,
+                      d: int) -> DegreeEchelon:
     """Build and row-reduce the relation rows of degree d, each with its
     image block (module docstring).
 
-    cofactors and layer are the cone monomials of degrees d-1 and d in the
-    term order (no cofactors at d = 0), with their codes; the columns are
-    those of layer that the mode allows.  Every generator term has degree 1:
-    the row of cofactor (d-1, mu) has its terms at (d, mu+nu)."""
+    plan is the support_plan of lifted's input.  The columns are those of
+    its layer d, the cofactors the cone monomials of its layer d-1 (none at
+    d = 0) that the generator allows (cofactor_allowed).  Every generator
+    term has degree 1: the row of cofactor (d-1, mu) has its terms at
+    (d, mu+nu)."""
     ring = lifted.ring
-    columns: List[ConeMonomial] = []
-    codes: List[int] = []
-    for m, code in zip(layer, layer_codes):
-        if lifted.cofactor_allowed(0, m):
-            columns.append(m)
-            codes.append(code)
-    index = dict(zip(codes, range(len(codes))))
-    ncols, width = len(columns), len(lifted.generator_indices) + 1
+    layer = plan.layers[d]
+    # The monomials, codes and lacking variables of layer d-1; none at 0.
+    cofactors, cofactor_codes, lacking = (plan.layers[d - 1][:3] if d
+                                          else ((), (), ()))
+    # A plain dict: a read-only view answers get() at half the speed, and
+    # this index is read per generator term here and per step in reduction.
+    index = layer.index.copy()
+    ncols, width = len(layer.columns), len(lifted.generator_indices) + 1
     M: List[SparseRow] = []
-    # cofactor_allowed, with the variables each cofactor lacks found once.
-    lacking = [lifted.lacking_variables(m) for m in cofactors]
     for s, (gi, terms) in enumerate(
             zip(lifted.generator_indices, lifted.coded_generators), 1):
         allowed = ((), (gi,))
@@ -484,9 +553,9 @@ def echelon_of_degree(lifted: LiftedInput, d: int,
             row[key + s] = ring.one
             M.append(row)
     pivots = _row_reduce(ring, M, ncols, d)
-    return DegreeEchelon(columns=columns, codes=codes, index=index,
-                         cofactors=cofactors, cofactor_codes=cofactor_codes,
-                         M=M,
+    return DegreeEchelon(columns=layer.columns, codes=layer.column_codes,
+                         index=index, cofactors=cofactors,
+                         cofactor_codes=cofactor_codes, M=M,
                          pivot_rows={j: r for r, j in pivots})
 
 
@@ -541,32 +610,25 @@ def compile_column(lifted: LiftedInput, de: DegreeEchelon, j: int,
     return residual, entries
 
 
-def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
+def build_jacobian(lifted: LiftedInput, plan: SupportPlan
                    ) -> Tuple[EchelonData, MonomialBasis]:
     """Row-reduce the relation matrices for degrees 0..top, read off V and
     compile every column's reduction operator.
 
-    top = n_eff + 2; the quotient basis lives in degrees <= n_eff + 1 and the
-    top-degree matrix must have a pivot in every column.  The lattice points
-    of each dilation d * Delta are enumerated once; they give the columns of
-    degree d and the cofactors of the rows of degree d + 1.  |V| must equal
-    v, the expected_rank of the input, or the input is degenerate.
+    plan is the support_plan of lifted's input, and its layers are the
+    degrees 0..top, top = n_eff + 2; the quotient basis lives in degrees
+    <= n_eff + 1 and the top-degree matrix must have a pivot in every
+    column.  |V| must equal plan.v, the expected_rank of the input, or the
+    input is degenerate.
     """
-    top = lifted.n_eff + 2
-    check_code_bound(top, poly.vertices)
+    top = len(plan.layers) - 1
     by_degree: Dict[int, DegreeReduction] = {}
     # Each degree appends its non-pivot columns in ascending order, so V
     # comes out in the term order.
     V: List[ConeMonomial] = []
-    layer: List[ConeMonomial] = []
-    layer_codes: List[int] = []
 
     for d in range(top + 1):
-        # Sorted lattice points are already in the term order within a degree.
-        cofactors, layer = layer, [(d, mu) for mu in lattice_points(poly, d)]
-        cofactor_codes, layer_codes = layer_codes, list(map(encode, layer))
-        de = echelon_of_degree(lifted, d, cofactors, layer, cofactor_codes,
-                               layer_codes)
+        de = echelon_of_degree(lifted, plan, d)
         nonpivot = [j for j in range(len(de.columns))
                     if j not in de.pivot_rows]
         if d == top and nonpivot:
@@ -582,14 +644,14 @@ def build_jacobian(lifted: LiftedInput, poly: LatticePolytope, v: int
                  for j in range(len(de.columns))])
 
     basis = MonomialBasis(V=V)
-    if basis.v != v:
+    if basis.v != plan.v:
         raise NondegeneracyFailure(
             f"quotient basis has cardinality {basis.v}, expected the rank "
-            f"{v} of a nondegenerate input with this support; the input is "
-            "degenerate")
+            f"{plan.v} of a nondegenerate input with this support; the "
+            "input is degenerate")
     degree0 = [m for m in basis.V if m[0] == 0]
     if lifted.mode == "toric" and degree0 != [(0, (0,) * lifted.n_eff)]:
         raise NondegeneracyFailure(
             "degree-0 part of the basis is not the single monomial 1")
-    return EchelonData(lifted=lifted, poly=poly, top=top,
+    return EchelonData(lifted=lifted, poly=plan.poly, top=top,
                        by_degree=by_degree), basis

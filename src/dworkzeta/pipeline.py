@@ -1,14 +1,15 @@
 """End-to-end orchestration: input -> ZetaFunction.
 
 Order of operations: validate (validate_problem, the one input gate) ->
-(optional confinement, toric only) -> rank v from the support by its closed
-formula (jacobian.expected_rank), once per run and also under a precision
-override -> choose N (or take the override)
--> working ring at N_work = N + a + 1 -> the expansion's enumeration
-checked against the budget -> hull -> quotient basis (the one
-Jacobian build of each attempt, given v, which checks |V| = v) -> Frobenius
-expansion of each basis monomial -> one reduction of all v images together
--> matrix assembly and charpoly
+(optional confinement, toric only) -> the support plan
+(jacobian.support_plan: the rank v by its closed formula, the hull and the
+lattice layers, built once per mode and input exponents and kept across
+runs) -> choose N (or take the override) -> working ring at N_work = N +
+a + 1 -> the expansion's enumeration checked against the budget ->
+quotient basis (the one Jacobian build of each attempt, on the plan, which
+checks |V| = v) -> Frobenius expansion of each basis monomial (its groups
+kept per support, p, N_work, E and target) -> one reduction of all v
+images together -> matrix assembly and charpoly
 -> centered lift with Weil filter -> mode assembly.  On InsufficientPrecision
 the whole computation reruns at N + 2, at most MAX_RETRIES times.  The
 precision choice and every retry are logged at debug level on the
@@ -37,10 +38,11 @@ from .frobenius import (
 )
 from .jacobian import (
     MODES,
+    SupportPlan,
     build_jacobian,
     check_terms,
-    expected_rank,
     lift_input,
+    support_plan,
     working_exponent,
 )
 from .padic import FieldSpec, make_ring
@@ -129,19 +131,19 @@ def apply_confinement(prob: Problem) -> Problem:
     return replace(prob, terms=new_terms, confine=False)
 
 
-def _run_at(prob: Problem, N: int, v: int, emit_matrix: bool) -> Result:
+def _run_at(prob: Problem, N: int, plan: SupportPlan,
+            emit_matrix: bool) -> Result:
     p, a, q = prob.p, prob.a, prob.p ** prob.a
     n_work = N + a + 1
     ring = make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar,
                                N_work=n_work))
     lifted = lift_input(ring, prob.terms, prob.mode)
     E = truncation_bound(p, lifted.n_eff, n_work)
-    check_enumeration(lifted, v, E)
-    poly = hull(lifted.support)
-    ech, basis = build_jacobian(lifted, poly, v)
+    check_enumeration(lifted, plan.v, E)
+    ech, basis = build_jacobian(lifted, plan)
     tables = splitting_for(ring, E)
     powers = power_table(lifted)
-    images = [expand_frobenius(m, lifted, poly, tables, powers)
+    images = [expand_frobenius(m, lifted, plan.poly, tables, powers)
               for m in basis.V]
     columns = cone_reduce(images, ech, basis)
     A, charpoly = assemble_and_charpoly(ring, columns, prob.mode, a)
@@ -157,7 +159,8 @@ def compute_zeta(prob: Problem, emit_matrix: bool = False) -> Result:
     validate_problem(prob)
     if prob.confine:
         prob = apply_confinement(prob)
-    v = expected_rank(prob.mode, [nu for nu, _ in prob.terms])
+    plan = support_plan(prob.mode, [nu for nu, _ in prob.terms])
+    v = plan.v
     if prob.precision is not None:
         N = prob.precision
         log.debug("precision: N = %d (override)", N)
@@ -167,7 +170,7 @@ def compute_zeta(prob: Problem, emit_matrix: bool = False) -> Result:
         log.debug("precision: v = %d -> N = %d", v, N)
     for attempt in range(MAX_RETRIES + 1):
         try:
-            return _run_at(prob, N, v, emit_matrix)
+            return _run_at(prob, N, plan, emit_matrix)
         except InsufficientPrecision as exc:
             if attempt == MAX_RETRIES:
                 raise

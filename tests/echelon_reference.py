@@ -20,7 +20,12 @@ from typing import Dict, List, Tuple
 
 from dworkzeta.cone_algebra import encode
 from dworkzeta.errors import NondegeneracyFailure
-from dworkzeta.jacobian import DegreeEchelon, echelon_of_degree
+from dworkzeta.jacobian import (
+    DegreeEchelon,
+    Layer,
+    SupportPlan,
+    echelon_of_degree,
+)
 from dworkzeta.polytope import lattice_points
 
 # A coefficient vector: one ring element per right-hand side, zeros included.
@@ -60,19 +65,33 @@ def image_keys(lifted, de, meta):
     return [ncols + width * index[mr] + slot[g] for g, mr in meta]
 
 
+def reference_plan(lifted, poly, top):
+    """The layers of degrees 0..top of lifted's input, built here from
+    lattice_points, var_exponent and cofactor_allowed rather than by
+    jacobian.support_plan, in a SupportPlan whose v is None."""
+    layers = []
+    for d in range(top + 1):
+        monomials = tuple((d, mu) for mu in lattice_points(poly, d))
+        lacking = tuple(
+            tuple(i for i in range(1, lifted.n_vars + 1)
+                  if lifted.mode != "toric" and lifted.var_exponent(i, m) < 1)
+            for m in monomials)
+        columns = tuple(m for m in monomials if lifted.cofactor_allowed(0, m))
+        codes = tuple(map(encode, columns))
+        index = dict(zip(codes, range(len(codes))))
+        layers.append(Layer(monomials, tuple(map(encode, monomials)), lacking,
+                            columns, codes, index))
+    return SupportPlan(None, poly, tuple(layers))
+
+
 def echelons(lifted, poly, top):
     """Degree -> ReferenceEchelon for degrees 0..top, as build_jacobian
     row-reduces them before compiling."""
-    def layer(d):
-        return [(d, mu) for mu in lattice_points(poly, d)] if d >= 0 else []
-
+    plan = reference_plan(lifted, poly, top)
     out = {}
     for d in range(top + 1):
-        cofactors, columns = layer(d - 1), layer(d)
-        de = echelon_of_degree(lifted, d, cofactors, columns,
-                               list(map(encode, cofactors)),
-                               list(map(encode, columns)))
-        meta = row_meta(lifted, layer(d - 1))
+        de = echelon_of_degree(lifted, plan, d)
+        meta = row_meta(lifted, plan.layers[d - 1].monomials if d else ())
         ncols = len(de.columns)
         M = [{k: c for k, c in row.items() if k < ncols} for row in de.M]
         keys = image_keys(lifted, de, meta)

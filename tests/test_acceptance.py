@@ -35,7 +35,7 @@ from dworkzeta.frobenius import (
     splitting_for,
     truncation_bound,
 )
-from dworkzeta.jacobian import build_jacobian, expected_rank, lift_input
+from dworkzeta.jacobian import build_jacobian, lift_input, support_plan
 from dworkzeta.oracle import count_points
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.pipeline import Problem, compute_zeta, verify_against_oracle
@@ -180,9 +180,8 @@ def test_criterion_03_two_term_plus_constant_closed_form():
         prob = Problem(p=p, a=1, hbar=(0, 1), n=2, mode="affine", terms=terms)
         ring = make_ring(FieldSpec(p=p, a=1, hbar=(0, 1), N_work=2))
         lifted = lift_input(ring, terms, "affine")
-        poly = hull(lifted.support)
-        rank = expected_rank("affine", [nu for nu, _ in terms])
-        _ech, basis = build_jacobian(lifted, poly, rank)
+        _ech, basis = build_jacobian(
+            lifted, support_plan("affine", [nu for nu, _ in terms]))
         expected = sorted(
             ((-(-(u * m2 + v * m1) // (m1 * m2)), (u, v))
              for u in range(1, m1) for v in range(1, m2)),
@@ -225,7 +224,7 @@ def _pipeline_internals(prob, n_work):
     lifted = lift_input(ring, prob.terms, prob.mode)
     poly = hull(lifted.support)
     ech, basis = build_jacobian(
-        lifted, poly, expected_rank(prob.mode, [nu for nu, _ in prob.terms]))
+        lifted, support_plan(prob.mode, [nu for nu, _ in prob.terms]))
     return ring, lifted, poly, ech, basis
 
 

@@ -243,10 +243,11 @@ def elliptic_problem(p, aa, bb, a=1, hbar=(0, 1)):
                           ((0, 2), minus_one)])
 
 
-def group_sizes(target, lifted, series):
-    """The largest image class and the largest group among the solutions of
-    one target: a group is the solutions of one class whose residues share
-    their column profile (gain and step lists) in every slot."""
+def reference_groups(target, lifted, series):
+    """The groups of the solutions of one target, in order of appearance,
+    each keyed by its image class and its residues' profiles: a group is
+    the solutions of one class whose residues share their column profile
+    (gain and step lists) in every slot."""
     p = lifted.ring.p
     E = len(series) // p
 
@@ -255,15 +256,15 @@ def group_sizes(target, lifted, series):
                      for e in range(E))
 
     profiles = [profile(c) for c in range(p)]
-    U = frobenius._support_matrix(lifted)
+    U = frobenius._support_matrix(lifted.support)
     shift = (target[0],) + target[1]
-    classes, groups = Counter(), Counter()
+    groups = {}
     for k in solve_congruence(U, [-t % p for t in shift], p):
         image = tuple((sum(map(mul, row, k)) + t) // p
                       for row, t in zip(U, shift))
-        classes[image] += 1
-        groups[image, tuple(profiles[kj] for kj in k)] += 1
-    return max(classes.values(), default=0), max(groups.values(), default=0)
+        groups.setdefault((image, tuple(profiles[kj] for kj in k)),
+                          []).append(k)
+    return groups
 
 
 @pytest.mark.parametrize("prob, grouping", [
@@ -299,14 +300,24 @@ def group_sizes(target, lifted, series):
 def test_class_expansion_equals_per_term_reference(monkeypatch, prob,
                                                    grouping):
     """Every basis monomial's image, in the pipeline's own setting, equals
-    the per-term reference's."""
+    the per-term reference's, and its planned groups the reference
+    groups."""
     sizes = []
 
     def checked(target, lifted, poly, tables, powers):
         got = expand_frobenius(target, lifted, poly, tables, powers)
         want = expand_frobenius_per_term(target, lifted, poly, tables, powers)
         assert got.terms == want.terms, target
-        sizes.append(group_sizes(target, lifted, tables.series))
+        groups = reference_groups(target, lifted, tables.series)
+        assert frobenius.target_plan(
+            lifted.support, lifted.ring.p, lifted.ring.N, tables.E,
+            target) == tuple((image, tuple(zip(*ks)))
+                             for (image, _), ks in groups.items())
+        classes = Counter()
+        for (image, _), ks in groups.items():
+            classes[image] += len(ks)
+        sizes.append((max(classes.values(), default=0),
+                      max(map(len, groups.values()), default=0)))
         return got
 
     monkeypatch.setattr(pipeline, "expand_frobenius", checked)

@@ -12,7 +12,12 @@ from operator import add
 import pytest
 
 from cone_helpers import term_order_key
-from echelon_reference import echelons, first_unit_row_reduce, solve
+from echelon_reference import (
+    echelons,
+    first_unit_row_reduce,
+    reference_plan,
+    solve,
+)
 from ring_helpers import from_int
 
 from dworkzeta import gf, jacobian, pipeline
@@ -24,6 +29,7 @@ from dworkzeta.jacobian import (
     check_terms,
     expected_rank,
     lift_input,
+    support_plan,
 )
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.pipeline import Problem, compute_zeta
@@ -44,8 +50,8 @@ def elliptic_terms(p, aa, bb):
 def build(R, terms, mode):
     lifted = lift_input(R, terms, mode)
     poly = hull(lifted.support)
-    v = expected_rank(mode, [nu for nu, _ in terms])
-    return lifted, poly, build_jacobian(lifted, poly, v)
+    plan = support_plan(mode, [nu for nu, _ in terms])
+    return lifted, poly, build_jacobian(lifted, plan)
 
 
 @pytest.mark.parametrize("terms, mode", [
@@ -112,6 +118,32 @@ def test_cofactor_allowed_by_lacking_variables(mode, terms):
                     lifted.var_exponent(i, m) >= 1
                     for i in range(1, lifted.n_vars + 1) if i != gen)
                 assert lifted.cofactor_allowed(gen, m) == want, (m, gen)
+
+
+@pytest.mark.parametrize("mode, terms", [
+    ("affine", [((3, 0), (1,)), ((1, 0), (2,)), ((0, 0), (3,)),
+                ((0, 2), (6,))]),
+    ("projective", [((3, 0, 0), (1,)), ((0, 3, 0), (2,)), ((0, 0, 3), (1,))]),
+    ("toric", [((1, 0), (1,)), ((0, 1), (1,)), ((-1, -1), (1,))]),
+])
+def test_support_plan_matches_reference(mode, terms):
+    """The plan holds the rank, the hull and, per degree 0..top, the layer
+    that lattice_points, var_exponent and cofactor_allowed give; it is
+    kept per (mode, exponents) whatever their order, and read-only."""
+    exps = [nu for nu, _ in terms]
+    lifted = lift_input(ring(), terms, mode)
+    poly = hull(lifted.support)
+    plan = support_plan(mode, exps)
+    assert plan.v == expected_rank(mode, exps)
+    assert plan.poly == poly
+    ref = reference_plan(lifted, poly, lifted.n_eff + 2)
+    assert len(plan.layers) == len(ref.layers)
+    for layer, want in zip(plan.layers, ref.layers):
+        assert layer[:5] == want[:5]
+        assert dict(layer.index) == want.index
+        with pytest.raises(TypeError):
+            layer.index[0] = 0
+    assert support_plan(mode, exps[::-1]) is plan
 
 
 def test_check_terms_validation():

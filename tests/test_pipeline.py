@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from dworkzeta import gf, jacobian, pipeline
+from dworkzeta import frobenius, gf, jacobian, pipeline
 from dworkzeta.errors import (
     InsufficientPrecision,
     InvalidFieldSpec,
@@ -24,7 +24,12 @@ from dworkzeta.errors import (
     NondegeneracyFailure,
     UnsupportedCharacteristic,
 )
-from dworkzeta.jacobian import build_jacobian, expected_rank, lift_input
+from dworkzeta.jacobian import (
+    build_jacobian,
+    expected_rank,
+    lift_input,
+    support_plan,
+)
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.pipeline import (
     Problem,
@@ -33,7 +38,6 @@ from dworkzeta.pipeline import (
     nondegeneracy_witness_search,
     verify_against_oracle,
 )
-from dworkzeta.polytope import hull
 from dworkzeta.zeta import substitute_t_over_q
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -214,13 +218,13 @@ def test_confinement_preserves_zeta():
 def structural_rank(prob, v):
     """Reference for expected_rank: |V| from a Jacobian build at precision 1.
 
-    build_jacobian raises NondegeneracyFailure when |V| differs from the v it
-    is given, here the known rank, not expected_rank.
+    build_jacobian raises NondegeneracyFailure when |V| differs from the v
+    of the plan it is given, here the known rank, not expected_rank.
     """
     ring = make_ring(FieldSpec(p=prob.p, a=prob.a, hbar=prob.hbar, N_work=1))
     lifted = lift_input(ring, prob.terms, prob.mode)
-    poly = hull(lifted.support)
-    _ech, basis = build_jacobian(lifted, poly, v)
+    plan = support_plan(prob.mode, [nu for nu, _ in prob.terms])
+    _ech, basis = build_jacobian(lifted, plan._replace(v=v))
     return basis.v
 
 
@@ -271,9 +275,9 @@ def test_expected_rank_matches_structural_build(prob, v):
 def test_one_jacobian_build_per_run(monkeypatch):
     calls = []
 
-    def counted(lifted, poly, v):
+    def counted(lifted, plan):
         calls.append(lifted.ring.N)
-        return build_jacobian(lifted, poly, v)
+        return build_jacobian(lifted, plan)
 
     monkeypatch.setattr(pipeline, "build_jacobian", counted)
     res = compute_zeta(elliptic_affine(7, 2, 1))
@@ -544,12 +548,69 @@ def test_results_do_not_depend_on_cache_state():
         assert matrix_digest(res.matrix) == pin["matrix_sha256"], pin["label"]
 
 
+def clear_plans():
+    jacobian._support_plan.cache_clear()
+    frobenius.target_plan.cache_clear()
+
+
+# x^3 + y^3 + 1 (affine, toric) and x^3 + y^3 + z^3 (projective) over F_7:
+# one working support ((0, 0), (0, 3), (3, 0)), three ranks.
+FERMAT_CUBICS = [
+    Problem(p=7, a=1, hbar=(0, 1), n=2, mode=mode,
+            terms=[((3, 0), (1,)), ((0, 3), (1,)), ((0, 0), (1,))])
+    for mode in ("affine", "toric")] + [
+    Problem(p=7, a=1, hbar=(0, 1), n=3, mode="projective",
+            terms=[((3, 0, 0), (1,)), ((0, 3, 0), (1,)), ((0, 0, 3), (1,))])]
+
+
+def test_modes_never_share_a_plan():
+    cold = []
+    for prob in FERMAT_CUBICS:
+        clear_plans()
+        cold.append(compute_zeta(prob, emit_matrix=True))
+    assert [res.zeta.v for res in cold] == [4, 9, 2]
+    assert {lift_input(make_ring(FieldSpec(p=7, a=1, hbar=(0, 1), N_work=1)),
+                       prob.terms, prob.mode).support
+            for prob in FERMAT_CUBICS} == {((0, 0), (0, 3), (3, 0))}
+    order = list(zip(FERMAT_CUBICS, cold))
+    for prob, want in order + order[::-1]:
+        res = compute_zeta(prob, emit_matrix=True)
+        assert res.matrix == want.matrix, prob.mode
+        verify_against_oracle(prob, res.zeta, 2)
+
+
+def test_plans_are_reused_across_the_curve_sweep(monkeypatch):
+    # The 12 curves share one support shape, and the two curves at each
+    # prime share the groups of each target.
+    keys = []
+    expand = pipeline.expand_frobenius
+
+    def recorded(target, lifted, poly, tables, powers):
+        keys.append((lifted.ring.p, lifted.ring.N, tables.E, target))
+        return expand(target, lifted, poly, tables, powers)
+
+    monkeypatch.setattr(pipeline, "expand_frobenius", recorded)
+    clear_plans()
+    cases = load_perfbench("workloads").generate("curve-sweep", 1)
+    assert len(cases) == 12
+    for _, prob, _ in cases:
+        compute_zeta(prob)
+    shapes = jacobian._support_plan.cache_info()
+    assert (shapes.misses, shapes.hits) == (1, 11)
+    targets = frobenius.target_plan.cache_info()
+    assert targets.misses == len(set(keys))
+    assert targets.hits == len(keys) - len(set(keys)) > 0
+
+
 def test_concurrent_solves_match_sequential():
-    # Two curves at p = 101 and one at p = 13 on 4 threads: solves at the
-    # two primes replace each other's kept tables while others read them.
+    # Two curves at p = 101, one at p = 13 and the Fermat cubics of three
+    # modes at p = 7 on 4 threads, from empty plan caches: solves at three
+    # primes replace each other's kept tables while others read them, and
+    # race to fill the plans.
     probs = [elliptic_affine(101, 1, 1), elliptic_affine(101, 3, 7),
-             elliptic_affine(13, 2, 6)]
+             elliptic_affine(13, 2, 6)] + FERMAT_CUBICS
     want = [compute_zeta(prob, emit_matrix=True).matrix for prob in probs]
+    clear_plans()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

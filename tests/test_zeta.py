@@ -23,7 +23,7 @@ from dworkzeta.frobenius import (
     splitting_for,
     truncation_bound,
 )
-from dworkzeta.jacobian import build_jacobian, expected_rank, lift_input
+from dworkzeta.jacobian import build_jacobian, lift_input, support_plan
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.polytope import hull
 from dworkzeta.reduction import reduce as cone_reduce
@@ -335,8 +335,8 @@ def test_end_to_end_single_point_on_torus():
     R = ring(p, 1, N_work)
     lifted = lift_input(R, [((1,), (1,)), ((0,), (2,))], "toric")
     poly = hull(lifted.support)
-    ech, basis = build_jacobian(lifted, poly,
-                                expected_rank("toric", lifted.support))
+    ech, basis = build_jacobian(lifted,
+                                support_plan("toric", lifted.support))
     assert basis.v == 1
     tables = splitting_for(R, truncation_bound(p, lifted.n_eff, N_work))
     powers = power_table(lifted)
