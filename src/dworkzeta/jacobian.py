@@ -59,20 +59,22 @@ entry as (code(mr) - code(c_j), alpha, gamma), so that the image monomial's
 code is the code of m * c_j plus that offset, and gamma as () when it is
 zero.  A non-pivot column is its own residual, (its V index, 1), with no
 image.  build_jacobian compiles every column of each degree, 0 to top,
-once the degree is row-reduced, and keeps only the columns, their codes
-and their operators (EchelonData).
+once the degree is row-reduced, and keeps per degree only the operators
+and the position of each column code (EchelonData); the columns and their
+codes are the plan's.
 
 What depends on the support alone is built once per support shape.
 support_plan(mode, exponents), a bounded cache keyed by the mode and the
 input exponents, returns an immutable SupportPlan: the rank v = |V| of the
 quotient, which has a closed formula in the support (expected_rank); the
-hull of the working support; and per degree 0..top the lattice points,
-their codes, the variables each lacks, and the columns the mode allows
-with the position of each column code.  Inputs of different modes never
+hull of the working support; per degree 0..top the lattice points, their
+codes, the variables each lacks, and the columns the mode allows with
+their codes; and the facet heights of the top-degree columns, which the
+divisor policy of the reduction reads.  Inputs of different modes never
 share a plan, even on one working support: x^3 + y^3 + 1 has v = 4 as an
-affine and v = 9 as a toric input.  build_jacobian and echelon_of_degree
-read the plan; a basis of a size other than v means the input is
-degenerate.
+affine and v = 9 as a toric input.  The plan is the one home of these:
+build_jacobian, echelon_of_degree and the reduction read it, and no solve
+copies it.  A basis of a size other than v means the input is degenerate.
 
 Three modes share this machinery:
 
@@ -97,9 +99,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import mul
-from types import MappingProxyType
-from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from .cone_algebra import ConeMonomial, check_code_bound, encode
 from .errors import InvalidInput, NondegeneracyFailure, PrecisionOrLogicError
@@ -324,25 +325,31 @@ class Layer(NamedTuple):
     """The cone monomials of one weight degree d: the lattice points of
     d * Delta in the term order, their codes and the variables each lacks
     (lacking_variables); and the columns, the monomials that lack none (the
-    ones the mode allows), their codes and the position of each column
-    code."""
+    ones the mode allows), and their codes."""
 
     monomials: Tuple[ConeMonomial, ...]
     codes: Tuple[int, ...]
     lacking: Tuple[Tuple[int, ...], ...]
     columns: Tuple[ConeMonomial, ...]
     column_codes: Tuple[int, ...]
-    index: Mapping[int, int]
 
 
 class SupportPlan(NamedTuple):
     """What the solves of one support shape share, whatever p and the
     coefficients: the rank v (expected_rank), the hull of the working
-    support and the Layer of each degree 0..top, top = n_eff + 2."""
+    support, the Layer of each degree 0..top, top = n_eff + 2, and for
+    each top-degree column (top, mu0), in order, the heights n.mu0 over the
+    facets (n, b) of the hull, in order, which reduction's divisor policy
+    compares with the facet bounds."""
 
     v: int
     poly: LatticePolytope
     layers: Tuple[Layer, ...]
+    top_heights: Tuple[Tuple[int, ...], ...]
+
+    @property
+    def top(self) -> int:
+        return len(self.layers) - 1
 
 
 def support_plan(mode: str, exponents: Iterable[Sequence[int]]) -> SupportPlan:
@@ -369,12 +376,12 @@ def _support_plan(mode: str, exps: Tuple[Tuple[int, ...], ...]
         codes = tuple(map(encode, monomials))
         lacking = tuple(lacking_variables(mode, degree, m) for m in monomials)
         keep = [i for i, lack in enumerate(lacking) if not lack]
-        column_codes = tuple(codes[i] for i in keep)
-        layers.append(Layer(
-            monomials, codes, lacking, tuple(monomials[i] for i in keep),
-            column_codes,
-            MappingProxyType(dict(zip(column_codes, range(len(keep)))))))
-    return SupportPlan(v, poly, tuple(layers))
+        layers.append(Layer(monomials, codes, lacking,
+                            tuple(monomials[i] for i in keep),
+                            tuple(codes[i] for i in keep)))
+    top_heights = tuple(tuple(sum(map(mul, n, mu0)) for n, _ in poly.facets)
+                        for _, mu0 in layers[top].columns)
+    return SupportPlan(v, poly, tuple(layers), top_heights)
 
 
 @dataclass
@@ -382,59 +389,37 @@ class DegreeEchelon:
     """Relation matrix of one weight degree, row-reduced, each row with its
     image block (module docstring).
 
-    codes and cofactor_codes are the codes of columns and cofactors, and
-    index maps the code of each column to its position.  Rows are sparse:
-    M[i] maps a column index, or the key ncols + width * c + slot of an
-    image entry (cofactors[c], slot), to a nonzero entry.  The rows
-    stay in the order they were built.  pivot_rows maps each pivot column to
-    its row of M, in the order the pivots were found; a pivot entry is 1 and
-    its column has no other nonzero entry.  Each pivot row is the sparsest
+    layer is the plan's Layer of the degree, cofactor_codes the codes of
+    the cofactors (the monomials of the layer below), and index maps the
+    code of each column to its position.  Rows are sparse: M[i] maps a
+    column index, or the key ncols + width * c + slot of an image entry
+    (the c-th cofactor, slot), to a nonzero entry.  The rows stay in the
+    order they were built.  pivot_rows maps each pivot column to its row of
+    M, in the order the pivots were found; a pivot entry is 1 and its
+    column has no other nonzero entry.  Each pivot row is the sparsest
     unused row with a unit entry in its column when that column is reached;
     another choice gives other image blocks, but the same pivot columns, the
     same column entries and so the same V and Frobenius matrix (module
     docstring).
     """
 
-    columns: Sequence[ConeMonomial]
-    codes: Sequence[int]
-    index: Dict[int, int]
-    cofactors: Sequence[ConeMonomial]
+    layer: Layer
     cofactor_codes: Sequence[int]
+    index: Dict[int, int]
     M: List[SparseRow]
     pivot_rows: Dict[int, int]
 
 
 @dataclass
-class DegreeReduction:
-    """The columns of one weight degree, their codes (ascending, as the
-    columns are in term order), the position of each code, and the
-    reduction operator of each column, ops[j] for columns[j] (module
-    docstring)."""
-
-    columns: Sequence[ConeMonomial]
-    codes: Sequence[int]
-    index: Dict[int, int]
-    ops: List[Operator]
-
-
-@dataclass
 class EchelonData:
-    """Per-degree reduction operators for degrees 0..top, plus the shared
-    context."""
+    """The reduction operators of degrees 0..plan.top: ops[d][j] is the
+    operator of plan.layers[d].columns[j], and index[d] maps the code of
+    each column of degree d to its position."""
 
     lifted: LiftedInput
-    poly: LatticePolytope
-    top: int
-    by_degree: Dict[int, DegreeReduction]
-
-    @cached_property
-    def top_heights(self) -> List[Tuple[int, ...]]:
-        """For each top-degree column (top, mu0), in order, the heights
-        n.mu0 over the facets (n, b) of poly, in order: reduction's divisor
-        policy compares them with the facet bounds."""
-        normals = [n for n, _ in self.poly.facets]
-        return [tuple(sum(map(mul, n, mu0)) for n in normals)
-                for _, mu0 in self.by_degree[self.top].columns]
+    plan: SupportPlan
+    index: List[Dict[int, int]]
+    ops: List[List[Operator]]
 
 
 @dataclass
@@ -526,9 +511,7 @@ def echelon_of_degree(lifted: LiftedInput, plan: SupportPlan,
     # The monomials, codes and lacking variables of layer d-1; none at 0.
     cofactors, cofactor_codes, lacking = (plan.layers[d - 1][:3] if d
                                           else ((), (), ()))
-    # A plain dict: a read-only view answers get() at half the speed, and
-    # this index is read per generator term here and per step in reduction.
-    index = layer.index.copy()
+    index = {c: j for j, c in enumerate(layer.column_codes)}
     ncols, width = len(layer.columns), len(lifted.generator_indices) + 1
     M: List[SparseRow] = []
     for s, (gi, terms) in enumerate(
@@ -553,9 +536,8 @@ def echelon_of_degree(lifted: LiftedInput, plan: SupportPlan,
             row[key + s] = ring.one
             M.append(row)
     pivots = _row_reduce(ring, M, ncols, d)
-    return DegreeEchelon(columns=layer.columns, codes=layer.column_codes,
-                         index=index, cofactors=cofactors,
-                         cofactor_codes=cofactor_codes, M=M,
+    return DegreeEchelon(layer=layer, cofactor_codes=cofactor_codes,
+                         index=index, M=M,
                          pivot_rows={j: r for r, j in pivots})
 
 
@@ -570,21 +552,21 @@ def compile_column(lifted: LiftedInput, de: DegreeEchelon, j: int,
     V.  A residual on any other column (a top-degree column without a pivot,
     or whose pivot row has entries besides the pivot) contradicts the theory.
     """
-    ring = lifted.ring
+    ring, columns = lifted.ring, de.layer.columns
 
     def index_in_V(k: int) -> int:
         idx = position.get(k)
         if idx is None:
             raise PrecisionOrLogicError(
-                f"column {de.columns[j]} leaves a residual on "
-                f"{de.columns[k]}, which is not in the basis V")
+                f"column {columns[j]} leaves a residual on "
+                f"{columns[k]}, which is not in the basis V")
         return idx
 
     r = de.pivot_rows.get(j)
     if r is None:
         return [(index_in_V(j), ring.one)], []
     residual = []
-    ncols, width = len(de.columns), len(lifted.generator_indices) + 1
+    ncols, width = len(columns), len(lifted.generator_indices) + 1
     # cofactor index -> [alpha, beta_g for g in generator_indices]
     image: Dict[int, List[RingElement]] = {}
     for k, c in de.M[r].items():
@@ -598,7 +580,7 @@ def compile_column(lifted: LiftedInput, de: DegreeEchelon, j: int,
             acc = image[ci] = [ring.zero] * width
         acc[s] = c
     normalize, forms = ring.normalize, lifted.exponent_forms
-    at, cofactor_codes = de.codes[j], de.cofactor_codes
+    at, cofactor_codes = de.layer.column_codes[j], de.cofactor_codes
     entries = []
     for ci, (alpha, *beta) in image.items():
         # gamma is beta read through the forms, which are the unit vectors
@@ -621,27 +603,26 @@ def build_jacobian(lifted: LiftedInput, plan: SupportPlan
     column.  |V| must equal plan.v, the expected_rank of the input, or the
     input is degenerate.
     """
-    top = len(plan.layers) - 1
-    by_degree: Dict[int, DegreeReduction] = {}
+    index: List[Dict[int, int]] = []
+    ops: List[List[Operator]] = []
     # Each degree appends its non-pivot columns in ascending order, so V
     # comes out in the term order.
     V: List[ConeMonomial] = []
 
-    for d in range(top + 1):
+    for d, layer in enumerate(plan.layers):
         de = echelon_of_degree(lifted, plan, d)
-        nonpivot = [j for j in range(len(de.columns))
+        nonpivot = [j for j in range(len(layer.columns))
                     if j not in de.pivot_rows]
-        if d == top and nonpivot:
+        if d == plan.top and nonpivot:
             raise NondegeneracyFailure(
                 f"top-degree relation matrix (degree {d}) is not of full "
                 f"column rank: {len(nonpivot)} monomial(s) remain unreduced; "
                 "the input is degenerate")
         position = {j: len(V) + i for i, j in enumerate(nonpivot)}
-        V.extend(de.columns[j] for j in nonpivot)
-        by_degree[d] = DegreeReduction(
-            columns=de.columns, codes=de.codes, index=de.index,
-            ops=[compile_column(lifted, de, j, position)
-                 for j in range(len(de.columns))])
+        V.extend(layer.columns[j] for j in nonpivot)
+        index.append(de.index)
+        ops.append([compile_column(lifted, de, j, position)
+                    for j in range(len(layer.columns))])
 
     basis = MonomialBasis(V=V)
     if basis.v != plan.v:
@@ -653,5 +634,4 @@ def build_jacobian(lifted: LiftedInput, plan: SupportPlan
     if lifted.mode == "toric" and degree0 != [(0, (0,) * lifted.n_eff)]:
         raise NondegeneracyFailure(
             "degree-0 part of the basis is not the single monomial 1")
-    return EchelonData(lifted=lifted, poly=plan.poly, top=top,
-                       by_degree=by_degree), basis
+    return EchelonData(lifted=lifted, plan=plan, index=index, ops=ops), basis

@@ -18,8 +18,9 @@ evaluated on logs: adding g^L to g^S gives g^(L + zech[S - L]) with the
 Zech logarithm zech[k] = log(1 + g^k), and a sum that vanishes becomes a
 zero mark.  The field keeps zech padded so that this is one table lookup,
 with no reduction mod Q - 1 and no test for zero.  The torus is evaluated
-a block of exponent heads at a time, about BLOCK_POINTS points, in
-lexicographic order.  Affine space is the union of tori over the subsets
+in lexicographic order of the exponents, a block of at most BLOCK_POINTS
+points at a time: a few heads with every last exponent, or part of the
+last exponents of one head when Q - 1 exceeds BLOCK_POINTS.  Affine space is the union of tori over the subsets
 of zeroed coordinates, and P^(n-1) the union of the affine charts
 x_0 = ... = x_(i-1) = 0, x_i = 1.
 """
@@ -44,8 +45,9 @@ from .errors import (
 
 Term = Tuple[Tuple[int, ...], int]  # (exponent vector, coefficient code)
 
-# Points of the torus evaluated at once: a block of exponent heads, each
-# with every value of the last exponent.
+# Points of the torus evaluated at once, at most: a block of exponent
+# heads, each with every value of the last exponent, or one head with a
+# run of them.
 BLOCK_POINTS = 8192
 
 
@@ -262,12 +264,14 @@ def _torus_zero_masks(field: ExtensionField, polys: Sequence[Sequence[Term]],
     Each polynomial is a sequence of (exponent vector, coefficient code)
     terms; one with no nonzero coefficient vanishes everywhere.  A torus
     point is (g^e_1, ..., g^e_m) for the generator g, and the points are
-    taken in lexicographic order of (e_1, ..., e_m), a block of exponent
-    heads (e_1, ..., e_(m-1)) at a time: up to BLOCK_POINTS // (Q - 1)
-    consecutive values of e_(m-1) after one prefix (e_1, ..., e_(m-2)).
-    Yields, per block, the position in that order of its first point and
-    the boolean mask, one row per head and one column per e_m, of the
-    points where every polynomial vanishes.
+    taken in lexicographic order of (e_1, ..., e_m), a block of at most
+    BLOCK_POINTS points at a time: up to BLOCK_POINTS // (Q - 1)
+    consecutive heads, values of e_(m-1) after one prefix (e_1, ...,
+    e_(m-2)), with every e_m; or, when Q - 1 exceeds BLOCK_POINTS, one
+    head (the empty one at m = 1) with up to BLOCK_POINTS consecutive
+    values of e_m.  Yields, per block, the position in that order of its
+    first point and the boolean mask, one row per head and one column per
+    e_m, of the points where every polynomial vanishes.
 
     Term c x^nu has the value g^L, L = log c + nu.e.  Over a block, L is a
     scalar for the block plus nu_(m-1) r + nu_m e_m for the head's row r,
@@ -282,6 +286,7 @@ def _torus_zero_masks(field: ExtensionField, polys: Sequence[Sequence[Term]],
     zech, zero_mark = field.zech, field.zero_mark
     heads = n if m > 1 else 1  # values of e_(m-1); the one empty head at m = 1
     rows = min(heads, max(1, BLOCK_POINTS // n))
+    cols = min(n, BLOCK_POINTS)  # below n only when a block is one row
     row = np.arange(rows, dtype=np.int64)[:, None]
     e_last = np.arange(n, dtype=np.int64)
     live = []
@@ -300,15 +305,16 @@ def _torus_zero_masks(field: ExtensionField, polys: Sequence[Sequence[Term]],
     for i, prefix in enumerate(iproduct(range(n), repeat=max(m - 2, 0))):
         for r0 in range(0, heads, rows):
             k = min(rows, heads - r0)
-            mask = np.ones((k, n), dtype=bool)
-            for terms in live:
-                acc = None
-                for pre, step, log_c, part in terms:
-                    L = part[:k] + (log_c + sum(map(mul, pre, prefix))
-                                    + step * r0) % n
-                    acc = L if acc is None else L + zech.take(acc - L)
-                mask &= acc >= zero_mark
-            yield (i * heads + r0) * n, mask
+            for c0 in range(0, n, cols):
+                mask = np.ones((k, min(cols, n - c0)), dtype=bool)
+                for terms in live:
+                    acc = None
+                    for pre, step, log_c, part in terms:
+                        L = part[:k, c0:c0 + cols] + (
+                            log_c + sum(map(mul, pre, prefix)) + step * r0) % n
+                        acc = L if acc is None else L + zech.take(acc - L)
+                    mask &= acc >= zero_mark
+                yield (i * heads + r0) * n + c0, mask
 
 
 def torus_common_zero(field: ExtensionField, polys: Sequence[Sequence[Term]],

@@ -6,7 +6,10 @@ monomial m the product m * (pi*w) f_i is congruent to -e_i(m) m, with e_i
 the exponent of variable i (LiftedInput.var_exponent), one weight degree
 lower.  Divisions never occur: apply_column applies the reduction operator
 that build_jacobian compiled for each echelon column (jacobian module
-docstring).
+docstring).  What the support alone decides, the columns of each degree,
+their codes and the facet heights the divisor policy compares, is read
+from the support plan (jacobian.SupportPlan, EchelonData.plan); only the
+operators and the position of each column code come with the solve.
 
 The sweep.  Reduction is R-linear and all the images walk the same cone
 monomials, so they are reduced together.  The terms are held per weight
@@ -36,7 +39,7 @@ monomial m * c_j is codes[j] plus the code offset of m, and its image
 monomial m * mr that plus the compiled offset of the entry.  The codes keep
 their fields apart for every monomial of the sweep: reduce checks the bound
 once, from the images' top degree and the largest vertex coordinate of the
-polytope, and build_jacobian checks it at the top degree.  A coefficient
+polytope, and support_plan checks it at the top degree.  A coefficient
 vector is one int: the entry of image i sits in slot i, at bit S*i with
 S = (2a-1)*k (k = ring.k), the width of a product of two elements.  So a
 push of a vector X on the image monomial c with coefficient coef is one
@@ -71,24 +74,22 @@ from .cone_algebra import (
     encode,
 )
 from .errors import DecompositionError, PrecisionOrLogicError
-from .jacobian import EchelonData, MonomialBasis, Operator
+from .jacobian import EchelonData, MonomialBasis, Operator, SupportPlan
 from .padic import RingContext, RingElement
 
 
-def _default_divisor_policy(candidates: List[ConeMonomial],
-                            lm: ConeMonomial, ech: EchelonData
+def _default_divisor_policy(plan: SupportPlan, lm: ConeMonomial
                             ) -> Optional[int]:
-    """Position in candidates of the first monomial m0 of top degree with
-    lm - m0 still in the cone.
+    """Position among the top-degree columns of plan of the first monomial
+    m0 with lm - m0 still in the cone.
 
-    candidates are the top-degree columns.  lm - m0 has degree k = d - top
-    >= 1, and lies in the cone when n.(mu - mu0) <= k*b for every facet
-    (n, b) of the polytope, that is when each height n.mu0
-    (ech.top_heights) reaches n.mu - k*b."""
+    lm - m0 has degree k = d - top >= 1, and lies in the cone when
+    n.(mu - mu0) <= k*b for every facet (n, b) of the polytope, that is when
+    each height n.mu0 (plan.top_heights) reaches n.mu - k*b."""
     d, mu = lm
-    k = d - ech.top
-    floors = [sum(map(mul, n, mu)) - k * b for n, b in ech.poly.facets]
-    for j, heights in enumerate(ech.top_heights):
+    k = d - plan.top
+    floors = [sum(map(mul, n, mu)) - k * b for n, b in plan.poly.facets]
+    for j, heights in enumerate(plan.top_heights):
         if all(map(ge, heights, floors)):
             return j
     return None
@@ -126,8 +127,8 @@ def reduce(images: Sequence[ConeElement], ech: EchelonData,
            basis: MonomialBasis) -> List[List[RingElement]]:
     """Coordinates on the basis V of the class of each element of images,
     one list per image."""
-    ring = ech.lifted.ring
-    top = ech.top
+    ring, plan = ech.lifted.ring, ech.plan
+    top = plan.top
     n = ech.lifted.n_eff
     normalize, modulus = ring.normalize, ring.modulus
     bits = slot_bits(ring)
@@ -142,12 +143,13 @@ def reduce(images: Sequence[ConeElement], ech: EchelonData,
             key = encode(m)
             layer[key] = layer.get(key, 0) + (c << shift)
     top_degree = max(layers, default=0)
-    check_code_bound(top_degree, ech.poly.vertices)
+    check_code_bound(top_degree, plan.poly.vertices)
 
-    candidates = ech.by_degree[top].columns
+    candidates = plan.layers[top].columns
     for d in range(top_degree, -1, -1):
-        de = ech.by_degree[min(d, top)]
-        codes, ops = de.codes, de.ops
+        k = min(d, top)
+        codes, index, ops = (plan.layers[k].column_codes, ech.index[k],
+                             ech.ops[k])
         below = layers[d - 1]
         # The layer with each slot normalized once.
         layer = {}
@@ -163,7 +165,7 @@ def reduce(images: Sequence[ConeElement], ech: EchelonData,
                 continue
             if d > top:
                 mu = decode(lm, n)[1]
-                j0 = _default_divisor_policy(candidates, (d, mu), ech)
+                j0 = _default_divisor_policy(plan, (d, mu))
                 if j0 is None:
                     raise DecompositionError(
                         f"no top-degree divisor monomial for {(d, mu)}: the "
@@ -174,7 +176,7 @@ def reduce(images: Sequence[ConeElement], ech: EchelonData,
                 e.extend((y - x) % modulus
                          for x, y in zip(mu, candidates[j0][1]))
             else:
-                j0 = de.index.get(lm)
+                j0 = index.get(lm)
                 if j0 is None:
                     raise PrecisionOrLogicError(
                         f"monomial {decode(lm, n)} violates the mode "

@@ -16,6 +16,7 @@ compute."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, List, Tuple
 
 from dworkzeta.cone_algebra import encode
@@ -34,7 +35,8 @@ Vector = List[int]
 
 @dataclass
 class ReferenceEchelon:
-    """One degree's DegreeEchelon de, split: M[r] holds the column entries of
+    """One degree's DegreeEchelon de, with the columns and cofactors of its
+    degree read from the plan, split: M[r] holds the column entries of
     row r and T[r] maps an original relation row i, described by
     row_meta[i] = (generator index, cofactor), to the entry of row r at the
     image key (cofactor, slot of the generator).  M = T * J exactly, J the
@@ -42,6 +44,7 @@ class ReferenceEchelon:
 
     de: DegreeEchelon
     columns: list
+    cofactors: list
     col_index: dict
     pivot_rows: Dict[int, int]
     row_meta: List[Tuple[int, tuple]]
@@ -56,19 +59,21 @@ def row_meta(lifted, cofactors):
             if lifted.cofactor_allowed(g, m)]
 
 
-def image_keys(lifted, de, meta):
+def image_keys(lifted, columns, cofactors, meta):
     """The key of the image entry (cofactor, slot of the generator) of each
-    relation row described by meta, in the rows of the DegreeEchelon de."""
-    ncols, width = len(de.columns), len(lifted.generator_indices) + 1
+    relation row described by meta, in the rows of the DegreeEchelon of
+    these columns and cofactors."""
+    ncols, width = len(columns), len(lifted.generator_indices) + 1
     slot = {g: s for s, g in enumerate(lifted.generator_indices, 1)}
-    index = {m: c for c, m in enumerate(de.cofactors)}
+    index = {m: c for c, m in enumerate(cofactors)}
     return [ncols + width * index[mr] + slot[g] for g, mr in meta]
 
 
 def reference_plan(lifted, poly, top):
     """The layers of degrees 0..top of lifted's input, built here from
     lattice_points, var_exponent and cofactor_allowed rather than by
-    jacobian.support_plan, in a SupportPlan whose v is None."""
+    jacobian.support_plan, in a SupportPlan whose v is None; its top
+    heights are those of the top layer's columns over poly.facets."""
     layers = []
     for d in range(top + 1):
         monomials = tuple((d, mu) for mu in lattice_points(poly, d))
@@ -77,11 +82,11 @@ def reference_plan(lifted, poly, top):
                   if lifted.mode != "toric" and lifted.var_exponent(i, m) < 1)
             for m in monomials)
         columns = tuple(m for m in monomials if lifted.cofactor_allowed(0, m))
-        codes = tuple(map(encode, columns))
-        index = dict(zip(codes, range(len(codes))))
         layers.append(Layer(monomials, tuple(map(encode, monomials)), lacking,
-                            columns, codes, index))
-    return SupportPlan(None, poly, tuple(layers))
+                            columns, tuple(map(encode, columns))))
+    heights = tuple(tuple(sum(map(mul, n, mu0)) for n, _ in poly.facets)
+                    for _, mu0 in layers[top].columns)
+    return SupportPlan(None, poly, tuple(layers), heights)
 
 
 def echelons(lifted, poly, top):
@@ -91,15 +96,17 @@ def echelons(lifted, poly, top):
     out = {}
     for d in range(top + 1):
         de = echelon_of_degree(lifted, plan, d)
-        meta = row_meta(lifted, plan.layers[d - 1].monomials if d else ())
-        ncols = len(de.columns)
+        columns = plan.layers[d].columns
+        cofactors = plan.layers[d - 1].monomials if d else ()
+        meta = row_meta(lifted, cofactors)
+        ncols = len(columns)
         M = [{k: c for k, c in row.items() if k < ncols} for row in de.M]
-        keys = image_keys(lifted, de, meta)
+        keys = image_keys(lifted, columns, cofactors, meta)
         T = [{i: row[k] for i, k in enumerate(keys) if k in row}
              for row in de.M]
-        out[d] = ReferenceEchelon(de=de, columns=de.columns,
+        out[d] = ReferenceEchelon(de=de, columns=columns, cofactors=cofactors,
                                   col_index={m: k for k, m in
-                                             enumerate(de.columns)},
+                                             enumerate(columns)},
                                   pivot_rows=de.pivot_rows, row_meta=meta,
                                   M=M, T=T)
     return out

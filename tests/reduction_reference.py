@@ -40,25 +40,25 @@ class ReferenceReduction:
     top_heights: list
 
 
-def compile_column(lifted, de, j, position):
-    """The tuple-keyed operator of column j of the DegreeEchelon de: the
-    residual [(V index, coefficient)] and the image [(mr, alpha,
+def compile_column(lifted, ref, j, position):
+    """The tuple-keyed operator of column j of the ReferenceEchelon ref:
+    the residual [(V index, coefficient)] and the image [(mr, alpha,
     [beta_g])]."""
     ring = lifted.ring
-    r = de.pivot_rows.get(j)
+    r = ref.pivot_rows.get(j)
     if r is None:
         return [(position[j], ring.one)], []
     residual = []
-    ncols, width = len(de.columns), len(lifted.generator_indices) + 1
+    ncols, width = len(ref.columns), len(lifted.generator_indices) + 1
     image: Dict[int, List[int]] = {}
-    for k, c in de.M[r].items():
+    for k, c in ref.de.M[r].items():
         if k < ncols:
             if k != j:
                 residual.append((position[k], ring.neg(c)))
             continue
         ci, s = divmod(k - ncols, width)
         image.setdefault(ci, [ring.zero] * width)[s] = c
-    return residual, [(de.cofactors[ci], acc[0], acc[1:])
+    return residual, [(ref.cofactors[ci], acc[0], acc[1:])
                       for ci, acc in image.items()]
 
 
@@ -67,13 +67,12 @@ def reference_reduction(lifted, poly, top, basis) -> ReferenceReduction:
     basis_index = {m: i for i, m in enumerate(basis.V)}
     by_degree = {}
     for d, ref in echelons(lifted, poly, top).items():
-        de = ref.de
-        position = {k: basis_index[m] for k, m in enumerate(de.columns)
+        position = {k: basis_index[m] for k, m in enumerate(ref.columns)
                     if m in basis_index}
         by_degree[d] = ReferenceDegree(
-            columns=de.columns, col_index=ref.col_index,
-            ops=[compile_column(lifted, de, j, position)
-                 for j in range(len(de.columns))])
+            columns=ref.columns, col_index=ref.col_index,
+            ops=[compile_column(lifted, ref, j, position)
+                 for j in range(len(ref.columns))])
     normals = [n for n, _ in poly.facets]
     heights = [tuple(sum(map(mul, n, mu0)) for n in normals)
                for _, mu0 in by_degree[top].columns]

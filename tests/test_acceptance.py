@@ -231,7 +231,7 @@ def _pipeline_internals(prob, n_work):
 def test_criterion_05_integrality_and_unit_pivots():
     for name, prob in _fixture_problems():
         ring, lifted, poly, ech, basis = _pipeline_internals(prob, 4)
-        for d, de in echelons(lifted, poly, ech.top).items():
+        for d, de in echelons(lifted, poly, ech.plan.top).items():
             for c, r in de.pivot_rows.items():
                 assert de.M[r][c] == ring.one, (name, d)
         if prob.mode == "toric":

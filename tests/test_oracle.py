@@ -231,6 +231,47 @@ def test_torus_common_zero_is_first_in_lexicographic_order(p, d, m, roots):
     assert oracle.torus_common_zero(F, [f, other, h], m) is None
 
 
+@pytest.mark.parametrize("p, d", [(3, 2), (11, 1), (5, 2)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_blocks_hold_at_most_block_points(monkeypatch, p, d, m):
+    # With BLOCK_POINTS = 7 below Q - 1, each block is one head with a run
+    # of at most 7 values of the last exponent, the last run short (Q - 1
+    # = 8, 10, 24).  The blocks tile the torus in order, and the counts,
+    # masks and first common zeros equal those of the default blocks.
+    F = get_field(p, d)
+    rng = random.Random(f"blocks-{p}-{d}-{m}")
+    point = tuple(int(F.exp_codes[rng.randrange(F.Q - 1)]) for _ in range(m))
+    # f vanishes at point: random terms and the constant that cancels them
+    f = [(tuple(rng.randint(-3, 3) for _ in range(m)), rng.randrange(1, F.Q))
+         for _ in range(3)]
+    value = pointwise_value(F, f, point, {})
+    f.append(((0,) * m, F.mul(value, F.encode([p - 1]))))
+    # h = x_1 - point_1: the common zeros of f and h lie on one slice
+    h = [((1,) + (0,) * (m - 1), 1),
+         ((0,) * m, F.mul(point[0], F.encode([p - 1])))]
+    exps, codes = [nu for nu, _ in f], [c for _, c in f]
+
+    def run():
+        starts, masks = [], []
+        for start, mask in oracle._torus_zero_masks(F, [f], m):
+            starts.append(start)
+            masks.append(mask.ravel())
+        return (starts, masks, oracle._toric_zero_count(F, exps, codes, m),
+                oracle.torus_common_zero(F, [f, h], m))
+
+    _, default_masks, count, zero = run()
+    assert count > 0 and zero is not None
+    monkeypatch.setattr(oracle, "BLOCK_POINTS", 7)
+    assert F.Q - 1 > oracle.BLOCK_POINTS
+    starts, masks, got_count, got_zero = run()
+    assert len(masks) > len(default_masks)
+    assert all(mask.size <= oracle.BLOCK_POINTS for mask in masks)
+    assert starts == list(np.cumsum([0] + [mask.size for mask in masks[:-1]]))
+    assert np.array_equal(np.concatenate(masks),
+                          np.concatenate(default_masks))
+    assert (got_count, got_zero) == (count, zero)
+
+
 def test_single_torus_point_counts():
     # x - 1 on G_m over F_5: one point per extension.
     terms = [((1,), (1,)), ((0,), (4,))]

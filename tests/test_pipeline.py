@@ -580,16 +580,23 @@ def test_modes_never_share_a_plan():
 
 
 def test_plans_are_reused_across_the_curve_sweep(monkeypatch):
-    # The 12 curves share one support shape, and the two curves at each
-    # prime share the groups of each target.
-    keys = []
-    expand = pipeline.expand_frobenius
+    # The 12 curves share one support shape, whose plan every solve's
+    # reduction reads, and the two curves at each prime share the groups of
+    # each target.
+    keys, plans = [], []
+    expand, build = pipeline.expand_frobenius, pipeline.build_jacobian
 
     def recorded(target, lifted, poly, tables, powers):
         keys.append((lifted.ring.p, lifted.ring.N, tables.E, target))
         return expand(target, lifted, poly, tables, powers)
 
+    def built(lifted, plan):
+        out = build(lifted, plan)
+        plans.append(out[0].plan)
+        return out
+
     monkeypatch.setattr(pipeline, "expand_frobenius", recorded)
+    monkeypatch.setattr(pipeline, "build_jacobian", built)
     clear_plans()
     cases = load_perfbench("workloads").generate("curve-sweep", 1)
     assert len(cases) == 12
@@ -597,6 +604,9 @@ def test_plans_are_reused_across_the_curve_sweep(monkeypatch):
         compute_zeta(prob)
     shapes = jacobian._support_plan.cache_info()
     assert (shapes.misses, shapes.hits) == (1, 11)
+    prob = cases[0][1]
+    cached = jacobian.support_plan(prob.mode, [nu for nu, _ in prob.terms])
+    assert len(plans) == 12 and all(plan is cached for plan in plans)
     targets = frobenius.target_plan.cache_info()
     assert targets.misses == len(set(keys))
     assert targets.hits == len(keys) - len(set(keys)) > 0

@@ -144,7 +144,7 @@ def test_operator_relations_vanish_a2():
         for _ in range(3):
             xi = ConeElement(R)
             for _ in range(4):
-                d = rng.randrange(0, ech.top + 2)
+                d = rng.randrange(0, ech.plan.top + 2)
                 coords = [rng.randrange(R.modulus) for _ in range(R.a)]
                 add_term(xi, (d, rng.choice(lattice_points(poly, d))),
                          from_coords(R, coords))
@@ -189,13 +189,13 @@ def test_divisor_policy_independence(monkeypatch):
 
     calls = []
 
-    def last_fit(candidates, lm, e):
+    def last_fit(plan, lm):
         calls.append(lm)
-        k = lm[0] - e.top
+        k = lm[0] - plan.top
         chosen = None
-        for j, m0 in enumerate(candidates):
+        for j, m0 in enumerate(plan.layers[plan.top].columns):
             diff = tuple(a - b for a, b in zip(lm[1], m0[1]))
-            if e.poly.contains(diff, k):
+            if plan.poly.contains(diff, k):
                 chosen = j
         return chosen
 
@@ -209,13 +209,13 @@ def test_divisor_policy_independence(monkeypatch):
     assert first == last
 
 
-def first_fit(candidates, lm, ech):
+def first_fit(plan, lm):
     """The position of the first top-degree column m0 with lm - m0 in the
     cone, by LatticePolytope.contains: the rule _default_divisor_policy
     computes from facet heights."""
-    k = lm[0] - ech.top
-    for j, m0 in enumerate(candidates):
-        if ech.poly.contains(tuple(a - b for a, b in zip(lm[1], m0[1])), k):
+    k = lm[0] - plan.top
+    for j, m0 in enumerate(plan.layers[plan.top].columns):
+        if plan.poly.contains(tuple(a - b for a, b in zip(lm[1], m0[1])), k):
             return j
     return None
 
@@ -228,13 +228,13 @@ def first_fit(candidates, lm, ech):
 ], ids=["toric", "affine", "projective"])
 def test_divisor_policy_is_first_fit(make):
     R, lifted, poly, ech, basis = make()
-    candidates = ech.by_degree[ech.top].columns
+    plan = ech.plan
     checked = 0
-    for d in range(ech.top + 1, ech.top + 4):
+    for d in range(plan.top + 1, plan.top + 4):
         for mu in lattice_points(poly, d):
             lm = (d, mu)
-            want = first_fit(candidates, lm, ech)
-            assert reduction._default_divisor_policy(candidates, lm, ech) == want
+            want = first_fit(plan, lm)
+            assert reduction._default_divisor_policy(plan, lm) == want
             checked += want is not None
     assert checked
 
@@ -257,7 +257,7 @@ def test_columns_together_match_columns_alone(make):
 
     for _ in range(3):
         G1, G2 = random_element(), random_element()
-        assert max(m[0] for m in G1.terms) > ech.top
+        assert max(m[0] for m in G1.terms) > ech.plan.top
         minus_G2 = ConeElement(R, {m: R.neg(c) for m, c in G2.terms.items()})
         images = [G1, G2, ConeElement(R), G1, minus_G2]
         together = cone_reduce(images, ech, basis)
@@ -296,16 +296,16 @@ def test_compiled_operator_matches_solve_and_push(make):
     def nonzero(layer):
         return {m: vec for m, vec in layer.items() if any(vec)}
 
-    for d, de in echelons(lifted, poly, ech.top).items():
+    for d, de in echelons(lifted, poly, ech.plan.top).items():
         for j in range(len(de.columns)):
             vec = [element() for _ in range(width)]
             m = (0, (0,) * n)
-            if d == ech.top:
+            if d == ech.plan.top:
                 k = rng.randrange(3)
                 m = (k, rng.choice(lattice_points(poly, k)))
             # the compiled operator on m * (column j), its sums normalized
             below, out = {}, [0] * basis.v
-            op = ech.by_degree[d].ops[j]
+            op = ech.ops[d][j]
             key = encode((m[0] + d, tuple(map(add, m[1], de.columns[j][1]))))
             e = ([-c % R.modulus for c in (m[0], *m[1])] if m[0] else None)
             reduction.apply_column(R, op, key, e, pack(R, vec), below, out)
@@ -314,7 +314,7 @@ def test_compiled_operator_matches_solve_and_push(make):
             out = [list(col) for col in zip(*(unpack(R, x, width) for x in out))]
             # the reference: solve, then push each relation row on its own
             eta, v = solve(R, de, {j: vec})
-            if d == ech.top:
+            if d == ech.plan.top:
                 assert v == {}
             ref_out = [[R.zero] * basis.v for _ in range(width)]
             for kk, x in v.items():
@@ -335,9 +335,9 @@ def test_compiled_operator_matches_solve_and_push(make):
 
 def test_top_degree_residual_raises_at_compile():
     R, lifted, poly, ech, basis = elliptic_fixture()
-    top = echelons(lifted, poly, ech.top)[ech.top].de
+    top = echelons(lifted, poly, ech.plan.top)[ech.plan.top].de
     j, r = next(iter(top.pivot_rows.items()))
-    other = next(k for k in range(len(top.columns)) if k != j)
+    other = next(k for k in range(len(top.layer.columns)) if k != j)
     top.M[r] = {j: R.one, other: R.one}
     with pytest.raises(PrecisionOrLogicError):
         compile_column(lifted, top, j, {})
@@ -347,10 +347,10 @@ def test_mode_restriction_raises_at_and_below_top():
     # affine columns are divisible by xy; (d, (0, 0)) lies in d * Delta but
     # is not a column, below the top degree (degree 0 included) and at it
     R, lifted, poly, ech, basis = elliptic_fixture(mode="affine")
-    for d in (0, 2, ech.top):
+    for d in (0, 2, ech.plan.top):
         m = (d, (0, 0))
         assert poly.contains(m[1], d)
-        assert m not in ech.by_degree[d].columns
+        assert m not in ech.plan.layers[d].columns
         with pytest.raises(PrecisionOrLogicError):
             cone_reduce([ConeElement(R, {m: R.one})], ech, basis)
 
@@ -388,14 +388,14 @@ def test_reduce_matches_tuple_reference(name):
     bit for bit, on seeded random images of widths 1, 2, 5 and 9 with terms
     up to degree top + 6, zero and negated images among them."""
     R, lifted, poly, ech, basis = REFERENCE_FIXTURES[name]()
-    ref = reduction_reference.reference_reduction(lifted, poly, ech.top,
+    ref = reduction_reference.reference_reduction(lifted, poly, ech.plan.top,
                                                   basis)
     rng = random.Random(28)
     points = {d: allowed_points(lifted, poly, d)
-              for d in range(ech.top + 7)}
+              for d in range(ech.plan.top + 7)}
     points = {d: ms for d, ms in points.items() if ms}
     if name.startswith("toric"):
-        assert any(c < 0 for _, mu in points[ech.top + 6] for c in mu)
+        assert any(c < 0 for _, mu in points[ech.plan.top + 6] for c in mu)
 
     def random_image():
         out = ConeElement(R)
@@ -407,7 +407,7 @@ def test_reduce_matches_tuple_reference(name):
 
     for width in (1, 2, 5, 9):
         images = [random_image() for _ in range(width)]
-        add_term(images[0], rng.choice(points[ech.top + 6]), R.one)
+        add_term(images[0], rng.choice(points[ech.plan.top + 6]), R.one)
         if width > 1:
             images[-1] = ConeElement(
                 R, {m: R.neg(c) for m, c in images[0].terms.items()})
@@ -428,17 +428,17 @@ def test_coded_operators_match_tuple_operators(name):
     to the code of m * c_j is the code of m * mr, for random cofactors m,
     and gamma is beta read through the forms (empty when zero)."""
     R, lifted, poly, ech, basis = REFERENCE_FIXTURES[name]()
-    ref = reduction_reference.reference_reduction(lifted, poly, ech.top,
+    ref = reduction_reference.reference_reduction(lifted, poly, ech.plan.top,
                                                   basis)
     rng = random.Random(29)
     forms = lifted.exponent_forms
-    for d in range(ech.top + 1):
-        coded, tupled = ech.by_degree[d], ref.by_degree[d]
-        assert coded.columns == tupled.columns
-        assert list(coded.codes) == [encode(m) for m in coded.columns]
-        assert coded.index == {c: j for j, c in enumerate(coded.codes)}
+    for d in range(ech.plan.top + 1):
+        layer, tupled = ech.plan.layers[d], ref.by_degree[d]
+        assert layer.columns == tupled.columns
+        assert list(layer.column_codes) == [encode(m) for m in layer.columns]
+        assert ech.index[d] == {c: j for j, c in enumerate(layer.column_codes)}
         for j, (c_j, (res, image), (ref_res, ref_image)) in enumerate(
-                zip(coded.columns, coded.ops, tupled.ops)):
+                zip(layer.columns, ech.ops[d], tupled.ops)):
             assert res == ref_res, (d, j)
             assert len(image) == len(ref_image), (d, j)
             for (off, alpha, gamma), (mr, ref_alpha, beta) in zip(
