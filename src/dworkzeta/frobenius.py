@@ -87,28 +87,38 @@ counts are far below 2^64 - 1.
 
 Every monomial lies in the cone over the polytope, and the expansion checks
 that without testing each monomial.  A monomial is (bw + |e|, base_x +
-e.nu): a class point (bw, base_x) plus a power-table entry (|e|, e.nu).  The
-class point of each class is checked once per expansion, and each entry
-once, when the power table builds it; the cone is convex and closed under
-sums, so the monomial is in it.  Either check raises PrecisionOrLogicError.
-For valid input neither can fail: e.nu is a sum of |e| support points, and
-p*base_x = sum_j k_j nu_j + mu lies in (|k| + d) Delta = p*bw*Delta.
+e.nu): a class point (bw, base_x) plus a power-table entry (|e|, e.nu).
+power_table checks once per solve that every support point lies in Delta,
+so every entry, a sum of |e| support points, lies in |e|Delta; the class
+point of each class is checked once per expansion; the cone is convex and
+closed under sums, so the monomial is in it.  Either check raises
+PrecisionOrLogicError.  For valid input neither can fail: the polytope is
+the hull of the support, and p*base_x = sum_j k_j nu_j + mu lies in
+(|k| + d) Delta = p*bw*Delta.
+
+The output is keyed by monomial codes (cone_algebra), as the reduction
+reads it.  A code is linear in the monomial up to the bias code(1), so the
+code of a monomial is encode((bw, base_x)), once per class, plus the code
+offset of (|e|, e.nu), a sum of |e| support points' step codes
+(LiftedInput.step_codes) that the power table keeps.  Every monomial has
+degree below max bw + E, and the expansion checks the code bound there
+once (check_code_bound).
 
 Two bounded caches hold what depends on no coefficient of the input, as
 immutable values.  splitting_for keeps the SeriesTables of the last
-(p, N_work, E): the series and the column, ell numerators and profile id of
-every residue c < p.  target_plan keeps the groups of the last
-TARGET_PLANS keys (working support, p, N_work, E, target): the congruence
-solutions, each checked for divisibility when its key is first built,
-split by image class and profiles.  So the expansions of a solve, and of
-the next solve of the same support at the same p, N_work and E, read the
-same values.  What depends on the input is built once per solve by
+(p, N_work, E): the column, ell numerators and profile id of every residue
+c < p, read off the series, which is not kept.  target_plan keeps the
+groups of the last TARGET_PLANS keys (working support, p, N_work, E,
+target): the congruence solutions, each checked for divisibility when its
+key is first built, split by image class and profiles.  So the expansions
+of a solve, and of the next solve of the same support at the same p,
+N_work and E, read the same values.  What depends on the input is built once per solve by
 power_table: sigma^{-1}(a_j)^c for c < p, one incremental list per slot,
-and the entries (|e|, (-1)^|e| a^e, e.nu), one per distinct e, filled as
-the expansions reach them.  e is packed into one
-int, e_j in a slot of E.bit_length() bits, the last support point in the
-lowest slot; each entry is built from e minus one in its lowest nonzero
-slot, with one mul.
+and the entries (code offset of (|e|, e.nu), (-1)^|e| a^e), one per
+distinct e, filled as the expansions reach them.  e is packed into one int,
+e_j in a slot of E.bit_length() bits, the last support point in the lowest
+slot; each entry is built from e minus one in its lowest nonzero slot, with
+one add and one mul.
 
 check_enumeration refuses, with BudgetExceeded, an expansion whose
 congruence solutions or series coefficients exceed DEFAULT_BUDGET.
@@ -123,7 +133,7 @@ from math import ceil
 from operator import add, mul, sub
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .cone_algebra import ConeElement, ConeMonomial
+from .cone_algebra import ConeElement, ConeMonomial, check_code_bound, encode
 from .errors import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -134,7 +144,7 @@ from .gf import row_reduce
 from .jacobian import LiftedInput
 from .padic import RingContext, RingElement
 from .polytope import LatticePolytope
-from .splitting import SplittingSeries, compute_splitting, d_bound
+from .splitting import compute_splitting, d_bound
 
 
 TARGET_PLANS = 64  # (support, p, N_work, E, target) keys kept by target_plan
@@ -195,11 +205,10 @@ Column = Tuple[Tuple[int, int, int, int], ...]
 
 
 class SeriesTables(NamedTuple):
-    """The splitting coefficients ell_i, i < p*E, and for every residue c < p
-    its column, its ell numerators and its profile id (residues with equal
-    gains and steps share one)."""
+    """For every residue c < p, read off the splitting coefficients ell_i,
+    i < p*E: its column, its ell numerators and its profile id (residues
+    with equal gains and steps share one)."""
 
-    series: SplittingSeries
     E: int
     columns: Tuple[Column, ...]
     ells: Tuple[Tuple[int, ...], ...]
@@ -225,49 +234,50 @@ def _series_tables(p: int, N_work: int, E: int) -> SeriesTables:
         columns.append(tuple(zip(gains, net_steps, ell, ejs)))
         ells.append(ell)
         profiles.append(ids.setdefault((gains, net_steps), len(ids)))
-    return SeriesTables(series, E, tuple(columns), tuple(ells),
-                        tuple(profiles))
+    return SeriesTables(E, tuple(columns), tuple(ells), tuple(profiles))
 
 
 class PowerTable(NamedTuple):
-    """The step (-a_j, nu_j) of each slot, lowest slot first; the powers
-    sigma^{-1}(a_j)^c, c < p, of each slot; and the entries, packed e ->
-    (|e|, (-1)^|e| a^e, e.nu), holding e = 0 until _power_entry fills them
-    in.  The expansions of one solve share one table; they share one E too,
-    whose bit length is the slot width of packed e."""
+    """The step (-a_j, code offset of (1, nu_j)) of each slot, lowest slot
+    first; the powers sigma^{-1}(a_j)^c, c < p, of each slot; and the
+    entries, packed e -> (code offset of (|e|, e.nu), (-1)^|e| a^e), holding
+    e = 0 until _power_entry fills them in.  The expansions of one solve
+    share one table; they share one E too, whose bit length is the slot
+    width of packed e."""
 
-    steps: List[Tuple[RingElement, Tuple[int, ...]]]
+    steps: List[Tuple[RingElement, int]]
     sigma_powers: List[List[RingElement]]
-    entries: Dict[int, Tuple[int, RingElement, Tuple[int, ...]]]
+    entries: Dict[int, Tuple[int, RingElement]]
 
 
-def power_table(lifted: LiftedInput) -> PowerTable:
-    """The power table of one solve's lifted input."""
+def power_table(lifted: LiftedInput, poly: LatticePolytope) -> PowerTable:
+    """The power table of one solve's lifted input, whose support must lie
+    in poly (module docstring)."""
     ring, coeffs, support = lifted.ring, lifted.coeffs, lifted.support
+    for nu in support:
+        if not poly.contains(nu, 1):
+            raise PrecisionOrLogicError(
+                f"power-table entry {(1, nu)} escapes the cone over the "
+                "polytope")
     # sigma^{-1}(a_j) for Teichmueller coefficients is a_j^(q/p)
     roots = [ring.pow(aj, ring.q // ring.p) for aj in coeffs]
     return PowerTable(
-        [(ring.neg(aj), nu) for aj, nu in zip(coeffs[::-1], support[::-1])],
+        list(zip(map(ring.neg, coeffs[::-1]), lifted.step_codes[::-1])),
         [list(accumulate(repeat(sj, ring.p - 1), ring.mul, initial=ring.one))
          for sj in roots],
-        {0: (0, ring.one, (0,) * len(support[0]))})
+        {0: (0, ring.one)})
 
 
-def _power_entry(ring: RingContext, poly: LatticePolytope,
-                 powers: PowerTable, packed: int, width: int):
+def _power_entry(ring: RingContext, powers: PowerTable, packed: int,
+                 width: int) -> Tuple[int, RingElement]:
     """The entry of packed e, built from e minus one in its lowest nonzero
-    slot, once (|e|, e.nu) is checked to lie in the cone over poly."""
+    slot."""
     j = ((packed & -packed).bit_length() - 1) // width
     prev = packed - (1 << width * j)
-    esum, apow, nu_sum = (powers.entries.get(prev)
-                          or _power_entry(ring, poly, powers, prev, width))
-    neg_aj, nu = powers.steps[j]
-    esum, nu_sum = esum + 1, tuple(map(add, nu_sum, nu))
-    if not poly.contains(nu_sum, esum):
-        raise PrecisionOrLogicError(
-            f"power-table entry {(esum, nu_sum)} escapes the cone over the "
-            "polytope")
-    entry = powers.entries[packed] = (esum, ring.mul(apow, neg_aj), nu_sum)
+    off, apow = (powers.entries.get(prev)
+                 or _power_entry(ring, powers, prev, width))
+    neg_aj, step = powers.steps[j]
+    entry = powers.entries[packed] = (off + step, ring.mul(apow, neg_aj))
     return entry
 
 
@@ -319,21 +329,25 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                      poly: LatticePolytope, tables: SeriesTables,
                      powers: PowerTable) -> ConeElement:
     """Fewnomial-enumeration expansion of alpha((pi*w)^d x^mu) mod p^N_work,
-    with tables = splitting_for(ring, truncation_bound(p, n_eff, N_work))
-    and powers = power_table(lifted)."""
+    keyed by monomial codes, with tables = splitting_for(ring,
+    truncation_bound(p, n_eff, N_work)) and powers = power_table(lifted,
+    poly)."""
     ring = lifted.ring
     p, N_work, modulus, normalize = ring.p, ring.N, ring.modulus, ring.normalize
     a, shifts = ring.a, ring.shifts
     entries = powers.entries
     columns, ells = tables.columns, tables.ells
     width = tables.E.bit_length()
+    groups = target_plan(lifted.support, p, N_work, tables.E, target)
+    # Every monomial has degree bw + |e| < bw + E.
+    check_code_bound(max((image_k[0] for image_k, _ in groups), default=0)
+                     + tables.E, poly.vertices)
 
     # Per class: packed e -> unreduced sum of the elements its leaves add.
     sums: Dict[Tuple[int, ...], Dict[int, int]] = {}
     p_pows = [p ** net for net in range(N_work)]
     signs = (ring.one, ring.neg(ring.one))
-    for image_k, kjs_by_slot in target_plan(lifted.support, p, N_work,
-                                            tables.E, target):
+    for image_k, kjs_by_slot in groups:
         class_sums = sums.setdefault(image_k, {})
         bw = image_k[0]
         size = len(kjs_by_slot[0])
@@ -398,19 +412,20 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
                                        + pf * numer * ell % modulus * sak)
 
     # Unreduced sum of each monomial's (class, e) products (see
-    # padic.normalize).  A monomial is a class point plus a power-table
-    # entry, each checked against the cone, so it lies in the cone.
-    raw: Dict[ConeMonomial, int] = {}
+    # padic.normalize), keyed by its code: the class point's plus the
+    # power-table entry's offset.  The class point is checked against the
+    # cone, so the monomial lies in it (module docstring).
+    raw: Dict[int, int] = {}
     for (bw, *base_x), class_sums in sums.items():
         if not poly.contains(base_x, bw):
             raise PrecisionOrLogicError(
                 f"Frobenius class point {(bw, tuple(base_x))} escapes the "
                 "cone over the polytope")
+        base = encode((bw, base_x))
         for packed, acc in class_sums.items():
-            esum, apow, nu_sum = (entries.get(packed)
-                                  or _power_entry(ring, poly, powers, packed,
-                                                  width))
-            mono = (bw + esum, tuple(map(add, base_x, nu_sum)))
-            raw[mono] = raw.get(mono, 0) + normalize(acc) * apow
+            off, apow = (entries.get(packed)
+                         or _power_entry(ring, powers, packed, width))
+            key = base + off
+            raw[key] = raw.get(key, 0) + normalize(acc) * apow
 
-    return ConeElement(ring, {m: normalize(acc) for m, acc in raw.items()})
+    return ConeElement(ring, {key: normalize(acc) for key, acc in raw.items()})

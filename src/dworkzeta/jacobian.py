@@ -178,12 +178,19 @@ class LiftedInput:
                      for k in range(n + 1))
 
     @cached_property
-    def coded_generators(self) -> Tuple[List[Tuple[int, RingElement]], ...]:
-        """generator(g) for each g in generator_indices, each exponent nu
-        as the offset code((1, nu)) - code(1), which takes the code of a
-        monomial to the code of its product with w x^nu (cone_algebra)."""
+    def step_codes(self) -> Tuple[int, ...]:
+        """code((1, nu)) - code(1) for each support point nu, the offset
+        that takes the code of a monomial to the code of its product with
+        w x^nu (cone_algebra)."""
         one = encode((0, (0,) * self.n_eff))
-        return tuple([(encode((1, nu)) - one, c) for nu, c in self.generator(g)]
+        return tuple(encode((1, nu)) - one for nu in self.support)
+
+    @cached_property
+    def coded_generators(self) -> Tuple[List[Tuple[int, RingElement]], ...]:
+        """generator(g) for each g in generator_indices, each exponent as
+        its step code."""
+        step = dict(zip(self.support, self.step_codes))
+        return tuple([(step[nu], c) for nu, c in self.generator(g)]
                      for g in self.generator_indices)
 
     def generator(self, i: int) -> List[Tuple[Tuple[int, ...], RingElement]]:
@@ -196,15 +203,6 @@ class LiftedInput:
             if not self.ring.is_zero(c):
                 out.append((nu, c))
         return out
-
-    def cofactor_allowed(self, gen: int, m: ConeMonomial) -> bool:
-        """May m multiply generator gen as a relation row?  Every variable
-        but x_gen must divide it.
-
-        The cofactors of w*f (gen = 0) obey the divisibility restriction of
-        the columns themselves, so gen = 0 also tells the allowed columns.
-        """
-        return lacking_variables(self.mode, self.degree, m) in ((), (gen,))
 
 
 def lacking_variables(mode: str, degree: Optional[int],
@@ -502,10 +500,11 @@ def echelon_of_degree(lifted: LiftedInput, plan: SupportPlan,
     image block (module docstring).
 
     plan is the support_plan of lifted's input.  The columns are those of
-    its layer d, the cofactors the cone monomials of its layer d-1 (none at
-    d = 0) that the generator allows (cofactor_allowed).  Every generator
-    term has degree 1: the row of cofactor (d-1, mu) has its terms at
-    (d, mu+nu)."""
+    its layer d, the cofactors of generator g the cone monomials of its
+    layer d-1 (none at d = 0) that every variable but x_g divides: those
+    whose lacking variables (lacking_variables) are none or g alone.
+    Every generator term has degree 1: the row of cofactor (d-1, mu) has
+    its terms at (d, mu+nu)."""
     ring = lifted.ring
     layer = plan.layers[d]
     # The monomials, codes and lacking variables of layer d-1; none at 0.

@@ -142,7 +142,7 @@ def _run_at(prob: Problem, N: int, plan: SupportPlan,
     check_enumeration(lifted, plan.v, E)
     ech, basis = build_jacobian(lifted, plan)
     tables = splitting_for(ring, E)
-    powers = power_table(lifted)
+    powers = power_table(lifted, plan.poly)
     images = [expand_frobenius(m, lifted, plan.poly, tables, powers)
               for m in basis.V]
     columns = cone_reduce(images, ech, basis)

@@ -33,13 +33,14 @@ clears every column of the layer; a nonzero monomial left over breaks the
 mode restriction.  At degree 0 every column is a basis monomial and its
 own residual, so layer 0 lands on V and nothing is written below it.
 
-Codes and packed vectors.  A layer is keyed by monomial codes
-(cone_algebra), so the term order is the order of the keys, and the slice
-monomial m * c_j is codes[j] plus the code offset of m, and its image
+Codes and packed vectors.  The images come keyed by monomial codes
+(cone_algebra), and so is every layer: the term order is the order of the
+keys, the degree of a key is its top field (key >> CODE_BITS * n), the
+slice monomial m * c_j is codes[j] plus the code offset of m, and its image
 monomial m * mr that plus the compiled offset of the entry.  The codes keep
-their fields apart for every monomial of the sweep: reduce checks the bound
-once, from the images' top degree and the largest vertex coordinate of the
-polytope, and support_plan checks it at the top degree.  A coefficient
+their fields apart for every monomial of the sweep, which never rises
+above the images' degree: expand_frobenius checks the bound for its
+images, and support_plan at the top degree.  A coefficient
 vector is one int: the entry of image i sits in slot i, at bit S*i with
 S = (2a-1)*k (k = ring.k), the width of a product of two elements.  So a
 push of a vector X on the image monomial c with coefficient coef is one
@@ -66,13 +67,7 @@ from collections import defaultdict
 from operator import ge, mul
 from typing import Dict, List, Optional, Sequence
 
-from .cone_algebra import (
-    ConeElement,
-    ConeMonomial,
-    check_code_bound,
-    decode,
-    encode,
-)
+from .cone_algebra import CODE_BITS, ConeElement, ConeMonomial, decode
 from .errors import DecompositionError, PrecisionOrLogicError
 from .jacobian import EchelonData, MonomialBasis, Operator, SupportPlan
 from .padic import RingContext, RingElement
@@ -137,16 +132,14 @@ def reduce(images: Sequence[ConeElement], ech: EchelonData,
     out = [0] * basis.v
 
     layers: Dict[int, Dict[int, int]] = defaultdict(dict)
+    degree_shift = CODE_BITS * n
     for shift, G in zip(shifts, images):
-        for m, c in G.terms.items():
-            layer = layers[m[0]]
-            key = encode(m)
+        for key, c in G.terms.items():
+            layer = layers[key >> degree_shift]
             layer[key] = layer.get(key, 0) + (c << shift)
-    top_degree = max(layers, default=0)
-    check_code_bound(top_degree, plan.poly.vertices)
 
     candidates = plan.layers[top].columns
-    for d in range(top_degree, -1, -1):
+    for d in range(max(layers, default=0), -1, -1):
         k = min(d, top)
         codes, index, ops = (plan.layers[k].column_codes, ech.index[k],
                              ech.ops[k])

@@ -30,8 +30,8 @@ taken modulo p^(N_work + e), which is precisely the precision needed so that
 any later product multiplied by a compensating p^e is correct modulo
 p^(N_work).
 
-compute_splitting keeps nothing; frobenius.splitting_for keeps the last
-series it asked for, with the tables the expansion reads off it.
+compute_splitting keeps nothing; frobenius.splitting_for keeps the tables
+the expansion reads off the last series it asked for.
 """
 
 from __future__ import annotations

@@ -1,15 +1,31 @@
 """Cone-algebra arithmetic the tests need and the package does not: the term
 order as a sort key, adding a term in place, sums of elements, products with
-a monomial, and the operators D_i applied to an element."""
+a monomial, and the operators D_i applied to an element.
+
+These helpers key an element by (d, mu) tuples, which a test builds by
+hand; coded turns such an element into the package's form, keyed by
+monomial codes (cone_algebra), and decoded reads the package's form back."""
 
 from __future__ import annotations
 
-from dworkzeta.cone_algebra import ConeElement
+from dworkzeta.cone_algebra import ConeElement, decode, encode
 
 
 def term_order_key(m):
     """Sort key: weight degree first, then lexicographic on the exponents."""
     return (m[0],) + m[1]
+
+
+def coded(elem):
+    """The element keyed by (d, mu) tuples elem, keyed by codes."""
+    return ConeElement(elem.ring,
+                       {encode(m): c for m, c in elem.terms.items()})
+
+
+def decoded(elem, n):
+    """The terms of the code-keyed element elem, whose monomials have n
+    coordinates, as {(d, mu): coefficient}."""
+    return {decode(key, n): c for key, c in elem.terms.items()}
 
 
 def add_term(elem, m, c):

@@ -4,7 +4,8 @@ expand_frobenius_dense multiplies the truncated factors of F directly,
 tracking per-term denominator scale and a lower bound on the e-budget, then
 multiplies by the target monomial and applies psi.  It drops only terms that
 are individually 0 mod p^N_work, exactly like the fewnomial enumeration in
-dworkzeta.frobenius, so the two outputs agree bit-for-bit as ConeElements.
+dworkzeta.frobenius, so the two outputs agree bit-for-bit as ConeElements,
+keyed by monomial codes.
 The tests compare against it directly and, through use_in_pipeline, across
 the whole pipeline.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from cone_helpers import add_term
+from cone_helpers import add_term, coded
 
 from dworkzeta.cone_algebra import ConeElement, ConeMonomial
 from dworkzeta.errors import InternalPrecisionError, PrecisionOrLogicError
@@ -22,6 +23,7 @@ from dworkzeta.frobenius import PowerTable, SeriesTables
 from dworkzeta.jacobian import LiftedInput
 from dworkzeta.padic import RingElement
 from dworkzeta.polytope import LatticePolytope
+from dworkzeta.splitting import compute_splitting
 
 
 def expand_frobenius_dense(target: ConeMonomial, lifted: LiftedInput,
@@ -33,12 +35,12 @@ def expand_frobenius_dense(target: ConeMonomial, lifted: LiftedInput,
     p^(-delta) * u with u in R, and be lower-bounds the total e-budget
     sum_j floor(i_j / p) over every index decomposition merged into the term
     (terms with be >= E vanish mod p^N_work and are dropped).  It reads
-    tables.series and tables.E and ignores powers, which it takes so that it
-    can stand in for expand_frobenius.
+    tables.E, computes the series ell_i, i < p*E, itself and ignores powers,
+    which it takes so that it can stand in for expand_frobenius.
     """
     ring = lifted.ring
-    series, E = tables.series, tables.E
-    p, N_work = ring.p, ring.N
+    p, N_work, E = ring.p, ring.N, tables.E
+    series = compute_splitting(p, N_work, p * E)
     d, mu = target
 
     def prunable(D: int, delta: int, be: int) -> bool:
@@ -104,7 +106,7 @@ def expand_frobenius_dense(target: ConeMonomial, lifted: LiftedInput,
         sign = -1 if t % 2 else 1
         coeff = ring.smul(sign * p ** (t - delta), ring.sigma_inverse(u))
         add_term(out, mono, coeff)
-    return out
+    return coded(out)
 
 
 def use_in_pipeline(monkeypatch) -> List[ConeMonomial]:

@@ -52,11 +52,22 @@ class ReferenceEchelon:
     T: List[Dict[int, int]]
 
 
+def cofactor_allowed(lifted, gen, m):
+    """May m multiply generator gen as a relation row?  Every variable but
+    x_gen must divide it (var_exponent at least 1), outside toric mode.
+
+    The cofactors of w*f (gen = 0) obey the divisibility restriction of the
+    columns themselves, so gen = 0 also tells the allowed columns."""
+    return lifted.mode == "toric" or all(
+        lifted.var_exponent(i, m) >= 1
+        for i in range(1, lifted.n_vars + 1) if i != gen)
+
+
 def row_meta(lifted, cofactors):
     """(generator index, cofactor) of each relation row, in the order
     echelon_of_degree builds them."""
     return [(g, m) for g in lifted.generator_indices for m in cofactors
-            if lifted.cofactor_allowed(g, m)]
+            if cofactor_allowed(lifted, g, m)]
 
 
 def image_keys(lifted, columns, cofactors, meta):
@@ -81,7 +92,8 @@ def reference_plan(lifted, poly, top):
             tuple(i for i in range(1, lifted.n_vars + 1)
                   if lifted.mode != "toric" and lifted.var_exponent(i, m) < 1)
             for m in monomials)
-        columns = tuple(m for m in monomials if lifted.cofactor_allowed(0, m))
+        columns = tuple(m for m in monomials
+                        if cofactor_allowed(lifted, 0, m))
         layers.append(Layer(monomials, tuple(map(encode, monomials)), lacking,
                             columns, tuple(map(encode, columns))))
     heights = tuple(tuple(sum(map(mul, n, mu0)) for n, _ in poly.facets)

@@ -8,7 +8,8 @@ same cutoff, and adds every finished term, its scalar reduced mod p^N_work
 times its ring coefficient, to its monomial's unreduced sum.  So it pays one
 ring product per partial term where the production expansion pays one per
 (class, e) pair.  Unlike the dense product in dense_frobenius.py it is fast
-enough to compare against at p in the hundreds.
+enough to compare against at p in the hundreds.  Its output is keyed by
+monomial codes, as the production expansion's is.
 """
 
 from __future__ import annotations
@@ -16,22 +17,24 @@ from __future__ import annotations
 from operator import add
 from typing import Dict
 
-from dworkzeta.cone_algebra import ConeElement, ConeMonomial
+from dworkzeta.cone_algebra import ConeElement, ConeMonomial, encode
 from dworkzeta.errors import InternalPrecisionError, PrecisionOrLogicError
 from dworkzeta.frobenius import PowerTable, SeriesTables, solve_congruence
 from dworkzeta.jacobian import LiftedInput
 from dworkzeta.polytope import LatticePolytope
-from dworkzeta.splitting import d_bound
+from dworkzeta.splitting import compute_splitting, d_bound
 
 
 def expand_frobenius_per_term(target: ConeMonomial, lifted: LiftedInput,
                               poly: LatticePolytope, tables: SeriesTables,
                               powers: PowerTable) -> ConeElement:
     """alpha((pi*w)^d x^mu) mod p^N_work, one ring product per partial term.
-    It reads tables.series and tables.E and ignores powers."""
+    It reads tables.E, computes the series ell_i, i < p*E, itself and
+    ignores powers."""
     ring = lifted.ring
-    series, E = tables.series, tables.E
     p, N_work, modulus, mul = ring.p, ring.N, ring.modulus, ring.mul
+    E = tables.E
+    series = compute_splitting(p, N_work, p * E)
     d, mu = target
     nus, a_list = lifted.support, lifted.coeffs
     U = [[1] * len(nus)] + [[nu[i] for nu in nus] for i in range(lifted.n_eff)]
@@ -88,4 +91,5 @@ def expand_frobenius_per_term(target: ConeMonomial, lifted: LiftedInput,
                 scalar = -scalar
             raw[mono] = acc + scalar % modulus * apow
 
-    return ConeElement(ring, {m: ring.normalize(acc) for m, acc in raw.items()})
+    return ConeElement(ring, {encode(m): ring.normalize(acc)
+                              for m, acc in raw.items()})

@@ -14,12 +14,13 @@ from operator import mul
 
 import pytest
 
-from cone_helpers import term_order_key
+from cone_helpers import decoded, term_order_key
 from dense_frobenius import expand_frobenius_dense
 from fewnomial_reference import expand_frobenius_per_term
 from splitting_oracle import ell_fraction
 
 from dworkzeta import Problem, frobenius, gf, pipeline
+from dworkzeta.cone_algebra import CODE_BITS, decode, encode
 from dworkzeta.errors import PrecisionOrLogicError
 from dworkzeta.frobenius import (
     expand_frobenius,
@@ -31,7 +32,7 @@ from dworkzeta.frobenius import (
 from dworkzeta.jacobian import lift_input
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.polytope import hull
-from dworkzeta.splitting import d_bound
+from dworkzeta.splitting import compute_splitting, d_bound
 
 
 def ring(p, a, n):
@@ -151,7 +152,7 @@ def expansion_setup(R, terms, mode):
     lifted = lift_input(R, terms, mode)
     poly = hull(lifted.support)
     tables = splitting_for(R, truncation_bound(R.p, lifted.n_eff, R.N))
-    return lifted, poly, tables, power_table(lifted)
+    return lifted, poly, tables, power_table(lifted, poly)
 
 
 def test_elliptic_alpha_wxy_against_paper_series():
@@ -161,7 +162,8 @@ def test_elliptic_alpha_wxy_against_paper_series():
         R, elliptic_terms(p, aa, bb), "affine")
     alpha = expand_frobenius((1, (1, 1)), lifted, poly, tables, powers)
     oracle = elliptic_alpha_oracle(p, aa, bb, N, max_degree=3)
-    got = {m: R.serialize(c)[0] for m, c in alpha.terms.items() if m[0] <= 3}
+    got = {m: R.serialize(c)[0] for m, c in decoded(alpha, 2).items()
+           if m[0] <= 3}
     checked = sorted(oracle, key=term_order_key)
     assert len(checked) >= 5
     for m in checked:
@@ -177,7 +179,7 @@ def test_unit_monomial_constant_term_is_one():
     terms = [((1,), (1,)), ((0,), (2,))]  # x + 2 on G_m
     lifted, poly, tables, powers = expansion_setup(R, terms, "toric")
     alpha = expand_frobenius((0, (0,)), lifted, poly, tables, powers)
-    assert alpha.terms[(0, (0,))] == R.one
+    assert decoded(alpha, 1)[(0, (0,))] == R.one
 
 
 def test_cone_support_invariant():
@@ -186,13 +188,18 @@ def test_cone_support_invariant():
     lifted, poly, tables, powers = expansion_setup(
         R, elliptic_terms(p, 3, 2), "toric")
     alpha = expand_frobenius((1, (1, 1)), lifted, poly, tables, powers)
-    for (d, mu), c in alpha.terms.items():
+    assert alpha.terms
+    for key, c in alpha.terms.items():
+        # every key is the code of a cone monomial
+        d, mu = m = decode(key, lifted.n_eff)
+        assert encode(m) == key
         assert poly.contains(mu, d)
         assert not R.is_zero(c)
 
 
 @pytest.mark.parametrize("omit, target, escapes", [
-    # a polytope without the support point (3, 0): e = 1 there escapes
+    # a polytope without the support point (3, 0): power_table refuses it,
+    # since its entries with e = 1 there escape
     ((3, 0), (1, (1, 1)), "power-table entry"),
     ((3, 0), (0, (0, 0)), "power-table entry"),
     # a target outside the cone: the class point (1, (4, 0)) escapes
@@ -201,12 +208,44 @@ def test_cone_support_invariant():
 def test_cone_guard_raises(omit, target, escapes):
     p, N = 7, 4
     R = ring(p, 1, N)
-    lifted, poly, tables, powers = expansion_setup(
+    lifted, poly, tables, _ = expansion_setup(
         R, elliptic_terms(p, 3, 2), "toric")
     if omit is not None:
         poly = hull([nu for nu in lifted.support if nu != omit])
     with pytest.raises(PrecisionOrLogicError, match=escapes):
-        expand_frobenius(target, lifted, poly, tables, powers)
+        expand_frobenius(target, lifted, poly, tables,
+                         power_table(lifted, poly))
+
+
+def test_code_bound_checked_once_per_expansion():
+    """x^C + 2 on G_m at p = 5: the image of w has one class, at bw = 1, so
+    its monomials have degree below 1 + E.  A vertex coordinate C whose
+    product with 1 + E reaches 2^(CODE_BITS - 1) raises before any term is
+    returned, where codes of that degree would spill into each other; just
+    below, the expansion runs and every key decodes to its monomial."""
+    p, N = 5, 3
+    R = ring(p, 1, N)
+    target = (1, (0,))
+    E = truncation_bound(p, 1, N)
+    half = 1 << (CODE_BITS - 1)
+    far = -(-half // (1 + E))  # the least C with (1 + E) * C >= half
+    for C in (far - 1, far):
+        assert C % p  # so k = (p - 1, 0) is the one solution: bw = 1
+        lifted, poly, tables, powers = expansion_setup(
+            R, [((0,), (2,)), ((C,), (1,))], "toric")
+        assert tables.E == E
+        groups = frobenius.target_plan(lifted.support, p, N, E, target)
+        assert {image[0] for image, _ in groups} == {1}
+        if C == far:
+            with pytest.raises(PrecisionOrLogicError, match="overflow"):
+                expand_frobenius(target, lifted, poly, tables, powers)
+            continue
+        alpha = expand_frobenius(target, lifted, poly, tables, powers)
+        assert alpha.terms
+        for key in alpha.terms:
+            d, mu = m = decode(key, 1)
+            assert 1 <= d < 1 + E and encode(m) == key
+            assert poly.contains(mu, d)
 
 
 def test_fewnomial_equals_dense():
@@ -308,7 +347,9 @@ def test_class_expansion_equals_per_term_reference(monkeypatch, prob,
         got = expand_frobenius(target, lifted, poly, tables, powers)
         want = expand_frobenius_per_term(target, lifted, poly, tables, powers)
         assert got.terms == want.terms, target
-        groups = reference_groups(target, lifted, tables.series)
+        R = lifted.ring
+        groups = reference_groups(
+            target, lifted, compute_splitting(R.p, R.N, R.p * tables.E))
         assert frobenius.target_plan(
             lifted.support, lifted.ring.p, lifted.ring.N, tables.E,
             target) == tuple((image, tuple(zip(*ks)))

@@ -106,18 +106,25 @@ def test_lift_input_elliptic_generators():
     ("toric", [((1, 0), (1,)), ((0, 1), (1,)), ((-1, -1), (1,))]),
 ])
 def test_cofactor_allowed_by_lacking_variables(mode, terms):
-    # cofactor_allowed(gen, m): every variable but x_gen divides m
+    # lacking_variables(m) are the variables x_i, i >= 1, of exponent below
+    # 1 (none in toric mode), and echelon_of_degree lets m multiply
+    # generator gen when they are none or gen alone: when every variable
+    # but x_gen divides m
     R = ring()
     lifted = lift_input(R, terms, mode)
     poly = hull(lifted.support)
     for d in range(4):
         for mu in lattice_points(poly, d):
             m = (d, mu)
+            lacking = jacobian.lacking_variables(mode, lifted.degree, m)
+            assert lacking == tuple(
+                i for i in range(1, lifted.n_vars + 1)
+                if mode != "toric" and lifted.var_exponent(i, m) < 1), m
             for gen in lifted.generator_indices:
                 want = mode == "toric" or all(
                     lifted.var_exponent(i, m) >= 1
                     for i in range(1, lifted.n_vars + 1) if i != gen)
-                assert lifted.cofactor_allowed(gen, m) == want, (m, gen)
+                assert (lacking in ((), (gen,))) == want, (m, gen)
 
 
 @pytest.mark.parametrize("mode, terms", [

@@ -13,12 +13,12 @@ from operator import add
 import pytest
 
 import reduction_reference
-from cone_helpers import add_term, apply_Di, cone_sum
-from echelon_reference import echelons, solve
+from cone_helpers import add_term, apply_Di, coded, cone_sum
+from echelon_reference import cofactor_allowed, echelons, solve
 from ring_helpers import from_coords, from_int
 
 from dworkzeta import gf, reduction
-from dworkzeta.cone_algebra import CODE_BITS, ConeElement, decode, encode
+from dworkzeta.cone_algebra import ConeElement, decode, encode
 from dworkzeta.errors import PrecisionOrLogicError
 from dworkzeta.jacobian import (
     build_jacobian,
@@ -28,12 +28,16 @@ from dworkzeta.jacobian import (
 )
 from dworkzeta.padic import FieldSpec, make_ring
 from dworkzeta.polytope import hull, lattice_points
-from dworkzeta.reduction import reduce as cone_reduce
 
 
 def ring(p, a, n):
     hbar = (0, 1) if a == 1 else gf.conway_polynomial(p, a)
     return make_ring(FieldSpec(p=p, a=a, hbar=hbar, N_work=n))
+
+
+def cone_reduce(images, ech, basis):
+    """reduction.reduce of images built here, keyed by (d, mu) tuples."""
+    return reduction.reduce([coded(G) for G in images], ech, basis)
 
 
 def elliptic_fixture(p=7, aa=2, bb=1, mode="toric", N=4):
@@ -62,7 +66,7 @@ def random_cone_element(rng, R, lifted, poly, gen_i, max_degree=3, k=4):
     for _ in range(k):
         d = rng.randrange(0, max_degree + 1)
         candidates = [(d, mu) for mu in lattice_points(poly, d)
-                      if lifted.cofactor_allowed(gen_i, (d, mu))]
+                      if cofactor_allowed(lifted, gen_i, (d, mu))]
         if not candidates:
             continue
         m = rng.choice(candidates)
@@ -359,7 +363,7 @@ def allowed_points(lifted, poly, d):
     """The monomials of degree d that the mode allows as columns: the
     support of a Frobenius image."""
     return [(d, mu) for mu in lattice_points(poly, d)
-            if lifted.cofactor_allowed(0, (d, mu))]
+            if cofactor_allowed(lifted, 0, (d, mu))]
 
 
 # x + y + 1/(xy) + 1 and 2x + 2t*y + 1/(xy) + t over F_9: negative toric
@@ -454,18 +458,3 @@ def test_coded_operators_match_tuple_operators(name):
                     to = (k + mr[0], tuple(map(add, m[1], mr[1])))
                     assert encode(at) + off == encode(to)
 
-
-def test_code_bound_checked_once_per_reduce():
-    """An image whose degree times the largest vertex coordinate reaches
-    2^(CODE_BITS - 1) raises before any code is read, where its fields
-    would spill into each other."""
-    R, lifted, poly, ech, basis = REFERENCE_FIXTURES["toric-a1"]()
-    vertex = max(abs(c) for v in poly.vertices for c in v)
-    assert vertex == 1
-    d = 1 << (CODE_BITS - 1)
-    far = (d, (d, 0))
-    assert decode(encode(far), 2) != far
-    with pytest.raises(PrecisionOrLogicError):
-        cone_reduce([ConeElement(R, {far: R.one})], ech, basis)
-    near = (d - 1, (d - 1, 0))
-    assert decode(encode(near), 2) == near

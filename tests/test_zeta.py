@@ -339,7 +339,7 @@ def test_end_to_end_single_point_on_torus():
                                 support_plan("toric", lifted.support))
     assert basis.v == 1
     tables = splitting_for(R, truncation_bound(p, lifted.n_eff, N_work))
-    powers = power_table(lifted)
+    powers = power_table(lifted, poly)
     columns = []
     for m in basis.V:
         alpha = expand_frobenius(m, lifted, poly, tables, powers)
