@@ -24,8 +24,8 @@ the output is exactly the truncation of alpha.
 The solutions k fall into image classes, one per (bw, base_x); for each e
 every k of a class lands on the same monomial with the same factor
 (-1)^|e| a^e.  So the ring products are paid once per (class, e) pair, not
-once per term.  For a group of k, one loop over the support points extends
-a list of partial terms (net, numerator, packed e), with net = bw + |e| -
+once per term.  For a group of k, a walk over the support points extends a
+list of partial terms (net, numerator, packed e), with net = bw + |e| -
 delta and delta the ell-denominator exponent so far, by every choice of
 e_j, and cuts a choice once
 
@@ -39,51 +39,62 @@ gamma those of truncation_bound.  ell_{k_j+p*e_j} and its bound are read
 from the column of the residue k_j: for e_j = 0, 1, ..., E-1 the gain
 e_j - d(p, k_j + p*e_j), the step e_j - (denominator exponent of the ell),
 and the ell numerator.  The gains and steps of a column are its profile.
-Before the last support point a choice is also dropped once net + step >=
-N_work.  Every step is >= 0: it is at least the gain, since compute_splitting
-keeps each denominator exponent within d, and d(p, k + p*e) <= e for k < p
-and p >= 3.  So every completion of such a term ends at a net p-power >=
-N_work, and the last support point would drop it anyway.
+Before the last support point of the walk a choice is also dropped once
+net + step >= N_work.  Every step is >= 0: it is at least the gain, since
+compute_splitting keeps each denominator exponent within d, and
+d(p, k + p*e) <= e for k < p and p >= 3.  So every completion of such a
+term ends at a net p-power >= N_work, and the last support point would drop
+it anyway.  A term is thus kept exactly when its final net p-power is below
+N_work, in whatever order the walk takes the support points.
 
 A group is the solutions of one class whose residues have the same profile
 in every slot.  Its members see the same cuts, nets and e, so the walk runs
 once per group, and only the numerators differ: the numerator product X_k
-of each member.  Each term of net p-power final that the last support
-point finishes adds
+of each member.  Each term of net p-power final that the walk finishes adds
 
     p^final * X_k * (-1)^bw sigma^{-1}(a^k)   mod p^N_work
 
-per member k to its class's sum for its e.  A group of one member, the rule
-at small p (every group of the small-p benchmark), carries X as a plain
-int, and its leaf adds (p^final * X mod p^N_work) * (-1)^bw sigma^{-1}(a^k).
-Carried as a vector of one, it cost the small-p benchmark 8.5% of
-problems_per_s (lower in 10 of 10 pairs) and 3.9% of solve_s.p50 (higher in
-8 of 10; BENCH_20.json, vector_only_small_p).  A larger group, the rule at
-large p (at p = 271 each of a target's 5 classes is one group, of up to 90
-members), carries sigma^{-1}(a^k) inside its vector.  The vector starts as
-the coordinates s_(i,k) in [0, p^N_work) of each member's (-1)^bw
+per member k to its class's sum for its e.  A slot of a group is shared
+when every member has the same residue there, and so the same ell, and
+varying otherwise.  A one-member group, the rule at small p (every group of
+the small-p benchmark), has no varying slot; in an elliptic curve, y^2 pins
+k_j = (p-1)/2 for every solution.  The walk takes the varying slots first,
+as one vector, and then the shared slots, as plain ints.  The vector starts
+as the coordinates s_(i,k) in [0, p^N_work) of each member's (-1)^bw
 sigma^{-1}(a^k), a per member: first coordinate 0 of every member, then
 coordinate 1, and so on (at a = 1 the one coordinate is the element).  An
 extension is one map(mul, ...) against the members' ell numerators,
 repeated a times to match, so entry (i, k) of a partial term is s_(i,k)
-times the numerator product so far.  A leaf is one dot product per
-coordinate, D_i = sum_k numer_(i,k) * ell_k against the last slot's ell
-numerators, and adds to the class sum the one element whose coordinate i is
-p^final * D_i mod p^N_work; D_i = sum_k X_k * s_(i,k), so that element is
-the sum of the members' terms above.  Reducing is exact however large D_i
-grows: p^f * (X mod p^(N-f)) * s = p^f * X * s mod p^N for every integer
-s.  The image classes themselves come from the slot columns: coordinate r
-of (U*k + (d, mu))/p for every solution k is one map per support point
-over k_j of every solution, not one sum per solution.
+times the numerator product so far.  The last varying slot takes one dot
+product per coordinate, D_i = sum_k numer_(i,k) * ell_k against its ell
+numerators, and starts the shared slots from the element D whose coordinate
+i is D_i mod p^N_work.  A one-member group starts them from D = its own
+(-1)^bw sigma^{-1}(a^k).  The shared slots multiply one int X, the product
+of their ell numerators, and the last one adds (p^final * X mod p^N_work) *
+D to the class sum.  Its coordinate i is p^final * X * D_i mod p^N_work,
+the sum over the members of p^final * X_k * s_(i,k), since X_k is X times
+the member's product over the varying slots: the sum of the members' terms
+above.  A group whose every slot varies ends at a level of one choice,
+e_j = 0 with ell = 1, gain and step 0 (UNIT_LEVEL).  Reducing is exact
+however large D_i and X grow: p^f * (X mod p^(N-f)) * s = p^f * X * s
+mod p^N for every integer s.  At p = 271 each of a target's 5 classes is
+one group, of up to 90 members, and the shared slot of y^2 walked as an
+int, not as a vector, halves the products of vector entries of the large-p
+benchmark (260,546 to 127,006 per pass).  The shared slots'
+sigma^{-1}(a_j)^(k_j) are multiplied once per group, into the factor every
+member's start shares.  Since the walk takes the slots out of order, each
+choice adds e_j at its slot's position in packed e.  The image classes
+themselves come from the slot columns: coordinate r of (U*k + (d, mu))/p
+for every solution k is one map per support point over k_j of every
+solution, not one sum per solution.
 
 Each class sum is normalized once and multiplied once by (-1)^|e| a^e, and
 the product is added unreduced to one integer per monomial; each monomial
 sum becomes a ring element once, by ring.normalize, at the end.  Both kinds
 of sum stay within the headroom of padic.normalize: a class sum receives at
-most one term per group and e, an element (a vector leaf) or an element
-times an integer in [0, p^N_work) (a scalar leaf), so at most p^(s - rank
-U) terms; a monomial sum has at most one product per (class, e) pair; both
-counts are far below 2^64 - 1.
+most one term per group and e, the element D times an integer in
+[0, p^N_work), so at most p^(s - rank U) terms; a monomial sum has at most
+one product per (class, e) pair; both counts are far below 2^64 - 1.
 
 Every monomial lies in the cone over the polytope, and the expansion checks
 that without testing each monomial.  A monomial is (bw + |e|, base_x +
@@ -110,9 +121,12 @@ immutable values.  splitting_for keeps the SeriesTables of the last
 c < p, read off the series, which is not kept.  target_plan keeps the
 groups of the last TARGET_PLANS keys (working support, p, N_work, E,
 target): the congruence solutions, each checked for divisibility when its
-key is first built, split by image class and profiles.  So the expansions
-of a solve, and of the next solve of the same support at the same p,
-N_work and E, read the same values.  What depends on the input is built once per solve by
+key is first built, split by image class and profiles, each group with
+its split into varying and shared slots and, per varying slot, the column
+of its members' ell numerators (not repeated a times: the key has no a,
+and a solve repeats them).  So the expansions of a solve, and of the next
+solve of the same support at the same p, N_work and E, read the same
+values.  What depends on the input is built once per solve by
 power_table: sigma^{-1}(a_j)^c for c < p, one incremental list per slot,
 and the entries (code offset of (|e|, e.nu), (-1)^|e| a^e), one per
 distinct e, filled as the expansions reach them.  e is packed into one int,
@@ -281,9 +295,25 @@ def _power_entry(ring: RingContext, powers: PowerTable, packed: int,
     return entry
 
 
-# A group (module docstring): its class point (bw, *base_x) and, per slot
-# j, k_j of each member.
-Group = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
+class Group(NamedTuple):
+    """The solutions k of one image class whose residues have the same
+    profile in every slot (module docstring).  A slot is varying when its
+    residue differs between members and shared when every member has the
+    same one; a one-member group has no varying slot.  The split and the
+    columns below depend on no coefficient of the input."""
+
+    image: Tuple[int, ...]  # the class point (bw, *base_x)
+    residues: Tuple[Tuple[int, ...], ...]  # per slot j, k_j of each member
+    # Per varying slot, in slot order: j and its column, with the tuple of
+    # the members' ell numerators in place of one numerator.
+    varying: Tuple[Tuple[int, Column], ...]
+    # Per shared slot, in slot order: j and the residue k_j.
+    shared: Tuple[Tuple[int, int], ...]
+
+
+# The level of a group whose every slot varies: one choice, e = 0 with
+# ell = 1 and gain and step 0, so its terms finish there unchanged.
+UNIT_LEVEL = (((0, 0, 1, 0),), 0)
 
 
 @lru_cache(maxsize=TARGET_PLANS)
@@ -292,8 +322,10 @@ def target_plan(support: Tuple[Tuple[int, ...], ...], p: int, N_work: int,
     """The groups of the expansion of target over this working support at
     p, N_work and E, in order of appearance: the solutions k of
     U*k = -(d, mu) mod p, split by image class and by the profiles of their
-    residues in the SeriesTables of (p, N_work, E)."""
-    profiles = _series_tables(p, N_work, E).profiles
+    residues in the SeriesTables of (p, N_work, E), each group with its
+    varying and shared slots."""
+    tables = _series_tables(p, N_work, E)
+    profiles, columns, ells = tables.profiles, tables.columns, tables.ells
     U = _support_matrix(support)
     d, mu = target
     offset = (d,) + mu
@@ -315,14 +347,25 @@ def target_plan(support: Tuple[Tuple[int, ...], ...], p: int, N_work: int,
         image.append(list(map(p.__rfloordiv__, coord)))
     # The groups: the solutions of one image class (bw, *base_x) whose
     # residues have the same profile in every slot, in order of appearance.
-    groups: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]],
-                 List[Tuple[int, ...]]] = {}
+    members: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]],
+                  List[Tuple[int, ...]]] = {}
     for group, k in zip(zip(zip(*image), zip(*[map(profiles.__getitem__, kjs)
-                                               for kjs in slots])),
+                                                for kjs in slots])),
                         solutions):
-        groups.setdefault(group, []).append(k)
-    return tuple((image_k, tuple(zip(*ks)))
-                 for (image_k, _), ks in groups.items())
+        members.setdefault(group, []).append(k)
+    groups = []
+    for (image_k, _), ks in members.items():
+        residues = tuple(zip(*ks))
+        varying, shared = [], []
+        for j, kjs in enumerate(residues):
+            if len(set(kjs)) > 1:
+                varying.append((j, tuple(
+                    (gain, step, ell, ej) for (gain, step, _, ej), ell in
+                    zip(columns[kjs[0]], zip(*map(ells.__getitem__, kjs))))))
+            else:
+                shared.append((j, kjs[0]))
+        groups.append(Group(image_k, residues, tuple(varying), tuple(shared)))
+    return tuple(groups)
 
 
 def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
@@ -335,81 +378,107 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
     ring = lifted.ring
     p, N_work, modulus, normalize = ring.p, ring.N, ring.modulus, ring.normalize
     a, shifts = ring.a, ring.shifts
-    entries = powers.entries
-    columns, ells = tables.columns, tables.ells
+    entries, sigma_powers = powers.entries, powers.sigma_powers
+    columns = tables.columns
     width = tables.E.bit_length()
+    # The position of e_j in packed e, the last support point lowest.
+    positions = [width * j for j in reversed(range(len(lifted.support)))]
     groups = target_plan(lifted.support, p, N_work, tables.E, target)
     # Every monomial has degree bw + |e| < bw + E.
-    check_code_bound(max((image_k[0] for image_k, _ in groups), default=0)
+    check_code_bound(max((group.image[0] for group in groups), default=0)
                      + tables.E, poly.vertices)
 
     # Per class: packed e -> unreduced sum of the elements its leaves add.
     sums: Dict[Tuple[int, ...], Dict[int, int]] = {}
     p_pows = [p ** net for net in range(N_work)]
     signs = (ring.one, ring.neg(ring.one))
-    for image_k, kjs_by_slot in groups:
+    for image_k, residues, varying, shared in groups:
         class_sums = sums.setdefault(image_k, {})
         bw = image_k[0]
-        size = len(kjs_by_slot[0])
-        # (-1)^bw sigma^{-1}(a^k), the product of the sigma^{-1}(a_j)^(k_j).
-        saks = [signs[bw % 2]] * size
-        for row, kjs in zip(powers.sigma_powers, kjs_by_slot):
-            saks = list(map(ring.mul, saks, map(row.__getitem__, kjs)))
-        vector = size > 1
-        if vector:
-            # Coordinate i of every member's sak, for i = 0, ..., a-1 in
-            # turn; the members' ell numerators are repeated a times to match.
-            cols = [[(gain, step, ell, ej) for (gain, step, _, ej), ell in
-                     zip(columns[kjs[0]], zip(*map(ells.__getitem__, kjs * a)))]
-                    for kjs in kjs_by_slot]
-            numer0 = [x for coord in zip(*map(ring.serialize, saks))
-                      for x in coord]
-        else:
-            cols = [columns[kjs[0]] for kjs in kjs_by_slot]
-            sak, = saks
-            numer0 = 1
+        size = len(residues[0])
+        # (-1)^bw sigma^{-1}(a^k), the product of the sigma^{-1}(a_j)^(k_j):
+        # the shared slots' factor once, the varying slots' per member.
+        sak = signs[bw % 2]
+        for j, kj in shared:
+            sak = ring.mul(sak, sigma_powers[j][kj])
 
-        # Partial terms (net, numerator, packed e), cut as the module
-        # docstring says; the last support point finishes them.
-        terms = [(bw, numer0, 0)]
-        for col in cols[:-1]:
-            extended = []
+        # The walk starts the shared slots from (net, packed e, D).  A
+        # one-member group has no varying slot, and its one start has D = sak.
+        # A larger group walks its varying slots first, as one vector of
+        # partial terms (module docstring), and the last varying slot turns
+        # each into a start: D is the element whose coordinate i is the dot
+        # product of coordinate i's block with ell, mod p^N_work.
+        starts = [(bw, 0, sak)]
+        if varying:
+            saks = [sak] * size
+            for j, _ in varying:
+                saks = list(map(ring.mul, saks,
+                                map(sigma_powers[j].__getitem__, residues[j])))
+            # The members' ell numerators, repeated a times to match.
+            levels = [(tuple((gain, step, ell * a, ej)
+                             for gain, step, ell, ej in col)
+                       if a > 1 else col, positions[j]) for j, col in varying]
+            terms = [(bw, ring.coordinates(saks), 0)]
+            for col, pos in levels[:-1]:
+                extended = []
+                for net, numer, packed in terms:
+                    room = N_work - net
+                    for gain, step, ell, ej in col:
+                        if gain >= room:
+                            break
+                        if step >= room:
+                            continue
+                        extended.append((net + step, list(map(mul, numer, ell)),
+                                         packed + (ej << pos)))
+                terms = extended
+            col, pos = levels[-1]
+            starts = []
             for net, numer, packed in terms:
                 room = N_work - net
-                packed <<= width
                 for gain, step, ell, ej in col:
                     if gain >= room:
                         break
                     if step >= room:
                         continue
-                    extended.append((net + step, list(map(mul, numer, ell))
-                                     if vector else numer * ell, packed + ej))
-            terms = extended
-        for net, numer, packed in terms:
-            room = N_work - net
-            packed <<= width
-            for gain, step, ell, ej in cols[-1]:
-                if gain >= room:
-                    break
-                final = net + step
-                if final < 0:
-                    raise InternalPrecisionError(
-                        f"negative net p-power {final} at target {target}")
-                if final >= N_work:
-                    continue
-                key = packed + ej
-                pf = p_pows[final]
-                if vector:
-                    # The element with coordinates p^final * D_i mod p^N_work,
-                    # D_i the dot product of coordinate i's block with ell.
                     prods = map(mul, numer, ell)
-                    element = 0
+                    D = 0
                     for s in shifts:
-                        element += pf * sum(islice(prods, size)) % modulus << s
-                    class_sums[key] = class_sums.get(key, 0) + element
-                else:
-                    class_sums[key] = (class_sums.get(key, 0)
-                                       + pf * numer * ell % modulus * sak)
+                        D += sum(islice(prods, size)) % modulus << s
+                    starts.append((net + step, packed + (ej << pos), D))
+
+        # The shared slots, as plain ints: (net, numerator, packed e) from
+        # each start; the last shared slot finishes them.
+        levels = [(columns[kj], positions[j]) for j, kj in shared] or [
+            UNIT_LEVEL]
+        inner, (last, at) = levels[:-1], levels[-1]
+        for start_net, start_packed, D in starts:
+            terms = [(start_net, 1, start_packed)]
+            for col, pos in inner:
+                extended = []
+                for net, numer, packed in terms:
+                    room = N_work - net
+                    for gain, step, ell, ej in col:
+                        if gain >= room:
+                            break
+                        if step >= room:
+                            continue
+                        extended.append((net + step, numer * ell,
+                                         packed + (ej << pos)))
+                terms = extended
+            for net, numer, packed in terms:
+                room = N_work - net
+                for gain, step, ell, ej in last:
+                    if gain >= room:
+                        break
+                    final = net + step
+                    if final < 0:
+                        raise InternalPrecisionError(
+                            f"negative net p-power {final} at target {target}")
+                    if final >= N_work:
+                        continue
+                    key = packed + (ej << at)
+                    class_sums[key] = (class_sums.get(key, 0) + p_pows[final]
+                                       * numer * ell % modulus * D)
 
     # Unreduced sum of each monomial's (class, e) products (see
     # padic.normalize), keyed by its code: the class point's plus the

@@ -287,6 +287,12 @@ class RingContext:
         """Little-endian list of the a base-p^N residues (JSON-friendly)."""
         return self._digits(x)
 
+    def coordinates(self, xs: Sequence[RingElement]) -> list[int]:
+        """The residues of every element of xs, coordinate-major: residue 0
+        of each element in turn, then residue 1, and so on."""
+        mask = self._mask
+        return [x >> s & mask for s in self.shifts for x in xs]
+
 
 def make_ring(spec: FieldSpec) -> RingContext:
     """Construct the arithmetic context for R = Z_q/p^N."""

@@ -234,8 +234,11 @@ def test_code_bound_checked_once_per_expansion():
         lifted, poly, tables, powers = expansion_setup(
             R, [((0,), (2,)), ((C,), (1,))], "toric")
         assert tables.E == E
-        groups = frobenius.target_plan(lifted.support, p, N, E, target)
-        assert {image[0] for image, _ in groups} == {1}
+        # One solution, k = (p - 1, 0): one group, of one member, at the
+        # class point (1, 0), with both slots shared.
+        assert frobenius.target_plan(lifted.support, p, N, E, target) == (
+            frobenius.Group((1, 0), ((p - 1,), (0,)), (),
+                            ((0, p - 1), (1, 0))),)
         if C == far:
             with pytest.raises(PrecisionOrLogicError, match="overflow"):
                 expand_frobenius(target, lifted, poly, tables, powers)
@@ -313,6 +316,11 @@ def reference_groups(target, lifted, series):
     (elliptic_problem(271, (1,), (1,)), None),
     # groups of 34 members
     (elliptic_problem(101, (3,), (7,)), "vectors"),
+    # groups of 34 members with no shared slot: every residue moves with
+    # the free one
+    (Problem(p=101, a=1, hbar=(0, 1), n=2, mode="toric",
+             terms=[((1, 0), (1,)), ((0, 1), (1,)), ((-1, -1), (1,)),
+                    ((0, 0), (3,))]), "unshared"),
     # classes of two members, split into one-member groups by the
     # denominators of the series
     (elliptic_problem(7, (2,), (1,)), "split"),
@@ -333,27 +341,40 @@ def reference_groups(target, lifted, series):
              terms=[((1, 0), (1,)), ((0, 1), (1,)), ((-1, -1), (1,)),
                     ((0, 0), (1,))], confine=True), None),
 ], ids=["elliptic-p13", "elliptic-p101", "elliptic-p271",
-        "elliptic-p101-groups", "elliptic-p7-split", "elliptic-F25",
-        "elliptic-F289-groups", "genus2-p7", "proj-quartic-p7",
-        "torus-p3-confined"])
+        "elliptic-p101-groups", "torus-p101-unshared", "elliptic-p7-split",
+        "elliptic-F25", "elliptic-F289-groups", "genus2-p7",
+        "proj-quartic-p7", "torus-p3-confined"])
 def test_class_expansion_equals_per_term_reference(monkeypatch, prob,
                                                    grouping):
     """Every basis monomial's image, in the pipeline's own setting, equals
-    the per-term reference's, and its planned groups the reference
-    groups."""
-    sizes = []
+    the per-term reference's, and its planned groups the reference groups,
+    with their shared and varying slots."""
+    sizes, shapes = [], []
 
     def checked(target, lifted, poly, tables, powers):
         got = expand_frobenius(target, lifted, poly, tables, powers)
         want = expand_frobenius_per_term(target, lifted, poly, tables, powers)
         assert got.terms == want.terms, target
         R = lifted.ring
-        groups = reference_groups(
-            target, lifted, compute_splitting(R.p, R.N, R.p * tables.E))
-        assert frobenius.target_plan(
-            lifted.support, lifted.ring.p, lifted.ring.N, tables.E,
-            target) == tuple((image, tuple(zip(*ks)))
-                             for (image, _), ks in groups.items())
+        series = compute_splitting(R.p, R.N, R.p * tables.E)
+        groups = reference_groups(target, lifted, series)
+        plan = frobenius.target_plan(
+            lifted.support, R.p, R.N, tables.E, target)
+        assert [(group.image, group.residues) for group in plan] == [
+            (image, tuple(zip(*ks))) for (image, _), ks in groups.items()]
+        # A slot is shared exactly when all members have one residue there.
+        # A varying slot's column holds the members' ell numerators of every
+        # e_j < E.
+        for group, ks in zip(plan, groups.values()):
+            slots = list(enumerate(zip(*ks)))
+            assert group.shared == tuple(
+                (j, kjs[0]) for j, kjs in slots if len(set(kjs)) == 1)
+            assert [(j, [(ell, ej) for _, _, ell, ej in col])
+                    for j, col in group.varying] == [
+                (j, [(tuple(series[kj + R.p * ej][1] for kj in kjs), ej)
+                     for ej in range(tables.E)])
+                for j, kjs in slots if len(set(kjs)) > 1]
+            shapes.append((len(ks), len(group.shared)))
         classes = Counter()
         for (image, _), ks in groups.items():
             classes[image] += len(ks)
@@ -367,6 +388,9 @@ def test_class_expansion_equals_per_term_reference(monkeypatch, prob,
     largest_class = max(c for c, _ in sizes)
     largest_group = max(g for _, g in sizes)
     if grouping == "vectors":
-        assert largest_group >= 2, sizes
+        # every group of an elliptic curve shares the slot of y^2
+        assert largest_group >= 2 and min(n for _, n in shapes) >= 1, sizes
+    elif grouping == "unshared":
+        assert (34, 0) in shapes, sizes
     elif grouping == "split":
         assert largest_class >= 2 and largest_group == 1, sizes

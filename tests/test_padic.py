@@ -340,6 +340,8 @@ def test_operations_are_ints_agreeing_with_tuple_reference(p, a, n):
         ys = [rng.randrange(R.modulus) for _ in range(a)]
         x, y = from_coords(R, xs), from_coords(R, ys)
         assert R.serialize(x) == xs and R.serialize(y) == ys
+        # coordinate-major: coordinate i of x, then of y, for i < a
+        assert R.coordinates([x, y]) == [c for xy in zip(xs, ys) for c in xy]
         X, Y = tuple(xs), tuple(ys)
         c = rng.randrange(-R.modulus, R.modulus)
         for got, want in [(R.add(x, y), ref.add(X, Y)),
