@@ -74,8 +74,6 @@ class ConeElement:
     def __init__(self, ring: RingContext,
                  terms: Dict[int, RingElement] | None = None):
         self.ring = ring
-        self.terms: Dict[int, RingElement] = {}
-        if terms:
-            for key, c in terms.items():
-                if not ring.is_zero(c):
-                    self.terms[key] = c
+        # Elements are canonical ints, zero exactly when 0 (padic).
+        self.terms: Dict[int, RingElement] = {
+            key: c for key, c in (terms or {}).items() if c}

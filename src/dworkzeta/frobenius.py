@@ -24,33 +24,35 @@ the output is exactly the truncation of alpha.
 The solutions k fall into image classes, one per (bw, base_x); for each e
 every k of a class lands on the same monomial with the same factor
 (-1)^|e| a^e.  So the ring products are paid once per (class, e) pair, not
-once per term.  For a group of k, a walk over the support points extends a
-list of partial terms (net, numerator, packed e), with net = bw + |e| -
-delta and delta the ell-denominator exponent so far, by every choice of
-e_j, and cuts a choice once
+once per term.  One routine, _walk, takes the e_j of a list of support
+points, the levels, under room = N_work - bw.  It extends a list of partial
+terms (net, numerator, packed e), from (0, its start numerator, 0), with
+net = |e| - delta over the levels so far and delta their ell-denominator
+exponent, by every choice of e_j, and cuts a choice once
 
-    net + e_j - d(p, k_j + p*e_j) >= N_work.
+    net + e_j - d(p, k_j + p*e_j) >= room.
 
-The left side bounds the net p-power of every completion from below and
-grows with e_j, because d(p, i) = 0 for i < p and d(p, i + p) <= d(p, i) + 1.
-It also cuts every choice with |e| >= E: since bw >= |k|/p and d(p, i) <=
-i(2p-1)/(p^2(p-1)), it is at least |e|/beta >= N_work + gamma, with beta and
-gamma those of truncation_bound.  ell_{k_j+p*e_j} and its bound are read
-from the column of the residue k_j: for e_j = 0, 1, ..., E-1 the gain
-e_j - d(p, k_j + p*e_j), the step e_j - (denominator exponent of the ell),
-and the ell numerator.  The gains and steps of a column are its profile.
-Before the last support point of the walk a choice is also dropped once
-net + step >= N_work.  Every step is >= 0: it is at least the gain, since
-compute_splitting keeps each denominator exponent within d, and
-d(p, k + p*e) <= e for k < p and p >= 3.  So every completion of such a
-term ends at a net p-power >= N_work, and the last support point would drop
-it anyway.  A term is thus kept exactly when its final net p-power is below
-N_work, in whatever order the walk takes the support points.
+bw plus the left side bounds the net p-power of every completion from
+below, and the left side grows with e_j, because d(p, i) = 0 for i < p and
+d(p, i + p) <= d(p, i) + 1.  It also cuts every choice with |e| >= E:
+since bw >= |k|/p and d(p, i) <= i(2p-1)/(p^2(p-1)), bw plus the left side
+is at least |e|/beta >= N_work + gamma, with beta and gamma those of
+truncation_bound.  ell_{k_j+p*e_j} and its bound are read from the column
+of the residue k_j: for e_j = 0, 1, ..., E-1 the gain e_j - d(p, k_j +
+p*e_j), the step e_j - (denominator exponent of the ell), and the ell
+numerator.  The gains and steps of a column are its profile.  A choice is
+also dropped once net + step >= room.  Every step is >= 0: it is at least
+the gain, since compute_splitting keeps each denominator exponent within
+d, and d(p, k + p*e) <= e for k < p and p >= 3; _series_tables raises
+InternalPrecisionError, once per (p, N_work, E), on a series where a step
+is not.  So every completion of a dropped term has a net >= room, and
+_walk returns exactly the completions whose net, the sum of their steps,
+is below room, in whatever order it takes the levels.
 
 A group is the solutions of one class whose residues have the same profile
-in every slot.  Its members see the same cuts, nets and e, so the walk runs
-once per group, and only the numerators differ: the numerator product X_k
-of each member.  Each term of net p-power final that the walk finishes adds
+in every slot.  Its members see the same cuts, nets and e, and only the
+numerators differ: the numerator product X_k of each member.  Each term
+whose net p-power final = bw + net is below N_work adds
 
     p^final * X_k * (-1)^bw sigma^{-1}(a^k)   mod p^N_work
 
@@ -58,41 +60,46 @@ per member k to its class's sum for its e.  A slot of a group is shared
 when every member has the same residue there, and so the same ell, and
 varying otherwise.  A one-member group, the rule at small p (every group of
 the small-p benchmark), has no varying slot; in an elliptic curve, y^2 pins
-k_j = (p-1)/2 for every solution.  The walk takes the varying slots first,
-as one vector, and then the shared slots, as plain ints.  The vector starts
-as the coordinates s_(i,k) in [0, p^N_work) of each member's (-1)^bw
-sigma^{-1}(a^k), a per member: first coordinate 0 of every member, then
-coordinate 1, and so on (at a = 1 the one coordinate is the element).  An
-extension is one map(mul, ...) against the members' ell numerators,
-repeated a times to match, so entry (i, k) of a partial term is s_(i,k)
-times the numerator product so far.  The last varying slot takes one dot
-product per coordinate, D_i = sum_k numer_(i,k) * ell_k against its ell
-numerators, and starts the shared slots from the element D whose coordinate
-i is D_i mod p^N_work.  A one-member group starts them from D = its own
-(-1)^bw sigma^{-1}(a^k).  The shared slots multiply one int X, the product
-of their ell numerators, and the last one adds (p^final * X mod p^N_work) *
-D to the class sum.  Its coordinate i is p^final * X * D_i mod p^N_work,
-the sum over the members of p^final * X_k * s_(i,k), since X_k is X times
-the member's product over the varying slots: the sum of the members' terms
-above.  A group whose every slot varies ends at a level of one choice,
-e_j = 0 with ell = 1, gain and step 0 (UNIT_LEVEL).  Reducing is exact
-however large D_i and X grow: p^f * (X mod p^(N-f)) * s = p^f * X * s
-mod p^N for every integer s.  At p = 271 each of a target's 5 classes is
-one group, of up to 90 members, and the shared slot of y^2 walked as an
-int, not as a vector, halves the products of vector entries of the large-p
-benchmark (260,546 to 127,006 per pass).  The shared slots'
-sigma^{-1}(a_j)^(k_j) are multiplied once per group, into the factor every
-member's start shares.  Since the walk takes the slots out of order, each
-choice adds e_j at its slot's position in packed e.  The image classes
-themselves come from the slot columns: coordinate r of (U*k + (d, mu))/p
-for every solution k is one map per support point over k_j of every
-solution, not one sum per solution.
+k_j = (p-1)/2 for every solution.  The expansion calls _walk twice per
+group.  The shared slots are walked once, as plain ints from 1: a shared
+leaf (net, X, packed e) holds X, the product of their ell numerators.  The
+varying slots are walked as one vector.  It starts as the coordinates
+s_(i,k) in [0, p^N_work) of each member's (-1)^bw sigma^{-1}(a^k), a per
+member: first coordinate 0 of every member, then coordinate 1, and so on
+(at a = 1 the one coordinate is the element).  An extension is one
+map(mul, ...) against the members' ell numerators, repeated a times to
+match, so entry (i, k) of a varying leaf is s_(i,k) times the member's
+numerator product over the varying slots.  Each varying leaf becomes the
+element D whose coordinate i is D_i mod p^N_work, D_i the sum of the
+entries (i, k) over the members.  A one-member group has no varying level,
+so its one varying leaf is its start and D its own (-1)^bw
+sigma^{-1}(a^k); a group whose every slot varies has no shared level, so
+its one shared leaf is (0, 1, 0).  One loop then pairs them: for each
+varying leaf and each shared leaf whose nets sum below room, it adds
+(p^final * X mod p^N_work) * D to the class sum for the sum of their
+packed e.  Since both nets are sums of steps >= 0, the pairs kept are
+exactly the terms of the group, and coordinate i of what a pair adds is
+p^final * X * D_i mod p^N_work, the sum over the members of p^final * X_k
+* s_(i,k), since X_k is X times the member's product over the varying
+slots: the sum of the members' terms above.  Reducing is exact however
+large D_i and X grow: p^f * (X mod p^(N-f)) * s = p^f * X * s mod p^N for
+every integer s.  At p = 271 each of a target's 5 classes is one group, of
+up to 90 members, and the shared slot of y^2 walked as an int, not as a
+vector, halves the products of vector entries of the large-p benchmark
+(260,546 to 127,006 per pass).  The shared slots' sigma^{-1}(a_j)^(k_j)
+are multiplied once per group, into the factor every member's start
+shares.  Since the slots are walked out of order, each choice adds e_j at
+its slot's position in packed e.  The image classes themselves come from
+the slot columns: coordinate r of (U*k + (d, mu))/p for every solution k is
+one map per support point over k_j of every solution, not one sum per
+solution.
 
 Each class sum is normalized once and multiplied once by (-1)^|e| a^e, and
 the product is added unreduced to one integer per monomial; each monomial
 sum becomes a ring element once, by ring.normalize, at the end.  Both kinds
 of sum stay within the headroom of padic.normalize: a class sum receives at
-most one term per group and e, the element D times an integer in
+most one term per group and e (the pairs of a group have distinct e, since
+their two walks fill disjoint slots), the element D times an integer in
 [0, p^N_work), so at most p^(s - rank U) terms; a monomial sum has at most
 one product per (class, e) pair; both counts are far below 2^64 - 1.
 
@@ -145,7 +152,7 @@ from functools import lru_cache
 from itertools import accumulate, islice, product, repeat
 from math import ceil
 from operator import add, mul, sub
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .cone_algebra import ConeElement, ConeMonomial, check_code_bound, encode
 from .errors import (
@@ -216,6 +223,8 @@ def truncation_bound(p: int, n_eff: int, N_work: int) -> int:
 # (gain, step, ell numerator, e_j) for e_j = 0, 1, ..., E-1; see the
 # module docstring.
 Column = Tuple[Tuple[int, int, int, int], ...]
+# The numerator of a partial term: an int, or one int per member coordinate.
+Numerator = Union[int, List[int]]
 
 
 class SeriesTables(NamedTuple):
@@ -245,6 +254,10 @@ def _series_tables(p: int, N_work: int, E: int) -> SeriesTables:
         denom_exps, ell = zip(*series[c::p])
         gains = tuple([ej - d_bound(p, c + p * ej) for ej in ejs])
         net_steps = tuple(map(sub, ejs, denom_exps))
+        if min(net_steps) < 0:
+            raise InternalPrecisionError(
+                f"a splitting coefficient ell_(c + p*e_j) of residue c = {c} "
+                "has a denominator exponent above e_j: a negative step")
         columns.append(tuple(zip(gains, net_steps, ell, ejs)))
         ells.append(ell)
         profiles.append(ids.setdefault((gains, net_steps), len(ids)))
@@ -311,9 +324,32 @@ class Group(NamedTuple):
     shared: Tuple[Tuple[int, int], ...]
 
 
-# The level of a group whose every slot varies: one choice, e = 0 with
-# ell = 1 and gain and step 0, so its terms finish there unchanged.
-UNIT_LEVEL = (((0, 0, 1, 0),), 0)
+def _walk(levels: Sequence[Tuple[Column, int]], numer: Numerator, room: int,
+          times: Callable[[Numerator, object], Numerator],
+          ) -> List[Tuple[int, Numerator, int]]:
+    """Every completion (net, numerator, packed e) of the walk from net 0,
+    numerator numer and e = 0 over levels, each a column and the position
+    of its e_j in packed e, whose net p-power stays below room; times
+    extends a numerator by an ell (module docstring)."""
+    terms = [(0, numer, 0)]
+    for col, pos in levels:
+        extended = []
+        for net, numer, packed in terms:
+            left = room - net
+            for gain, step, ell, ej in col:
+                if gain >= left:
+                    break
+                if step >= left:
+                    continue
+                extended.append((net + step, times(numer, ell),
+                                 packed + (ej << pos)))
+        terms = extended
+    return terms
+
+
+def _times_each(numer: List[int], ells: Sequence[int]) -> List[int]:
+    """The numerator product of a vector walk: entry by entry."""
+    return list(map(mul, numer, ells))
 
 
 @lru_cache(maxsize=TARGET_PLANS)
@@ -395,90 +431,41 @@ def expand_frobenius(target: ConeMonomial, lifted: LiftedInput,
     for image_k, residues, varying, shared in groups:
         class_sums = sums.setdefault(image_k, {})
         bw = image_k[0]
-        size = len(residues[0])
-        # (-1)^bw sigma^{-1}(a^k), the product of the sigma^{-1}(a_j)^(k_j):
-        # the shared slots' factor once, the varying slots' per member.
+        # (-1)^bw sigma^{-1}(a^k) of each member, the product of the
+        # sigma^{-1}(a_j)^(k_j): the shared slots' factor once, the varying
+        # slots' per member.
         sak = signs[bw % 2]
         for j, kj in shared:
             sak = ring.mul(sak, sigma_powers[j][kj])
-
-        # The walk starts the shared slots from (net, packed e, D).  A
-        # one-member group has no varying slot, and its one start has D = sak.
-        # A larger group walks its varying slots first, as one vector of
-        # partial terms (module docstring), and the last varying slot turns
-        # each into a start: D is the element whose coordinate i is the dot
-        # product of coordinate i's block with ell, mod p^N_work.
-        starts = [(bw, 0, sak)]
-        if varying:
-            saks = [sak] * size
-            for j, _ in varying:
-                saks = list(map(ring.mul, saks,
-                                map(sigma_powers[j].__getitem__, residues[j])))
-            # The members' ell numerators, repeated a times to match.
-            levels = [(tuple((gain, step, ell * a, ej)
-                             for gain, step, ell, ej in col)
-                       if a > 1 else col, positions[j]) for j, col in varying]
-            terms = [(bw, ring.coordinates(saks), 0)]
-            for col, pos in levels[:-1]:
-                extended = []
-                for net, numer, packed in terms:
-                    room = N_work - net
-                    for gain, step, ell, ej in col:
-                        if gain >= room:
-                            break
-                        if step >= room:
-                            continue
-                        extended.append((net + step, list(map(mul, numer, ell)),
-                                         packed + (ej << pos)))
-                terms = extended
-            col, pos = levels[-1]
-            starts = []
-            for net, numer, packed in terms:
-                room = N_work - net
-                for gain, step, ell, ej in col:
-                    if gain >= room:
-                        break
-                    if step >= room:
-                        continue
-                    prods = map(mul, numer, ell)
-                    D = 0
-                    for s in shifts:
-                        D += sum(islice(prods, size)) % modulus << s
-                    starts.append((net + step, packed + (ej << pos), D))
-
-        # The shared slots, as plain ints: (net, numerator, packed e) from
-        # each start; the last shared slot finishes them.
-        levels = [(columns[kj], positions[j]) for j, kj in shared] or [
-            UNIT_LEVEL]
-        inner, (last, at) = levels[:-1], levels[-1]
-        for start_net, start_packed, D in starts:
-            terms = [(start_net, 1, start_packed)]
-            for col, pos in inner:
-                extended = []
-                for net, numer, packed in terms:
-                    room = N_work - net
-                    for gain, step, ell, ej in col:
-                        if gain >= room:
-                            break
-                        if step >= room:
-                            continue
-                        extended.append((net + step, numer * ell,
-                                         packed + (ej << pos)))
-                terms = extended
-            for net, numer, packed in terms:
-                room = N_work - net
-                for gain, step, ell, ej in last:
-                    if gain >= room:
-                        break
-                    final = net + step
-                    if final < 0:
-                        raise InternalPrecisionError(
-                            f"negative net p-power {final} at target {target}")
-                    if final >= N_work:
-                        continue
-                    key = packed + (ej << at)
-                    class_sums[key] = (class_sums.get(key, 0) + p_pows[final]
-                                       * numer * ell % modulus * D)
+        size = len(residues[0])
+        saks = [sak] * size
+        for j, _ in varying:
+            saks = list(map(ring.mul, saks,
+                            map(sigma_powers[j].__getitem__, residues[j])))
+        # The shared slots as plain ints, once per group; the varying slots
+        # as one vector, from the coordinates of the members' saks, with
+        # their ell numerators repeated a times to match.
+        room = N_work - bw
+        leaves = _walk([(columns[kj], positions[j]) for j, kj in shared],
+                       1, room, mul)
+        levels = [(tuple((gain, step, ell * a, ej)
+                         for gain, step, ell, ej in col)
+                   if a > 1 else col, positions[j]) for j, col in varying]
+        for net, numer, packed in _walk(levels, ring.coordinates(saks), room,
+                                        _times_each):
+            # D: the element whose coordinate i is the sum of coordinate i's
+            # block, mod p^N_work.
+            blocks = iter(numer)
+            D = 0
+            for s in shifts:
+                D += sum(islice(blocks, size)) % modulus << s
+            left = room - net
+            for shared_net, X, shared_packed in leaves:
+                if shared_net < left:
+                    key = packed + shared_packed
+                    class_sums[key] = (
+                        class_sums.get(key, 0)
+                        + p_pows[bw + net + shared_net] * X % modulus * D)
 
     # Unreduced sum of each monomial's (class, e) products (see
     # padic.normalize), keyed by its code: the class point's plus the

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from itertools import product as iproduct
 from operator import mul
 
@@ -276,6 +277,68 @@ def test_projective_expansion_paths_agree():
     dense = expand_frobenius_dense(target, lifted, poly, tables, powers)
     assert few.terms == dense.terms
     assert few.terms  # nonempty
+
+
+def walk_levels(p, count):
+    """(levels, start numerator, numerator product, N_work): count slots of
+    scalar columns read off splitting_for at p = 3, 5, 7, or at p = 101
+    slots of vector columns led by the varying slot of a target_plan group,
+    the members' ell numerators (a scalar column there is its ell repeated
+    once per member)."""
+    N = 2 if p == 3 else 3
+    R = ring(p, 1, N)
+    if p < 100:
+        tables = splitting_for(R, truncation_bound(p, 2, N))
+        rng = random.Random(p)
+        columns = [tables.columns[rng.randrange(p)] for _ in range(count)]
+        numer, times = 7, mul
+    else:
+        lifted, poly, tables, powers = expansion_setup(
+            R, elliptic_terms(p, 3, 7), "affine")
+        group = max(frobenius.target_plan(lifted.support, p, N, tables.E,
+                                          (1, (1, 1))),
+                    key=lambda group: len(group.residues[0]))
+        size = len(group.residues[0])
+        assert size > 1
+        columns = ([group.varying[0][1]] + [
+            tuple((gain, step, (ell,) * size, ej)
+                  for gain, step, ell, ej in tables.columns[c])
+            for c in ((p - 1) // 2, 3)])[:count]
+        numer, times = list(range(1, size + 1)), frobenius._times_each
+    width = tables.E.bit_length()
+    levels = [(col, width * j) for j, col in enumerate(columns)]
+    return levels, numer, times, N
+
+
+@pytest.mark.parametrize("p, count", [
+    (p, count) for p in (3, 5, 7) for count in range(5)] + [
+    (101, count) for count in range(4)])
+def test_walk_equals_brute_force_in_every_order(p, count):
+    """The walk returns, as a multiset, every choice of one entry per level
+    whose steps sum below room, with its numerator product and packed e: the
+    full product of the columns filtered, whatever the order of the levels."""
+    levels, numer, times, N = walk_levels(p, count)
+
+    def key(net, x, packed):
+        return net, tuple(x) if isinstance(x, list) else x, packed
+
+    seen_cut = False
+    for room in sorted({1, 2, N}):
+        want = Counter()
+        for choice in iproduct(*(col for col, _ in levels)):
+            net = sum(step for _, step, _, _ in choice)
+            if net < room:
+                x = numer
+                for _, _, ell, _ in choice:
+                    x = times(x, ell)
+                want[key(net, x, sum(ej << pos for (_, _, _, ej), (_, pos)
+                                      in zip(choice, levels)))] += 1
+            else:
+                seen_cut = True
+        for order in permutations(levels):
+            got = frobenius._walk(list(order), numer, room, times)
+            assert Counter(key(*term) for term in got) == want, (room, order)
+    assert seen_cut or not levels
 
 
 def elliptic_problem(p, aa, bb, a=1, hbar=(0, 1)):

@@ -202,3 +202,24 @@ def test_denominator_bound_violation_raises(monkeypatch, lowered):
     monkeypatch.setattr(splitting, "d_bound", low)
     with pytest.raises(InternalPrecisionError):
         compute_splitting(p, 4, length)
+
+
+@pytest.mark.parametrize("index", [2, 6])
+def test_negative_step_raises(monkeypatch, index):
+    # The expansion's cuts need every step e_j - (denominator exponent of
+    # ell_(c + p*e_j)) to be >= 0.  A series whose coefficient at c + p*e_j
+    # has a denominator exponent of e_j + 1 (at p = 5: ell_2 at e_j = 0,
+    # ell_6 at e_j = 1) makes the tables refuse it.
+    p, N_work, E = 5, 3, 4
+    true_series = compute_splitting(p, N_work, p * E)
+
+    def skewed(q, n, length):
+        series = list(true_series)
+        series[index] = (index // p + 1, series[index][1])
+        return tuple(series)
+
+    monkeypatch.setattr(frobenius, "compute_splitting", skewed)
+    frobenius._series_tables.cache_clear()
+    R = make_ring(FieldSpec(p=p, a=1, hbar=(0, 1), N_work=N_work))
+    with pytest.raises(InternalPrecisionError, match="negative step"):
+        frobenius.splitting_for(R, E)
